@@ -1,8 +1,12 @@
 """Dense transportation simplex.
 
 Minimizes sum C[i, j] x[i, j] over nonnegative x with prescribed row sums a
-and column sums b (sum a = sum b). Exact at desk scale: the basis is kept as
-a spanning tree of the bipartite node graph, pricing is most-negative with a
+and column sums b (sum a = sum b). Exact at desk scale. The basis is a
+spanning tree of the bipartite node graph (rows 0..n-1, columns n..n+m-1),
+kept as adjacency sets that each pivot updates in place. One traversal from
+row 0 per pivot yields the node prices together with parent and depth
+arrays; the entering arc's cycle is then the two parent walks from its
+endpoints up to where they meet. Pricing is most-negative with a
 deterministic first-index tie break, and a Bland fallback engages after a
 streak of degenerate pivots so cycling cannot occur.
 """
@@ -14,17 +18,15 @@ import math
 import numpy as np
 
 
-def northwest_corner(a: np.ndarray, b: np.ndarray):
-    """Initial basic feasible staircase with exactly n + m - 1 arcs."""
+def northwest_corner(a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
+    """Initial basic feasible staircase: flows on exactly n + m - 1 arcs."""
     n, m = len(a), len(b)
     ra = a.astype(float).copy()
     rb = b.astype(float).copy()
-    basis: list[tuple[int, int]] = []
     flow: dict[tuple[int, int], float] = {}
     i = j = 0
     for k in range(n + m - 1):
         q = min(ra[i], rb[j])
-        basis.append((i, j))
         flow[(i, j)] = q
         ra[i] -= q
         rb[j] -= q
@@ -38,55 +40,44 @@ def northwest_corner(a: np.ndarray, b: np.ndarray):
             i += 1
         else:
             j += 1
-    return basis, flow
+    return flow
 
 
-def _duals(n: int, m: int, basis, C: np.ndarray):
-    """Node prices from the basis tree, anchored at alpha[0] = 0."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
-    for i, j in basis:
-        adj[i].append((n + j, i * m + j))
-        adj[n + j].append((i, i * m + j))
-    alpha = np.full(n, np.nan)
-    beta = np.full(m, np.nan)
-    alpha[0] = 0.0
+def _traverse(n: int, adj: list[set[int]], C: list[list[float]]):
+    """Node prices, parents and depths of the basis tree, rooted at row 0.
+
+    Nodes 0..n-1 are rows and n..n+m-1 are columns; prices are anchored at
+    alpha[0] = 0 and make every basic arc tight.
+    """
+    price = [0.0] * len(adj)
+    parent = [-1] * len(adj)
+    depth = [0] * len(adj)
     stack = [0]
     while stack:
         u = stack.pop()
-        for w, arc in adj[u]:
-            i, j = divmod(arc, m)
-            if w >= n:
-                if math.isnan(beta[w - n]):
-                    beta[w - n] = C[i, j] - alpha[i]
-                    stack.append(w)
-            else:
-                if math.isnan(alpha[w]):
-                    alpha[w] = C[i, j] - beta[j]
-                    stack.append(w)
-    return alpha, beta
-
-
-def _tree_path(n: int, basis, src: int, dst: int):
-    """Node path src -> dst inside the basis tree."""
-    adj: dict[int, list[int]] = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append(n + j)
-        adj.setdefault(n + j, []).append(i)
-    parent = {src: src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        if u == dst:
-            break
-        for w in adj.get(u, ()):
-            if w not in parent:
+        for w in adj[u]:
+            if w != parent[u]:
                 parent[w] = u
+                depth[w] = depth[u] + 1
+                if w >= n:
+                    price[w] = C[u][w - n] - price[u]
+                else:
+                    price[w] = C[w][u - n] - price[u]
                 stack.append(w)
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    return np.array(price[:n]), np.array(price[n:]), parent, depth
+
+
+def _cycle_path(parent: list[int], depth: list[int], src: int, dst: int) -> list[int]:
+    """Node path src -> dst in the basis tree: both parent walks up to where they meet."""
+    up, down = [src], [dst]
+    while depth[up[-1]] > depth[down[-1]]:
+        up.append(parent[up[-1]])
+    while depth[down[-1]] > depth[up[-1]]:
+        down.append(parent[down[-1]])
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    return up + down[-2::-1]
 
 
 def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -102,7 +93,6 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     n, m = C.shape
     if n == 1 or m == 1:
         # a single row or column forces the flow; duals are direct
-        flow = {}
         if n == 1:
             flow = {(0, j): b[j] for j in range(m)}
             alpha = np.array([0.0])
@@ -113,17 +103,21 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             alpha = C[:, 0] - beta[0]
         return flow, alpha, beta
 
-    basis, flow = northwest_corner(a, b)
-    basis_set = set(basis)
+    flow = northwest_corner(a, b)
+    adj: list[set[int]] = [set() for _ in range(n + m)]
+    for i, j in flow:
+        adj[i].add(n + j)
+        adj[n + j].add(i)
+    Cl = C.tolist()
     enter_eps = 1e-12 * max(1.0, float(np.abs(C).max()))
     bland = False
     degenerate_streak = 0
     max_iters = 100 * (n + m) ** 2 + 10_000
 
     for _ in range(max_iters):
-        alpha, beta = _duals(n, m, basis, C)
+        alpha, beta, parent, depth = _traverse(n, adj, Cl)
         reduced = C - alpha[:, None] - beta[None, :]
-        for i, j in basis:
+        for i, j in flow:
             reduced[i, j] = 0.0
         if bland:
             cand = np.argwhere(reduced < -enter_eps)
@@ -135,7 +129,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             ei, ej = divmod(flat, m)
             if reduced[ei, ej] >= -enter_eps:
                 break
-        path = _tree_path(n, basis, ei, n + ej)
+        path = _cycle_path(parent, depth, ei, n + ej)
         cycle_arcs = []
         for p, (u, w) in enumerate(zip(path, path[1:])):
             i, j = (u, w - n) if u < n else (w, u - n)
@@ -150,10 +144,12 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         for arc, sign in cycle_arcs:
             flow[arc] = max(0.0, flow[arc] + sign * theta)
         flow[(ei, ej)] = theta
-        basis_set.remove(leaving)
-        basis_set.add((ei, ej))
-        basis = sorted(basis_set)
         del flow[leaving]
+        li, lj = leaving
+        adj[li].remove(n + lj)
+        adj[n + lj].remove(li)
+        adj[ei].add(n + ej)
+        adj[n + ej].add(ei)
         if theta <= 1e-15:
             degenerate_streak += 1
             if degenerate_streak > 2 * (n + m):
@@ -163,5 +159,5 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     else:
         raise RuntimeError("transportation simplex failed to terminate")
 
-    alpha, beta = _duals(n, m, basis, C)
+    # the loop leaves right after pricing the final basis
     return flow, alpha, beta

@@ -9,12 +9,13 @@ derivative-based testers.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .errors import (
     CapExceeded,
@@ -216,6 +217,16 @@ class TreeImpl:
                     self.depth[w] = self.depth[u] + 1
                     self.droot[w] = self.droot[u] + ln
                     queue.append(w)
+        # edge endpoint and length arrays, and the weighted adjacency for csgraph
+        self._ends = np.array(
+            [[self._vidx[a], self._vidx[b]] for a, b, _ln in edges], dtype=np.int64
+        )
+        self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
+        tails, heads = self._ends.T
+        self._graph = scipy.sparse.csr_matrix(
+            (np.tile(self._lens, 2), (np.r_[tails, heads], np.r_[heads, tails])),
+            shape=(nv, nv),
+        )
 
     # Point bookkeeping. A point is (edge index, (arc offset,)); vertices are
     # normalized onto their lowest-index incident edge.
@@ -437,10 +448,10 @@ class TreeImpl:
     def region_diameter(self, region) -> float:
         if isinstance(region, TreeRegion):
             self._region_edges(region)
+            # double sweep: exact on the connected vertex set of a tree
             vs = list(dict.fromkeys(region.vertices))
-            return max(
-                (self.vertex_distance(u, v) for u in vs for v in vs), default=0.0
-            )
+            far = max(vs, key=lambda v: self.vertex_distance(vs[0], v))
+            return max(self.vertex_distance(far, v) for v in vs)
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on trees")
 
     def sample_region(self, region, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -455,40 +466,17 @@ class TreeImpl:
         offs = rng.uniform(0.0, 1.0, n) * lens[pick]
         return charts, offs[:, None]
 
-    def _all_vertex_distances(self, v) -> dict:
-        dist = {u: math.inf for u in self.vertices}
-        dist[v] = 0.0
-        heap = [(0.0, self._vidx[v])]
-        out = {}
-        while heap:
-            d, ui = heapq.heappop(heap)
-            u = self.vertices[ui]
-            if u in out:
-                continue
-            out[u] = d
-            for e in self.incident[ui]:
-                a, b, ln = self.edges[e]
-                w = b if a == u else a
-                if w not in out and d + ln < dist[w]:
-                    dist[w] = d + ln
-                    heapq.heappush(heap, (d + ln, self._vidx[w]))
-        return out
-
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
         a, b, ln = self.edges[p.chart]
         sp = p.coords[0]
-        da = self._all_vertex_distances(a)
-        db = self._all_vertex_distances(b)
-        ne = len(self.edges)
-        dpA = np.empty(ne)
-        dpB = np.empty(ne)
-        lens = np.empty(ne)
-        for e, (ea, eb, eln) in enumerate(self.edges):
-            dpA[e] = min(sp + da[ea], (ln - sp) + db[ea])
-            dpB[e] = min(sp + da[eb], (ln - sp) + db[eb])
-            lens[e] = eln
+        da, db = scipy.sparse.csgraph.dijkstra(
+            self._graph, indices=[self._vidx[a], self._vidx[b]]
+        )
+        # distance from p to each target edge's two endpoints, leaving p via a or b
+        ends = self._ends[charts]
+        dp = np.minimum(sp + da[ends], (ln - sp) + db[ends])
         s = coords[:, 0]
-        base = np.minimum(dpA[charts] + s, dpB[charts] + lens[charts] - s)
+        base = np.minimum(dp[:, 0] + s, dp[:, 1] + self._lens[charts] - s)
         return np.where(charts == p.chart, np.abs(s - sp), base)
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:

@@ -146,16 +146,23 @@ def _support_arrays(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
     return charts, coords
 
 
+def _cost_rows(
+    space: SpaceHandle, sources: Sequence[Point], targets: Sequence[Point]
+) -> np.ndarray:
+    """C[i, j] = d(x_i, y_j)^2 / 2, one distances_from row per source point."""
+    charts, coords = _support_arrays(targets)
+    C = np.empty((len(sources), len(targets)))
+    for i, x in enumerate(sources):
+        d = space.impl.distances_from(x, charts, coords)
+        C[i] = 0.5 * d * d
+    return C
+
+
 def pairwise_costs(
     space: SpaceHandle, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> np.ndarray:
     """Cost matrix C[i, j] = d(x_i, y_j)^2 / 2."""
-    charts, coords = _support_arrays(nu.points)
-    C = np.empty((len(mu.points), len(nu.points)))
-    for i, x in enumerate(mu.points):
-        d = space.impl.distances_from(x, charts, coords)
-        C[i] = 0.5 * d * d
-    return C
+    return _cost_rows(space, mu.points, nu.points)
 
 
 def _uniform(weights: Sequence[float]) -> bool:
@@ -327,13 +334,11 @@ def check_cyclic_monotonicity(
         raise ParamOutOfRange("cycles need length at least 2")
     pairs = [(i, j) for i, j, _mass in plan.entries]
     K = len(pairs)
-    charts, coords = _support_arrays(
-        [plan.target.points[j] for _i, j in pairs]
+    Cp = _cost_rows(
+        space,
+        [plan.source.points[i] for i, _j in pairs],
+        [plan.target.points[j] for _i, j in pairs],
     )
-    Cp = np.empty((K, K))
-    for k, (i, _j) in enumerate(pairs):
-        d = space.impl.distances_from(plan.source.points[i], charts, coords)
-        Cp[k] = 0.5 * d * d
     diag = np.diag(Cp)
 
     violations = 0
@@ -385,11 +390,8 @@ def c_transform(
         raise EmptySet("the c-transform needs a nonempty base set")
     if len(psi) != len(a_points):
         raise ParamOutOfRange("one value per base point required")
-    charts, coords = _support_arrays(b_points)
-    vals = np.full(len(b_points), math.inf)
-    for v, x in zip(psi, a_points):
-        d = space.impl.distances_from(normalize(space, x), charts, coords)
-        vals = np.minimum(vals, v + 0.5 * d * d)
+    C = _cost_rows(space, [normalize(space, x) for x in a_points], b_points)
+    vals = (np.asarray(psi, dtype=float)[:, None] + C).min(axis=0)
     return [float(v) for v in vals]
 
 

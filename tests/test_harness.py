@@ -83,6 +83,14 @@ def test_eilenberg_square_report():
     assert rep.metrics["lhs"]["sigma"] is not None
 
 
+def test_eilenberg_on_the_largest_comb():
+    # comb(3, 16) is at build_comb's caps, with 9,826 vertices; its length is
+    # the base segment plus 17 + 17^2 + 17^3 unit teeth
+    rep = run_scenario(_scenario("eilenberg", {}, space={"kind": "comb", "depth": 3, "grid": 16}))
+    assert rep.passed
+    assert rep.metrics["rhs"]["value"] == pytest.approx(1 + 17 + 17**2 + 17**3, abs=1e-9)
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_every_experiment_runs_deterministically(experiment):
     small = {

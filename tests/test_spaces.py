@@ -12,6 +12,7 @@ from cat0ot import (
     InvalidPoint,
     ParamOutOfRange,
     Point,
+    TreeRegion,
     build_comb,
     build_euclidean,
     build_open_book,
@@ -20,7 +21,9 @@ from cat0ot import (
     build_tripod,
     distance,
     geodesic,
+    measure,
     normalize,
+    pairwise_costs,
     point_from_json,
     point_to_json,
     space_from_json,
@@ -121,6 +124,41 @@ def test_tree_distance_matches_networkx(fixture, request):
         p, q = pts[k], pts[k + 1]
         want = tree_distance(space, p, q)
         assert distance(space, p, q) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
+def test_tree_cost_rows_match_networkx(fixture, request):
+    space = request.getfixturevalue(fixture)
+    impl = space.impl
+    rng = substream(13, f"rows:{fixture}")
+    inner = sample_points(space, rng, 8)
+    # sources at every vertex and inside edges; targets inside edges, some on a
+    # source's own edge, and at the vertices too
+    same_edge = [Point(p.chart, (0.5 * p.coords[0],)) for p in inner[:3]]
+    sources = [impl.vertex_point(v) for v in space.params.vertices] + inner[:4]
+    targets = inner + same_edge + [impl.vertex_point(space.params.vertices[-1])]
+    mu, nu = measure(space, sources), measure(space, targets)
+    C = pairwise_costs(space, mu, nu)
+    assert C.shape == (len(mu.points), len(nu.points))
+    for i, x in enumerate(mu.points):
+        for j, y in enumerate(nu.points):
+            assert C[i, j] == pytest.approx(0.5 * tree_distance(space, x, y) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
+def test_tree_region_diameter_is_all_pairs_maximum(fixture, request):
+    space = request.getfixturevalue(fixture)
+    impl = space.impl
+    verts = list(space.params.vertices)
+    # closed vertex balls are connected, so each is a valid subtree region
+    balls = [
+        [v for v in verts if impl.vertex_distance(c, v) <= r]
+        for c in verts
+        for r in (0.5, 1.0, 1.6)
+    ]
+    for vs in [verts, verts[::-1]] + balls:
+        want = max(impl.vertex_distance(u, v) for u in vs for v in vs)
+        assert impl.region_diameter(TreeRegion(tuple(vs))) == want
 
 
 def test_tree_geodesic_length_and_endpoints(lopsided_tree):
