@@ -268,13 +268,7 @@ def alexandrov_angle(
     ):
         raise ParamOutOfRange("angle schedule must be strictly decreasing and positive")
 
-    cap = min(g.length, h.length)
-    angles = []
-    for s in sched:
-        s = min(s, cap)
-        pg = g.at_arc(s)
-        ph = h.at_arc(s)
-        angles.append(comparison_angle(s, s, space.impl.distance(pg, ph)))
+    angles = comparison_angle_sequence(space, g, h, sched)
     converged = abs(angles[-1] - angles[-2]) < tol
     low = min(angles[-1], angles[0])
     high = max(angles[-1], angles[0])

@@ -6,9 +6,7 @@ import csv
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -98,12 +96,11 @@ def sample_points(space: SpaceHandle, rng: np.random.Generator, n: int) -> list[
             out.append(Point(0, tuple(float(v) for v in rng.uniform(-1.0, 1.0, space.dim))))
         return out
     if space.kind == "tree":
-        edges = space.params.edges
-        lens = np.array([e[2] for e in edges])
+        lens = space.impl._lens
         probs = lens / lens.sum()
         for _ in range(n):
-            e = int(rng.choice(len(edges), p=probs))
-            s = float(rng.uniform(0.0, edges[e][2]))
+            e = int(rng.choice(len(lens), p=probs))
+            s = float(rng.uniform(0.0, lens[e]))
             out.append(space.impl.normalize(Point(e, (s,))))
         return out
     if space.kind == "open_book":
@@ -240,15 +237,12 @@ def _tree_same_gate_pair(
 ) -> tuple[Point, Point, Point]:
     """x behind a branch vertex, y1 != y2 equidistant from x beyond the same vertex."""
     edges = space.params.edges
-    degree: dict = {v: 0 for v in space.params.vertices}
-    for a, b, _ in edges:
-        degree[a] += 1
-        degree[b] += 1
-    branch = [v for v in space.params.vertices if degree[v] >= 3]
+    incident = space.impl.incident
+    branch = [i for i, inc in enumerate(incident) if len(inc) >= 3]
     if not branch:
         raise ConfigInvalid("space", "twist probes on trees need a branch vertex")
-    v = branch[int(rng.integers(0, len(branch)))]
-    inc = [e for e, (a, b, _) in enumerate(edges) if v in (a, b)]
+    i = branch[int(rng.integers(0, len(branch)))]
+    v, inc = space.params.vertices[i], incident[i]
     idx = rng.permutation(len(inc))
     e_x, e_1, e_2 = inc[int(idx[0])], inc[int(idx[1])], inc[int(idx[2])]
 
@@ -300,12 +294,8 @@ def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
 def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
     cap = float(params.get("slope_cap", 10.0))
     if space.kind == "tree":
-        edges = space.params.edges
-        degree: dict = {}
-        for a, b, _ in edges:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        leaf = next(v for v in space.params.vertices if degree.get(v, 0) == 1)
+        incident = space.impl.incident
+        leaf = next(v for v, inc in zip(space.params.vertices, incident) if len(inc) == 1)
         leaf_pt = space.impl.vertex_point(leaf)
         rep = fermat_check(
             space,
@@ -595,15 +585,8 @@ def run_scenario(scenario: Scenario) -> Report:
 
 
 def run_batch(scenarios: list[Scenario]) -> list[Report]:
-    """Run scenarios concurrently; results come back in input order."""
-    if not scenarios:
-        return []
-    cap = os.environ.get("CAT0OT_THREADS")
-    workers = int(cap) if cap else min(4, len(scenarios))
-    if workers < 1:
-        raise ConfigInvalid("CAT0OT_THREADS", "thread cap must be positive")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_scenario, scenarios))
+    """Run scenarios one after another; results come back in input order."""
+    return [run_scenario(sc) for sc in scenarios]
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .errors import (
     CapExceeded,
@@ -196,17 +194,21 @@ class TreeImpl:
         for e, (a, b, _ln) in enumerate(edges):
             self.incident[self._vidx[a]].append(e)
             self.incident[self._vidx[b]].append(e)
-        # rooted structure for lowest-common-ancestor queries
+        # rooted structure: the stack pops vertices in preorder, so the subtree
+        # of u is the preorder range [tin[u], tout[u])
         self.parent = [-1] * nv
         self.parent_edge = [-1] * nv
-        self.depth = [0] * nv
         self.droot = [0.0] * nv
+        self._tin = [0] * nv
+        order: list[int] = []
         seen = [False] * nv
         ridx = self._vidx[root]
         seen[ridx] = True
-        queue = [ridx]
-        while queue:
-            u = queue.pop()
+        stack = [ridx]
+        while stack:
+            u = stack.pop()
+            self._tin[u] = len(order)
+            order.append(u)
             for e in self.incident[u]:
                 a, b, ln = edges[e]
                 w = self._vidx[b] if self._vidx[a] == u else self._vidx[a]
@@ -214,19 +216,20 @@ class TreeImpl:
                     seen[w] = True
                     self.parent[w] = u
                     self.parent_edge[w] = e
-                    self.depth[w] = self.depth[u] + 1
                     self.droot[w] = self.droot[u] + ln
-                    queue.append(w)
-        # edge endpoint and length arrays, and the weighted adjacency for csgraph
+                    stack.append(w)
+        self._tout = [t + 1 for t in self._tin]
+        for u in reversed(order[1:]):
+            p = self.parent[u]
+            self._tout[p] = max(self._tout[p], self._tout[u])
+        # preorder-indexed forms for the vectorized cost rows
+        self._pre_tout = np.array([self._tout[u] for u in order], dtype=np.int64)
+        self._pre_droot = np.array([self.droot[u] for u in order])
         self._ends = np.array(
-            [[self._vidx[a], self._vidx[b]] for a, b, _ln in edges], dtype=np.int64
+            [[self._tin[self._vidx[a]], self._tin[self._vidx[b]]] for a, b, _ln in edges],
+            dtype=np.int64,
         )
         self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
-        tails, heads = self._ends.T
-        self._graph = scipy.sparse.csr_matrix(
-            (np.tile(self._lens, 2), (np.r_[tails, heads], np.r_[heads, tails])),
-            shape=(nv, nv),
-        )
 
     # Point bookkeeping. A point is (edge index, (arc offset,)); vertices are
     # normalized onto their lowest-index incident edge.
@@ -264,77 +267,72 @@ class TreeImpl:
         return None
 
     def _lca(self, u: int, v: int) -> int:
-        while self.depth[u] > self.depth[v]:
+        # climb from u until its preorder range contains v
+        while not self._tin[u] <= self._tin[v] < self._tout[u]:
             u = self.parent[u]
-        while self.depth[v] > self.depth[u]:
-            v = self.parent[v]
-        while u != v:
-            u = self.parent[u]
-            v = self.parent[v]
         return u
 
     def vertex_distance(self, a, b) -> float:
         u, v = self._vidx[a], self._vidx[b]
         return self.droot[u] + self.droot[v] - 2.0 * self.droot[self._lca(u, v)]
 
-    def _anchors(self, p: Point) -> list[tuple]:
-        """(vertex id, offset from p, coordinate of the vertex on p's edge)."""
-        a, b, ln = self.edges[p.chart]
-        s = p.coords[0]
-        return [(a, s, 0.0), (b, ln - s, ln)]
+    def _vertex_rows(self, u: int, targets: np.ndarray) -> np.ndarray:
+        """vertex_distance from vertex index u to vertices given by preorder position."""
+        t = self._tin[u]
+        chain = np.flatnonzero(self._pre_tout[: t + 1] > t)  # u's ancestors, root first
+        # along the chain tin rises and tout falls, so the ancestors of a target
+        # are the shorter of the two prefixes that pass each test
+        k = np.minimum(
+            np.searchsorted(chain, targets, side="right"),
+            np.searchsorted(-self._pre_tout[chain], -targets),
+        )
+        lca = chain[k - 1]
+        return self.droot[u] + self._pre_droot[targets] - 2.0 * self._pre_droot[lca]
+
+    def _route(self, p: Point, q: Point) -> tuple:
+        """(length, u, cu, v, cv) of the shortest p -> u ~> v -> q, where u ends
+        p's edge, v ends q's edge, and cu, cv are their offsets on those edges."""
+        a, b, lp = self.edges[p.chart]
+        c, d, lq = self.edges[q.chart]
+        s, t = p.coords[0], q.coords[0]
+        best = None
+        for u, off_u, cu in ((a, s, 0.0), (b, lp - s, lp)):
+            for v, off_v, cv in ((c, t, 0.0), (d, lq - t, lq)):
+                tot = off_u + self.vertex_distance(u, v) + off_v
+                if best is None or tot < best[0]:
+                    best = (tot, u, cu, v, cv)
+        return best
 
     def distance(self, p: Point, q: Point) -> float:
         if p.chart == q.chart:
             return abs(p.coords[0] - q.coords[0])
-        best = math.inf
-        for u, off_u, _cu in self._anchors(p):
-            for v, off_v, _cv in self._anchors(q):
-                tot = off_u + self.vertex_distance(u, v) + off_v
-                if tot < best:
-                    best = tot
-        return best
+        return self._route(p, q)[0]
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         if p.chart == q.chart:
             return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)])
-        best = None
-        for u, off_u, cu in self._anchors(p):
-            for v, off_v, cv in self._anchors(q):
-                tot = off_u + self.vertex_distance(u, v) + off_v
-                if best is None or tot < best[0]:
-                    best = (tot, u, cu, v, cv)
-        _tot, u, cu, v, cv = best
+        _tot, u, cu, v, cv = self._route(p, q)
         chain = [(p.chart, p.coords, (cu,))]
         chain.extend(self._vertex_chain(u, v))
         chain.append((q.chart, (cv,), q.coords))
         return geodesic_from_chain(self.handle, chain)
 
+    def _climb(self, u: int, top: int) -> list[tuple]:
+        """Edge pieces from vertex index u up to its ancestor top."""
+        chain = []
+        while u != top:
+            e = self.parent_edge[u]
+            a, _b, ln = self.edges[e]
+            chain.append((e, (0.0,), (ln,)) if self.vertices[u] == a else (e, (ln,), (0.0,)))
+            u = self.parent[u]
+        return chain
+
     def _vertex_chain(self, u, v) -> list[tuple]:
         """Edge pieces along the unique vertex path u -> v."""
         ui, vi = self._vidx[u], self._vidx[v]
-        up, down = [ui], [vi]
-        a, b = ui, vi
-        while self.depth[a] > self.depth[b]:
-            a = self.parent[a]
-            up.append(a)
-        while self.depth[b] > self.depth[a]:
-            b = self.parent[b]
-            down.append(b)
-        while a != b:
-            a = self.parent[a]
-            up.append(a)
-            b = self.parent[b]
-            down.append(b)
-        path = up + down[:-1][::-1]
-        chain = []
-        for w0, w1 in zip(path, path[1:]):
-            child = w0 if self.parent[w0] == w1 else w1
-            e = self.parent_edge[child]
-            ea, _eb, ln = self.edges[e]
-            c0 = 0.0 if self.vertices[w0] == ea else ln
-            c1 = 0.0 if self.vertices[w1] == ea else ln
-            chain.append((e, (c0,), (c1,)))
-        return chain
+        top = self._lca(ui, vi)
+        down = [(e, c1, c0) for e, c0, c1 in reversed(self._climb(vi, top))]
+        return self._climb(ui, top) + down
 
     def represent_in_chart(self, p: Point, chart: int) -> Optional[tuple]:
         if p.chart == chart:
@@ -404,20 +402,9 @@ class TreeImpl:
         if not vs:
             raise UnsupportedConvexSet("empty vertex set")
         edges = self.induced_edges(vs)
-        adj: dict = {v: [] for v in vs}
-        for e in edges:
-            a, b, _ln = self.edges[e]
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {vs[0]}
-        stack = [vs[0]]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(vs):
+        # each component of the induced forest has one member whose parent is outside
+        members = {self._vidx[v] for v in vs}
+        if sum(self.parent[u] not in members for u in members) != 1:
             raise UnsupportedConvexSet("vertex set does not induce a connected subtree")
         return edges
 
@@ -469,12 +456,11 @@ class TreeImpl:
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
         a, b, ln = self.edges[p.chart]
         sp = p.coords[0]
-        da, db = scipy.sparse.csgraph.dijkstra(
-            self._graph, indices=[self._vidx[a], self._vidx[b]]
-        )
         # distance from p to each target edge's two endpoints, leaving p via a or b
-        ends = self._ends[charts]
-        dp = np.minimum(sp + da[ends], (ln - sp) + db[ends])
+        ends = self._ends[charts]  # preorder positions
+        da = self._vertex_rows(self._vidx[a], ends)
+        db = self._vertex_rows(self._vidx[b], ends)
+        dp = np.minimum(sp + da, (ln - sp) + db)
         s = coords[:, 0]
         base = np.minimum(dp[:, 0] + s, dp[:, 1] + self._lens[charts] - s)
         return np.where(charts == p.chart, np.abs(s - sp), base)

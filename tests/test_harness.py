@@ -143,8 +143,8 @@ def test_emit_report_writes_and_fails(tmp_path):
         emit_report(rep, str(tmp_path / "missing" / "report.json"))
 
 
-def test_run_batch_preserves_order(monkeypatch):
-    monkeypatch.setenv("CAT0OT_THREADS", "3")
+def test_run_batch_preserves_order():
+    assert run_batch([]) == []
     scs = [
         _scenario("solve", {"instance": "line"}, seed=s) for s in (3, 1, 2)
     ]

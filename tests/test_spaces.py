@@ -12,7 +12,9 @@ from cat0ot import (
     InvalidPoint,
     ParamOutOfRange,
     Point,
+    Subtree,
     TreeRegion,
+    UnsupportedConvexSet,
     build_comb,
     build_euclidean,
     build_open_book,
@@ -25,6 +27,7 @@ from cat0ot import (
     normalize,
     pairwise_costs,
     point_from_json,
+    project_convex,
     point_to_json,
     space_from_json,
     space_to_json,
@@ -126,7 +129,20 @@ def test_tree_distance_matches_networkx(fixture, request):
         assert distance(space, p, q) == pytest.approx(want, abs=1e-9)
 
 
-@pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
+@pytest.fixture(scope="module")
+def comb24():
+    return build_comb(2, 4)
+
+
+@pytest.fixture(scope="module")
+def lopsided_at_e(lopsided_tree):
+    # same tree rooted at a leaf, so vertex index 0 is not the root
+    return build_tree(lopsided_tree.params.vertices, lopsided_tree.params.edges, root="e")
+
+
+@pytest.mark.parametrize(
+    "fixture", ["tripod", "comb14", "lopsided_tree", "comb24", "lopsided_at_e"]
+)
 def test_tree_cost_rows_match_networkx(fixture, request):
     space = request.getfixturevalue(fixture)
     impl = space.impl
@@ -142,6 +158,7 @@ def test_tree_cost_rows_match_networkx(fixture, request):
     assert C.shape == (len(mu.points), len(nu.points))
     for i, x in enumerate(mu.points):
         for j, y in enumerate(nu.points):
+            assert C[i, j] == pytest.approx(0.5 * impl.distance(x, y) ** 2, abs=1e-12)
             assert C[i, j] == pytest.approx(0.5 * tree_distance(space, x, y) ** 2, abs=1e-12)
 
 
@@ -159,6 +176,28 @@ def test_tree_region_diameter_is_all_pairs_maximum(fixture, request):
     for vs in [verts, verts[::-1]] + balls:
         want = max(impl.vertex_distance(u, v) for u in vs for v in vs)
         assert impl.region_diameter(TreeRegion(tuple(vs))) == want
+
+
+def test_rerooted_subtree_connectivity(lopsided_at_e):
+    impl = lopsided_at_e.impl
+    x = Point(3, (1.0,))  # inside edge d-e
+    apart = ("a", "g")  # two leaves joined through b and d
+    for call in (impl.region_volume, impl.region_diameter):
+        with pytest.raises(UnsupportedConvexSet):
+            call(TreeRegion(apart))
+    with pytest.raises(UnsupportedConvexSet):
+        impl.sample_region(TreeRegion(apart), 4, substream(1, "sub"))
+    with pytest.raises(UnsupportedConvexSet):
+        project_convex(lopsided_at_e, x, Subtree(apart))
+    cases = [
+        (("b",), 0.0, impl.vertex_point("b")),
+        (lopsided_at_e.params.vertices, 6.6, x),
+        (("d", "e", "d"), 2.2, x),
+        (("a", "b", "d", "f"), 1.8, impl.vertex_point("d")),  # connected, without the root e
+    ]
+    for vs, volume, proj in cases:
+        assert impl.region_volume(TreeRegion(vs)) == pytest.approx(volume, abs=1e-12)
+        assert distance(lopsided_at_e, project_convex(lopsided_at_e, x, Subtree(vs)), proj) <= 1e-12
 
 
 def test_tree_geodesic_length_and_endpoints(lopsided_tree):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from cat0ot import _simplex, transport
 from cat0ot import (
     BoundaryPoint,
     DiscreteMeasure,
@@ -155,13 +157,61 @@ def test_solver_matches_lp_on_uneven_weights(kind, request):
 
 
 def test_large_uniform_instance_stays_consistent(e2):
-    # the assignment fast path must agree with the LP route
+    # 64 uniform atoms sit below ASSIGNMENT_FAST_PATH, so the simplex solves this
     rng = substream(7, "large-uniform")
     mu = measure(e2, sample_points(e2, rng, 64))
     nu = measure(e2, sample_points(e2, rng, 64))
     _, pot, total = solve_kantorovich(e2, mu, nu)
     assert pot.feasible and pot.slack_max <= 1e-9
     assert total == pytest.approx(lp_transport_cost(e2, mu, nu), abs=1e-9)
+
+
+@pytest.fixture
+def simplex_calls(monkeypatch):
+    calls = []
+    solve = _simplex.solve_transport
+
+    def spy(C, a, b):
+        calls.append(C.shape)
+        return solve(C, a, b)
+
+    monkeypatch.setattr(_simplex, "solve_transport", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
+def test_assignment_fast_path_matches_the_lp(kind, request, monkeypatch, simplex_calls):
+    space = request.getfixturevalue(kind)
+    monkeypatch.setattr(transport, "ASSIGNMENT_FAST_PATH", 4)
+    for n in (6, 7, 8):
+        rng = substream(n, f"fast-path:{kind}")
+        mu = measure(space, sample_points(space, rng, n))
+        nu = measure(space, sample_points(space, rng, n))
+        plan, pot, total = solve_kantorovich(space, mu, nu)
+        assert len(plan.entries) == n
+        assert pot.feasible
+        assert total == pytest.approx(lp_transport_cost(space, mu, nu), abs=1e-9)
+    assert simplex_calls == []  # every certificate was accepted
+
+
+def test_assignment_fast_path_falls_back_to_the_simplex(
+    e1, line_instance, monkeypatch, simplex_calls
+):
+    mu, nu = line_instance
+    monkeypatch.setattr(transport, "ASSIGNMENT_FAST_PATH", 2)
+    lsa_calls = []
+
+    def reversed_assignment(C):
+        lsa_calls.append(C.shape)
+        n = C.shape[0]
+        return np.arange(n), np.arange(n)[::-1]
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", reversed_assignment)
+    _, pot, total = solve_kantorovich(e1, mu, nu)
+    assert lsa_calls == [(2, 2)]
+    assert simplex_calls == [(2, 2)]  # the crossed matching fails its certificate
+    assert pot.feasible
+    assert total == pytest.approx(lp_transport_cost(e1, mu, nu), abs=1e-9)
 
 
 def test_solver_input_validation(e2):
