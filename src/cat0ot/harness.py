@@ -97,9 +97,11 @@ def sample_points(space: SpaceHandle, rng: np.random.Generator, n: int) -> list[
         return out
     if space.kind == "tree":
         lens = space.impl._lens
-        probs = lens / lens.sum()
+        # the draws of Generator.choice(len(lens), p=lens / lens.sum()), CDF built once
+        cdf = np.cumsum(lens / lens.sum())
+        cdf /= cdf[-1]
         for _ in range(n):
-            e = int(rng.choice(len(lens), p=probs))
+            e = int(cdf.searchsorted(rng.random(), side="right"))
             s = float(rng.uniform(0.0, lens[e]))
             out.append(space.impl.normalize(Point(e, (s,))))
         return out

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse
 
 from . import _simplex
 from .calculus import cost
@@ -170,16 +169,25 @@ def _uniform(weights: Sequence[float]) -> bool:
     return bool(np.allclose(weights, 1.0 / n, rtol=0.0, atol=1e-12))
 
 
+def _exchange_weights(C: np.ndarray, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
+    """W[i, k] = min over support arcs (k, j) of C[i, j] - C[k, j].
+
+    The arcs (si, sj) must be sorted by row, with every row present. Prices
+    that are feasible and tight on the support are exactly those with
+    alpha[i] - alpha[k] <= W[i, k].
+    """
+    starts = np.flatnonzero(np.diff(si, prepend=-1))
+    return np.minimum.reduceat(C[:, sj] - C[si, sj][None, :], starts, axis=1)
+
+
 def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feasible LP prices supporting an optimal assignment.
 
-    Potential differences are constrained by the exchange costs
-    W[i, k] = C[i, perm[k]] - C[k, perm[k]]; optimality of the assignment
-    rules out negative exchange cycles, so iterating alpha to the shortest
-    path fixpoint terminates.
+    Optimality of the assignment rules out negative cycles in the exchange
+    graph, so iterating alpha to the shortest path fixpoint terminates.
     """
     n = C.shape[0]
-    W = C[:, perm] - C[np.arange(n), perm][None, :]
+    W = _exchange_weights(C, np.arange(n), perm)
     alpha = np.zeros(n)
     for _ in range(n + 5):
         relaxed = np.minimum(alpha, (alpha[None, :] + W).min(axis=1))
@@ -194,58 +202,36 @@ def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.n
 def _interior_duals(
     C: np.ndarray, support: Sequence[tuple[int, int]], psi: np.ndarray
 ) -> np.ndarray:
-    """Source potential from the relative interior of the optimal dual face.
+    """Source potential tight exactly on the arcs some optimal plan uses.
 
-    Among all duals tight on the support, maximize the smallest slack on the
-    remaining arcs. An arc then stays tight only if it belongs to some other
-    optimal plan, so the tight set no longer depends on which dual vertex the
-    pivoting happened to end at. Skipped on large instances, where the vertex
-    duals are kept as is.
+    The optimal prices are the solutions of the exchange graph's difference
+    constraints, taken on the smaller side. Column c of the graph's
+    shortest-path closure D is one solution, and its slack on the constraint
+    (c, l) is the weight of the cheapest exchange cycle through that arc,
+    zero exactly when the arc lies in some optimal plan. The mean of the
+    columns is therefore strictly slack on every other arc, so the tight set
+    no longer depends on which dual vertex the pivoting ended at. Returns psi
+    itself when the support is full, when n * m exceeds DUAL_REFINE_CAP, or
+    when the support has a negative exchange cycle (it is not optimal).
     """
     n, m = C.shape
-    off = n * m - len(support)
-    if off == 0 or n * m > DUAL_REFINE_CAP:
+    if len(support) == n * m or n * m > DUAL_REFINE_CAP:
         return psi
-    # variables: psi (n), phi (m), t; maximize t
-    mask = np.ones((n, m), dtype=bool)
-    si = np.fromiter((i for i, _ in support), int, len(support))
-    sj = np.fromiter((j for _, j in support), int, len(support))
-    mask[si, sj] = False
-    oi, oj = np.nonzero(mask)
-    k = len(support)
-    a_eq = scipy.sparse.coo_matrix(
-        (
-            np.concatenate([-np.ones(k), np.ones(k), [1.0]]),
-            (
-                np.concatenate([np.arange(k), np.arange(k), [k]]),
-                np.concatenate([si, n + sj, [0]]),
-            ),
-        ),
-        shape=(k + 1, n + m + 1),
-    )
-    b_eq = np.concatenate([C[si, sj], [0.0]])
-    a_ub = scipy.sparse.coo_matrix(
-        (
-            np.concatenate([-np.ones(off), np.ones(off), np.ones(off)]),
-            (
-                np.tile(np.arange(off), 3),
-                np.concatenate([oi, n + oj, np.full(off, n + m)]),
-            ),
-        ),
-        shape=(off, n + m + 1),
-    )
-    res = scipy.optimize.linprog(
-        np.concatenate([np.zeros(n + m), [-1.0]]),
-        A_ub=a_ub,
-        b_ub=C[oi, oj],
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * (n + m) + [(0.0, 1.0 + float(C.max() - C.min()))],
-        method="highs",
-    )
-    if not res.success:
+    rows, cols = np.asarray(support).T
+    flip = m < n
+    if flip:
+        C, rows, cols = C.T, cols, rows
+    order = np.argsort(rows, kind="stable")
+    D = _exchange_weights(C, rows[order], cols[order])
+    for k in range(len(D)):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+    if D.diagonal().min() < -1e-12 * max(1.0, float(np.abs(C).max())):
         return psi
-    return res.x[:n]
+    alpha = D.mean(axis=1)
+    if flip:  # these are target prices; read the source prices off the support
+        beta, alpha = alpha, np.empty(n)
+        alpha[cols] = C[rows, cols] - beta[rows]
+    return alpha[0] - alpha  # psi = -alpha, anchored at psi[0] = 0
 
 
 def solve_kantorovich(
@@ -310,15 +296,11 @@ def brute_force_oracle(
     if n != m or n > 8 or not (_uniform(mu.weights) and _uniform(nu.weights)):
         raise UnsupportedShape("oracle handles equal uniform weights with n = m <= 8")
     C = pairwise_costs(space, mu, nu)
-    best_perm = None
-    best_cost = math.inf
-    for perm in itertools.permutations(range(n)):
-        c = sum(C[i, perm[i]] for i in range(n)) / n
-        if c < best_cost - 0.0:
-            best_cost = c
-            best_perm = perm
-    entries = tuple((i, best_perm[i], 1.0 / n) for i in range(n))
-    return TransportPlan(mu, nu, entries), float(best_cost)
+    perms = np.array(list(itertools.permutations(range(n))))
+    costs = C[np.arange(n), perms].sum(axis=1) / n
+    best = int(np.argmin(costs))
+    entries = tuple((i, int(perms[best, i]), 1.0 / n) for i in range(n))
+    return TransportPlan(mu, nu, entries), float(costs[best])
 
 
 def check_cyclic_monotonicity(

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own geodesic and solver
 code paths: tree distances go through networkx shortest paths on the raw edge
 data, book distances through the two-case unfolding formula, transport costs
-through scipy's LP solver, and comb sizes through a closed-form count.
+and the arcs of optimal plans through scipy's LP solver, and comb sizes
+through a closed-form count.
 """
 
 from __future__ import annotations
@@ -77,27 +78,59 @@ def comb_counts(depth: int, grid: int) -> tuple[int, int]:
     return verts, edges
 
 
-def lp_transport_cost(space: SpaceHandle, mu, nu) -> float:
-    """Optimal transport cost via scipy's LP solver (no shared solver code)."""
-    C = pairwise_costs(space, mu, nu)
-    n, m = C.shape
+def _marginal_constraints(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Row- and column-sum equalities on a row-major plan, the last one dropped."""
+    n, m = len(a), len(b)
     A = []
     rhs = []
     for i in range(n):
         row = np.zeros(n * m)
         row[i * m : (i + 1) * m] = 1.0
         A.append(row)
-        rhs.append(mu.weights[i])
+        rhs.append(a[i])
     for j in range(m):
         row = np.zeros(n * m)
         row[j::m] = 1.0
         A.append(row)
-        rhs.append(nu.weights[j])
-    res = scipy.optimize.linprog(
-        C.reshape(-1), A_eq=np.array(A[:-1]), b_eq=np.array(rhs[:-1]), method="highs"
-    )
+        rhs.append(b[j])
+    return np.array(A[:-1]), np.array(rhs[:-1])
+
+
+def lp_transport_cost(space: SpaceHandle, mu, nu) -> float:
+    """Optimal transport cost via scipy's LP solver (no shared solver code)."""
+    C = pairwise_costs(space, mu, nu)
+    A_eq, b_eq = _marginal_constraints(mu.weights, nu.weights)
+    res = scipy.optimize.linprog(C.reshape(-1), A_eq=A_eq, b_eq=b_eq, method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def optimal_arcs(C: np.ndarray, a, b) -> set[tuple[int, int]]:
+    """Arcs (i, j) that carry mass in some optimal plan, one LP per arc.
+
+    (i, j) is marked when the largest x_ij over the plans with cost at most
+    the optimum + 1e-11 exceeds 1e-7.
+    """
+    n, m = C.shape
+    A_eq, b_eq = _marginal_constraints(a, b)
+    best = scipy.optimize.linprog(C.reshape(-1), A_eq=A_eq, b_eq=b_eq, method="highs")
+    assert best.status == 0, best.message
+    out = set()
+    for k in range(n * m):
+        goal = np.zeros(n * m)
+        goal[k] = -1.0
+        res = scipy.optimize.linprog(
+            goal,
+            A_ub=C.reshape(1, -1),
+            b_ub=[best.fun + 1e-11],
+            A_eq=A_eq,
+            b_eq=b_eq,
+            method="highs",
+        )
+        assert res.status == 0, res.message
+        if -res.fun > 1e-7:
+            out.add(divmod(k, m))
+    return out
 
 
 def euclidean_vertex_angle(origin, a, b) -> float:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from cat0ot import ConfigInvalid, IoFailure
+from cat0ot import ConfigInvalid, IoFailure, Point
 from cat0ot.cli import main
 from cat0ot.harness import (
     EXPERIMENTS,
@@ -15,8 +15,10 @@ from cat0ot.harness import (
     render_report,
     run_batch,
     run_scenario,
+    sample_points,
     scenario_from_config,
 )
+from cat0ot.rng import substream
 
 E2 = {"kind": "euclidean", "dim": 2}
 
@@ -152,6 +154,19 @@ def test_run_batch_preserves_order():
     assert [r.scenario.seed for r in reports] == [3, 1, 2]
     again = run_batch(scs)
     assert [render_report(r) for r in reports] == [render_report(r) for r in again]
+
+
+@pytest.mark.parametrize("kind", ["tripod", "comb14", "lopsided_tree"])
+def test_tree_sampling_draws_as_generator_choice(kind, request):
+    space = request.getfixturevalue(kind)
+    lens = space.impl._lens
+    for seed in range(3):
+        got = sample_points(space, substream(seed, "tree-draws"), 200)
+        rng = substream(seed, "tree-draws")
+        for p in got:
+            e = int(rng.choice(len(lens), p=lens / lens.sum()))
+            s = float(rng.uniform(0.0, lens[e]))
+            assert p == space.impl.normalize(Point(e, (s,)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,7 +45,7 @@ from cat0ot import (
 from cat0ot.harness import random_instance, sample_points, translation_instance
 from cat0ot.rng import substream
 
-from _oracles import lp_transport_cost
+from _oracles import lp_transport_cost, optimal_arcs
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +360,73 @@ def test_c_subdifferential_of_translation_is_the_match(e2):
     plan, pot, _ = solve_kantorovich(e2, mu, nu)
     for i in range(len(mu.points)):
         assert c_subdifferential(e2, pot, mu, nu, i) == {i}
+
+
+def _tight_arcs(space, mu, nu):
+    _, pot, _ = solve_kantorovich(space, mu, nu)
+    return {
+        (i, j)
+        for i in range(len(mu.points))
+        for j in c_subdifferential(space, pot, mu, nu, i)
+    }
+
+
+def test_refined_tight_set_on_a_tie_is_the_union_of_optimal_matchings(tripod):
+    # targets 0 and 1 are equally far from every source, so they can swap
+    mu = measure(tripod, [Point(0, (s,)) for s in (0.1, 0.2, 0.3)])
+    nu = measure(tripod, [Point(1, (0.2,)), Point(2, (0.2,)), Point(1, (0.3,))])
+    C = pairwise_costs(tripod, mu, nu)
+    perms = list(itertools.permutations(range(3)))
+    costs = [sum(C[i, p[i]] for i in range(3)) for p in perms]
+    union = {
+        (i, p[i]) for p, c in zip(perms, costs) if c <= min(costs) + 1e-12 for i in range(3)
+    }
+    assert len(union) == 5
+    assert _tight_arcs(tripod, mu, nu) == union
+
+
+@pytest.mark.parametrize("shape", ["6x4", "4x6"])
+def test_refined_tight_set_matches_the_arc_oracle(tripod, shape):
+    sources = [Point(0, (0.1 * k,)) for k in range(1, 7)]
+    targets = [Point(1, (0.2,)), Point(2, (0.2,)), Point(1, (0.5,)), Point(2, (0.5,))]
+    if shape == "4x6":  # n < m builds the exchange graph on the sources
+        sources, targets = targets, sources
+    mu, nu = measure(tripod, sources), measure(tripod, targets)
+    truth = optimal_arcs(pairwise_costs(tripod, mu, nu), mu.weights, nu.weights)
+    assert len(truth) == 12
+    assert _tight_arcs(tripod, mu, nu) == truth
+
+
+def test_interior_duals_returns_its_input_when_it_skips(e1, line_instance):
+    mu, nu = line_instance
+    C = pairwise_costs(e1, mu, nu)
+    psi = np.array([0.0, 2.0])
+    full = [(i, j) for i in range(2) for j in range(2)]
+    assert transport._interior_duals(C, full, psi) is psi
+    crossed = [(0, 1), (1, 0)]  # a negative exchange cycle: not an optimal support
+    assert transport._interior_duals(C, crossed, psi) is psi
+    assert transport._interior_duals(C, [(0, 0), (1, 1)], psi) is not psi
+    side = math.isqrt(transport.DUAL_REFINE_CAP) + 1
+    big = np.zeros((side, side))
+    diag = [(i, i) for i in range(side)]
+    psi = np.zeros(side)
+    assert transport._interior_duals(big, diag, psi) is psi
+
+
+@pytest.mark.parametrize("n, simplex", [(9, True), (17, False)])
+def test_identity_ladder_residual_on_each_dual_path(e2, n, simplex, simplex_calls):
+    # 81 atoms take the simplex prices, 289 the assignment duals
+    mu, nu, _shift, h = translation_instance(e2, n)
+    plan, pot, _ = solve_kantorovich(e2, mu, nu, refine_duals=False)
+    assert bool(simplex_calls) == simplex
+    grid = GridPotential((0.0, 0.0), h, (n, n), pot.psi)
+    T = extract_monge_map(plan)
+    worst = max(
+        verify_transport_identity(e2, grid, T, i).residual
+        for i in range(n * n)
+        if grid.is_interior(i)
+    )
+    assert worst / h == pytest.approx(0.125, abs=1e-12)
 
 
 def test_grid_potential_basics():
