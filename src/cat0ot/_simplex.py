@@ -3,12 +3,15 @@
 Minimizes sum C[i, j] x[i, j] over nonnegative x with prescribed row sums a
 and column sums b (sum a = sum b). Exact at desk scale. The basis is a
 spanning tree of the bipartite node graph (rows 0..n-1, columns n..n+m-1),
-kept as adjacency sets that each pivot updates in place. One traversal from
-row 0 per pivot yields the node prices together with parent and depth
-arrays; the entering arc's cycle is then the two parent walks from its
-endpoints up to where they meet. Pricing is most-negative with a
-deterministic first-index tie break, and a Bland fallback engages after a
-streak of degenerate pivots so cycling cannot occur.
+kept as adjacency sets that each pivot updates in place, with node prices
+and parent and depth arrays rooted at row 0. The entering arc's cycle is the
+two parent walks from its endpoints up to where they meet. The leaving arc
+cuts one subtree off its walk. Only that subtree moves, so only it is
+re-hung from the entering arc and re-priced, by the recurrence that priced
+the initial tree; the prices are the bits a full traversal would give.
+Pricing is most-negative with a deterministic first-index tie break, and a
+Bland fallback engages after a streak of degenerate pivots so cycling cannot
+occur.
 """
 
 from __future__ import annotations
@@ -43,16 +46,30 @@ def northwest_corner(a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], floa
     return flow
 
 
-def _traverse(n: int, adj: list[set[int]], C: list[list[float]]):
-    """Node prices, parents and depths of the basis tree, rooted at row 0.
+def _hang(
+    n: int,
+    adj: list[set[int]],
+    C: list[list[float]],
+    price: list[float],
+    parent: list[int],
+    depth: list[int],
+    q: int,
+    r: int,
+) -> None:
+    """Price the basis subtree under node q hung from node r, in place.
 
-    Nodes 0..n-1 are rows and n..n+m-1 are columns; prices are anchored at
-    alpha[0] = 0 and make every basic arc tight.
+    Nodes 0..n-1 are rows and n..n+m-1 are columns. Each node's price is the
+    cost of the arc to its parent minus the parent's price, so every basic
+    arc is tight. With r = -1, q is the root and gets price 0, which anchors
+    alpha[0] = 0 when q = 0.
     """
-    price = [0.0] * len(adj)
-    parent = [-1] * len(adj)
-    depth = [0] * len(adj)
-    stack = [0]
+    if r < 0:
+        price[q], parent[q], depth[q] = 0.0, -1, 0
+    else:
+        parent[q] = r
+        depth[q] = depth[r] + 1
+        price[q] = (C[q][r - n] if q < n else C[r][q - n]) - price[r]
+    stack = [q]
     while stack:
         u = stack.pop()
         for w in adj[u]:
@@ -64,11 +81,12 @@ def _traverse(n: int, adj: list[set[int]], C: list[list[float]]):
                 else:
                     price[w] = C[w][u - n] - price[u]
                 stack.append(w)
-    return np.array(price[:n]), np.array(price[n:]), parent, depth
 
 
-def _cycle_path(parent: list[int], depth: list[int], src: int, dst: int) -> list[int]:
-    """Node path src -> dst in the basis tree: both parent walks up to where they meet."""
+def _cycle_path(
+    parent: list[int], depth: list[int], src: int, dst: int
+) -> tuple[list[int], int]:
+    """Node path src -> dst in the basis tree, and the index where its two parent walks meet."""
     up, down = [src], [dst]
     while depth[up[-1]] > depth[down[-1]]:
         up.append(parent[up[-1]])
@@ -77,7 +95,7 @@ def _cycle_path(parent: list[int], depth: list[int], src: int, dst: int) -> list
     while up[-1] != down[-1]:
         up.append(parent[up[-1]])
         down.append(parent[down[-1]])
-    return up + down[-2::-1]
+    return up + down[-2::-1], len(up) - 1
 
 
 def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -108,17 +126,24 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     for i, j in flow:
         adj[i].add(n + j)
         adj[n + j].add(i)
+    # slot k of (bi, bj) holds one basic arc; the entering arc takes the leaving arc's slot
+    slot = {arc: k for k, arc in enumerate(flow)}
+    bi = np.array([i for i, _j in flow])
+    bj = np.array([j for _i, j in flow])
     Cl = C.tolist()
+    price = [0.0] * (n + m)
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    _hang(n, adj, Cl, price, parent, depth, 0, -1)
     enter_eps = 1e-12 * max(1.0, float(np.abs(C).max()))
     bland = False
     degenerate_streak = 0
     max_iters = 100 * (n + m) ** 2 + 10_000
 
     for _ in range(max_iters):
-        alpha, beta, parent, depth = _traverse(n, adj, Cl)
+        alpha, beta = np.array(price[:n]), np.array(price[n:])
         reduced = C - alpha[:, None] - beta[None, :]
-        for i, j in flow:
-            reduced[i, j] = 0.0
+        reduced[bi, bj] = 0.0
         if bland:
             cand = np.argwhere(reduced < -enter_eps)
             if cand.size == 0:
@@ -129,7 +154,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             ei, ej = divmod(flat, m)
             if reduced[ei, ej] >= -enter_eps:
                 break
-        path = _cycle_path(parent, depth, ei, n + ej)
+        path, meet = _cycle_path(parent, depth, ei, n + ej)
         cycle_arcs = []
         for p, (u, w) in enumerate(zip(path, path[1:])):
             i, j = (u, w - n) if u < n else (w, u - n)
@@ -138,8 +163,11 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         for arc, sign in cycle_arcs:
             if sign < 0 and flow[arc] < theta:
                 theta = flow[arc]
-        leaving = min(
-            arc for arc, sign in cycle_arcs if sign < 0 and flow[arc] <= theta + 1e-15
+        # cycle arcs are distinct, so the position only rides along with the min arc
+        leaving, cut = min(
+            (arc, p)
+            for p, (arc, sign) in enumerate(cycle_arcs)
+            if sign < 0 and flow[arc] <= theta + 1e-15
         )
         for arc, sign in cycle_arcs:
             flow[arc] = max(0.0, flow[arc] + sign * theta)
@@ -150,6 +178,15 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         adj[n + lj].remove(li)
         adj[ei].add(n + ej)
         adj[n + ej].add(ei)
+        k = slot.pop(leaving)
+        slot[(ei, ej)] = k
+        bi[k], bj[k] = ei, ej
+        # the leaving arc cut off the subtree below it on its own walk; only
+        # that subtree's prices, parents and depths change
+        if cut < meet:
+            _hang(n, adj, Cl, price, parent, depth, ei, n + ej)
+        else:
+            _hang(n, adj, Cl, price, parent, depth, n + ej, ei)
         if theta <= 1e-15:
             degenerate_streak += 1
             if degenerate_streak > 2 * (n + m):

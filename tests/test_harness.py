@@ -125,6 +125,19 @@ def test_render_json_shape():
     assert "runtime_ms" not in doc
 
 
+def test_one_arc_monotonicity_report_is_strict_json():
+    # a single source and target leave no cycle of length 2 to audit
+    sc = _scenario("monotonicity", {"n": 1}, seed=3, space={"kind": "tripod"})
+    text = render_report(run_scenario(sc))
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["metrics"]["worst_slack"]["value"] == 0.0
+    assert doc["metrics"]["violations"]["value"] == 0.0
+
+
 def test_render_csv_shape():
     rep = run_scenario(_scenario("solve", {"instance": "line"}))
     lines = render_report(rep, fmt="csv").splitlines()

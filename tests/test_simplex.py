@@ -29,6 +29,17 @@ def _check_contract(C, a, b):
     # tight on the basis: one endpoint price is derived from the other, exactly
     for i, j in arcs:
         assert C[i, j] - alpha[i] == beta[j] or C[i, j] - beta[j] == alpha[i]
+    # prices re-hung subtree by subtree are the bits of one pricing from
+    # scratch (one row or one column is priced without a tree)
+    if n > 1 and m > 1:
+        adj = [set() for _ in range(n + m)]
+        for i, j in arcs:
+            adj[i].add(n + j)
+            adj[n + j].add(i)
+        price, parent, depth = [0.0] * (n + m), [-1] * (n + m), [0] * (n + m)
+        _simplex._hang(n, adj, C.tolist(), price, parent, depth, 0, -1)
+        assert np.array(price[:n]).tobytes() == alpha.tobytes()
+        assert np.array(price[n:]).tobytes() == beta.tobytes()
     scale = max(1.0, float(np.abs(C).max()))
     assert (C - alpha[:, None] - beta[None, :]).min() >= -1e-12 * scale
     assert all(mass >= 0.0 for mass in flow.values())
@@ -46,7 +57,9 @@ def _weights(rng, k):
     return w / w.sum()
 
 
-@pytest.mark.parametrize("n,m", [(2, 3), (7, 11), (23, 17), (40, 31)])
+@pytest.mark.parametrize(
+    "n,m", [(2, 3), (7, 11), (23, 17), (40, 31), (120, 97), (97, 120)]
+)
 def test_random_nonuniform_contract(n, m):
     rng = substream(n * 100 + m, "simplex-contract")
     C = rng.uniform(0.0, 3.0, (n, m))

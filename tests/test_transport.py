@@ -45,7 +45,7 @@ from cat0ot import (
 from cat0ot.harness import random_instance, sample_points, translation_instance
 from cat0ot.rng import substream
 
-from _oracles import lp_transport_cost, optimal_arcs
+from _oracles import cyclic_monotonicity_by_tuple, lp_transport_cost, optimal_arcs
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +245,48 @@ def test_swapped_line_plan_has_one_violation(e1, line_instance):
     out = check_cyclic_monotonicity(e1, bad, max_len=2)
     assert out["violations"] == 1
     assert out["worst_slack"] == pytest.approx(1.0, abs=1e-12)
+
+
+def _audit_plans(space, seed):
+    """An optimal plan, a plan to shuffled targets, and a three-arc plan."""
+    mu, nu = random_instance(space, seed, 6)
+    plan, _, _ = solve_kantorovich(space, mu, nu)
+    perm = substream(seed, "crossed-plan").permutation(6)
+    crossed = TransportPlan(mu, nu, tuple((i, int(perm[i]), mu.weights[i]) for i in range(6)))
+    return {"optimal": plan, "crossed": crossed, "three-arc": TransportPlan(mu, nu, plan.entries[:3])}
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
+def test_cycle_audit_matches_the_per_tuple_loop(kind, request):
+    space = request.getfixturevalue(kind)
+    crossed_violations = 0
+    for seed in (2, 5):
+        for name, plan in _audit_plans(space, seed).items():
+            # exhaustive at every length (the three-arc plan has K < max_len
+            # from 4 on), then sampled at two seeds
+            runs = [dict(max_len=L) for L in (2, 3, 4, 5)]
+            runs += [dict(max_len=4, mode="sampled", n_samples=3000, seed=s) for s in (0, 9)]
+            for kw in runs:
+                got = check_cyclic_monotonicity(space, plan, **kw)
+                ref = cyclic_monotonicity_by_tuple(space, plan, **kw)
+                assert got["violations"] == ref["violations"], (name, kw)
+                assert got["worst_slack"].hex() == ref["worst_slack"].hex(), (name, kw)
+                if name == "optimal":
+                    assert got["violations"] == 0
+                if name == "crossed":
+                    crossed_violations += got["violations"]
+    # the comparison reaches violating tuples, not only slack below zero
+    assert crossed_violations > 0
+
+
+@pytest.mark.parametrize("entries", [((0, 0, 1.0),), ()])
+def test_plans_without_cycles_report_zero_slack(e1, entries):
+    mu = measure(e1, [Point(0, (0.0,))])
+    nu = measure(e1, [Point(0, (2.0,))])
+    plan = TransportPlan(mu, nu, entries)
+    for mode in ("exhaustive", "sampled"):
+        out = check_cyclic_monotonicity(e1, plan, max_len=3, mode=mode, n_samples=50)
+        assert out == {"violations": 0, "worst_slack": 0.0}
 
 
 def test_cyclic_check_guards(e1, line_instance):
