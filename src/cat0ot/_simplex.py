@@ -17,7 +17,7 @@ The start is the cheaper of two bases: the cost-blind northwest corner and
 the least-cost (matrix-minimum) basis, and a tie keeps the northwest corner.
 On translation grids the northwest corner is already the optimal shift, so
 the grids keep their pivot path; on random costs the least-cost basis starts
-near the optimum and takes about half the pivots.
+near the optimum and takes about half the pivots or fewer.
 """
 
 from __future__ import annotations

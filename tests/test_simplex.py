@@ -123,7 +123,7 @@ def test_least_cost_basis_random_nonuniform(n, m):
 @pytest.mark.parametrize("n", [2, 7, 30])
 def test_least_cost_basis_uniform_square(n):
     # equal row and column masses: every filled cell exhausts both lines at
-    # once, so half the arcs carry zero mass
+    # once, so n - 1 of the 2n - 1 arcs carry zero mass
     rng = substream(n, "least-cost-uniform")
     C = rng.uniform(0.0, 3.0, (n, n))
     a = np.full(n, 1.0 / n)
