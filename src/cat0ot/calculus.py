@@ -30,7 +30,6 @@ from .geometry import (
     SpaceHandle,
     distance,
     extend,
-    geodesic,
     normalize,
     parameter_on,
 )
@@ -85,6 +84,17 @@ def cost(space: SpaceHandle, x: Point, y: Point) -> float:
     """Half squared distance."""
     d = distance(space, x, y)
     return 0.5 * d * d
+
+
+def _cost_to(space: SpaceHandle, y: Point) -> Callable[[Point], float]:
+    """z -> cost(space, z, y) for a normal y, on normal z (not validated again)."""
+    dist = space.impl.distance
+
+    def f(z: Point) -> float:
+        d = dist(z, y)
+        return 0.5 * d * d
+
+    return f
 
 
 def cost_derivative_closed(g: Geodesic, t: float, s: float) -> float:
@@ -165,20 +175,17 @@ def direction_set(
     on trees one direction per incident edge, which is already exhaustive.
     """
     xn = normalize(space, x)
-    dirs = []
-    for tgt in space.impl.direction_targets(xn, count, seed):
-        if distance(space, xn, tgt) > 1e-12:
-            dirs.append(geodesic(space, xn, tgt))
+    impl = space.impl
+    # the space's own targets are valid by construction; the caller's are checked
+    tgts = [impl.normalize(tgt) for tgt in impl.direction_targets(xn, count, seed)]
     if space.kind != "tree":
-        for tgt in targets:
-            if distance(space, xn, tgt) > 1e-12:
-                dirs.append(geodesic(space, xn, tgt))
-    return dirs
+        tgts += [normalize(space, tgt) for tgt in targets]
+    return [impl.geodesic(xn, tgt) for tgt in tgts if impl.distance(xn, tgt) > 1e-12]
 
 
 def _check_origins(space: SpaceHandle, x: Point, directions: Sequence[Geodesic]) -> None:
     for g in directions:
-        if distance(space, g.start, x) > 1e-9:
+        if space.impl.distance(g.start, x) > 1e-9:
             raise OriginMismatch("direction does not issue from the base point")
 
 
@@ -193,8 +200,8 @@ def twist_test(
     """Can first-order cost data at x tell y1 and y2 apart along some direction?"""
     xn = normalize(space, x)
     _check_origins(space, xn, directions)
-    f1 = lambda z: cost(space, z, y1)
-    f2 = lambda z: cost(space, z, y2)
+    f1 = _cost_to(space, normalize(space, y1))
+    f2 = _cost_to(space, normalize(space, y2))
     max_gap = 0.0
     witness: Optional[Geodesic] = None
     for g in directions:
@@ -237,7 +244,7 @@ def fermat_check(
             ext = extend(space, g.reverse(), g.length)
         except NotExtendable:
             continue
-        opp = geodesic(space, xn, ext.end)
+        opp = space.impl.geodesic(xn, ext.end)
         d_opp = geodesic_derivative(space, f, xn, opp).value
         if abs(d_fwd) > tol or abs(d_opp) > tol:
             two_sided = False
@@ -335,7 +342,7 @@ def zeta_positivity(
     is 1. positive requires every probe to clear zero by three standard errors.
     """
     xn = normalize(space, x)
-    if distance(space, g.start, xn) > 1e-9:
+    if space.impl.distance(g.start, xn) > 1e-9:
         raise OriginMismatch("the reference geodesic does not issue from x")
     if not probe_points:
         raise ParamOutOfRange("need at least one probe point")
@@ -348,7 +355,7 @@ def zeta_positivity(
     min_margin = math.inf
     for i, probe in enumerate(probe_points):
         pn = normalize(space, probe)
-        r = distance(space, xn, pn)
+        r = space.impl.distance(xn, pn)
         if r <= 1e-9:
             raise ProbeAtCenter(f"probe {i} coincides with x")
         region = BallRegion(pn, radius)

@@ -4,12 +4,22 @@ Points, geodesics, comparison and upper angles, the nonpositive-curvature
 defect, projection onto convex sets, and geodesic extension. The concrete
 space families live in `spaces`; every handle built there carries an
 implementation object that this module dispatches to.
+
+The contract between the two: every public function here validates and
+normalizes each point argument exactly once, and the `space.impl` methods
+take points that are already normal (validated, then passed through
+`impl.normalize`) and never check them again. Points that come out of
+`impl.normalize`, `Geodesic.eval` and the library's geodesics are normal, so
+code holding them calls `space.impl` directly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, sub
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -17,6 +27,7 @@ from .errors import (
     NotATriangle,
     OriginMismatch,
     ParamOutOfRange,
+    PointNotOnGeodesic,
     ScheduleTooShort,
     UnsupportedConvexSet,
 )
@@ -49,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """A point in one chart of a space.
 
@@ -67,7 +78,7 @@ def point(chart: int, *coords: float) -> Point:
     return Point(int(chart), tuple(float(c) for c in coords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Piece:
     """One straight-in-chart section of a geodesic, spanning [t0, t1]."""
 
@@ -76,6 +87,9 @@ class Piece:
     chart: int
     c0: tuple[float, ...]
     c1: tuple[float, ...]
+
+
+_END_PARAM = attrgetter("t1")
 
 
 @dataclass(frozen=True)
@@ -88,7 +102,7 @@ class SpaceHandle:
     impl: object = field(repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Geodesic:
     """A constant-speed curve on [0, 1] between two points.
 
@@ -110,12 +124,14 @@ class Geodesic:
             return self.start
         if t >= 1:
             return self.end
-        for pc in self.pieces:
-            if t <= pc.t1:
-                w = (t - pc.t0) / (pc.t1 - pc.t0)
-                coords = tuple(a + w * (b - a) for a, b in zip(pc.c0, pc.c1))
-                return self.space.impl.normalize(Point(pc.chart, coords))
-        return self.end
+        # the first piece with t <= t1 (the t1 values rise along the curve)
+        k = bisect_left(self.pieces, t, key=_END_PARAM)
+        if k == len(self.pieces):
+            return self.end
+        pc = self.pieces[k]
+        w = (t - pc.t0) / (pc.t1 - pc.t0)
+        coords = tuple([a + w * (b - a) for a, b in zip(pc.c0, pc.c1)])
+        return self.space.impl.normalize(Point(pc.chart, coords))
 
     def at_arc(self, s: float) -> Point:
         """Point at arc length s from the start."""
@@ -195,8 +211,9 @@ class EmptyRegion:
 
 def normalize(space: SpaceHandle, p: Point) -> Point:
     """Canonical representative: boundary points land in the lowest chart."""
-    space.impl.validate_point(p)
-    return space.impl.normalize(p)
+    impl = space.impl
+    impl.validate_point(p)
+    return impl.normalize(p)
 
 
 def points_equal(space: SpaceHandle, p: Point, q: Point, tol: float = PT_TOL) -> bool:
@@ -204,22 +221,18 @@ def points_equal(space: SpaceHandle, p: Point, q: Point, tol: float = PT_TOL) ->
 
 
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
-    space.impl.validate_point(p)
-    space.impl.validate_point(q)
-    return space.impl.distance(space.impl.normalize(p), space.impl.normalize(q))
+    return space.impl.distance(normalize(space, p), normalize(space, q))
 
 
 def geodesic(space: SpaceHandle, p: Point, q: Point) -> Geodesic:
-    space.impl.validate_point(p)
-    space.impl.validate_point(q)
-    return space.impl.geodesic(space.impl.normalize(p), space.impl.normalize(q))
+    return space.impl.geodesic(normalize(space, p), normalize(space, q))
 
 
 def convex_combination(space: SpaceHandle, p: Point, q: Point, t: float) -> Point:
     """The point x_t on [p, q] with d(p, x_t) = t d(p, q)."""
     if not (0.0 <= t <= 1.0):
         raise ParamOutOfRange(f"combination parameter {t} outside [0, 1]")
-    return geodesic(space, p, q).eval(t)
+    return space.impl.geodesic(normalize(space, p), normalize(space, q)).eval(t)
 
 
 def comparison_angle(a: float, b: float, c: float) -> float:
@@ -296,26 +309,28 @@ def cat0_defect(space: SpaceHandle, x: Point, y: Point, z: Point, t: float) -> f
     """
     if not (0.0 <= t <= 1.0):
         raise ParamOutOfRange(f"parameter {t} outside [0, 1]")
-    xt = convex_combination(space, x, y, t)
-    dxz = distance(space, x, z)
-    dyz = distance(space, y, z)
-    dxy = distance(space, x, y)
-    dxtz = distance(space, xt, z)
+    impl = space.impl
+    x, y, z = normalize(space, x), normalize(space, y), normalize(space, z)
+    xt = impl.geodesic(x, y).eval(t)
+    dxz = impl.distance(x, z)
+    dyz = impl.distance(y, z)
+    dxy = impl.distance(x, y)
+    dxtz = impl.distance(xt, z)
     return (1 - t) * dxz * dxz + t * dyz * dyz - t * (1 - t) * dxy * dxy - dxtz * dxtz
 
 
 def project_convex(space: SpaceHandle, x: Point, cset) -> Point:
     """Nearest-point projection onto a segment, closed ball, or subtree."""
-    space.impl.validate_point(x)
-    xn = space.impl.normalize(x)
+    xn = normalize(space, x)
     if isinstance(cset, Ball):
         if cset.radius < 0:
             raise UnsupportedConvexSet("ball radius must be nonnegative")
-        d0 = distance(space, xn, cset.center)
+        center = normalize(space, cset.center)
+        d0 = space.impl.distance(xn, center)
         if d0 <= cset.radius:
             return xn
         # the entry point of [center, x] into the sphere
-        return convex_combination(space, cset.center, xn, cset.radius / d0)
+        return space.impl.geodesic(center, xn).eval(cset.radius / d0)
     if isinstance(cset, Segment):
         return space.impl.project_segment(xn, cset.geodesic)
     if isinstance(cset, Subtree):
@@ -340,10 +355,7 @@ def extend(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:
 
 def parameter_on(space: SpaceHandle, g: Geodesic, x: Point, tol: float = PT_TOL) -> float:
     """Curve parameter of a point lying on g (smallest match wins)."""
-    from .errors import PointNotOnGeodesic
-
-    space.impl.validate_point(x)
-    xn = space.impl.normalize(x)
+    xn = normalize(space, x)
     if g.length == 0:
         if space.impl.distance(xn, g.start) <= tol:
             return 0.0
@@ -379,38 +391,43 @@ def geodesic_from_chain(
     Zero-length sections are dropped; breakpoints are recorded at the surviving
     junctions. The chain is trusted to be a geodesic of the space.
     """
-    segs = []
+    segs: list[tuple[int, tuple, tuple, float]] = []
     for chart, c0, c1 in chain:
-        ln = math.sqrt(sum((b - a) ** 2 for a, b in zip(c0, c1)))
+        # sum of (c1 - c0) ** 2 in coordinate order, on the coordinates as given
+        ln = math.sqrt(sum(map(pow, map(sub, c1, c0), repeat(2))))
         if ln == 0:
             continue
         chart = int(chart)
         c0 = tuple(map(float, c0))
         c1 = tuple(map(float, c1))
         if segs and segs[-1][0] == chart and segs[-1][2] == c0:
-            pch, pc0, pc1, pln = segs[-1]
-            d_prev = tuple((b - a) / pln for a, b in zip(pc0, pc1))
-            d_new = tuple((b - a) / ln for a, b in zip(c0, c1))
-            if all(abs(u - v) <= 1e-12 for u, v in zip(d_prev, d_new)):
+            # same chart, continuing where the last section ended: merge if collinear
+            _pch, pc0, pc1, pln = segs[-1]
+            if all(
+                abs((b - a) / pln - (d - c) / ln) <= 1e-12
+                for a, b, c, d in zip(pc0, pc1, c0, c1)
+            ):
                 segs[-1] = (chart, pc0, c1, pln + ln)
                 continue
         segs.append((chart, c0, c1, ln))
+    normal = space.impl.normalize
     if not segs:
         chart, c0, _ = chain[0]
-        p = space.impl.normalize(Point(int(chart), tuple(map(float, c0))))
+        p = normal(Point(int(chart), tuple(map(float, c0))))
         pc = Piece(0.0, 1.0, p.chart, p.coords, p.coords)
         return Geodesic(space, p, p, 0.0, (), (pc,))
-    total = sum(s[3] for s in segs)
+    total = sum([s[3] for s in segs])
     pieces = []
     breakpoints = []
     acc = 0.0
-    for k, (chart, c0, c1, ln) in enumerate(segs):
+    for chart, c0, c1, ln in segs[:-1]:
         t0 = acc / total
         acc += ln
-        t1 = 1.0 if k == len(segs) - 1 else acc / total
+        t1 = acc / total
         pieces.append(Piece(t0, t1, chart, c0, c1))
-        if k < len(segs) - 1:
-            breakpoints.append((t1, space.impl.normalize(Point(chart, c1))))
-    start = space.impl.normalize(Point(segs[0][0], segs[0][1]))
-    end = space.impl.normalize(Point(segs[-1][0], segs[-1][2]))
+        breakpoints.append((t1, normal(Point(chart, c1))))
+    chart, c0, c1, _ln = segs[-1]
+    pieces.append(Piece(acc / total, 1.0, chart, c0, c1))
+    start = normal(Point(segs[0][0], segs[0][1]))
+    end = normal(Point(chart, c1))
     return Geodesic(space, start, end, total, tuple(breakpoints), tuple(pieces))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MapUndefined, NotDeterministicError
-from .geometry import Point, SpaceHandle, distance, normalize
+from .geometry import Point, SpaceHandle, normalize
 from .transport import (
     DiscreteMeasure,
     NotDeterministic,
@@ -64,7 +64,7 @@ def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) ->
     where: list[int] = []
     for i, p in enumerate(images):
         for k, q in enumerate(merged):
-            if distance(space, p, q) <= 1e-9:
+            if space.impl.distance(p, q) <= 1e-9:
                 weights[k] += mu.weights[i]
                 where.append(k)
                 break
@@ -82,7 +82,7 @@ def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) ->
     residual = 0.0
     for i in range(len(mu.points)):
         tu = t_fwd.points[u_targets[i]]
-        residual = max(residual, distance(space, tu, images[i]))
+        residual = max(residual, space.impl.distance(tu, images[i]))
     return Factorization(t_fwd, u, residual)
 
 

@@ -73,7 +73,7 @@ class OpenBookParams:
 
 
 def _finite(coords: Sequence[float]) -> bool:
-    return all(math.isfinite(c) for c in coords)
+    return all(map(math.isfinite, coords))
 
 
 class EuclideanImpl:
@@ -88,7 +88,7 @@ class EuclideanImpl:
             raise InvalidPoint(f"expected {self.dim} finite coordinates, got {p.coords}")
 
     def normalize(self, p: Point) -> Point:
-        return Point(0, tuple(float(c) for c in p.coords))
+        return Point(0, tuple(map(float, p.coords)))
 
     def distance(self, p: Point, q: Point) -> float:
         return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
@@ -230,6 +230,11 @@ class TreeImpl:
             dtype=np.int64,
         )
         self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
+        # each vertex's normal point, built on first use (geodesics meet many)
+        self._vpoints: list[Optional[Point]] = [None] * nv
+        # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds it
+        self._cdf = np.cumsum(self._lens / self._lens.sum())
+        self._cdf /= self._cdf[-1]
 
     # Point bookkeeping. A point is (edge index, (arc offset,)); vertices are
     # normalized onto their lowest-index incident edge.
@@ -253,9 +258,14 @@ class TreeImpl:
         return Point(p.chart, (s,))
 
     def vertex_point(self, v) -> Point:
-        e = self.incident[self._vidx[v]][0]
-        a, _b, ln = self.edges[e]
-        return Point(e, (0.0,) if a == v else (ln,))
+        """The vertex as a normal point: its offset on its lowest-index edge."""
+        i = self._vidx[v]
+        pt = self._vpoints[i]
+        if pt is None:
+            e = self.incident[i][0]
+            a, _b, ln = self.edges[e]
+            pt = self._vpoints[i] = Point(e, (0.0,) if a == v else (ln,))
+        return pt
 
     def _vertex_of(self, p: Point):
         """Vertex id when p sits at an edge endpoint, else None."""

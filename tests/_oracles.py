@@ -5,6 +5,9 @@ code paths: tree distances go through networkx shortest paths on the raw edge
 data, book distances through the two-case unfolding formula, transport costs
 and the arcs of optimal plans through scipy's LP solver, comb sizes
 through a closed-form count, and the cycle audit one tuple at a time.
+Geodesic assembly and the geometry-suite loop are kept in their earlier,
+plainer forms: the constructor that builds every section with generator
+expressions, and the suite loop that goes through the public API only.
 """
 
 from __future__ import annotations
@@ -16,7 +19,18 @@ import networkx as nx
 import numpy as np
 import scipy.optimize
 
-from cat0ot import Point, SpaceHandle, normalize, pairwise_costs
+from cat0ot import (
+    Geodesic,
+    Piece,
+    Point,
+    SpaceHandle,
+    cat0_defect,
+    distance,
+    geodesic,
+    normalize,
+    pairwise_costs,
+)
+from cat0ot.harness import sample_points
 from cat0ot.rng import substream
 
 
@@ -188,3 +202,92 @@ def cyclic_monotonicity_by_tuple(
             L = min(int(rng.integers(2, max_len + 1)), K)
             run(tuple(rng.permutation(K)[:L]))
     return {"violations": violations, "worst_slack": worst}
+
+
+def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> Geodesic:
+    """geodesic_from_chain as first written: per-section generator expressions."""
+    segs = []
+    for chart, c0, c1 in chain:
+        ln = math.sqrt(sum((b - a) ** 2 for a, b in zip(c0, c1)))
+        if ln == 0:
+            continue
+        chart = int(chart)
+        c0 = tuple(map(float, c0))
+        c1 = tuple(map(float, c1))
+        if segs and segs[-1][0] == chart and segs[-1][2] == c0:
+            pch, pc0, pc1, pln = segs[-1]
+            d_prev = tuple((b - a) / pln for a, b in zip(pc0, pc1))
+            d_new = tuple((b - a) / ln for a, b in zip(c0, c1))
+            if all(abs(u - v) <= 1e-12 for u, v in zip(d_prev, d_new)):
+                segs[-1] = (chart, pc0, c1, pln + ln)
+                continue
+        segs.append((chart, c0, c1, ln))
+    if not segs:
+        chart, c0, _ = chain[0]
+        p = space.impl.normalize(Point(int(chart), tuple(map(float, c0))))
+        pc = Piece(0.0, 1.0, p.chart, p.coords, p.coords)
+        return Geodesic(space, p, p, 0.0, (), (pc,))
+    total = sum(s[3] for s in segs)
+    pieces = []
+    breakpoints = []
+    acc = 0.0
+    for k, (chart, c0, c1, ln) in enumerate(segs):
+        t0 = acc / total
+        acc += ln
+        t1 = 1.0 if k == len(segs) - 1 else acc / total
+        pieces.append(Piece(t0, t1, chart, c0, c1))
+        if k < len(segs) - 1:
+            breakpoints.append((t1, space.impl.normalize(Point(chart, c1))))
+    start = space.impl.normalize(Point(segs[0][0], segs[0][1]))
+    end = space.impl.normalize(Point(segs[-1][0], segs[-1][2]))
+    return Geodesic(space, start, end, total, tuple(breakpoints), tuple(pieces))
+
+
+def geometry_suite_by_public_api(space: SpaceHandle, samples: int, seed: int) -> dict:
+    """The geometry-suite metrics from a per-sample loop over the public API only.
+
+    Same draws, in the same order, as the harness runner; every distance and
+    geodesic goes through the validating public functions.
+    """
+    rng = substream(seed, "geometry")
+    min_defect = math.inf
+    max_defect = -math.inf
+    worst_triangle = -math.inf
+    worst_symmetry = 0.0
+    worst_speed = 0.0
+    for _ in range(samples):
+        x, y, z = sample_points(space, rng, 3)
+        dxy = distance(space, x, y)
+        worst_symmetry = max(worst_symmetry, abs(dxy - distance(space, y, x)))
+        worst_triangle = max(
+            worst_triangle, distance(space, x, z) - dxy - distance(space, y, z)
+        )
+        g = geodesic(space, x, y)
+        t1, t2 = sorted(rng.uniform(0.0, 1.0, 2))
+        seg = distance(space, g.eval(float(t1)), g.eval(float(t2)))
+        worst_speed = max(worst_speed, abs(seg - (t2 - t1) * g.length))
+        defect = cat0_defect(space, x, y, z, float(rng.uniform(0, 1)))
+        min_defect = min(min_defect, defect)
+        max_defect = max(max_defect, defect)
+    return {
+        "samples": float(samples),
+        "min_defect": min_defect,
+        "max_defect": max_defect,
+        "max_triangle_violation": worst_triangle,
+        "max_symmetry_error": worst_symmetry,
+        "max_speed_deviation": worst_speed,
+    }
+
+
+def eval_by_scan(g: Geodesic, t: float) -> Point:
+    """Geodesic.eval as first written: a linear scan for the first piece with t <= t1."""
+    if t <= 0:
+        return g.start
+    if t >= 1:
+        return g.end
+    for pc in g.pieces:
+        if t <= pc.t1:
+            w = (t - pc.t0) / (pc.t1 - pc.t0)
+            coords = tuple(a + w * (b - a) for a, b in zip(pc.c0, pc.c1))
+            return g.space.impl.normalize(Point(pc.chart, coords))
+    return g.end

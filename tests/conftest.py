@@ -37,6 +37,12 @@ def comb14():
 
 
 @pytest.fixture(scope="session")
+def comb316():
+    # the largest comb the builder allows: 9,826 vertices, geodesics of ~40 edges
+    return build_comb(3, 16)
+
+
+@pytest.fixture(scope="session")
 def book2():
     return build_open_book(2)
 

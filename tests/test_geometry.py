@@ -33,10 +33,11 @@ from cat0ot import (
     points_equal,
     project_convex,
 )
+from cat0ot import spaces
 from cat0ot.harness import sample_points
 from cat0ot.rng import substream
 
-from _oracles import euclidean_vertex_angle
+from _oracles import euclidean_vertex_angle, eval_by_scan, geodesic_from_chain_by_section
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,97 @@ def test_geodesic_from_chain_merges_collinear_sections(e2):
     )
     assert g.length == pytest.approx(3.0, abs=1e-12)
     assert len(g.pieces) == 2  # the two straight sections merged
+
+
+def _bits(g):
+    """The constructed fields, and their repr, which tells -0.0 and numpy scalars apart."""
+    fields = (g.start, g.end, g.length, g.breakpoints, g.pieces)
+    return fields, repr(fields)
+
+
+def _check_against_section_loop(space, chain):
+    g = geodesic_from_chain(space, chain)
+    assert _bits(g) == _bits(geodesic_from_chain_by_section(space, chain))
+    ts = [0.0, 1e-13, 0.5, 1.0 - 1e-13, 1.0] + [t for t, _p in g.breakpoints]
+    ts += [pc.t0 + 0.3 * (pc.t1 - pc.t0) for pc in g.pieces]
+    for t in ts:
+        assert repr(g.eval(t)) == repr(eval_by_scan(g, t))
+
+
+@pytest.mark.parametrize(
+    "name", ["e2", "e3", "book3", "tripod", "comb14", "comb316", "lopsided_tree"]
+)
+def test_geodesic_from_chain_matches_the_section_loop(name, request, monkeypatch):
+    space = request.getfixturevalue(name)
+    chains = []
+
+    def spy(handle, chain):
+        chains.append(list(chain))
+        return geodesic_from_chain(handle, chain)
+
+    monkeypatch.setattr(spaces, "geodesic_from_chain", spy)
+    rng = substream(17, "chain oracle")
+    for _ in range(200):
+        p, q = sample_points(space, rng, 2)
+        g = geodesic(space, p, q)
+        # extensions continue straight in the last chart (the collinear merge)
+        # or change chart at a spine or a vertex
+        try:
+            extend(space, g, 0.25)
+        except NotExtendable:
+            pass
+    assert len(chains) >= 300
+    for chain in chains:
+        _check_against_section_loop(space, chain)
+
+
+HAND_CHAINS = {
+    "zero-length drop": (
+        "e2",
+        [(0, (0.0, 0.0), (0.0, 0.0)), (0, (0.0, 0.0), (1.0, 0.5)), (0, (1.0, 0.5), (1.0, 0.5))],
+    ),
+    "underflowing section": ("e2", [(0, (0.0, 0.0), (1e-170, 0.0)), (0, (1e-170, 0.0), (1.0, 0.0))]),
+    "collinear merge": (
+        "e2",
+        [(0, (0.0, 0.0), (1.0, 0.5)), (0, (1.0, 0.5), (3.0, 1.5)), (0, (3.0, 1.5), (3.0, 2.0))],
+    ),
+    "merge of integer and numpy coordinates": (
+        "e2",
+        [(np.int64(0), (0, 0), (np.float64(0.5), 2)), (0, (np.float64(0.5), 2), (1.0, 4.0))],
+    ),
+    "all-zero chain": ("e2", [(0, (0.25, -0.5), (0.25, -0.5)), (0, (0.25, -0.5), (0.25, -0.5))]),
+    "all-zero chain at a vertex": ("tripod", [(1, (0.0,), (0.0,))]),
+    "zero section on the spine": (
+        "book3",
+        [(1, (0.5, 0.0), (0.0, 0.25)), (2, (0.0, 0.25), (0.0, 0.25)), (2, (0.0, 0.25), (0.75, 1.0))],
+    ),
+    "vertex path": (
+        "lopsided_tree",
+        [(0, (0.3,), (0.8,)), (2, (0.0,), (0.4,)), (3, (0.0,), (2.2,))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_CHAINS))
+def test_hand_built_chains_match_the_section_loop(case, request):
+    name, chain = HAND_CHAINS[case]
+    _check_against_section_loop(request.getfixturevalue(name), chain)
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "book3", "tripod", "comb14", "lopsided_tree"])
+def test_library_points_are_normal(name, request):
+    # internal callers hand these to space.impl without normalizing them again
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    rng = substream(23, "normal points")
+    for _ in range(100):
+        p, q = sample_points(space, rng, 2)
+        g = impl.geodesic(p, q)
+        pts = [p, q, g.start, g.end] + [b for _t, b in g.breakpoints]
+        pts += [g.eval(float(t)) for t in rng.uniform(0.0, 1.0, 3)]
+        for pt in pts:
+            impl.validate_point(pt)
+            assert repr(impl.normalize(pt)) == repr(pt)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from cat0ot.harness import (
     scenario_from_config,
 )
 from cat0ot.rng import substream
+from cat0ot.spaces import space_from_json
+
+from _oracles import geometry_suite_by_public_api
 
 E2 = {"kind": "euclidean", "dim": 2}
 
@@ -239,3 +242,27 @@ def test_cli_bad_inputs_return_two(tmp_path, capsys):
     assert main(["solve", "--config", noseed]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+# the suite loop calls the space implementation directly; the public-API loop
+# it replaced must give the same bits
+
+SUITE_SPACES = {
+    "e2": E2,
+    "book3": {"kind": "open_book", "pages": 3},
+    "tripod": {"kind": "tripod"},
+    "comb316": {"kind": "comb", "depth": 3, "grid": 16},
+    "comb14": {"kind": "comb", "depth": 1, "grid": 4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_SPACES))
+@pytest.mark.parametrize("seed", [3, 8])
+def test_geometry_suite_matches_the_public_api_loop(name, seed):
+    space = SUITE_SPACES[name]
+    samples = 100 if name == "comb316" else 300
+    rep = run_scenario(_scenario("geometry-suite", {"samples": samples}, seed, space))
+    want = geometry_suite_by_public_api(space_from_json(space), samples, seed)
+    assert all(cell["sigma"] is None for cell in rep.metrics.values())
+    got = {k: float(cell["value"]).hex() for k, cell in rep.metrics.items()}
+    assert got == {k: float(v).hex() for k, v in want.items()}

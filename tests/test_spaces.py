@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cat0ot import (
+    Ball,
     CapExceeded,
     ConfigInvalid,
     InvalidPoint,
@@ -21,12 +22,16 @@ from cat0ot import (
     build_star,
     build_tree,
     build_tripod,
+    cat0_defect,
+    convex_combination,
+    cost,
     distance,
     geodesic,
     measure,
     normalize,
     pairwise_costs,
     point_from_json,
+    points_equal,
     project_convex,
     point_to_json,
     space_from_json,
@@ -223,6 +228,61 @@ def test_tree_point_validation(tripod):
         distance(tripod, Point(7, (0.1,)), Point(0, (0.1,)))
     with pytest.raises(InvalidPoint):
         distance(tripod, Point(0, (1.5,)), Point(0, (0.1,)))
+
+
+# every public scalar entry point checks each point it is given
+
+VALID_POINTS = {
+    "e2": (Point(0, (0.1, 0.2)), Point(0, (-0.3, 0.4)), Point(0, (0.5, -0.6))),
+    "book3": (Point(0, (0.5, 0.1)), Point(1, (0.3, -0.2)), Point(2, (0.7, 0.4))),
+    "tripod": (Point(0, (0.3,)), Point(1, (0.6,)), Point(2, (0.2,))),
+}
+# a chart out of range, a wrong or out-of-chart coordinate, a non-finite one
+INVALID_POINTS = {
+    "e2": (Point(1, (0.0, 0.0)), Point(0, (0.0,)), Point(0, (math.nan, 0.0))),
+    "book3": (Point(3, (0.5, 0.0)), Point(0, (-0.5, 0.0)), Point(1, (math.inf, 0.0))),
+    "tripod": (Point(7, (0.1,)), Point(0, (1.5,)), Point(0, (math.nan,))),
+}
+# entry point -> (call on a list of points, number of point arguments)
+ENTRY_POINTS = {
+    "distance": (lambda s, p: distance(s, p[0], p[1]), 2),
+    "geodesic": (lambda s, p: geodesic(s, p[0], p[1]), 2),
+    "convex_combination": (lambda s, p: convex_combination(s, p[0], p[1], 0.5), 2),
+    "cat0_defect": (lambda s, p: cat0_defect(s, p[0], p[1], p[2], 0.5), 3),
+    "points_equal": (lambda s, p: points_equal(s, p[0], p[1]), 2),
+    "project_convex": (lambda s, p: project_convex(s, p[0], Ball(p[1], 0.1)), 2),
+    "cost": (lambda s, p: cost(s, p[0], p[1]), 2),
+}
+BOUNDARY_CASES = [
+    (family, entry, position)
+    for family in VALID_POINTS
+    for entry, (_call, n) in ENTRY_POINTS.items()
+    for position in range(n)
+]
+
+
+@pytest.mark.parametrize(
+    "family,entry,position",
+    BOUNDARY_CASES,
+    ids=[f"{f}-{e}-{p}" for f, e, p in BOUNDARY_CASES],
+)
+def test_public_entry_points_validate_every_point(family, entry, position, request):
+    space = request.getfixturevalue(family)
+    call, _n = ENTRY_POINTS[entry]
+    call(space, list(VALID_POINTS[family]))
+    for bad in INVALID_POINTS[family]:
+        points = list(VALID_POINTS[family])
+        points[position] = bad
+        with pytest.raises(InvalidPoint):
+            call(space, points)
+
+
+@pytest.mark.parametrize("family", sorted(VALID_POINTS))
+@pytest.mark.parametrize("t", [-0.1, 1.5, math.nan])
+def test_cat0_defect_rejects_parameters_outside_the_unit_interval(family, t, request):
+    x, y, z = VALID_POINTS[family]
+    with pytest.raises(ParamOutOfRange):
+        cat0_defect(request.getfixturevalue(family), x, y, z, t)
 
 
 # ---------------------------------------------------------------------------
