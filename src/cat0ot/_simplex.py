@@ -3,15 +3,18 @@
 Minimizes sum C[i, j] x[i, j] over nonnegative x with prescribed row sums a
 and column sums b (sum a = sum b). Exact at desk scale. The basis is a
 spanning tree of the bipartite node graph (rows 0..n-1, columns n..n+m-1),
-kept as adjacency sets that each pivot updates in place, with node prices
-and parent and depth arrays rooted at row 0. The entering arc's cycle is the
-two parent walks from its endpoints up to where they meet. The leaving arc
-cuts one subtree off its walk. Only that subtree moves, so only it is
-re-hung from the entering arc and re-priced, by the recurrence that priced
-the initial tree; the prices are the bits a full traversal would give.
-Pricing is most-negative with a deterministic first-index tie break, and a
-Bland fallback engages after a streak of degenerate pivots so cycling cannot
-occur.
+stored once as slot-indexed arrays: slot k holds the arc (bi[k], bj[k]) with
+mass x[k], and adj[u] maps each tree neighbour of node u to the slot of the
+arc between them. Node prices and parent and depth arrays are rooted at
+row 0. The entering arc's cycle is the two parent walks from its endpoints
+up to where they meet, and its slots are read off that node path. The
+leaving arc cuts one subtree off its walk, and the entering arc takes its
+slot. Only the cut subtree moves, so only it is re-hung from the entering
+arc and re-priced, by the recurrence that priced the initial tree; the
+prices are the bits a full traversal would give. Pricing is most-negative
+with a deterministic first-index tie break, a tie for the leaving arc goes
+to the smallest (i, j), and a Bland fallback engages after a streak of
+degenerate pivots so cycling cannot occur.
 
 The start is the cheaper of two bases: the cost-blind northwest corner and
 the least-cost (matrix-minimum) basis, and a tie keeps the northwest corner.
@@ -22,7 +25,7 @@ near the optimum and takes about half the pivots or fewer.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -95,7 +98,7 @@ def initial_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int
 
 def _hang(
     n: int,
-    adj: list[set[int]],
+    adj: list[Iterable[int]],
     C: list[list[float]],
     price: list[float],
     parent: list[int],
@@ -108,7 +111,9 @@ def _hang(
     Nodes 0..n-1 are rows and n..n+m-1 are columns. Each node's price is the
     cost of the arc to its parent minus the parent's price, so every basic
     arc is tight. With r = -1, q is the root and gets price 0, which anchors
-    alpha[0] = 0 when q = 0.
+    alpha[0] = 0 when q = 0. adj[u] is any iterable of u's tree neighbours
+    (the solver keeps neighbour -> slot dicts); the order does not matter,
+    because each node is priced along its one path from q.
     """
     if r < 0:
         price[q], parent[q], depth[q] = 0.0, -1, 0
@@ -169,14 +174,14 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         return flow, alpha, beta
 
     flow = initial_basis(C, a, b)
-    adj: list[set[int]] = [set() for _ in range(n + m)]
-    for i, j in flow:
-        adj[i].add(n + j)
-        adj[n + j].add(i)
-    # slot k of (bi, bj) holds one basic arc; the entering arc takes the leaving arc's slot
-    slot = {arc: k for k, arc in enumerate(flow)}
+    # slot k holds the basic arc (bi[k], bj[k]) with mass x[k]; adj[u] maps
+    # each tree neighbour of node u to the slot of the arc between them
     bi = np.array([i for i, _j in flow])
     bj = np.array([j for _i, j in flow])
+    x = list(flow.values())
+    adj: list[dict[int, int]] = [{} for _ in range(n + m)]
+    for k, (i, j) in enumerate(flow):
+        adj[i][n + j] = adj[n + j][i] = k
     Cl = C.tolist()
     price = [0.0] * (n + m)
     parent = [-1] * (n + m)
@@ -205,32 +210,25 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             if reduced[ei, ej] >= -enter_eps:
                 break
         path, meet = _cycle_path(parent, depth, ei, n + ej)
-        cycle_arcs = []
-        for p, (u, w) in enumerate(zip(path, path[1:])):
-            i, j = (u, w - n) if u < n else (w, u - n)
-            cycle_arcs.append(((i, j), -1.0 if p % 2 == 0 else +1.0))
-        theta = math.inf
-        for arc, sign in cycle_arcs:
-            if sign < 0 and flow[arc] < theta:
-                theta = flow[arc]
-        # cycle arcs are distinct, so the position only rides along with the min arc
-        leaving, cut = min(
-            (arc, p)
-            for p, (arc, sign) in enumerate(cycle_arcs)
-            if sign < 0 and flow[arc] <= theta + 1e-15
+        # the arcs at even path positions lose theta, those at odd ones gain it
+        slots = [adj[u][w] for u, w in zip(path, path[1:])]
+        lose = slots[::2]
+        theta = min(x[k] for k in lose)
+        # a tie leaves by the smallest (i, j) arc; arcs are distinct, so the
+        # path position only rides along
+        _arc, cut = min(
+            ((bi[k], bj[k]), p)
+            for p, k in zip(range(0, len(slots), 2), lose)
+            if x[k] <= theta + 1e-15
         )
-        for arc, sign in cycle_arcs:
-            flow[arc] = max(0.0, flow[arc] + sign * theta)
-        flow[(ei, ej)] = theta
-        del flow[leaving]
-        li, lj = leaving
-        adj[li].remove(n + lj)
-        adj[n + lj].remove(li)
-        adj[ei].add(n + ej)
-        adj[n + ej].add(ei)
-        k = slot.pop(leaving)
-        slot[(ei, ej)] = k
-        bi[k], bj[k] = ei, ej
+        for k in lose:
+            x[k] = max(0.0, x[k] - theta)
+        for k in slots[1::2]:
+            x[k] += theta
+        k, u, w = slots[cut], path[cut], path[cut + 1]
+        del adj[u][w], adj[w][u]
+        adj[ei][n + ej] = adj[n + ej][ei] = k
+        bi[k], bj[k], x[k] = ei, ej, theta
         # the leaving arc cut off the subtree below it on its own walk; only
         # that subtree's prices, parents and depths change
         if cut < meet:
@@ -247,4 +245,4 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         raise RuntimeError("transportation simplex failed to terminate")
 
     # the loop leaves right after pricing the final basis
-    return flow, alpha, beta
+    return dict(zip(zip(bi.tolist(), bj.tolist()), x)), alpha, beta

@@ -293,41 +293,37 @@ def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
 
 def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
     cap = float(params.get("slope_cap", 10.0))
-    if space.kind == "tree":
-        incident = space.impl.incident
-        leaf = next(v for v, inc in zip(space.params.vertices, incident) if len(inc) == 1)
-        leaf_pt = space.impl.vertex_point(leaf)
-        rep = fermat_check(
-            space,
-            lambda p: space.impl.distance(p, leaf_pt),
-            leaf_pt,
-            direction_set(space, leaf_pt),
-        )
+    if space.kind in ("tree", "open_book"):
+        if space.kind == "tree":
+            incident = space.impl.incident
+            leaf = next(v for v, inc in zip(space.params.vertices, incident) if len(inc) == 1)
+            leaf_pt = space.impl.vertex_point(leaf)
+            rep = fermat_check(
+                space,
+                lambda p: space.impl.distance(p, leaf_pt),
+                leaf_pt,
+                direction_set(space, leaf_pt),
+            )
+            passed = rep.min_directional > 0.0
+        else:
+            rng = substream(seed, "fermat")
+            while True:
+                (y,) = sample_points(space, rng, 1)
+                if y.coords[0] > 0.05:
+                    break
+            rep = fermat_check(
+                space,
+                _cost_to(space, y),
+                y,
+                direction_set(space, y, count=int(params.get("directions", 16))),
+            )
+            passed = rep.min_directional >= -1e-6
         metrics = {
             "min_directional": _metric(rep.min_directional),
             "two_sided_zero": _metric(1.0 if rep.two_sided_zero else 0.0),
             "pitch": _metric(0.0),
         }
-        return metrics, rep.min_directional > 0.0 and rep.two_sided_zero
-
-    if space.kind == "open_book":
-        rng = substream(seed, "fermat")
-        while True:
-            (y,) = sample_points(space, rng, 1)
-            if y.coords[0] > 0.05:
-                break
-        rep = fermat_check(
-            space,
-            _cost_to(space, y),
-            y,
-            direction_set(space, y, count=int(params.get("directions", 16))),
-        )
-        metrics = {
-            "min_directional": _metric(rep.min_directional),
-            "two_sided_zero": _metric(1.0 if rep.two_sided_zero else 0.0),
-            "pitch": _metric(0.0),
-        }
-        return metrics, rep.min_directional >= -1e-6 and rep.two_sided_zero
+        return metrics, passed and rep.two_sided_zero
 
     n = int(params.get("n", 9))
     mu, nu, _shift, h = translation_instance(space, n)

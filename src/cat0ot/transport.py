@@ -17,7 +17,6 @@ import numpy as np
 import scipy.optimize
 
 from . import _simplex
-from .calculus import cost
 from .errors import (
     BoundaryPoint,
     EmptyBall,
@@ -396,11 +395,14 @@ def c_subdifferential(
     tol: float = 1e-9,
 ) -> set[int]:
     """Target indices where phi(y) - psi(x) = c(x, y) within tol."""
+    # measure atoms are normal already
     x = mu.points[x_index]
     psi_x = potentials.psi[x_index]
+    dist = space.impl.distance
     out = set()
     for j, y in enumerate(nu.points):
-        if abs(potentials.phi[j] - psi_x - cost(space, x, y)) <= tol:
+        d = dist(x, y)
+        if abs(potentials.phi[j] - psi_x - 0.5 * d * d) <= tol:
             out.add(j)
     return out
 
@@ -434,12 +436,16 @@ def psi_R(
     """Ball-restricted potential: min of phi(y) - c(x, y) over targets in B(y0, R)."""
     if R <= 0:
         raise ParamOutOfRange(f"ball radius {R} must be positive")
+    x, y0 = normalize(space, x), normalize(space, y0)
+    dist = space.impl.distance
     best = math.inf
     hit = False
+    # the atoms of nu are normal already
     for j, y in enumerate(nu.points):
-        if distance(space, y0, y) < R:
+        if dist(y0, y) < R:
             hit = True
-            val = potentials.phi[j] - cost(space, x, y)
+            d = dist(x, y)
+            val = potentials.phi[j] - 0.5 * d * d
             if val < best:
                 best = val
     if not hit:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,11 @@ def _contract_instance(n, m):
     return C, _weights(rng, n), _weights(rng, m)
 
 
+def _single_line_instance(n, m):
+    rng = substream(n + m, "simplex-degenerate-shape")
+    return rng.uniform(0.0, 3.0, (n, m)), _weights(rng, n), _weights(rng, m)
+
+
 def _grid_instance(side):
     e2 = build_euclidean(2)
     mu, nu, _shift, _h = translation_instance(e2, side)
@@ -85,9 +92,7 @@ def test_random_nonuniform_contract(n, m):
 
 @pytest.mark.parametrize("n,m", [(1, 6), (6, 1)])
 def test_single_row_or_column_contract(n, m):
-    rng = substream(n + m, "simplex-degenerate-shape")
-    C = rng.uniform(0.0, 3.0, (n, m))
-    _check_contract(C, _weights(rng, n), _weights(rng, m))
+    _check_contract(*_single_line_instance(n, m))
 
 
 def test_translation_grid_engages_bland_and_stays_exact():
@@ -180,3 +185,34 @@ def test_pivot_counts_are_pinned(instance, start, count_pivots, monkeypatch):
     monkeypatch.setattr(_simplex, "initial_basis", forced)
     assert count_pivots(C, a, b) == PIVOTS[instance, start]
     _check_contract(C, a, b)
+
+
+def _digest(flow, alpha, beta):
+    items = repr([(i, j, float(mass).hex()) for (i, j), mass in sorted(flow.items())])
+    return hashlib.sha256(items.encode() + alpha.tobytes() + beta.tobytes()).hexdigest()
+
+
+# sha256 of the sorted flow items (masses as float.hex) plus the alpha and
+# beta bytes, recorded from the solver that kept the basis in flow and slot
+# dicts. They pin the leaving-arc tie rule (grid 13 runs under Bland) and
+# every price bit.
+DIGESTS = {
+    "120x97": "9f47f36467b36d7b93babef60b545fb37357e3b03a45849f6f4cff9f6fb63e96",
+    "97x120": "df463b23b51ab0281ba253df787f9dce12d86ef0ebf044fd1db9f9b03f002ca7",
+    "grid13": "8877058a8714abb061d3bb03584ce95795f7bca6dfbd22402168cf115461a5df",
+    "grid17": "9af7e12a4ffa5ce559d4b8ffd7c09a7b60e9513c187a702b2d2fa8b7a15095e5",
+    "1x6": "23b1e04e1981692f9992e72d2dcab539b47bb2325e1fef02a278d4e43936fbae",
+    "6x1": "e1396b3dec2e487104d7bc4323a8e4cc13b64c4c03a6163f2376929f7f4a652b",
+}
+
+
+def _pinned_instance(name):
+    if name.startswith("grid"):
+        return _grid_instance(int(name[4:]))
+    n, m = map(int, name.split("x"))
+    return (_single_line_instance if 1 in (n, m) else _contract_instance)(n, m)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_solution_bits_are_pinned(name):
+    assert _digest(*_simplex.solve_transport(*_pinned_instance(name))) == DIGESTS[name]

@@ -13,6 +13,7 @@ from cat0ot import (
     DiscreteMeasure,
     EmptyBall,
     GridPotential,
+    InvalidPoint,
     MapUndefined,
     NotDeterministic,
     ParamOutOfRange,
@@ -374,6 +375,46 @@ def test_psi_R_guards(e2):
     far = Point(0, (500.0, 500.0))
     with pytest.raises(EmptyBall):
         psi_R(e2, pot, nu, x, far, 0.1)
+
+
+def test_psi_R_validates_its_points_first(tripod):
+    rng = substream(14, "psi-ball-invalid")
+    mu = measure(tripod, sample_points(tripod, rng, 4))
+    nu = measure(tripod, sample_points(tripod, rng, 4))
+    _, pot, _ = solve_kantorovich(tripod, mu, nu)
+    # an invalid x is reported even when the ball holds no target
+    center = Point(0, (0.0,))
+    assert min(distance(tripod, center, y) for y in nu.points) > 1e-6
+    with pytest.raises(InvalidPoint):
+        psi_R(tripod, pot, nu, Point(0, (math.nan,)), center, 1e-6)
+    for y0 in (Point(0, (math.nan,)), Point(0, (-0.5,)), Point(7, (0.5,))):
+        with pytest.raises(InvalidPoint):
+            psi_R(tripod, pot, nu, mu.points[0], y0, 1e6)
+
+
+@pytest.mark.parametrize("family", ["e2", "tripod", "book3"])
+def test_ball_potential_and_subdifferential_match_the_public_api_loop(family, request):
+    space = request.getfixturevalue(family)
+    rng = substream(15, f"psi-ball-bits-{family}")
+    mu = measure(space, sample_points(space, rng, 7))
+    nu = measure(space, sample_points(space, rng, 9))
+    _, pot, _ = solve_kantorovich(space, mu, nu)
+    for x in sample_points(space, rng, 5):
+        y0 = sample_points(space, rng, 1)[0]
+        want = min(
+            (pot.phi[j] - cost(space, x, y)
+             for j, y in enumerate(nu.points) if distance(space, y0, y) < 1.5),
+            default=None,
+        )
+        if want is not None:
+            assert psi_R(space, pot, nu, x, y0, 1.5).hex() == want.hex()
+    for i, x in enumerate(mu.points):
+        for tol in (1e-9, 0.5):
+            want = {
+                j for j, y in enumerate(nu.points)
+                if abs(pot.phi[j] - pot.psi[i] - cost(space, x, y)) <= tol
+            }
+            assert c_subdifferential(space, pot, mu, nu, i, tol) == want
 
 
 def test_psi_R_is_lipschitz_with_rate_two_r(e2):
