@@ -105,23 +105,65 @@ def cost_derivative_closed(g: Geodesic, t: float, s: float) -> float:
 
 
 def _one_sided(
-    f: Callable[[Point], float],
+    fs: Sequence[Callable[[Point], float]],
     g: Geodesic,
     s: float,
-    f0: float,
+    f0s: Sequence[float],
     sign: float,
     steps: Sequence[float],
-) -> tuple[float, float]:
-    """Refined difference quotient on one side; (nan, nan) when there is no room."""
+) -> list[tuple[float, float]]:
+    """Refined difference quotient on one side for each f, from one evaluation
+    of each step point; (nan, nan) when there is no room."""
     room = (1.0 - s) if sign > 0 else s
     if room <= 1e-15:
-        return math.nan, math.nan
+        return [(math.nan, math.nan)] * len(fs)
     scale = min(1.0, room / steps[0])
     hs = [h * scale for h in steps]
-    quots = [(f(g.eval(s + sign * h)) - f0) / (sign * h) for h in hs]
+    pts = [g.eval(s + sign * h) for h in hs]
     h1, h2 = hs[-2], hs[-1]
-    # two-point extrapolation in h, exact for quadratic f along g
-    return (h1 * quots[-1] - h2 * quots[-2]) / (h1 - h2), h2
+    out = []
+    for f, f0 in zip(fs, f0s):
+        quots = [(f(pt) - f0) / (sign * h) for pt, h in zip(pts, hs)]
+        # two-point extrapolation in h, exact for quadratic f along g
+        out.append(((h1 * quots[-1] - h2 * quots[-2]) / (h1 - h2), h2))
+    return out
+
+
+def _derivatives(
+    space: SpaceHandle,
+    fs: Sequence[Callable[[Point], float]],
+    x: Point,
+    g: Geodesic,
+    schedule: Optional[Sequence[float]],
+    tol: float,
+) -> list[DerivativeEstimate]:
+    """geodesic_derivative of each f in fs, evaluating each point of g once."""
+    s = parameter_on(space, g, x)
+    steps = DEFAULT_STEPS if schedule is None else [float(h) for h in schedule]
+    if len(steps) < 2 or any(h <= 0 for h in steps) or any(
+        steps[i + 1] >= steps[i] for i in range(len(steps) - 1)
+    ):
+        raise ParamOutOfRange("step schedule must be strictly decreasing and positive")
+    p0 = g.eval(s)
+    f0s = [f(p0) for f in fs]
+    plus = _one_sided(fs, g, s, f0s, +1.0, steps)
+    minus = _one_sided(fs, g, s, f0s, -1.0, steps)
+    out = []
+    for (d_plus, h_plus), (d_minus, h_minus) in zip(plus, minus):
+        have_plus = not math.isnan(d_plus)
+        have_minus = not math.isnan(d_minus)
+        if have_plus and have_minus:
+            diff = abs(d_plus - d_minus) < tol * (1.0 + abs(d_plus) + abs(d_minus))
+            value = 0.5 * (d_plus + d_minus)
+            step = min(h_plus, h_minus)
+        elif have_plus:
+            diff, value, step = False, d_plus, h_plus
+        elif have_minus:
+            diff, value, step = False, d_minus, h_minus
+        else:
+            raise ParamOutOfRange("degenerate geodesic leaves no room for any quotient")
+        out.append(DerivativeEstimate(value, d_plus, d_minus, step, diff))
+    return out
 
 
 def geodesic_derivative(
@@ -138,28 +180,7 @@ def geodesic_derivative(
     quotient exists; the missing side is reported as nan and the estimate is
     flagged non-differentiable.
     """
-    s = parameter_on(space, g, x)
-    steps = DEFAULT_STEPS if schedule is None else [float(h) for h in schedule]
-    if len(steps) < 2 or any(h <= 0 for h in steps) or any(
-        steps[i + 1] >= steps[i] for i in range(len(steps) - 1)
-    ):
-        raise ParamOutOfRange("step schedule must be strictly decreasing and positive")
-    f0 = f(g.eval(s))
-    d_plus, h_plus = _one_sided(f, g, s, f0, +1.0, steps)
-    d_minus, h_minus = _one_sided(f, g, s, f0, -1.0, steps)
-    have_plus = not math.isnan(d_plus)
-    have_minus = not math.isnan(d_minus)
-    if have_plus and have_minus:
-        diff = abs(d_plus - d_minus) < tol * (1.0 + abs(d_plus) + abs(d_minus))
-        value = 0.5 * (d_plus + d_minus)
-        step = min(h_plus, h_minus)
-    elif have_plus:
-        diff, value, step = False, d_plus, h_plus
-    elif have_minus:
-        diff, value, step = False, d_minus, h_minus
-    else:
-        raise ParamOutOfRange("degenerate geodesic leaves no room for any quotient")
-    return DerivativeEstimate(value, d_plus, d_minus, step, diff)
+    return _derivatives(space, (f,), x, g, schedule, tol)[0]
 
 
 def direction_set(
@@ -207,9 +228,8 @@ def twist_test(
     for g in directions:
         if g.length == 0:
             continue
-        d1 = geodesic_derivative(space, f1, xn, g).value
-        d2 = geodesic_derivative(space, f2, xn, g).value
-        gap = abs(d1 - d2)
+        e1, e2 = _derivatives(space, (f1, f2), xn, g, None, DIFF_TOL)
+        gap = abs(e1.value - e2.value)
         if gap > max_gap:
             max_gap = gap
             witness = g

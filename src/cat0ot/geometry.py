@@ -383,36 +383,47 @@ def parameter_on(space: SpaceHandle, g: Geodesic, x: Point, tol: float = PT_TOL)
     return best
 
 
-def geodesic_from_chain(
-    space: SpaceHandle, chain: Sequence[tuple[int, tuple, tuple]]
-) -> Geodesic:
+def section_length(c0: Sequence, c1: Sequence) -> float:
+    """Length of a straight-in-chart section: the sum of (c1 - c0) ** 2 in
+    coordinate order, on the coordinates as given."""
+    return math.sqrt(sum(map(pow, map(sub, c1, c0), repeat(2))))
+
+
+def geodesic_from_chain(space: SpaceHandle, chain: Sequence[tuple]) -> Geodesic:
     """Assemble a Geodesic from consecutive straight-in-chart sections.
 
-    Zero-length sections are dropped; breakpoints are recorded at the surviving
-    junctions. The chain is trusted to be a geodesic of the space.
+    A section is (chart, c0, c1), or (chart, c0, c1, length, end) when the
+    space has measured it already: an int chart, float coordinates, their
+    `section_length` and the normal point at c1, all taken as given. Zero-length
+    sections are dropped; breakpoints are recorded at the surviving junctions.
+    The chain is trusted to be a geodesic of the space.
     """
-    segs: list[tuple[int, tuple, tuple, float]] = []
-    for chart, c0, c1 in chain:
-        # sum of (c1 - c0) ** 2 in coordinate order, on the coordinates as given
-        ln = math.sqrt(sum(map(pow, map(sub, c1, c0), repeat(2))))
+    segs: list[tuple[int, tuple, tuple, float, Optional[Point]]] = []
+    for sec in chain:
+        if len(sec) == 5:
+            chart, c0, c1, ln, end = sec
+        else:
+            chart, c0, c1 = sec
+            ln = section_length(c0, c1)
+            chart = int(chart)
+            c0 = tuple(map(float, c0))
+            c1 = tuple(map(float, c1))
+            end = None
         if ln == 0:
             continue
-        chart = int(chart)
-        c0 = tuple(map(float, c0))
-        c1 = tuple(map(float, c1))
         if segs and segs[-1][0] == chart and segs[-1][2] == c0:
             # same chart, continuing where the last section ended: merge if collinear
-            _pch, pc0, pc1, pln = segs[-1]
+            _pch, pc0, pc1, pln, _pend = segs[-1]
             if all(
                 abs((b - a) / pln - (d - c) / ln) <= 1e-12
                 for a, b, c, d in zip(pc0, pc1, c0, c1)
             ):
-                segs[-1] = (chart, pc0, c1, pln + ln)
+                segs[-1] = (chart, pc0, c1, pln + ln, end)
                 continue
-        segs.append((chart, c0, c1, ln))
+        segs.append((chart, c0, c1, ln, end))
     normal = space.impl.normalize
     if not segs:
-        chart, c0, _ = chain[0]
+        chart, c0 = chain[0][:2]
         p = normal(Point(int(chart), tuple(map(float, c0))))
         pc = Piece(0.0, 1.0, p.chart, p.coords, p.coords)
         return Geodesic(space, p, p, 0.0, (), (pc,))
@@ -420,14 +431,14 @@ def geodesic_from_chain(
     pieces = []
     breakpoints = []
     acc = 0.0
-    for chart, c0, c1, ln in segs[:-1]:
+    for chart, c0, c1, ln, end in segs[:-1]:
         t0 = acc / total
         acc += ln
         t1 = acc / total
         pieces.append(Piece(t0, t1, chart, c0, c1))
-        breakpoints.append((t1, normal(Point(chart, c1))))
-    chart, c0, c1, _ln = segs[-1]
+        breakpoints.append((t1, end or normal(Point(chart, c1))))
+    chart, c0, c1, _ln, end = segs[-1]
     pieces.append(Piece(acc / total, 1.0, chart, c0, c1))
     start = normal(Point(segs[0][0], segs[0][1]))
-    end = normal(Point(chart, c1))
+    end = end or normal(Point(chart, c1))
     return Geodesic(space, start, end, total, tuple(breakpoints), tuple(pieces))

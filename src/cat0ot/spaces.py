@@ -9,7 +9,10 @@ derivative-based testers.
 
 from __future__ import annotations
 
+import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,6 +36,7 @@ from .geometry import (
     SpaceHandle,
     TreeRegion,
     geodesic_from_chain,
+    section_length,
 )
 from .rng import substream
 
@@ -183,26 +187,44 @@ class EuclideanImpl:
 
 
 class TreeImpl:
+    """A finite metric tree, rooted at `root`, with points on its edges.
+
+    One LCA per route: each edge joins its lower endpoint to that vertex's
+    parent, so for the edges of p and q the lowest common ancestor (LCA) w of
+    their lower endpoints gives the LCA of every endpoint pair (u, v). It is
+    w when w lies strictly above both lower endpoints, u when w is p's lower
+    endpoint, and v when w is q's.
+
+    Section cache: each vertex keeps, filled on first use, its normal point
+    and the measured sections (chart, c0, c1, length, end) to its parent and
+    back, with float offsets, their `section_length` and the normal point at
+    c1. Tree geodesics hand these to `geodesic_from_chain`, which takes them
+    as given, so a geodesic's breakpoints are the cached vertex points.
+    """
+
     def __init__(self, vertices: tuple, edges: tuple, root):
         self.vertices = vertices
         self.edges = edges  # (a, b, length)
         self.root = root
         self.handle: SpaceHandle = None  # type: ignore[assignment]
-        self._vidx = {v: i for i, v in enumerate(vertices)}
+        vidx = self._vidx = {v: i for i, v in enumerate(vertices)}
         nv = len(vertices)
+        # each edge's endpoints as vertex indices, in the edge's own order
+        eidx = self._eidx = [(vidx[a], vidx[b]) for a, b, _ln in edges]
         self.incident: list[list[int]] = [[] for _ in range(nv)]
-        for e, (a, b, _ln) in enumerate(edges):
-            self.incident[self._vidx[a]].append(e)
-            self.incident[self._vidx[b]].append(e)
+        for e, (ia, ib) in enumerate(eidx):
+            self.incident[ia].append(e)
+            self.incident[ib].append(e)
         # rooted structure: the stack pops vertices in preorder, so the subtree
         # of u is the preorder range [tin[u], tout[u])
         self.parent = [-1] * nv
         self.parent_edge = [-1] * nv
+        self._lower = [-1] * len(edges)  # each edge's child endpoint
         self.droot = [0.0] * nv
         self._tin = [0] * nv
         order: list[int] = []
         seen = [False] * nv
-        ridx = self._vidx[root]
+        ridx = vidx[root]
         seen[ridx] = True
         stack = [ridx]
         while stack:
@@ -210,13 +232,14 @@ class TreeImpl:
             self._tin[u] = len(order)
             order.append(u)
             for e in self.incident[u]:
-                a, b, ln = edges[e]
-                w = self._vidx[b] if self._vidx[a] == u else self._vidx[a]
+                ia, ib = eidx[e]
+                w = ib if ia == u else ia
                 if not seen[w]:
                     seen[w] = True
                     self.parent[w] = u
                     self.parent_edge[w] = e
-                    self.droot[w] = self.droot[u] + ln
+                    self._lower[e] = w
+                    self.droot[w] = self.droot[u] + edges[e][2]
                     stack.append(w)
         self._tout = [t + 1 for t in self._tin]
         for u in reversed(order[1:]):
@@ -226,12 +249,13 @@ class TreeImpl:
         self._pre_tout = np.array([self._tout[u] for u in order], dtype=np.int64)
         self._pre_droot = np.array([self.droot[u] for u in order])
         self._ends = np.array(
-            [[self._tin[self._vidx[a]], self._tin[self._vidx[b]]] for a, b, _ln in edges],
-            dtype=np.int64,
+            [[self._tin[ia], self._tin[ib]] for ia, ib in eidx], dtype=np.int64
         )
         self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
-        # each vertex's normal point, built on first use (geodesics meet many)
+        # per vertex, built on first use (geodesics meet many): its normal point,
+        # and its (up, down) sections to and from its parent
         self._vpoints: list[Optional[Point]] = [None] * nv
+        self._vsections: list[Optional[tuple]] = [None] * nv
         # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds it
         self._cdf = np.cumsum(self._lens / self._lens.sum())
         self._cdf /= self._cdf[-1]
@@ -249,22 +273,24 @@ class TreeImpl:
             raise InvalidPoint(f"offset {p.coords[0]} outside edge of length {ln}")
 
     def normalize(self, p: Point) -> Point:
-        a, b, ln = self.edges[p.chart]
+        ln = self.edges[p.chart][2]
         s = min(ln, max(0.0, float(p.coords[0])))
         if s <= SNAP_TOL:
-            return self.vertex_point(a)
+            return self._vpoint(self._eidx[p.chart][0])
         if s >= ln - SNAP_TOL:
-            return self.vertex_point(b)
+            return self._vpoint(self._eidx[p.chart][1])
         return Point(p.chart, (s,))
 
     def vertex_point(self, v) -> Point:
         """The vertex as a normal point: its offset on its lowest-index edge."""
-        i = self._vidx[v]
+        return self._vpoint(self._vidx[v])
+
+    def _vpoint(self, i: int) -> Point:
         pt = self._vpoints[i]
         if pt is None:
             e = self.incident[i][0]
-            a, _b, ln = self.edges[e]
-            pt = self._vpoints[i] = Point(e, (0.0,) if a == v else (ln,))
+            pt = Point(e, (0.0,) if self._eidx[e][0] == i else (self.edges[e][2],))
+            self._vpoints[i] = pt
         return pt
 
     def _vertex_of(self, p: Point):
@@ -300,17 +326,26 @@ class TreeImpl:
         return self.droot[u] + self._pre_droot[targets] - 2.0 * self._pre_droot[lca]
 
     def _route(self, p: Point, q: Point) -> tuple:
-        """(length, u, cu, v, cv) of the shortest p -> u ~> v -> q, where u ends
-        p's edge, v ends q's edge, and cu, cv are their offsets on those edges."""
-        a, b, lp = self.edges[p.chart]
-        c, d, lq = self.edges[q.chart]
+        """(length, u, cu, v, cv, w) of the shortest p -> u ~> v -> q, where u ends
+        p's edge, v ends q's edge, cu, cv are their offsets on those edges, and
+        w is the LCA of u and v; u, v and w are vertex indices."""
+        e, f = p.chart, q.chart
+        a, b = self._eidx[e]
+        c, d = self._eidx[f]
+        lp = self.edges[e][2]
+        lq = self.edges[f][2]
         s, t = p.coords[0], q.coords[0]
+        # one LCA for all four pairs (see the class docstring)
+        pl, ql = self._lower[e], self._lower[f]
+        top = self._lca(pl, ql)
+        droot = self.droot
         best = None
         for u, off_u, cu in ((a, s, 0.0), (b, lp - s, lp)):
             for v, off_v, cv in ((c, t, 0.0), (d, lq - t, lq)):
-                tot = off_u + self.vertex_distance(u, v) + off_v
+                w = u if top == pl else v if top == ql else top
+                tot = off_u + (droot[u] + droot[v] - 2.0 * droot[w]) + off_v
                 if best is None or tot < best[0]:
-                    best = (tot, u, cu, v, cv)
+                    best = (tot, u, cu, v, cv, w)
         return best
 
     def distance(self, p: Point, q: Point) -> float:
@@ -321,28 +356,31 @@ class TreeImpl:
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         if p.chart == q.chart:
             return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)])
-        _tot, u, cu, v, cv = self._route(p, q)
+        _tot, u, cu, v, cv, w = self._route(p, q)
+        parent, cached, fill = self.parent, self._vsections, self._fill_sections
         chain = [(p.chart, p.coords, (cu,))]
-        chain.extend(self._vertex_chain(u, v))
-        chain.append((q.chart, (cv,), q.coords))
+        while u != w:
+            chain.append((cached[u] or fill(u))[0])
+            u = parent[u]
+        # the far side, gathered from q upwards and then reversed
+        down = [(q.chart, (cv,), q.coords)]
+        while v != w:
+            down.append((cached[v] or fill(v))[1])
+            v = parent[v]
+        chain += reversed(down)
         return geodesic_from_chain(self.handle, chain)
 
-    def _climb(self, u: int, top: int) -> list[tuple]:
-        """Edge pieces from vertex index u up to its ancestor top."""
-        chain = []
-        while u != top:
-            e = self.parent_edge[u]
-            a, _b, ln = self.edges[e]
-            chain.append((e, (0.0,), (ln,)) if self.vertices[u] == a else (e, (ln,), (0.0,)))
-            u = self.parent[u]
-        return chain
-
-    def _vertex_chain(self, u, v) -> list[tuple]:
-        """Edge pieces along the unique vertex path u -> v."""
-        ui, vi = self._vidx[u], self._vidx[v]
-        top = self._lca(ui, vi)
-        down = [(e, c1, c0) for e, c0, c1 in reversed(self._climb(vi, top))]
-        return self._climb(ui, top) + down
+    def _fill_sections(self, u: int) -> tuple:
+        """(up, down): the measured sections from vertex index u to its parent and back."""
+        e = self.parent_edge[u]
+        ln = self.edges[e][2]
+        cu, cp = ((0.0,), (ln,)) if self._eidx[e][0] == u else ((ln,), (0.0,))
+        # the length is symmetric in its ends, bit for bit
+        sl = section_length(cu, cp)
+        up = (e, cu, cp, sl, self.normalize(Point(e, cp)))
+        down = (e, cp, cu, sl, self.normalize(Point(e, cu)))
+        self._vsections[u] = (up, down)
+        return up, down
 
     def represent_in_chart(self, p: Point, chart: int) -> Optional[tuple]:
         if p.chart == chart:
@@ -780,7 +818,46 @@ def space_to_json(space: SpaceHandle) -> dict:
     raise ConfigInvalid("kind", f"unknown space kind {space.kind}")
 
 
+# Built spaces by canonical descriptor, least recently used first. This relies
+# on descriptors repeating within one process: a geometry-tree benchmark pass
+# runs 15 scenarios on 5 spaces, and a CLI call builds its one space once,
+# while a comb(3, 16) takes tens of milliseconds to build. A built handle is
+# never changed after its builder returns, except for the tree's lazily filled
+# per-vertex caches, whose contents do not depend on the order they are filled
+# in; so one handle serves every caller.
+_BUILT: OrderedDict[str, SpaceHandle] = OrderedDict()
+_BUILT_MAX = 8
+_BUILT_LOCK = threading.Lock()
+
+
 def space_from_json(doc: dict) -> SpaceHandle:
+    """The space a JSON descriptor names, built once per distinct descriptor.
+
+    Descriptors that differ only in key order name the same handle. Only a
+    descriptor that reads back from its canonical JSON unchanged is kept; an
+    invalid one raises `ConfigInvalid` on every call and is never kept.
+    """
+    try:
+        key = json.dumps(doc, sort_keys=True)
+        kept = json.loads(key) == doc
+    except (TypeError, ValueError):
+        kept = False
+    if not kept:
+        return _space_from_json(doc)
+    with _BUILT_LOCK:
+        space = _BUILT.get(key)
+        if space is not None:
+            _BUILT.move_to_end(key)
+            return space
+    space = _space_from_json(doc)
+    with _BUILT_LOCK:
+        _BUILT[key] = space
+        if len(_BUILT) > _BUILT_MAX:
+            _BUILT.popitem(last=False)
+    return space
+
+
+def _space_from_json(doc: dict) -> SpaceHandle:
     try:
         kind = doc["kind"]
         if kind == "euclidean":

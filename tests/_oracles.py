@@ -5,9 +5,10 @@ code paths: tree distances go through networkx shortest paths on the raw edge
 data, book distances through the two-case unfolding formula, transport costs
 and the arcs of optimal plans through scipy's LP solver, comb sizes
 through a closed-form count, and the cycle audit one tuple at a time.
-Geodesic assembly and the geometry-suite loop are kept in their earlier,
-plainer forms: the constructor that builds every section with generator
-expressions, and the suite loop that goes through the public API only.
+Geodesic assembly, the geometry-suite loop and the tree route are kept in
+their earlier, plainer forms: the constructor that builds every section with
+generator expressions, the suite loop that goes through the public API only,
+and the route that climbs to an LCA for each of its four endpoint pairs.
 """
 
 from __future__ import annotations
@@ -291,3 +292,34 @@ def eval_by_scan(g: Geodesic, t: float) -> Point:
             coords = tuple(a + w * (b - a) for a, b in zip(pc.c0, pc.c1))
             return g.space.impl.normalize(Point(pc.chart, coords))
     return g.end
+
+
+def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
+    """TreeImpl._route as first written: one LCA climb per endpoint pair.
+
+    Each LCA is found from the parent pointers alone: the ancestors of one
+    end, then a climb from the other until it meets them.
+    """
+    impl = space.impl
+
+    def lca(u: int, v: int) -> int:
+        above = {u}
+        while impl.parent[u] >= 0:
+            u = impl.parent[u]
+            above.add(u)
+        while v not in above:
+            v = impl.parent[v]
+        return v
+
+    a, b, lp = impl.edges[p.chart]
+    c, d, lq = impl.edges[q.chart]
+    s, t = p.coords[0], q.coords[0]
+    best = None
+    for u, off_u, cu in ((a, s, 0.0), (b, lp - s, lp)):
+        for v, off_v, cv in ((c, t, 0.0), (d, lq - t, lq)):
+            ui, vi = impl._vidx[u], impl._vidx[v]
+            w = lca(ui, vi)
+            tot = off_u + (impl.droot[ui] + impl.droot[vi] - 2.0 * impl.droot[w]) + off_v
+            if best is None or tot < best[0]:
+                best = (tot, ui, cu, vi, cv, w)
+    return best

@@ -9,6 +9,7 @@ from cat0ot import (
     BadEpsilon,
     BoxRegion,
     EmptyRegion,
+    Geodesic,
     OriginMismatch,
     ParamOutOfRange,
     Point,
@@ -166,6 +167,37 @@ def test_twist_fails_behind_tree_branch_point(tripod):
     assert not rep.twist_holds
     assert rep.max_gap < 1e-9
     assert rep.distinguishing_geodesic is None
+
+
+@pytest.mark.parametrize("name", ["e2", "book3", "tripod"])
+def test_twist_evaluates_each_step_point_once(name, request, monkeypatch):
+    space = request.getfixturevalue(name)
+    rng = substream(29, f"twist once:{name}")
+    calls = []
+    plain_eval = Geodesic.eval
+
+    def counting_eval(g, t):
+        calls.append(t)
+        return plain_eval(g, t)
+
+    for _ in range(5):
+        x, y1, y2 = sample_points(space, rng, 3)
+        dirs = direction_set(space, x, targets=[y1, y2], count=16, seed=3)
+        # the per-target loop: one geodesic_derivative per cost and direction
+        want, witness = 0.0, None
+        for g in dirs:
+            d1 = geodesic_derivative(space, lambda z: cost(space, z, y1), x, g).value
+            d2 = geodesic_derivative(space, lambda z: cost(space, z, y2), x, g).value
+            if abs(d1 - d2) > want:
+                want, witness = abs(d1 - d2), g
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Geodesic, "eval", counting_eval)
+            rep = twist_test(space, x, y1, y2, dirs)
+        # every direction starts at x: the base point and the 11 forward steps
+        assert len(calls) == 12 * len(dirs)
+        assert rep.max_gap.hex() == want.hex()
+        assert rep.distinguishing_geodesic is (witness if rep.twist_holds else None)
 
 
 def test_twist_checks_direction_origins(e2):

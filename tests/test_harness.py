@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -266,3 +267,54 @@ def test_geometry_suite_matches_the_public_api_loop(name, seed):
     assert all(cell["sigma"] is None for cell in rep.metrics.values())
     got = {k: float(cell["value"]).hex() for k, cell in rep.metrics.items()}
     assert got == {k: float(v).hex() for k, v in want.items()}
+
+
+# report bytes pinned by sha256 of the json and csv renderings, computed before
+# tree routes, tree geodesics, twist derivatives and space reuse were reworked
+# to do each piece of work once; any change to the bits of a metric shows here
+
+COMB14 = {"kind": "comb", "depth": 1, "grid": 4}
+TRIPOD = {"kind": "tripod"}
+BOOK3 = {"kind": "open_book", "pages": 3}
+PINNED_REPORTS = {
+    "comb14-suite": (
+        (COMB14, "geometry-suite", {"samples": 100}, 11),
+        "a635a8fae807120a1e209b04a8e49e566829aec0913c59ebf7a9bfc9402dc1fa",
+    ),
+    "tripod-suite": (
+        (TRIPOD, "geometry-suite", {"samples": 100}, 12),
+        "33604d0d8282d9b581c2c013989e7808e20086f05864c627bec9aeaec30e6869",
+    ),
+    "book3-suite": (
+        (BOOK3, "geometry-suite", {"samples": 100}, 13),
+        "c560929491dba9fe498520e4660a771f6ec4d5bb1066f29b54c5564e2c45b329",
+    ),
+    "e2-suite": (
+        (E2, "geometry-suite", {"samples": 100}, 14),
+        "9f29b83f406ea051e91fc5192d3100653b28a5be2b5eebe1e7165dc6cc896441",
+    ),
+    "tripod-twist": (
+        (TRIPOD, "twist", {}, 15),
+        "cb32741f0cc71278c252b8d6f1f2ad9e30cdf141663db11bf155ea02896e6f77",
+    ),
+    "book3-twist": (
+        (BOOK3, "twist", {}, 16),
+        "bf8173208e08665d1779e72c9f344fa2ead189a909c04d3057825e903dac9301",
+    ),
+    "e2-twist": (
+        (E2, "twist", {}, 17),
+        "12cfbf39f073eab0007a5ad175db1d2cd5459c98110f9d1d5c0546543a94a088",
+    ),
+    "comb316-solve": (
+        (SUITE_SPACES["comb316"], "solve", {"instance": "random", "n": 24, "m": 24}, 18),
+        "764ebd9129f898532551e4afeef226780cbd68179f9448c13182f84e2f792d8d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(name):
+    (space, experiment, params, seed), want = PINNED_REPORTS[name]
+    rep = run_scenario(Scenario(space, experiment, params, seed))
+    text = render_report(rep) + render_report(rep, "csv")
+    assert hashlib.sha256(text.encode()).hexdigest() == want

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -37,10 +40,11 @@ from cat0ot import (
     space_from_json,
     space_to_json,
 )
-from cat0ot.harness import sample_points
+from cat0ot import spaces
+from cat0ot.harness import Scenario, render_report, run_scenario, sample_points
 from cat0ot.rng import substream
 
-from _oracles import book_distance, comb_counts, tree_distance
+from _oracles import book_distance, comb_counts, route_by_four_lcas, tree_distance
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +185,44 @@ def test_tree_region_diameter_is_all_pairs_maximum(fixture, request):
     for vs in [verts, verts[::-1]] + balls:
         want = max(impl.vertex_distance(u, v) for u in vs for v in vs)
         assert impl.region_diameter(TreeRegion(tuple(vs))) == want
+
+
+def _route_cases(space, rng):
+    """Point pairs on different edges: sampled, at vertices, and inside edges
+    that share a vertex."""
+    impl = space.impl
+    pts = sample_points(space, rng, 120)
+    verts = list(space.params.vertices)
+    if len(verts) > 60:
+        verts = [verts[int(k)] for k in rng.choice(len(verts), 60, replace=False)]
+    pts += [impl.vertex_point(v) for v in verts]
+    pairs = [(p, q) for p in pts[::3] for q in pts]
+    for v in verts:
+        inc = impl.incident[impl._vidx[v]]
+        for e in inc:
+            for f in inc:
+                for s, t in ((0.25, 0.75), (0.75, 0.25)):
+                    ls, lt = impl.edges[e][2], impl.edges[f][2]
+                    pairs.append((Point(e, (s * ls,)), Point(f, (t * lt,))))
+    return [(p, q) for p, q in pairs if p.chart != q.chart]
+
+
+@pytest.mark.parametrize("name", ["comb316", "comb14", "tripod", "lopsided_tree"])
+def test_route_matches_the_four_lca_loop(name, request):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    cases = {"above both": 0, "at p's lower end": 0, "at q's lower end": 0}
+    for p, q in _route_cases(space, substream(19, f"route:{name}")):
+        got = impl._route(p, q)
+        assert repr(got) == repr(route_by_four_lcas(space, p, q))
+        pl, ql = impl._lower[p.chart], impl._lower[q.chart]
+        top = impl._lca(pl, ql)
+        cases["at p's lower end" if top == pl else "at q's lower end" if top == ql else "above both"] += 1
+    if name == "tripod":
+        # every edge hangs from the root, so no edge lies below another
+        assert cases["above both"] > 0
+    else:
+        assert min(cases.values()) > 0, cases
 
 
 def test_rerooted_subtree_connectivity(lopsided_at_e):
@@ -378,6 +420,100 @@ def test_space_json_rejects_garbage():
         space_from_json({"kind": "euclidean"})
     with pytest.raises(ConfigInvalid):
         space_from_json([1, 2, 3])
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """space_from_json with no space built yet."""
+    monkeypatch.setattr(spaces, "_BUILT", OrderedDict())
+    return spaces
+
+
+def test_space_memo_ignores_key_order(empty_memo):
+    a = space_from_json({"kind": "comb", "depth": 1, "grid": 4})
+    b = space_from_json({"grid": 4, "kind": "comb", "depth": 1})
+    assert a is b
+    assert space_from_json({"kind": "comb", "depth": 1, "grid": 3}) is not a
+
+
+def test_space_memo_never_keeps_a_bad_descriptor(empty_memo):
+    for doc in ({"kind": "comb", "depth": 4, "grid": 4}, {"kind": "euclidean"}, [1, 2, 3]):
+        for _ in range(3):
+            with pytest.raises(ConfigInvalid):
+                space_from_json(doc)
+    assert not empty_memo._BUILT
+    # a list and a tuple vertex id have one canonical JSON; only the tuple is
+    # a valid (hashable) id, and a descriptor that does not read back from its
+    # JSON is built but never kept
+    tuple_ids = {"kind": "tree", "vertices": [(0, 0), (0, 1)], "edges": [[(0, 0), (0, 1), 1.0]]}
+    list_ids = {"kind": "tree", "vertices": [[0, 0], [0, 1]], "edges": [[[0, 0], [0, 1], 1.0]]}
+    assert space_from_json(tuple_ids) is not space_from_json(tuple_ids)
+    with pytest.raises(ConfigInvalid):
+        space_from_json(list_ids)
+    assert not empty_memo._BUILT
+
+
+def test_space_memo_is_bounded(empty_memo):
+    docs = [{"kind": "euclidean", "dim": d} for d in range(1, 2 * empty_memo._BUILT_MAX + 1)]
+    first = [space_from_json(doc) for doc in docs]
+    assert len(empty_memo._BUILT) == empty_memo._BUILT_MAX
+    # the most recent are kept, the oldest were dropped and are built afresh
+    assert space_from_json(docs[-1]) is first[-1]
+    assert space_from_json(docs[0]) is not first[0]
+    assert len(empty_memo._BUILT) == empty_memo._BUILT_MAX
+
+
+def test_space_memo_under_threads(empty_memo):
+    # more descriptors than the memo keeps, so threads evict what others look up
+    docs = [{"kind": "euclidean", "dim": d} for d in range(1, 2 * empty_memo._BUILT_MAX + 3)]
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(400):
+                doc = docs[(i * (k + 1)) % len(docs)]
+                assert space_from_json(doc).dim == doc["dim"]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(empty_memo._BUILT) <= empty_memo._BUILT_MAX
+
+
+def test_reports_from_a_reused_space_equal_a_fresh_build(empty_memo):
+    comb = {"kind": "comb", "depth": 1, "grid": 4}
+    scenarios = [
+        Scenario(comb, "geometry-suite", {"samples": 200}, 4),
+        Scenario(comb, "solve", {"instance": "random", "n": 12, "m": 12}, 5),
+        Scenario(comb, "twist", {}, 6),
+        Scenario(comb, "eilenberg", {}, 7),
+        Scenario({"kind": "tripod"}, "twist", {}, 8),
+    ]
+
+    def rendered():
+        reports = [run_scenario(sc) for sc in scenarios]
+        return [render_report(r) + render_report(r, "csv") for r in reports]
+
+    rendered()
+    impl = space_from_json(comb).impl
+    # the lazy caches of the kept handle are filled by now
+    assert any(impl._vsections) and any(impl._vpoints)
+    reused = rendered()
+    assert space_from_json(comb).impl is impl
+    empty_memo._BUILT.clear()
+    assert reused == rendered()
+    assert space_from_json(comb).impl is not impl
 
 
 def test_point_json_round_trip(tripod, book3, e2):
