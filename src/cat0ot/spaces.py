@@ -210,9 +210,10 @@ class TreeImpl:
         vidx = self._vidx = {v: i for i, v in enumerate(vertices)}
         nv = len(vertices)
         # each edge's endpoints as vertex indices, in the edge's own order
-        eidx = self._eidx = [(vidx[a], vidx[b]) for a, b, _ln in edges]
+        ea = self._ea = [vidx[a] for a, _b, _ln in edges]
+        eb = self._eb = [vidx[b] for _a, b, _ln in edges]
         self.incident: list[list[int]] = [[] for _ in range(nv)]
-        for e, (ia, ib) in enumerate(eidx):
+        for e, (ia, ib) in enumerate(zip(ea, eb)):
             self.incident[ia].append(e)
             self.incident[ib].append(e)
         # rooted structure: the stack pops vertices in preorder, so the subtree
@@ -232,8 +233,7 @@ class TreeImpl:
             self._tin[u] = len(order)
             order.append(u)
             for e in self.incident[u]:
-                ia, ib = eidx[e]
-                w = ib if ia == u else ia
+                w = eb[e] if ea[e] == u else ea[e]
                 if not seen[w]:
                     seen[w] = True
                     self.parent[w] = u
@@ -249,7 +249,7 @@ class TreeImpl:
         self._pre_tout = np.array([self._tout[u] for u in order], dtype=np.int64)
         self._pre_droot = np.array([self.droot[u] for u in order])
         self._ends = np.array(
-            [[self._tin[ia], self._tin[ib]] for ia, ib in eidx], dtype=np.int64
+            [[self._tin[ia], self._tin[ib]] for ia, ib in zip(ea, eb)], dtype=np.int64
         )
         self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
         # per vertex, built on first use (geodesics meet many): its normal point,
@@ -276,9 +276,9 @@ class TreeImpl:
         ln = self.edges[p.chart][2]
         s = min(ln, max(0.0, float(p.coords[0])))
         if s <= SNAP_TOL:
-            return self._vpoint(self._eidx[p.chart][0])
+            return self._vpoint(self._ea[p.chart])
         if s >= ln - SNAP_TOL:
-            return self._vpoint(self._eidx[p.chart][1])
+            return self._vpoint(self._eb[p.chart])
         return Point(p.chart, (s,))
 
     def vertex_point(self, v) -> Point:
@@ -289,7 +289,7 @@ class TreeImpl:
         pt = self._vpoints[i]
         if pt is None:
             e = self.incident[i][0]
-            pt = Point(e, (0.0,) if self._eidx[e][0] == i else (self.edges[e][2],))
+            pt = Point(e, (0.0,) if self._ea[e] == i else (self.edges[e][2],))
             self._vpoints[i] = pt
         return pt
 
@@ -330,8 +330,8 @@ class TreeImpl:
         p's edge, v ends q's edge, cu, cv are their offsets on those edges, and
         w is the LCA of u and v; u, v and w are vertex indices."""
         e, f = p.chart, q.chart
-        a, b = self._eidx[e]
-        c, d = self._eidx[f]
+        a, b = self._ea[e], self._eb[e]
+        c, d = self._ea[f], self._eb[f]
         lp = self.edges[e][2]
         lq = self.edges[f][2]
         s, t = p.coords[0], q.coords[0]
@@ -374,7 +374,7 @@ class TreeImpl:
         """(up, down): the measured sections from vertex index u to its parent and back."""
         e = self.parent_edge[u]
         ln = self.edges[e][2]
-        cu, cp = ((0.0,), (ln,)) if self._eidx[e][0] == u else ((ln,), (0.0,))
+        cu, cp = ((0.0,), (ln,)) if self._ea[e] == u else ((ln,), (0.0,))
         # the length is symmetric in its ends, bit for bit
         sl = section_length(cu, cp)
         up = (e, cu, cp, sl, self.normalize(Point(e, cp)))
