@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, sub
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DegenerateTriangle,
@@ -106,16 +106,23 @@ class SpaceHandle:
 class Geodesic:
     """A constant-speed curve on [0, 1] between two points.
 
-    `breakpoints` lists the interior chart transitions (spine crossings, tree
-    vertices) as (parameter, point) pairs in increasing parameter order.
+    `pieces` are its straight-in-chart sections in increasing parameter
+    order; each ends where the next begins, at a chart transition (spine
+    crossing, tree vertex).
     """
 
     space: SpaceHandle
     start: Point
     end: Point
     length: float
-    breakpoints: tuple[tuple[float, Point], ...]
     pieces: tuple[Piece, ...]
+
+    @property
+    def breakpoints(self) -> tuple[tuple[float, Point], ...]:
+        """The interior chart transitions as (parameter, normal point) pairs,
+        in increasing parameter order: the end of every piece but the last."""
+        normal = self.space.impl.normalize
+        return tuple((pc.t1, normal(Point(pc.chart, pc.c1))) for pc in self.pieces[:-1])
 
     def eval(self, t: float) -> Point:
         if not (-1e-12 <= t <= 1 + 1e-12):
@@ -144,8 +151,7 @@ class Geodesic:
             Piece(1 - pc.t1, 1 - pc.t0, pc.chart, pc.c1, pc.c0)
             for pc in reversed(self.pieces)
         )
-        brk = tuple((1 - t, p) for t, p in reversed(self.breakpoints))
-        return Geodesic(self.space, self.end, self.start, self.length, brk, rev)
+        return Geodesic(self.space, self.end, self.start, self.length, rev)
 
 
 @dataclass(frozen=True)
@@ -392,53 +398,50 @@ def section_length(c0: Sequence, c1: Sequence) -> float:
 def geodesic_from_chain(space: SpaceHandle, chain: Sequence[tuple]) -> Geodesic:
     """Assemble a Geodesic from consecutive straight-in-chart sections.
 
-    A section is (chart, c0, c1), or (chart, c0, c1, length, end) when the
-    space has measured it already: an int chart, float coordinates, their
-    `section_length` and the normal point at c1, all taken as given. Zero-length
-    sections are dropped; breakpoints are recorded at the surviving junctions.
-    The chain is trusted to be a geodesic of the space.
+    A section is (chart, c0, c1), or (chart, c0, c1, length) when the space
+    has measured it already: an int chart, float coordinates and their
+    `section_length`, all taken as given. Zero-length sections are dropped
+    and collinear ones in the same chart merged; the surviving junctions are
+    the geodesic's breakpoints. The chain is trusted to be a geodesic of the
+    space.
     """
-    segs: list[tuple[int, tuple, tuple, float, Optional[Point]]] = []
+    segs: list[tuple[int, tuple, tuple, float]] = []
     for sec in chain:
-        if len(sec) == 5:
-            chart, c0, c1, ln, end = sec
+        if len(sec) == 4:
+            chart, c0, c1, ln = sec
         else:
             chart, c0, c1 = sec
             ln = section_length(c0, c1)
             chart = int(chart)
             c0 = tuple(map(float, c0))
             c1 = tuple(map(float, c1))
-            end = None
         if ln == 0:
             continue
         if segs and segs[-1][0] == chart and segs[-1][2] == c0:
             # same chart, continuing where the last section ended: merge if collinear
-            _pch, pc0, pc1, pln, _pend = segs[-1]
+            _pch, pc0, pc1, pln = segs[-1]
             if all(
                 abs((b - a) / pln - (d - c) / ln) <= 1e-12
                 for a, b, c, d in zip(pc0, pc1, c0, c1)
             ):
-                segs[-1] = (chart, pc0, c1, pln + ln, end)
+                segs[-1] = (chart, pc0, c1, pln + ln)
                 continue
-        segs.append((chart, c0, c1, ln, end))
+        segs.append((chart, c0, c1, ln))
     normal = space.impl.normalize
     if not segs:
         chart, c0 = chain[0][:2]
         p = normal(Point(int(chart), tuple(map(float, c0))))
         pc = Piece(0.0, 1.0, p.chart, p.coords, p.coords)
-        return Geodesic(space, p, p, 0.0, (), (pc,))
+        return Geodesic(space, p, p, 0.0, (pc,))
     total = sum([s[3] for s in segs])
     pieces = []
-    breakpoints = []
     acc = 0.0
-    for chart, c0, c1, ln, end in segs[:-1]:
+    for chart, c0, c1, ln in segs[:-1]:
         t0 = acc / total
         acc += ln
-        t1 = acc / total
-        pieces.append(Piece(t0, t1, chart, c0, c1))
-        breakpoints.append((t1, end or normal(Point(chart, c1))))
-    chart, c0, c1, _ln, end = segs[-1]
+        pieces.append(Piece(t0, acc / total, chart, c0, c1))
+    chart, c0, c1, _ln = segs[-1]
     pieces.append(Piece(acc / total, 1.0, chart, c0, c1))
     start = normal(Point(segs[0][0], segs[0][1]))
-    end = end or normal(Point(chart, c1))
-    return Geodesic(space, start, end, total, tuple(breakpoints), tuple(pieces))
+    end = normal(Point(chart, c1))
+    return Geodesic(space, start, end, total, tuple(pieces))

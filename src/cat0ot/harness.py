@@ -45,17 +45,6 @@ from .transport import (
     verify_transport_identity,
 )
 
-EXPERIMENTS = (
-    "solve",
-    "monotonicity",
-    "twist",
-    "fermat",
-    "eilenberg",
-    "transport-identity",
-    "polar",
-    "geometry-suite",
-)
-
 LADDER = (5, 9, 17, 33, 49)
 
 
@@ -523,6 +512,7 @@ _RUNNERS: dict[str, Callable[[SpaceHandle, dict, int], tuple[dict, bool]]] = {
     "polar": _run_polar,
     "geometry-suite": _run_geometry_suite,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,6 @@ def inverse_map(
     return t_fwd, t_bwd
 
 
-def _atom_index(m: DiscreteMeasure, p: Point) -> int:
-    for i, q in enumerate(m.points):
-        if q.chart == p.chart and q.coords == p.coords:
-            return i
-    raise MapUndefined(f"point {p} is not an atom of the measure")
-
-
 def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) -> Factorization:
     """Factor s through the optimal map onto its pushforward: s = T o u, u preserving mu.
 
@@ -74,10 +67,10 @@ def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) ->
             where.append(len(merged) - 1)
     nu = measure(space, merged, [w / sum(weights) for w in weights])
 
-    t_fwd = _solve_map(space, mu, nu, "forward")
-    t_bwd = _solve_map(space, nu, mu, "backward")
-    u_points = tuple(t_bwd.points[where[i]] for i in range(len(mu.points)))
-    u_targets = tuple(_atom_index(mu, p) for p in u_points)
+    t_fwd, t_bwd = inverse_map(space, mu, nu)
+    # mu's atoms are distinct, so T*'s target indices locate u's images in mu
+    u_points = tuple(t_bwd.points[k] for k in where)
+    u_targets = tuple(t_bwd.targets[k] for k in where)
     u = TransportMap(mu, u_points, u_targets)
     residual = 0.0
     for i in range(len(mu.points)):

@@ -9,10 +9,9 @@ derivative-based testers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,7 +29,6 @@ from .errors import (
 from .geometry import (
     BallRegion,
     BoxRegion,
-    EmptyRegion,
     Geodesic,
     Point,
     SpaceHandle,
@@ -95,7 +93,7 @@ class EuclideanImpl:
         return Point(0, tuple(map(float, p.coords)))
 
     def distance(self, p: Point, q: Point) -> float:
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p.coords, q.coords)))
+        return section_length(p.coords, q.coords)
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         return geodesic_from_chain(self.handle, [(0, p.coords, q.coords)])
@@ -196,10 +194,9 @@ class TreeImpl:
     endpoint, and v when w is q's.
 
     Section cache: each vertex keeps, filled on first use, its normal point
-    and the measured sections (chart, c0, c1, length, end) to its parent and
-    back, with float offsets, their `section_length` and the normal point at
-    c1. Tree geodesics hand these to `geodesic_from_chain`, which takes them
-    as given, so a geodesic's breakpoints are the cached vertex points.
+    and the measured sections (chart, c0, c1, length) to its parent and back,
+    with float offsets and their `section_length`. Tree geodesics hand these
+    to `geodesic_from_chain`, which takes them as given.
     """
 
     def __init__(self, vertices: tuple, edges: tuple, root):
@@ -377,8 +374,7 @@ class TreeImpl:
         cu, cp = ((0.0,), (ln,)) if self._ea[e] == u else ((ln,), (0.0,))
         # the length is symmetric in its ends, bit for bit
         sl = section_length(cu, cp)
-        up = (e, cu, cp, sl, self.normalize(Point(e, cp)))
-        down = (e, cp, cu, sl, self.normalize(Point(e, cu)))
+        up, down = (e, cu, cp, sl), (e, cp, cu, sl)
         self._vsections[u] = (up, down)
         return up, down
 
@@ -818,18 +814,6 @@ def space_to_json(space: SpaceHandle) -> dict:
     raise ConfigInvalid("kind", f"unknown space kind {space.kind}")
 
 
-# Built spaces by canonical descriptor, least recently used first. This relies
-# on descriptors repeating within one process: a geometry-tree benchmark pass
-# runs 15 scenarios on 5 spaces, and a CLI call builds its one space once,
-# while a comb(3, 16) takes tens of milliseconds to build. A built handle is
-# never changed after its builder returns, except for the tree's lazily filled
-# per-vertex caches, whose contents do not depend on the order they are filled
-# in; so one handle serves every caller.
-_BUILT: OrderedDict[str, SpaceHandle] = OrderedDict()
-_BUILT_MAX = 8
-_BUILT_LOCK = threading.Lock()
-
-
 def space_from_json(doc: dict) -> SpaceHandle:
     """The space a JSON descriptor names, built once per distinct descriptor.
 
@@ -844,17 +828,20 @@ def space_from_json(doc: dict) -> SpaceHandle:
         kept = False
     if not kept:
         return _space_from_json(doc)
-    with _BUILT_LOCK:
-        space = _BUILT.get(key)
-        if space is not None:
-            _BUILT.move_to_end(key)
-            return space
-    space = _space_from_json(doc)
-    with _BUILT_LOCK:
-        _BUILT[key] = space
-        if len(_BUILT) > _BUILT_MAX:
-            _BUILT.popitem(last=False)
-    return space
+    return _built(key)
+
+
+# The last 8 built spaces, by canonical descriptor. This relies on descriptors
+# repeating within one process: a geometry-tree benchmark pass runs 15
+# scenarios on 5 spaces, and a CLI call builds its one space once, while a
+# comb(3, 16) takes tens of milliseconds to build. A built handle is never
+# changed after its builder returns, except for the tree's lazily filled
+# per-vertex caches, whose contents do not depend on the order they are filled
+# in; so one handle serves every caller. lru_cache is thread-safe, and it keeps
+# no result for a call that raised.
+@functools.lru_cache(maxsize=8)
+def _built(key: str) -> SpaceHandle:
+    return _space_from_json(json.loads(key))
 
 
 def _space_from_json(doc: dict) -> SpaceHandle:

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedShape,
     WeightMismatch,
 )
-from .geometry import Geodesic, Point, SpaceHandle, distance, normalize
+from .geometry import Point, SpaceHandle, distance, normalize
 from .rng import substream
 
 MAX_SUPPORT = 10_000
@@ -523,7 +523,6 @@ def verify_transport_identity(
     psi_grid: GridPotential,
     T: TransportMap,
     x_index: int,
-    h: Optional[float] = None,
 ) -> TransportIdentityReport:
     """First-order identity at a grid node: D psi along x -> T(x) cancels D_x c.
 
@@ -534,8 +533,6 @@ def verify_transport_identity(
     """
     if space.kind != "euclidean":
         raise ParamOutOfRange("grid potentials are defined on Euclidean spaces only")
-    if h is None:
-        h = psi_grid.pitch
     if x_index not in range(len(T.source.points)):
         raise MapUndefined(f"map carries no source index {x_index}")
     if not psi_grid.is_interior(x_index):

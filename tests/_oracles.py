@@ -205,8 +205,12 @@ def cyclic_monotonicity_by_tuple(
     return {"violations": violations, "worst_slack": worst}
 
 
-def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> Geodesic:
-    """geodesic_from_chain as first written: per-section generator expressions."""
+def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> tuple[Geodesic, tuple]:
+    """geodesic_from_chain as first written: per-section generator expressions.
+
+    Returns the geodesic and, next to it, its breakpoints as a list of
+    (parameter, normal point) pairs built junction by junction.
+    """
     segs = []
     for chart, c0, c1 in chain:
         ln = math.sqrt(sum((b - a) ** 2 for a, b in zip(c0, c1)))
@@ -227,7 +231,7 @@ def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> Geodesic:
         chart, c0, _ = chain[0]
         p = space.impl.normalize(Point(int(chart), tuple(map(float, c0))))
         pc = Piece(0.0, 1.0, p.chart, p.coords, p.coords)
-        return Geodesic(space, p, p, 0.0, (), (pc,))
+        return Geodesic(space, p, p, 0.0, (pc,)), ()
     total = sum(s[3] for s in segs)
     pieces = []
     breakpoints = []
@@ -241,7 +245,7 @@ def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> Geodesic:
             breakpoints.append((t1, space.impl.normalize(Point(chart, c1))))
     start = space.impl.normalize(Point(segs[0][0], segs[0][1]))
     end = space.impl.normalize(Point(segs[-1][0], segs[-1][2]))
-    return Geodesic(space, start, end, total, tuple(breakpoints), tuple(pieces))
+    return Geodesic(space, start, end, total, tuple(pieces)), tuple(breakpoints)
 
 
 def geometry_suite_by_public_api(space: SpaceHandle, samples: int, seed: int) -> dict:

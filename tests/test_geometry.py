@@ -61,6 +61,21 @@ def test_geodesic_reverse(tripod):
     assert distance(tripod, r.eval(0.3), g.eval(0.7)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["e2", "book3", "tripod", "comb14", "comb316"])
+def test_reversed_breakpoints_mirror_the_forward_ones(name, request):
+    space = request.getfixturevalue(name)
+    rng = substream(29, "reverse")
+    crossed = 0
+    for _ in range(50):
+        p, q = sample_points(space, rng, 2)
+        g = space.impl.geodesic(p, q)
+        want = tuple((1 - t, b) for t, b in reversed(g.breakpoints))
+        assert repr(g.reverse().breakpoints) == repr(want)
+        crossed += len(want)
+    if name != "e2":
+        assert crossed > 0
+
+
 def test_constant_speed_on_all_spaces(e2, tripod, book3):
     for space in (e2, tripod, book3):
         rng = substream(21, f"speed:{space.kind}")
@@ -114,21 +129,24 @@ def test_geodesic_from_chain_merges_collinear_sections(e2):
 
 def _bits(g):
     """The constructed fields, and their repr, which tells -0.0 and numpy scalars apart."""
-    fields = (g.start, g.end, g.length, g.breakpoints, g.pieces)
+    fields = (g.start, g.end, g.length, g.pieces)
     return fields, repr(fields)
 
 
 def _check_against_section_loop(space, chain):
     g = geodesic_from_chain(space, chain)
     for sec in chain:
-        if len(sec) == 5:
-            # a measured section carries the length the section loop computes,
-            # and the normal point at its end
-            chart, c0, c1, ln, end = sec
+        assert len(sec) in (3, 4)
+        if len(sec) == 4:
+            # a measured section carries the length the section loop computes
+            chart, c0, c1, ln = sec
             assert ln.hex() == math.sqrt(sum((b - a) ** 2 for a, b in zip(c0, c1))).hex()
-            assert repr(end) == repr(space.impl.normalize(Point(chart, c1)))
     plain = [sec[:3] for sec in chain]
-    assert _bits(g) == _bits(geodesic_from_chain_by_section(space, plain))
+    want, want_breakpoints = geodesic_from_chain_by_section(space, plain)
+    assert _bits(g) == _bits(want)
+    # the derived breakpoints equal the ones the section loop records per junction
+    assert g.breakpoints == want_breakpoints
+    assert repr(g.breakpoints) == repr(want_breakpoints)
     ts = [0.0, 1e-13, 0.5, 1.0 - 1e-13, 1.0] + [t for t, _p in g.breakpoints]
     ts += [pc.t0 + 0.3 * (pc.t1 - pc.t0) for pc in g.pieces]
     for t in ts:
@@ -160,7 +178,7 @@ def test_geodesic_from_chain_matches_the_section_loop(name, request, monkeypatch
     assert len(chains) >= 300
     if name in ("comb14", "comb316", "lopsided_tree"):
         # geodesics that cross whole edges hand over the sections measured per vertex
-        assert any(len(sec) == 5 for chain in chains for sec in chain)
+        assert any(len(sec) == 4 for chain in chains for sec in chain)
     for chain in chains:
         _check_against_section_loop(space, chain)
 

@@ -9,6 +9,7 @@ import pytest
 from cat0ot import ConfigInvalid, IoFailure, Point
 from cat0ot.cli import main
 from cat0ot.harness import (
+    _ALLOWED_PARAMS,
     EXPERIMENTS,
     Report,
     Scenario,
@@ -62,6 +63,21 @@ def test_config_overrides_win():
     )
     assert sc.experiment == "polar"
     assert sc.seed == 9
+
+
+def test_experiments_are_the_runners_and_their_params():
+    # the CLI choices, in their order, and one parameter whitelist per experiment
+    assert EXPERIMENTS == (
+        "solve",
+        "monotonicity",
+        "twist",
+        "fermat",
+        "eilenberg",
+        "transport-identity",
+        "polar",
+        "geometry-suite",
+    )
+    assert sorted(_ALLOWED_PARAMS) == sorted(EXPERIMENTS)
 
 
 def test_malformed_space_fails_at_run():
@@ -308,6 +324,12 @@ PINNED_REPORTS = {
     "comb316-solve": (
         (SUITE_SPACES["comb316"], "solve", {"instance": "random", "n": 24, "m": 24}, 18),
         "764ebd9129f898532551e4afeef226780cbd68179f9448c13182f84e2f792d8d",
+    ),
+    # computed before geodesics stopped storing their breakpoints: the suite
+    # whose geodesics are built most from measured tree sections
+    "comb316-suite": (
+        (SUITE_SPACES["comb316"], "geometry-suite", {"samples": 50}, 19),
+        "eb2e51c14f22253d7211879a390e1ec5effbe693018d00c629bcf1610144f1b4",
     ),
 }
 

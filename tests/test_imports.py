@@ -1,0 +1,66 @@
+"""Every name a library module imports is used in it (no linter is installed)."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cat0ot"
+# the package's __init__ imports names to re-export them
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads.
+
+    A name counts as read when it appears as a name expression anywhere,
+    inside a string annotation, or in `__all__`.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations += [a.annotation for a in every if a is not None]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                read |= {n.id for n in ast.walk(ast.parse(ann.value)) if isinstance(n, ast.Name)}
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        ):
+            read |= {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in sorted(bound.items()) if name not in read]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = (
+        "from typing import Optional, Sequence\n"
+        "import os.path\n"
+        "import json as js\n"
+        "def f(x: 'Sequence[int]') -> None:\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == ["Optional (line 1)", "js (line 3)"]

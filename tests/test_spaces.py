@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -423,10 +422,10 @@ def test_space_json_rejects_garbage():
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
+def empty_memo():
     """space_from_json with no space built yet."""
-    monkeypatch.setattr(spaces, "_BUILT", OrderedDict())
-    return spaces
+    spaces._built.cache_clear()
+    return spaces._built
 
 
 def test_space_memo_ignores_key_order(empty_memo):
@@ -441,7 +440,7 @@ def test_space_memo_never_keeps_a_bad_descriptor(empty_memo):
         for _ in range(3):
             with pytest.raises(ConfigInvalid):
                 space_from_json(doc)
-    assert not empty_memo._BUILT
+    assert empty_memo.cache_info().currsize == 0
     # a list and a tuple vertex id have one canonical JSON; only the tuple is
     # a valid (hashable) id, and a descriptor that does not read back from its
     # JSON is built but never kept
@@ -450,22 +449,24 @@ def test_space_memo_never_keeps_a_bad_descriptor(empty_memo):
     assert space_from_json(tuple_ids) is not space_from_json(tuple_ids)
     with pytest.raises(ConfigInvalid):
         space_from_json(list_ids)
-    assert not empty_memo._BUILT
+    assert empty_memo.cache_info().currsize == 0
 
 
 def test_space_memo_is_bounded(empty_memo):
-    docs = [{"kind": "euclidean", "dim": d} for d in range(1, 2 * empty_memo._BUILT_MAX + 1)]
+    keep = empty_memo.cache_info().maxsize
+    docs = [{"kind": "euclidean", "dim": d} for d in range(1, 2 * keep + 1)]
     first = [space_from_json(doc) for doc in docs]
-    assert len(empty_memo._BUILT) == empty_memo._BUILT_MAX
+    assert empty_memo.cache_info().currsize == keep
     # the most recent are kept, the oldest were dropped and are built afresh
     assert space_from_json(docs[-1]) is first[-1]
     assert space_from_json(docs[0]) is not first[0]
-    assert len(empty_memo._BUILT) == empty_memo._BUILT_MAX
+    assert empty_memo.cache_info().currsize == keep
 
 
 def test_space_memo_under_threads(empty_memo):
     # more descriptors than the memo keeps, so threads evict what others look up
-    docs = [{"kind": "euclidean", "dim": d} for d in range(1, 2 * empty_memo._BUILT_MAX + 3)]
+    keep = empty_memo.cache_info().maxsize
+    docs = [{"kind": "euclidean", "dim": d} for d in range(1, 2 * keep + 3)]
     errors = []
 
     def work(k):
@@ -488,7 +489,7 @@ def test_space_memo_under_threads(empty_memo):
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(empty_memo._BUILT) <= empty_memo._BUILT_MAX
+    assert empty_memo.cache_info().currsize <= keep
 
 
 def test_reports_from_a_reused_space_equal_a_fresh_build(empty_memo):
@@ -511,7 +512,7 @@ def test_reports_from_a_reused_space_equal_a_fresh_build(empty_memo):
     assert any(impl._vsections) and any(impl._vpoints)
     reused = rendered()
     assert space_from_json(comb).impl is impl
-    empty_memo._BUILT.clear()
+    empty_memo.cache_clear()
     assert reused == rendered()
     assert space_from_json(comb).impl is not impl
 
