@@ -41,6 +41,7 @@ DIFF_TOL = 1e-5
 GAP_TOL = 1e-6
 
 __all__ = [
+    "DEFAULT_STEPS",
     "DerivativeEstimate",
     "TwistReport",
     "FermatReport",

@@ -11,6 +11,10 @@ take points that are already normal (validated, then passed through
 `impl.normalize`) and never check them again. Points that come out of
 `impl.normalize`, `Geodesic.eval` and the library's geodesics are normal, so
 code holding them calls `space.impl` directly.
+
+The impl supplies only what differs between families: `impl.continuation`
+returns the sections past a geodesic's end that `extend` assembles, and
+`impl.project_segment` is given only geodesics of positive length.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Optional, Sequence
 from .errors import (
     DegenerateTriangle,
     NotATriangle,
+    NotExtendable,
     OriginMismatch,
     ParamOutOfRange,
     PointNotOnGeodesic,
@@ -36,6 +41,7 @@ PT_TOL = 1e-9
 
 __all__ = [
     "Point",
+    "point",
     "Piece",
     "Geodesic",
     "AngleEstimate",
@@ -51,10 +57,13 @@ __all__ = [
     "geodesic",
     "convex_combination",
     "comparison_angle",
+    "comparison_angle_sequence",
     "alexandrov_angle",
     "cat0_defect",
     "project_convex",
     "extend",
+    "parameter_on",
+    "geodesic_from_chain",
     "normalize",
     "points_equal",
 ]
@@ -338,7 +347,10 @@ def project_convex(space: SpaceHandle, x: Point, cset) -> Point:
         # the entry point of [center, x] into the sphere
         return space.impl.geodesic(center, xn).eval(cset.radius / d0)
     if isinstance(cset, Segment):
-        return space.impl.project_segment(xn, cset.geodesic)
+        g = cset.geodesic
+        if g.length == 0:
+            return g.start
+        return space.impl.project_segment(xn, g)
     if isinstance(cset, Subtree):
         proj = getattr(space.impl, "project_subtree", None)
         if proj is None:
@@ -351,12 +363,16 @@ def extend(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:
     """Prolong g beyond its endpoint by arc length delta, keeping constant speed.
 
     At branch points (book spine, tree vertices) the continuation enters the
-    admissible chart with the lowest identifier. Raises NotExtendable when the
-    endpoint admits no continuation.
+    admissible chart with the lowest identifier. Raises ParamOutOfRange unless
+    delta is positive and finite, and NotExtendable when g has no direction or
+    its endpoint admits no continuation.
     """
-    if delta <= 0:
-        raise ParamOutOfRange(f"extension length {delta} must be positive")
-    return space.impl.extend(g, delta)
+    if not 0 < delta < math.inf:
+        raise ParamOutOfRange(f"extension length {delta} must be positive and finite")
+    if g.length == 0:
+        raise NotExtendable("zero-length geodesic has no direction")
+    chain = [(pc.chart, pc.c0, pc.c1) for pc in g.pieces]
+    return geodesic_from_chain(space, chain + space.impl.continuation(g.pieces[-1], delta))
 
 
 def parameter_on(space: SpaceHandle, g: Geodesic, x: Point, tol: float = PT_TOL) -> float:
@@ -371,14 +387,7 @@ def parameter_on(space: SpaceHandle, g: Geodesic, x: Point, tol: float = PT_TOL)
         coords = space.impl.represent_in_chart(xn, pc.chart)
         if coords is None:
             continue
-        seg = [b - a for a, b in zip(pc.c0, pc.c1)]
-        sq = sum(v * v for v in seg)
-        if sq == 0:
-            w = 0.0
-        else:
-            w = sum((c - a) * v for c, a, v in zip(coords, pc.c0, seg)) / sq
-            w = min(1.0, max(0.0, w))
-        proj = [a + w * v for a, v in zip(pc.c0, seg)]
+        w, proj = segment_projection(coords, pc.c0, pc.c1)
         err = math.sqrt(sum((c - p) ** 2 for c, p in zip(coords, proj)))
         if err <= tol:
             t = pc.t0 + w * (pc.t1 - pc.t0)
@@ -387,6 +396,19 @@ def parameter_on(space: SpaceHandle, g: Geodesic, x: Point, tol: float = PT_TOL)
     if best is None:
         raise PointNotOnGeodesic("point is not on the geodesic (within 1e-9)")
     return best
+
+
+def segment_projection(coords: Sequence, c0: Sequence, c1: Sequence) -> tuple[float, list]:
+    """(w, proj): the nearest point proj = c0 + w (c1 - c0) of the chart segment
+    [c0, c1] to coords, with w clamped to [0, 1] (0 on a segment of length 0)."""
+    seg = [b - a for a, b in zip(c0, c1)]
+    sq = sum(v * v for v in seg)
+    if sq == 0:
+        w = 0.0
+    else:
+        w = sum((c - a) * v for c, a, v in zip(coords, c0, seg)) / sq
+        w = min(1.0, max(0.0, w))
+    return w, [a + w * v for a, v in zip(c0, seg)]
 
 
 def section_length(c0: Sequence, c1: Sequence) -> float:

@@ -20,7 +20,7 @@ from .calculus import (
     geodesic_derivative,
     twist_test,
 )
-from .errors import Cat0otError, ConfigInvalid, IoFailure, ParamOutOfRange
+from .errors import ConfigInvalid, IoFailure, ParamOutOfRange
 from .geometry import (
     BallRegion,
     BoxRegion,
@@ -562,12 +562,7 @@ def run_scenario(scenario: Scenario) -> Report:
     """Run one experiment; identical scenarios produce identical reports."""
     if scenario.experiment not in _RUNNERS:
         raise ConfigInvalid("experiment", f"unknown experiment {scenario.experiment!r}")
-    try:
-        space = space_from_json(scenario.space)
-    except ConfigInvalid:
-        raise
-    except Cat0otError as exc:
-        raise ConfigInvalid("space", str(exc)) from exc
+    space = space_from_json(scenario.space)
     start = time.perf_counter()
     metrics, passed = _RUNNERS[scenario.experiment](space, scenario.params, scenario.seed)
     runtime_ms = int(1000.0 * (time.perf_counter() - start))

@@ -2,9 +2,10 @@
 
 Each builder returns a SpaceHandle whose `impl` object realizes the chart
 logic for its family: point validation and canonical form, exact distances
-and geodesics, one-sided geodesic extension, nearest-point helpers, region
-sampling for the Monte Carlo estimators, and direction targets for the
-derivative-based testers.
+and geodesics, the sections that continue a geodesic past its end,
+nearest-point helpers, region sampling for the Monte Carlo estimators, and
+direction targets for the derivative-based testers; `geometry` holds what
+the families share.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from .geometry import (
     BallRegion,
     BoxRegion,
     Geodesic,
+    Piece,
     Point,
     SpaceHandle,
     TreeRegion,
     geodesic_from_chain,
     section_length,
+    segment_projection,
 )
 from .rng import substream
 
@@ -101,26 +104,13 @@ class EuclideanImpl:
     def represent_in_chart(self, p: Point, chart: int) -> Optional[tuple]:
         return p.coords if chart == 0 else None
 
-    def extend(self, g: Geodesic, delta: float) -> Geodesic:
-        if g.length == 0:
-            raise NotExtendable("zero-length geodesic has no direction")
-        pc = g.pieces[-1]
+    def continuation(self, pc: Piece, delta: float) -> list[tuple]:
         seg = [b - a for a, b in zip(pc.c0, pc.c1)]
         ln = math.sqrt(sum(v * v for v in seg))
-        tip = tuple(c + delta * v / ln for c, v in zip(pc.c1, seg))
-        chain = [(q.chart, q.c0, q.c1) for q in g.pieces] + [(0, pc.c1, tip)]
-        return geodesic_from_chain(self.handle, chain)
+        return [(0, pc.c1, tuple(c + delta * v / ln for c, v in zip(pc.c1, seg)))]
 
     def project_segment(self, x: Point, g: Geodesic) -> Point:
-        if g.length == 0:
-            return g.start
-        a = g.start.coords
-        seg = [b - c for c, b in zip(a, g.end.coords)]
-        w = sum((xc - c) * v for xc, c, v in zip(x.coords, a, seg)) / sum(
-            v * v for v in seg
-        )
-        w = min(1.0, max(0.0, w))
-        return Point(0, tuple(c + w * v for c, v in zip(a, seg)))
+        return Point(0, tuple(segment_projection(x.coords, g.start.coords, g.end.coords)[1]))
 
     # Regions.
 
@@ -391,11 +381,8 @@ class TreeImpl:
             return (ln,)
         return None
 
-    def extend(self, g: Geodesic, delta: float) -> Geodesic:
-        if g.length == 0:
-            raise NotExtendable("zero-length geodesic has no direction")
-        chain = [(q.chart, q.c0, q.c1) for q in g.pieces]
-        pc = g.pieces[-1]
+    def continuation(self, pc: Piece, delta: float) -> list[tuple]:
+        chain = []
         e = pc.chart
         s = pc.c1[0]
         forward = pc.c1[0] > pc.c0[0]
@@ -404,51 +391,40 @@ class TreeImpl:
             a, b, ln = self.edges[e]
             room = (ln - s) if forward else s
             if room >= remaining:
-                s2 = s + remaining if forward else s - remaining
-                chain.append((e, (s,), (s2,)))
-                remaining = 0.0
+                chain.append((e, (s,), (s + remaining if forward else s - remaining,)))
                 break
             if room > 0:
                 chain.append((e, (s,), (ln,) if forward else (0.0,)))
                 remaining -= room
             v = b if forward else a
-            nxt = None
-            for e2 in self.incident[self._vidx[v]]:
-                if e2 != e:
-                    nxt = e2
-                    break
-            if nxt is None:
+            e = next((e2 for e2 in self.incident[self._vidx[v]] if e2 != e), None)
+            if e is None:
                 raise NotExtendable(f"leaf vertex {v} admits no continuation")
-            e = nxt
             a2, _b2, ln2 = self.edges[e]
             forward = a2 == v
             s = 0.0 if forward else ln2
-        return geodesic_from_chain(self.handle, chain)
+        return chain
 
     def project_segment(self, x: Point, g: Geodesic) -> Point:
         # Gromov-product parameter; exact on trees.
-        if g.length == 0:
-            return g.start
         da = self.distance(x, g.start)
         db = self.distance(x, g.end)
         t = (da + g.length - db) / (2.0 * g.length)
         return g.eval(min(1.0, max(0.0, t)))
 
-    def induced_edges(self, vertex_set) -> list[int]:
-        vs = set(vertex_set)
-        unknown = vs - set(self.vertices)
-        if unknown:
-            raise UnsupportedConvexSet(f"unknown vertices {sorted(unknown)}")
-        return [e for e, (a, b, _ln) in enumerate(self.edges) if a in vs and b in vs]
-
     def _check_subtree(self, vertex_set) -> list[int]:
+        """The sorted edge indices the connected vertex set induces."""
         vs = list(dict.fromkeys(vertex_set))
         if not vs:
             raise UnsupportedConvexSet("empty vertex set")
-        edges = self.induced_edges(vs)
-        # each component of the induced forest has one member whose parent is outside
+        unknown = [v for v in vs if v not in self._vidx]
+        if unknown:
+            raise UnsupportedConvexSet(f"unknown vertices {sorted(unknown)}")
+        # every edge joins a vertex to its parent; the members' induced forest
+        # is connected when it has one edge fewer than members
         members = {self._vidx[v] for v in vs}
-        if sum(self.parent[u] not in members for u in members) != 1:
+        edges = sorted(self.parent_edge[u] for u in members if self.parent[u] in members)
+        if len(edges) != len(members) - 1:
             raise UnsupportedConvexSet("vertex set does not induce a connected subtree")
         return edges
 
@@ -459,26 +435,20 @@ class TreeImpl:
         xv = self._vertex_of(x)
         if xv is not None and xv in set(vertex_set):
             return self.vertex_point(xv)
-        best = None
-        for v in dict.fromkeys(vertex_set):
-            d = self.distance(x, self.vertex_point(v))
-            if best is None or d < best[0]:
-                best = (d, v)
-        return self.vertex_point(best[1])
+        return min(
+            map(self.vertex_point, dict.fromkeys(vertex_set)), key=lambda p: self.distance(x, p)
+        )
 
     # Regions.
 
-    def _region_edges(self, region: TreeRegion) -> list[int]:
-        return self._check_subtree(region.vertices)
-
     def region_volume(self, region) -> float:
         if isinstance(region, TreeRegion):
-            return sum(self.edges[e][2] for e in self._region_edges(region))
+            return sum(self.edges[e][2] for e in self._check_subtree(region.vertices))
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on trees")
 
     def region_diameter(self, region) -> float:
         if isinstance(region, TreeRegion):
-            self._region_edges(region)
+            self._check_subtree(region.vertices)
             # double sweep: exact on the connected vertex set of a tree
             vs = list(dict.fromkeys(region.vertices))
             far = max(vs, key=lambda v: self.vertex_distance(vs[0], v))
@@ -488,7 +458,7 @@ class TreeImpl:
     def sample_region(self, region, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
         if not isinstance(region, TreeRegion):
             raise UnsupportedRegion(f"{type(region).__name__} unsupported on trees")
-        edges = self._region_edges(region)
+        edges = self._check_subtree(region.vertices)
         if not edges:
             raise UnsupportedRegion("subtree region has zero length")
         lens = np.asarray([self.edges[e][2] for e in edges])
@@ -570,44 +540,29 @@ class BookImpl:
             return (0.0, p.coords[1])
         return None
 
-    def extend(self, g: Geodesic, delta: float) -> Geodesic:
-        if g.length == 0:
-            raise NotExtendable("zero-length geodesic has no direction")
-        chain = [(q.chart, q.c0, q.c1) for q in g.pieces]
-        pc = g.pieces[-1]
+    def continuation(self, pc: Piece, delta: float) -> list[tuple]:
         ln = math.hypot(pc.c1[0] - pc.c0[0], pc.c1[1] - pc.c0[1])
         du = (pc.c1[0] - pc.c0[0]) / ln
         dv = (pc.c1[1] - pc.c0[1]) / ln
         ue, ve = pc.c1
-        if du >= 0:
-            chain.append((pc.chart, pc.c1, (ue + delta * du, ve + delta * dv)))
-            return geodesic_from_chain(self.handle, chain)
-        to_spine = ue / (-du)
+        # a direction away from the spine (du >= 0) never reaches it
+        to_spine = ue / (-du) if du < 0 else math.inf
         if delta <= to_spine:
-            chain.append((pc.chart, pc.c1, (ue + delta * du, ve + delta * dv)))
-            return geodesic_from_chain(self.handle, chain)
+            return [(pc.chart, pc.c1, (ue + delta * du, ve + delta * dv))]
         vs = ve + to_spine * dv
-        if to_spine > 0:
-            chain.append((pc.chart, pc.c1, (0.0, vs)))
+        chain = [(pc.chart, pc.c1, (0.0, vs))] if to_spine > 0 else []
         rest = delta - to_spine
         nxt = 0 if pc.chart != 0 else 1
-        chain.append((nxt, (0.0, vs), (rest * (-du), vs + rest * dv)))
-        return geodesic_from_chain(self.handle, chain)
+        return chain + [(nxt, (0.0, vs), (rest * (-du), vs + rest * dv))]
 
     def project_segment(self, x: Point, g: Geodesic) -> Point:
-        if g.length == 0:
-            return g.start
         best = None
         for pc in g.pieces:
             rep = self.represent_in_chart(x, pc.chart)
             if rep is None:
                 # unfold x across the spine into the piece's page
                 rep = (-x.coords[0], x.coords[1])
-            seg = (pc.c1[0] - pc.c0[0], pc.c1[1] - pc.c0[1])
-            sq = seg[0] * seg[0] + seg[1] * seg[1]
-            w = ((rep[0] - pc.c0[0]) * seg[0] + (rep[1] - pc.c0[1]) * seg[1]) / sq
-            w = min(1.0, max(0.0, w))
-            proj = (pc.c0[0] + w * seg[0], pc.c0[1] + w * seg[1])
+            _w, proj = segment_projection(rep, pc.c0, pc.c1)
             dist = math.hypot(rep[0] - proj[0], rep[1] - proj[1])
             if best is None or dist < best[0]:
                 best = (dist, self.normalize(Point(pc.chart, proj)))
@@ -718,8 +673,8 @@ def build_tree(vertices: Sequence, edges: Sequence[tuple], root=None) -> SpaceHa
     for a, b, ln in eds:
         if a not in known or b not in known or a == b:
             raise ParamOutOfRange(f"edge ({a}, {b}) does not join distinct known vertices")
-        if ln <= 0:
-            raise ParamOutOfRange(f"edge ({a}, {b}) has nonpositive length {ln}")
+        if not 0 < ln < math.inf:
+            raise ParamOutOfRange(f"edge ({a}, {b}) needs a positive finite length, got {ln}")
     if len(eds) != len(verts) - 1:
         raise ParamOutOfRange("a tree on n vertices has exactly n - 1 edges")
     if not eds:
@@ -860,7 +815,7 @@ def _space_from_json(doc: dict) -> SpaceHandle:
             return build_comb(int(doc["depth"]), int(doc["grid"]))
         if kind == "open_book":
             return build_open_book(int(doc["pages"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid("space", f"bad space description: {exc}") from exc
     except (ParamOutOfRange, CapExceeded) as exc:
         raise ConfigInvalid("space", str(exc)) from exc

@@ -9,6 +9,8 @@ Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
 and the route that climbs to an LCA for each of its four endpoint pairs.
+The per-family geodesic extension and segment projection are kept as each
+family first wrote them, whole, and the subtree check as a scan of every edge.
 """
 
 from __future__ import annotations
@@ -22,12 +24,15 @@ import scipy.optimize
 
 from cat0ot import (
     Geodesic,
+    NotExtendable,
     Piece,
     Point,
     SpaceHandle,
+    UnsupportedConvexSet,
     cat0_defect,
     distance,
     geodesic,
+    geodesic_from_chain,
     normalize,
     pairwise_costs,
 )
@@ -327,3 +332,140 @@ def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
             if best is None or tot < best[0]:
                 best = (tot, ui, cu, vi, cv, w)
     return best
+
+
+def extend_by_family(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:
+    """The space families' own `extend` methods as first written, one per kind.
+
+    Each rebuilds the whole chain and assembles it itself; only the assembler
+    is shared with the library.
+    """
+    impl = space.impl
+    if g.length == 0:
+        raise NotExtendable("zero-length geodesic has no direction")
+    chain = [(q.chart, q.c0, q.c1) for q in g.pieces]
+    pc = g.pieces[-1]
+    if space.kind == "euclidean":
+        seg = [b - a for a, b in zip(pc.c0, pc.c1)]
+        ln = math.sqrt(sum(v * v for v in seg))
+        tip = tuple(c + delta * v / ln for c, v in zip(pc.c1, seg))
+        return geodesic_from_chain(space, chain + [(0, pc.c1, tip)])
+    if space.kind == "tree":
+        e = pc.chart
+        s = pc.c1[0]
+        forward = pc.c1[0] > pc.c0[0]
+        remaining = delta
+        while remaining > 0:
+            a, b, ln = impl.edges[e]
+            room = (ln - s) if forward else s
+            if room >= remaining:
+                s2 = s + remaining if forward else s - remaining
+                chain.append((e, (s,), (s2,)))
+                remaining = 0.0
+                break
+            if room > 0:
+                chain.append((e, (s,), (ln,) if forward else (0.0,)))
+                remaining -= room
+            v = b if forward else a
+            nxt = None
+            for e2 in impl.incident[impl._vidx[v]]:
+                if e2 != e:
+                    nxt = e2
+                    break
+            if nxt is None:
+                raise NotExtendable(f"leaf vertex {v} admits no continuation")
+            e = nxt
+            a2, _b2, ln2 = impl.edges[e]
+            forward = a2 == v
+            s = 0.0 if forward else ln2
+        return geodesic_from_chain(space, chain)
+    ln = math.hypot(pc.c1[0] - pc.c0[0], pc.c1[1] - pc.c0[1])
+    du = (pc.c1[0] - pc.c0[0]) / ln
+    dv = (pc.c1[1] - pc.c0[1]) / ln
+    ue, ve = pc.c1
+    if du >= 0:
+        chain.append((pc.chart, pc.c1, (ue + delta * du, ve + delta * dv)))
+        return geodesic_from_chain(space, chain)
+    to_spine = ue / (-du)
+    if delta <= to_spine:
+        chain.append((pc.chart, pc.c1, (ue + delta * du, ve + delta * dv)))
+        return geodesic_from_chain(space, chain)
+    vs = ve + to_spine * dv
+    if to_spine > 0:
+        chain.append((pc.chart, pc.c1, (0.0, vs)))
+    rest = delta - to_spine
+    nxt = 0 if pc.chart != 0 else 1
+    chain.append((nxt, (0.0, vs), (rest * (-du), vs + rest * dv)))
+    return geodesic_from_chain(space, chain)
+
+
+def project_segment_by_family(space: SpaceHandle, x: Point, g: Geodesic) -> Point:
+    """The space families' own `project_segment` methods as first written,
+    each with its zero-length guard and its own clamp-and-project arithmetic;
+    x is a normal point."""
+    impl = space.impl
+    if g.length == 0:
+        return g.start
+    if space.kind == "euclidean":
+        a = g.start.coords
+        seg = [b - c for c, b in zip(a, g.end.coords)]
+        w = sum((xc - c) * v for xc, c, v in zip(x.coords, a, seg)) / sum(
+            v * v for v in seg
+        )
+        w = min(1.0, max(0.0, w))
+        return Point(0, tuple(c + w * v for c, v in zip(a, seg)))
+    if space.kind == "tree":
+        da = impl.distance(x, g.start)
+        db = impl.distance(x, g.end)
+        t = (da + g.length - db) / (2.0 * g.length)
+        return g.eval(min(1.0, max(0.0, t)))
+    best = None
+    for pc in g.pieces:
+        rep = impl.represent_in_chart(x, pc.chart)
+        if rep is None:
+            rep = (-x.coords[0], x.coords[1])
+        seg = (pc.c1[0] - pc.c0[0], pc.c1[1] - pc.c0[1])
+        sq = seg[0] * seg[0] + seg[1] * seg[1]
+        w = ((rep[0] - pc.c0[0]) * seg[0] + (rep[1] - pc.c0[1]) * seg[1]) / sq
+        w = min(1.0, max(0.0, w))
+        proj = (pc.c0[0] + w * seg[0], pc.c0[1] + w * seg[1])
+        dist = math.hypot(rep[0] - proj[0], rep[1] - proj[1])
+        if best is None or dist < best[0]:
+            best = (dist, impl.normalize(Point(pc.chart, proj)))
+    return best[1]
+
+
+def check_subtree_by_scan(space: SpaceHandle, vertex_set) -> list[int]:
+    """A tree's subtree check as first written: the induced edges found by
+    scanning every edge, then one member per component with its parent outside."""
+    impl = space.impl
+    vs = list(dict.fromkeys(vertex_set))
+    if not vs:
+        raise UnsupportedConvexSet("empty vertex set")
+    inside = set(vs)
+    unknown = inside - set(impl.vertices)
+    if unknown:
+        raise UnsupportedConvexSet(f"unknown vertices {sorted(unknown)}")
+    edges = [e for e, (a, b, _ln) in enumerate(impl.edges) if a in inside and b in inside]
+    members = {impl._vidx[v] for v in vs}
+    if sum(impl.parent[u] not in members for u in members) != 1:
+        raise UnsupportedConvexSet("vertex set does not induce a connected subtree")
+    return edges
+
+
+def project_subtree_by_loop(space: SpaceHandle, x: Point, vertex_set) -> Point:
+    """A tree's subtree projection as first written: an explicit loop over the
+    member vertices that keeps the first nearest one; x is a normal point."""
+    impl = space.impl
+    edges = check_subtree_by_scan(space, vertex_set)
+    if x.chart in edges:
+        return x
+    xv = impl._vertex_of(x)
+    if xv is not None and xv in set(vertex_set):
+        return impl.vertex_point(xv)
+    best = None
+    for v in dict.fromkeys(vertex_set):
+        d = impl.distance(x, impl.vertex_point(v))
+        if best is None or d < best[0]:
+            best = (d, v)
+    return impl.vertex_point(best[1])

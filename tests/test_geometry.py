@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cat0ot import (
     Ball,
+    Cat0otError,
     DegenerateTriangle,
     NotATriangle,
     NotExtendable,
@@ -29,15 +30,24 @@ from cat0ot import (
     extend,
     geodesic,
     geodesic_from_chain,
+    normalize,
     parameter_on,
     points_equal,
     project_convex,
 )
-from cat0ot import spaces
+from cat0ot import geometry, spaces
 from cat0ot.harness import sample_points
 from cat0ot.rng import substream
 
-from _oracles import euclidean_vertex_angle, eval_by_scan, geodesic_from_chain_by_section
+from _oracles import (
+    check_subtree_by_scan,
+    euclidean_vertex_angle,
+    eval_by_scan,
+    extend_by_family,
+    geodesic_from_chain_by_section,
+    project_segment_by_family,
+    project_subtree_by_loop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +174,9 @@ def test_geodesic_from_chain_matches_the_section_loop(name, request, monkeypatch
         chains.append(list(chain))
         return geodesic_from_chain(handle, chain)
 
+    # geodesics are assembled in `spaces`, extensions in `geometry`
     monkeypatch.setattr(spaces, "geodesic_from_chain", spy)
+    monkeypatch.setattr(geometry, "geodesic_from_chain", spy)
     rng = substream(17, "chain oracle")
     for _ in range(200):
         p, q = sample_points(space, rng, 2)
@@ -483,6 +495,121 @@ def test_extend_zero_length_geodesic_raises(e2):
     g = geodesic(e2, Point(0, (0.5, 0.5)), Point(0, (0.5, 0.5)))
     with pytest.raises(NotExtendable):
         extend(e2, g, 0.5)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["e2", "book3", "tripod"])
+def test_extend_rejects_lengths_that_are_not_positive_and_finite(name, delta, request):
+    # a NaN or infinite length would give a geodesic with NaN length or coordinates
+    space = request.getfixturevalue(name)
+    p, q = sample_points(space, substream(37, "extend lengths"), 2)
+    with pytest.raises(ParamOutOfRange):
+        extend(space, geodesic(space, p, q), delta)
+
+
+def _outcome(fn, *args):
+    """repr of what fn returns, or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Cat0otError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _family_cases(space, rng):
+    """Geodesics to extend and project onto, with a point and a length each.
+
+    Random geodesics, zero-length ones, and per family the ends that take the
+    other branches: tree geodesics into a leaf or a branch vertex, book
+    geodesics parallel to, onto and away from the spine, and Euclidean ones
+    far from the origin, whose extension keeps two pieces because the
+    collinear merge declines.
+    """
+    impl = space.impl
+    specials = []
+    if space.kind == "tree":
+        specials = [impl.vertex_point(v) for v in impl.vertices]
+    for k in range(200):
+        p, q, x = sample_points(space, rng, 3)
+        if k % 10 == 0:
+            q = p
+        elif k % 4 == 1 and specials:
+            q = specials[int(rng.integers(len(specials)))]
+        elif k % 4 == 1 and space.kind == "open_book":
+            u, v = p.coords
+            q = normalize(space, Point(p.chart, [(u, v + 0.5), (0.0, v), (u + 0.5, v)][k % 3]))
+        elif k % 4 == 1:
+            far = tuple(c + 1e6 for c in p.coords)
+            p, q = Point(0, far), Point(0, tuple(c + 1e6 for c in q.coords))
+            x = Point(0, tuple(c + 1e6 for c in x.coords))
+        delta = float(rng.uniform(1e-5, 2.0)) if k % 3 else 1e-5
+        yield geodesic(space, p, q), x, delta
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "book3", "tripod", "comb14", "lopsided_tree"])
+def test_extension_and_segment_projection_match_the_family_methods(name, request):
+    space = request.getfixturevalue(name)
+    rng = substream(23, "family oracle")
+    kept_two = 0
+    for g, x, delta in _family_cases(space, rng):
+        assert _outcome(extend, space, g, delta) == _outcome(extend_by_family, space, g, delta)
+        xn = normalize(space, x)
+        lines = [g]
+        if g.length > 0:
+            try:
+                lines.append(extend(space, g, delta))
+            except NotExtendable:
+                pass
+        for line in lines:
+            got = _outcome(project_convex, space, x, Segment(line))
+            assert got == _outcome(project_segment_by_family, space, xn, line)
+        kept_two += space.kind == "euclidean" and len(lines[-1].pieces) == 2
+    if space.kind == "euclidean":
+        assert kept_two > 0
+
+
+def _vertex_sets(space, rng):
+    """Connected vertex sets grown from a random vertex, and random ones that
+    are mostly disconnected, of up to 40 vertices, plus the error cases."""
+    impl = space.impl
+    verts = impl.vertices
+    for k in range(200):
+        size = int(rng.integers(1, min(40, len(verts)) + 1))
+        if k % 2:
+            yield [verts[int(i)] for i in rng.choice(len(verts), size, replace=False)]
+            continue
+        grown = [int(rng.integers(len(verts)))]
+        frontier = set()
+        while len(grown) < size:
+            frontier.update(
+                w for e in impl.incident[grown[-1]] for w in (impl._ea[e], impl._eb[e])
+            )
+            frontier.difference_update(grown)
+            grown.append(sorted(frontier)[int(rng.integers(len(frontier)))])
+        yield [verts[i] for i in rng.permutation(grown)]
+    yield []
+    yield [verts[0], 10**6, -7, verts[0]]
+
+
+@pytest.mark.parametrize("name", ["comb14", "comb316"])
+def test_subtree_check_matches_the_edge_scan(name, request):
+    space = request.getfixturevalue(name)
+    rng = substream(29, "subtree oracle")
+    connected = 0
+    for vs in _vertex_sets(space, rng):
+        want = _outcome(check_subtree_by_scan, space, vs)
+        assert _outcome(space.impl._check_subtree, vs) == want
+        connected += isinstance(want, str)
+    assert 100 <= connected < 202
+
+
+@pytest.mark.parametrize("name", ["comb14", "comb316"])
+def test_subtree_projection_matches_the_vertex_loop(name, request):
+    space = request.getfixturevalue(name)
+    rng = substream(31, "subtree projection oracle")
+    for vs in _vertex_sets(space, rng):
+        for x in sample_points(space, rng, 3):
+            want = _outcome(project_subtree_by_loop, space, x, vs)
+            assert _outcome(project_convex, space, x, Subtree(tuple(vs))) == want
 
 
 # ---------------------------------------------------------------------------

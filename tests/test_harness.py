@@ -86,6 +86,40 @@ def test_malformed_space_fails_at_run():
         run_scenario(sc)
 
 
+@pytest.mark.parametrize(
+    "space",
+    [
+        {"kind": "dodecahedron"},
+        {"kind": "comb", "depth": 1},
+        {"kind": "euclidean", "dim": 0},
+        {"kind": "euclidean", "dim": "two"},
+        {"kind": "comb", "depth": 4, "grid": 4},
+        {"kind": "tree", "vertices": [0, 1, 2, 3], "edges": [[0, 1, 1.0], [0, 1, 2.0], [2, 3, 1.0]]},
+        {"kind": "tree", "vertices": [0, 0], "edges": [[0, 0, 1.0]]},
+        {"kind": "star", "legs": 0},
+        {"kind": "open_book", "pages": 1},
+        [1, 2, 3],
+        {"kind": "euclidean", "dim": float("inf")},
+    ],
+    ids=[
+        "unknown-kind",
+        "missing-field",
+        "zero-dim",
+        "text-dim",
+        "comb-over-cap",
+        "disconnected-tree",
+        "duplicate-vertices",
+        "zero-star-legs",
+        "one-book-page",
+        "non-dict",
+        "infinite-field",
+    ],
+)
+def test_every_bad_space_reaches_run_scenario_as_config_invalid(space):
+    with pytest.raises(ConfigInvalid):
+        run_scenario(_scenario("solve", {"instance": "line"}, space=space))
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 
@@ -259,6 +293,16 @@ def test_cli_bad_inputs_return_two(tmp_path, capsys):
     assert main(["solve", "--config", noseed]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_space_field_beyond_float_range_returns_two(tmp_path, capsys):
+    # JSON reads 1e400 as inf, which no integer field accepts
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"space": {"kind": "euclidean", "dim": 1e400}, "seed": 1}')
+    assert main(["solve", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 # the suite loop calls the space implementation directly; the public-API loop

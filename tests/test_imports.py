@@ -64,3 +64,24 @@ def test_the_check_sees_an_unused_import():
         "    return os.path.join(x)\n"
     )
     assert unused_imports(source) == ["Optional (line 1)", "js (line 3)"]
+
+
+def _module_all(source: str):
+    """The names listed in a module's `__all__`, or None when it has none."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {e.value for e in node.value.elts}
+    return None
+
+
+def test_package_exports_are_listed_in_each_module_all():
+    # what `from cat0ot.<module> import *` gives must cover what the package re-exports
+    missing = []
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = _module_all((SRC / f"{node.module}.py").read_text())
+            if listed is not None:
+                missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
+    assert missing == []

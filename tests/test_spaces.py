@@ -421,6 +421,33 @@ def test_space_json_rejects_garbage():
         space_from_json([1, 2, 3])
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "euclidean", "dim": INF},
+        {"kind": "comb", "depth": INF, "grid": 4},
+        {"kind": "comb", "depth": 1, "grid": -INF},
+        {"kind": "star", "legs": INF},
+        {"kind": "star", "legs": 3, "length": INF},
+        {"kind": "open_book", "pages": INF},
+        {"kind": "tree", "vertices": [0, 1], "edges": [[0, 1, INF]]},
+    ],
+)
+def test_space_json_rejects_infinite_fields(doc):
+    # an integer field of inf overflows int(); an infinite edge length is no metric tree
+    with pytest.raises(ConfigInvalid):
+        space_from_json(doc)
+
+
+@pytest.mark.parametrize("ln", [math.inf, math.nan])
+def test_tree_builder_rejects_non_finite_lengths(ln):
+    with pytest.raises(ParamOutOfRange):
+        build_tree(["a", "b"], [("a", "b", ln)])
+
+
 @pytest.fixture
 def empty_memo():
     """space_from_json with no space built yet."""
