@@ -321,16 +321,15 @@ def _shell_estimate(
     """eilenberg_estimate plus the Monte Carlo standard error of the lhs."""
     if isinstance(region, EmptyRegion):
         return 0.0, 0.0, 0.0, True
-    vol = space.impl.region_volume(region)
+    vol, diam, sample = space.impl.region(region)
     if vol <= 0:
         return 0.0, 0.0, 0.0, True
-    diam = space.impl.region_diameter(region)
     if eps is None:
         eps = diam / 200.0
     if eps <= 0 or eps > diam / 10.0:
         raise BadEpsilon(f"eps = {eps} outside (0, diam/10 = {diam / 10.0}]")
     rng = substream(seed, "eilenberg")
-    charts, coords = space.impl.sample_region(region, int(n_samples), rng)
+    charts, coords = sample(int(n_samples), rng)
     d = space.impl.distances_from(normalize(space, g.start), charts, coords)
     overlap = np.clip(np.minimum(g.length, d + eps) - np.maximum(0.0, d - eps), 0.0, None)
     est = vol * overlap / (2.0 * eps)
@@ -379,10 +378,9 @@ def zeta_positivity(
         r = space.impl.distance(xn, pn)
         if r <= 1e-9:
             raise ProbeAtCenter(f"probe {i} coincides with x")
-        region = BallRegion(pn, radius)
-        vol = space.impl.region_volume(region)
+        vol, _diam, sample = space.impl.region(BallRegion(pn, radius))
         rng = substream(seed, f"zeta:{i}")
-        charts, coords = space.impl.sample_region(region, int(n_samples), rng)
+        charts, coords = sample(int(n_samples), rng)
         d = space.impl.distances_from(xn, charts, coords)
         ind = (np.abs(d - r) < eps).astype(float)
         est = vol * ind / (2.0 * eps * 2.0 * radius)

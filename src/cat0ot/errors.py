@@ -1,6 +1,9 @@
-"""Error taxonomy shared by every module."""
+"""Error taxonomy shared by every module, and the readers of config numbers."""
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class Cat0otError(Exception):
@@ -114,3 +117,27 @@ class ConfigInvalid(Cat0otError):
 
 class IoFailure(Cat0otError):
     pass
+
+
+def config_int(value, path: str) -> int:
+    """A config value read as an integer; integral floats such as 6.0 are read
+    as 6, and bools, non-numbers and non-integral numbers are `ConfigInvalid`."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+    raise ConfigInvalid(path, f"expected an integer, got {value!r}")
+
+
+def config_float(value, path: str) -> float:
+    """A config value read as a finite float; bools, non-numbers and
+    non-finite numbers are `ConfigInvalid`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigInvalid(path, f"expected a finite number, got {value!r}")

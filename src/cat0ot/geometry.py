@@ -12,9 +12,15 @@ take points that are already normal (validated, then passed through
 `impl.normalize`, `Geodesic.eval` and the library's geodesics are normal, so
 code holding them calls `space.impl` directly.
 
-The impl supplies only what differs between families: `impl.continuation`
-returns the sections past a geodesic's end that `extend` assembles, and
-`impl.project_segment` is given only geodesics of positive length.
+The impl supplies only what differs between families. Every family's impl
+defines `impl.validate_point`, `impl.normalize`, `impl.distance`,
+`impl.geodesic`, `impl.represent_in_chart`, `impl.continuation` (the
+sections past a geodesic's end that `extend` assembles),
+`impl.project_segment` (given only geodesics of positive length),
+`impl.region` (every check on a region, then its volume, its diameter and a
+sampler `sample(n, rng) -> (charts, coords)`), `impl.distances_from` and
+`impl.direction_targets`; trees add `impl.vertex_point`,
+`impl.vertex_distance` and `impl.project_subtree`.
 """
 
 from __future__ import annotations

@@ -20,7 +20,14 @@ from .calculus import (
     geodesic_derivative,
     twist_test,
 )
-from .errors import ConfigInvalid, IoFailure, ParamOutOfRange
+from .errors import (
+    Cat0otError,
+    ConfigInvalid,
+    IoFailure,
+    ParamOutOfRange,
+    config_float,
+    config_int,
+)
 from .geometry import (
     BallRegion,
     BoxRegion,
@@ -151,23 +158,41 @@ def random_instance(
     return measure(space, mu_pts, wa), measure(space, nu_pts, wb)
 
 
+def _param(params: dict, key: str, default, read=config_int):
+    """An experiment parameter, or its default, read by `read`; a malformed
+    value is `ConfigInvalid` at params.<key>."""
+    return read(params.get(key, default), f"params.{key}")
+
+
+def _count(params: dict, key: str, default: int) -> int:
+    """A count of atoms, trials or samples: a positive integer parameter."""
+    n = _param(params, key, default)
+    if n < 1:
+        raise ConfigInvalid(f"params.{key}", f"must be positive, got {n}")
+    return n
+
+
+def _inline_measure(space: SpaceHandle, params: dict, key: str) -> DiscreteMeasure:
+    try:
+        return measure_from_json(space, params[key])
+    except (Cat0otError, KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"params.{key}", f"bad inline measure: {exc}") from exc
+
+
 def _instance(
     space: SpaceHandle, params: dict, seed: int
 ) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     if "mu" in params and "nu" in params:
-        return measure_from_json(space, params["mu"]), measure_from_json(space, params["nu"])
+        return _inline_measure(space, params, "mu"), _inline_measure(space, params, "nu")
     tag = params.get("instance", "random")
     if tag == "line":
         return line_instance(space)
     if tag == "translation":
-        mu, nu, _, _ = translation_instance(space, int(params.get("n", 5)))
+        mu, nu, _, _ = translation_instance(space, _param(params, "n", 5))
         return mu, nu
     if tag == "random":
-        n = int(params.get("n", 6))
-        m = int(params.get("m", n))
-        if n < 1 or m < 1:
-            raise ConfigInvalid("params.n", "instance sizes must be positive")
-        return random_instance(space, seed, n, m)
+        n = _count(params, "n", 6)
+        return random_instance(space, seed, n, _count(params, "m", n))
     raise ConfigInvalid("params.instance", f"unknown instance tag {tag!r}")
 
 
@@ -211,7 +236,7 @@ def _run_solve(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
 def _run_monotonicity(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
     mu, nu = _instance(space, params, seed)
     plan, _pot, total = solve_kantorovich(space, mu, nu)
-    max_len = int(params.get("max_len", 3))
+    max_len = _param(params, "max_len", 3)
     result = check_cyclic_monotonicity(space, plan, max_len=max_len, seed=seed)
     metrics = {
         "violations": _metric(result["violations"]),
@@ -245,8 +270,8 @@ def _tree_same_gate_pair(
 
 
 def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
-    trials = int(params.get("trials", 20))
-    count = int(params.get("directions", 16))
+    trials = _count(params, "trials", 20)
+    count = _param(params, "directions", 16)
     rng = substream(seed, "twist")
     gaps = []
     holds = []
@@ -281,7 +306,7 @@ def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
 
 
 def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
-    cap = float(params.get("slope_cap", 10.0))
+    cap = _param(params, "slope_cap", 10.0, config_float)
     if space.kind in ("tree", "open_book"):
         if space.kind == "tree":
             incident = space.impl.incident
@@ -304,7 +329,7 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
                 space,
                 _cost_to(space, y),
                 y,
-                direction_set(space, y, count=int(params.get("directions", 16))),
+                direction_set(space, y, count=_param(params, "directions", 16)),
             )
             passed = rep.min_directional >= -1e-6
         metrics = {
@@ -314,7 +339,7 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
         }
         return metrics, passed and rep.two_sided_zero
 
-    n = int(params.get("n", 9))
+    n = _param(params, "n", 9)
     mu, nu, _shift, h = translation_instance(space, n)
     plan, pot, _total = solve_kantorovich(space, mu, nu, refine_duals=False)
     grid = GridPotential((0.0, 0.0), h, (n, n), pot.psi)
@@ -331,7 +356,7 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
     x_star = min(range(len(mu.points)), key=lambda i: f(mu.points[i]))
     xs = mu.points[x_star]
     worst = math.inf
-    count = int(params.get("directions", 32))
+    count = _param(params, "directions", 32)
     for g in direction_set(space, xs, targets=[y], count=count, seed=seed):
         d_plus = geodesic_derivative(space, f, xs, g).one_sided_plus
         if not math.isnan(d_plus):
@@ -345,9 +370,10 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
 
 
 def _run_eilenberg(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
-    n_samples = int(params.get("n_samples", 40_000))
+    n_samples = _count(params, "n_samples", 40_000)
     eps = params.get("epsilon")
-    eps = None if eps is None else float(eps)
+    if eps is not None:
+        eps = config_float(eps, "params.epsilon")
     if space.kind == "euclidean":
         region = BoxRegion(0, (-0.5,) * space.dim, (0.5,) * space.dim)
         start = Point(0, (0.0,) * space.dim)
@@ -377,7 +403,10 @@ def _run_eilenberg(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, b
 def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
     if space.kind != "euclidean" or space.dim != 2:
         raise ConfigInvalid("space", "transport-identity runs on the euclidean plane")
-    sizes = tuple(int(v) for v in params.get("sizes", LADDER))
+    sizes = params.get("sizes", LADDER)
+    if not isinstance(sizes, (list, tuple)):
+        raise ConfigInvalid("params.sizes", f"expected a list of grid sizes, got {sizes!r}")
+    sizes = tuple(config_int(v, "params.sizes") for v in sizes)
     if len(sizes) < 2 or any(s < 3 for s in sizes):
         raise ConfigInvalid("params.sizes", "need at least two grid sizes of side >= 3")
     pitches = []
@@ -437,8 +466,8 @@ def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tupl
 
 
 def _run_polar(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
-    trials = int(params.get("trials", 20))
-    n = int(params.get("n", 6))
+    trials = _count(params, "trials", 20)
+    n = _param(params, "n", 6)
     rng = substream(seed, "polar")
     worst = 0.0
     preserved = 0
@@ -459,7 +488,7 @@ def _run_polar(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
 
 
 def _run_geometry_suite(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
-    samples = int(params.get("samples", 2000))
+    samples = _count(params, "samples", 2000)
     rng = substream(seed, "geometry")
     min_defect = math.inf
     max_defect = -math.inf

@@ -3,9 +3,11 @@
 Each builder returns a SpaceHandle whose `impl` object realizes the chart
 logic for its family: point validation and canonical form, exact distances
 and geodesics, the sections that continue a geodesic past its end,
-nearest-point helpers, region sampling for the Monte Carlo estimators, and
-direction targets for the derivative-based testers; `geometry` holds what
-the families share.
+nearest-point helpers, one checked answer per region (volume, diameter and
+a uniform sampler) for the Monte Carlo estimators, and direction targets for
+the derivative-based testers. Axis boxes in R^d and in a book page share
+`_box_region`; `geometry` holds what the families share and lists the
+methods every impl defines.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     ParamOutOfRange,
     UnsupportedConvexSet,
     UnsupportedRegion,
+    config_int,
 )
 from .geometry import (
     BallRegion,
@@ -81,6 +84,19 @@ def _finite(coords: Sequence[float]) -> bool:
     return all(map(math.isfinite, coords))
 
 
+def _box_region(region: BoxRegion) -> tuple:
+    """(volume, diameter, sample) of an axis box whose chart the family has checked."""
+    if any(h < l for l, h in zip(region.lo, region.hi)):
+        raise UnsupportedRegion("box has hi < lo")
+
+    def sample(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        coords = rng.uniform(region.lo, region.hi, size=(n, len(region.lo)))
+        return np.full(n, region.chart, dtype=np.int64), coords
+
+    sides = [h - l for l, h in zip(region.lo, region.hi)]
+    return float(np.prod(sides)), math.sqrt(sum(v**2 for v in sides)), sample
+
+
 class EuclideanImpl:
     def __init__(self, dim: int):
         self.dim = dim
@@ -112,51 +128,28 @@ class EuclideanImpl:
     def project_segment(self, x: Point, g: Geodesic) -> Point:
         return Point(0, tuple(segment_projection(x.coords, g.start.coords, g.end.coords)[1]))
 
-    # Regions.
-
-    def region_volume(self, region) -> float:
+    def region(self, region) -> tuple:
         if isinstance(region, BoxRegion):
-            self._check_box(region)
-            return float(np.prod([h - l for l, h in zip(region.lo, region.hi)]))
-        if isinstance(region, BallRegion):
-            d = self.dim
-            return (
-                math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * region.radius**d
-            )
-        raise UnsupportedRegion(f"{type(region).__name__} unsupported on euclidean")
-
-    def region_diameter(self, region) -> float:
-        if isinstance(region, BoxRegion):
-            self._check_box(region)
-            return math.sqrt(sum((h - l) ** 2 for l, h in zip(region.lo, region.hi)))
-        if isinstance(region, BallRegion):
-            return 2.0 * region.radius
-        raise UnsupportedRegion(f"{type(region).__name__} unsupported on euclidean")
-
-    def sample_region(self, region, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        charts = np.zeros(n, dtype=np.int64)
-        if isinstance(region, BoxRegion):
-            self._check_box(region)
-            lo = np.asarray(region.lo, dtype=float)
-            hi = np.asarray(region.hi, dtype=float)
-            return charts, rng.uniform(lo, hi, size=(n, self.dim))
+            if region.chart != 0 or len(region.lo) != self.dim or len(region.hi) != self.dim:
+                raise UnsupportedRegion("box chart/shape does not match the space")
+            return _box_region(region)
         if isinstance(region, BallRegion):
             self.validate_point(region.center)
-            gauss = rng.standard_normal((n, self.dim))
-            gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-            radii = region.radius * rng.uniform(0.0, 1.0, n) ** (1.0 / self.dim)
-            pts = np.asarray(region.center.coords) + gauss * radii[:, None]
-            return charts, pts
+            d = self.dim
+
+            def sample(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+                gauss = rng.standard_normal((n, d))
+                gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
+                radii = region.radius * rng.uniform(0.0, 1.0, n) ** (1.0 / d)
+                pts = np.asarray(region.center.coords) + gauss * radii[:, None]
+                return np.zeros(n, dtype=np.int64), pts
+
+            volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * region.radius**d
+            return volume, 2.0 * region.radius, sample
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on euclidean")
 
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
         return np.linalg.norm(coords - np.asarray(p.coords), axis=1)
-
-    def _check_box(self, region: BoxRegion) -> None:
-        if region.chart != 0 or len(region.lo) != self.dim or len(region.hi) != self.dim:
-            raise UnsupportedRegion("box chart/shape does not match the space")
-        if any(h < l for l, h in zip(region.lo, region.hi)):
-            raise UnsupportedRegion("box has hi < lo")
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
         base = np.asarray(x.coords)
@@ -439,33 +432,24 @@ class TreeImpl:
             map(self.vertex_point, dict.fromkeys(vertex_set)), key=lambda p: self.distance(x, p)
         )
 
-    # Regions.
-
-    def region_volume(self, region) -> float:
-        if isinstance(region, TreeRegion):
-            return sum(self.edges[e][2] for e in self._check_subtree(region.vertices))
-        raise UnsupportedRegion(f"{type(region).__name__} unsupported on trees")
-
-    def region_diameter(self, region) -> float:
-        if isinstance(region, TreeRegion):
-            self._check_subtree(region.vertices)
-            # double sweep: exact on the connected vertex set of a tree
-            vs = list(dict.fromkeys(region.vertices))
-            far = max(vs, key=lambda v: self.vertex_distance(vs[0], v))
-            return max(self.vertex_distance(far, v) for v in vs)
-        raise UnsupportedRegion(f"{type(region).__name__} unsupported on trees")
-
-    def sample_region(self, region, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    def region(self, region) -> tuple:
         if not isinstance(region, TreeRegion):
             raise UnsupportedRegion(f"{type(region).__name__} unsupported on trees")
         edges = self._check_subtree(region.vertices)
-        if not edges:
-            raise UnsupportedRegion("subtree region has zero length")
-        lens = np.asarray([self.edges[e][2] for e in edges])
-        pick = rng.choice(len(edges), size=n, p=lens / lens.sum())
-        charts = np.asarray(edges, dtype=np.int64)[pick]
-        offs = rng.uniform(0.0, 1.0, n) * lens[pick]
-        return charts, offs[:, None]
+        # double sweep: exact on the connected vertex set of a tree
+        vs = list(dict.fromkeys(region.vertices))
+        far = max(vs, key=lambda v: self.vertex_distance(vs[0], v))
+        diameter = max(self.vertex_distance(far, v) for v in vs)
+
+        def sample(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+            if not edges:
+                raise UnsupportedRegion("subtree region has zero length")
+            lens = np.asarray([self.edges[e][2] for e in edges])
+            pick = rng.choice(len(edges), size=n, p=lens / lens.sum())
+            offs = rng.uniform(0.0, 1.0, n) * lens[pick]
+            return np.asarray(edges, dtype=np.int64)[pick], offs[:, None]
+
+        return sum(self.edges[e][2] for e in edges), diameter, sample
 
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
         a, b, ln = self.edges[p.chart]
@@ -568,42 +552,30 @@ class BookImpl:
                 best = (dist, self.normalize(Point(pc.chart, proj)))
         return best[1]
 
-    # Regions.
-
-    def region_volume(self, region) -> float:
+    def region(self, region) -> tuple:
         if isinstance(region, BoxRegion):
-            self._check_box(region)
-            return (region.hi[0] - region.lo[0]) * (region.hi[1] - region.lo[1])
+            if not (0 <= region.chart < self.pages):
+                raise UnsupportedRegion(f"page {region.chart} out of range")
+            if len(region.lo) != 2 or len(region.hi) != 2:
+                raise UnsupportedRegion("book boxes are two-dimensional")
+            if region.lo[0] < -SNAP_TOL:
+                raise UnsupportedRegion("box must sit inside a single page (u >= 0)")
+            return _box_region(region)
         if isinstance(region, BallRegion):
-            self._check_ball(region)
-            return math.pi * region.radius**2
-        raise UnsupportedRegion(f"{type(region).__name__} unsupported on open books")
+            self.validate_point(region.center)
+            c = self.normalize(region.center)
+            if c.coords[0] - region.radius < -SNAP_TOL:
+                raise UnsupportedRegion("ball must sit inside a single page")
 
-    def region_diameter(self, region) -> float:
-        if isinstance(region, BoxRegion):
-            self._check_box(region)
-            return math.hypot(region.hi[0] - region.lo[0], region.hi[1] - region.lo[1])
-        if isinstance(region, BallRegion):
-            self._check_ball(region)
-            return 2.0 * region.radius
-        raise UnsupportedRegion(f"{type(region).__name__} unsupported on open books")
+            def sample(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+                th = rng.uniform(0.0, 2.0 * math.pi, n)
+                r = region.radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+                pts = np.stack(
+                    [c.coords[0] + r * np.cos(th), c.coords[1] + r * np.sin(th)], axis=1
+                )
+                return np.full(n, c.chart, dtype=np.int64), pts
 
-    def sample_region(self, region, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(region, BoxRegion):
-            self._check_box(region)
-            charts = np.full(n, region.chart, dtype=np.int64)
-            lo = np.asarray(region.lo, dtype=float)
-            hi = np.asarray(region.hi, dtype=float)
-            return charts, rng.uniform(lo, hi, size=(n, 2))
-        if isinstance(region, BallRegion):
-            c = self._check_ball(region)
-            charts = np.full(n, c.chart, dtype=np.int64)
-            th = rng.uniform(0.0, 2.0 * math.pi, n)
-            r = region.radius * np.sqrt(rng.uniform(0.0, 1.0, n))
-            pts = np.stack(
-                [c.coords[0] + r * np.cos(th), c.coords[1] + r * np.sin(th)], axis=1
-            )
-            return charts, pts
+            return math.pi * region.radius**2, 2.0 * region.radius, sample
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on open books")
 
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
@@ -613,21 +585,6 @@ class BookImpl:
         return np.where(
             charts == p.chart, np.hypot(du_same, dv), np.hypot(du_cross, dv)
         )
-
-    def _check_box(self, region: BoxRegion) -> None:
-        if not (0 <= region.chart < self.pages):
-            raise UnsupportedRegion(f"page {region.chart} out of range")
-        if len(region.lo) != 2 or len(region.hi) != 2:
-            raise UnsupportedRegion("book boxes are two-dimensional")
-        if region.lo[0] < -SNAP_TOL or any(h < l for l, h in zip(region.lo, region.hi)):
-            raise UnsupportedRegion("box must sit inside a single page (u >= 0)")
-
-    def _check_ball(self, region: BallRegion) -> Point:
-        self.validate_point(region.center)
-        c = self.normalize(region.center)
-        if c.coords[0] - region.radius < -SNAP_TOL:
-            raise UnsupportedRegion("ball must sit inside a single page")
-        return c
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
         u, v = x.coords
@@ -803,18 +760,19 @@ def _space_from_json(doc: dict) -> SpaceHandle:
     try:
         kind = doc["kind"]
         if kind == "euclidean":
-            return build_euclidean(int(doc["dim"]))
+            return build_euclidean(config_int(doc["dim"], "space.dim"))
         if kind == "tree":
             edges = [(a, b, float(ln)) for a, b, ln in doc["edges"]]
             return build_tree(doc["vertices"], edges, doc.get("root"))
         if kind == "tripod":
             return build_tripod()
         if kind == "star":
-            return build_star(int(doc["legs"]), float(doc.get("length", 1.0)))
+            return build_star(config_int(doc["legs"], "space.legs"), float(doc.get("length", 1.0)))
         if kind == "comb":
-            return build_comb(int(doc["depth"]), int(doc["grid"]))
+            depth = config_int(doc["depth"], "space.depth")
+            return build_comb(depth, config_int(doc["grid"], "space.grid"))
         if kind == "open_book":
-            return build_open_book(int(doc["pages"]))
+            return build_open_book(config_int(doc["pages"], "space.pages"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigInvalid("space", f"bad space description: {exc}") from exc
     except (ParamOutOfRange, CapExceeded) as exc:

@@ -11,6 +11,9 @@ generator expressions, the suite loop that goes through the public API only,
 and the route that climbs to an LCA for each of its four endpoint pairs.
 The per-family geodesic extension and segment projection are kept as each
 family first wrote them, whole, and the subtree check as a scan of every edge.
+The region questions are kept as the three separate methods per family
+(volume, diameter, sample) that first answered them, each running its own
+admissibility check.
 """
 
 from __future__ import annotations
@@ -23,12 +26,16 @@ import numpy as np
 import scipy.optimize
 
 from cat0ot import (
+    BallRegion,
+    BoxRegion,
     Geodesic,
     NotExtendable,
     Piece,
     Point,
     SpaceHandle,
+    TreeRegion,
     UnsupportedConvexSet,
+    UnsupportedRegion,
     cat0_defect,
     distance,
     geodesic,
@@ -469,3 +476,128 @@ def project_subtree_by_loop(space: SpaceHandle, x: Point, vertex_set) -> Point:
         if best is None or d < best[0]:
             best = (d, v)
     return impl.vertex_point(best[1])
+
+
+# The region methods as each family first wrote them: volume, diameter and
+# sample answered separately, each repeating the family's checks.
+
+_FAMILY_NAMES = {"euclidean": "euclidean", "tree": "trees", "open_book": "open books"}
+
+
+def _unsupported(space: SpaceHandle, region) -> UnsupportedRegion:
+    return UnsupportedRegion(
+        f"{type(region).__name__} unsupported on {_FAMILY_NAMES[space.kind]}"
+    )
+
+
+def _check_euclidean_box(space: SpaceHandle, region: BoxRegion) -> None:
+    dim = space.impl.dim
+    if region.chart != 0 or len(region.lo) != dim or len(region.hi) != dim:
+        raise UnsupportedRegion("box chart/shape does not match the space")
+    if any(h < l for l, h in zip(region.lo, region.hi)):
+        raise UnsupportedRegion("box has hi < lo")
+
+
+def _check_book_box(space: SpaceHandle, region: BoxRegion) -> None:
+    if not (0 <= region.chart < space.impl.pages):
+        raise UnsupportedRegion(f"page {region.chart} out of range")
+    if len(region.lo) != 2 or len(region.hi) != 2:
+        raise UnsupportedRegion("book boxes are two-dimensional")
+    if region.lo[0] < -1e-12 or any(h < l for l, h in zip(region.lo, region.hi)):
+        raise UnsupportedRegion("box must sit inside a single page (u >= 0)")
+
+
+def _check_book_ball(space: SpaceHandle, region: BallRegion) -> Point:
+    space.impl.validate_point(region.center)
+    c = space.impl.normalize(region.center)
+    if c.coords[0] - region.radius < -1e-12:
+        raise UnsupportedRegion("ball must sit inside a single page")
+    return c
+
+
+def region_volume_by_family(space: SpaceHandle, region) -> float:
+    impl = space.impl
+    if space.kind == "euclidean":
+        if isinstance(region, BoxRegion):
+            _check_euclidean_box(space, region)
+            return float(np.prod([h - l for l, h in zip(region.lo, region.hi)]))
+        if isinstance(region, BallRegion):
+            d = impl.dim
+            return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * region.radius**d
+    elif space.kind == "tree":
+        if isinstance(region, TreeRegion):
+            return sum(impl.edges[e][2] for e in check_subtree_by_scan(space, region.vertices))
+    else:
+        if isinstance(region, BoxRegion):
+            _check_book_box(space, region)
+            return (region.hi[0] - region.lo[0]) * (region.hi[1] - region.lo[1])
+        if isinstance(region, BallRegion):
+            _check_book_ball(space, region)
+            return math.pi * region.radius**2
+    raise _unsupported(space, region)
+
+
+def region_diameter_by_family(space: SpaceHandle, region) -> float:
+    impl = space.impl
+    if space.kind == "euclidean":
+        if isinstance(region, BoxRegion):
+            _check_euclidean_box(space, region)
+            return math.sqrt(sum((h - l) ** 2 for l, h in zip(region.lo, region.hi)))
+        if isinstance(region, BallRegion):
+            return 2.0 * region.radius
+    elif space.kind == "tree":
+        if isinstance(region, TreeRegion):
+            check_subtree_by_scan(space, region.vertices)
+            vs = list(dict.fromkeys(region.vertices))
+            far = max(vs, key=lambda v: impl.vertex_distance(vs[0], v))
+            return max(impl.vertex_distance(far, v) for v in vs)
+    else:
+        if isinstance(region, BoxRegion):
+            _check_book_box(space, region)
+            return math.hypot(region.hi[0] - region.lo[0], region.hi[1] - region.lo[1])
+        if isinstance(region, BallRegion):
+            _check_book_ball(space, region)
+            return 2.0 * region.radius
+    raise _unsupported(space, region)
+
+
+def sample_region_by_family(space: SpaceHandle, region, n: int, rng):
+    impl = space.impl
+    if space.kind == "euclidean":
+        charts = np.zeros(n, dtype=np.int64)
+        if isinstance(region, BoxRegion):
+            _check_euclidean_box(space, region)
+            lo = np.asarray(region.lo, dtype=float)
+            hi = np.asarray(region.hi, dtype=float)
+            return charts, rng.uniform(lo, hi, size=(n, impl.dim))
+        if isinstance(region, BallRegion):
+            impl.validate_point(region.center)
+            gauss = rng.standard_normal((n, impl.dim))
+            gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
+            radii = region.radius * rng.uniform(0.0, 1.0, n) ** (1.0 / impl.dim)
+            return charts, np.asarray(region.center.coords) + gauss * radii[:, None]
+    elif space.kind == "tree":
+        if isinstance(region, TreeRegion):
+            edges = check_subtree_by_scan(space, region.vertices)
+            if not edges:
+                raise UnsupportedRegion("subtree region has zero length")
+            lens = np.asarray([impl.edges[e][2] for e in edges])
+            pick = rng.choice(len(edges), size=n, p=lens / lens.sum())
+            charts = np.asarray(edges, dtype=np.int64)[pick]
+            offs = rng.uniform(0.0, 1.0, n) * lens[pick]
+            return charts, offs[:, None]
+    else:
+        if isinstance(region, BoxRegion):
+            _check_book_box(space, region)
+            charts = np.full(n, region.chart, dtype=np.int64)
+            lo = np.asarray(region.lo, dtype=float)
+            hi = np.asarray(region.hi, dtype=float)
+            return charts, rng.uniform(lo, hi, size=(n, 2))
+        if isinstance(region, BallRegion):
+            c = _check_book_ball(space, region)
+            charts = np.full(n, c.chart, dtype=np.int64)
+            th = rng.uniform(0.0, 2.0 * math.pi, n)
+            r = region.radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+            pts = np.stack([c.coords[0] + r * np.cos(th), c.coords[1] + r * np.sin(th)], axis=1)
+            return charts, pts
+    raise _unsupported(space, region)

@@ -100,6 +100,12 @@ def test_malformed_space_fails_at_run():
         {"kind": "open_book", "pages": 1},
         [1, 2, 3],
         {"kind": "euclidean", "dim": float("inf")},
+        {"kind": "euclidean", "dim": 2.7},
+        {"kind": "euclidean", "dim": True},
+        {"kind": "open_book", "pages": 3.9},
+        {"kind": "comb", "depth": 1, "grid": "4"},
+        {"kind": "comb", "depth": 1.5, "grid": 4},
+        {"kind": "star", "legs": 2.5},
     ],
     ids=[
         "unknown-kind",
@@ -113,11 +119,81 @@ def test_malformed_space_fails_at_run():
         "one-book-page",
         "non-dict",
         "infinite-field",
+        "fractional-dim",
+        "boolean-dim",
+        "fractional-pages",
+        "text-grid",
+        "fractional-depth",
+        "fractional-legs",
     ],
 )
 def test_every_bad_space_reaches_run_scenario_as_config_invalid(space):
     with pytest.raises(ConfigInvalid):
         run_scenario(_scenario("solve", {"instance": "line"}, space=space))
+
+
+def test_integral_float_space_fields_build_the_integer_space():
+    assert space_from_json({"kind": "euclidean", "dim": 2.0}).dim == 2
+    assert space_from_json({"kind": "open_book", "pages": 3.0}).params.pages == 3
+    comb = space_from_json({"kind": "comb", "depth": 1.0, "grid": 4.0})
+    assert comb.params == space_from_json({"kind": "comb", "depth": 1, "grid": 4}).params
+
+
+# each experiment's malformed parameters: wrong type, non-integral, boolean,
+# non-finite, or a count below one; each must surface as ConfigInvalid at its
+# key. A single bad key is named once; inline measures name the bad side.
+OK_MU = {"points": [[0, 0.0, 0.0]]}
+BAD_PARAMS = {
+    "solve": [
+        {"n": "x"},
+        {"n": float("inf")},
+        {"n": 6.5},
+        {"m": True},
+        {"m": 0},
+        ("n", {"instance": "translation", "n": [5]}),
+        ("mu", {"mu": {}, "nu": OK_MU}),
+        ("mu", {"mu": {"points": [["a", 0.0, 0.0]]}, "nu": OK_MU}),
+        ("nu", {"mu": OK_MU, "nu": {"points": [[]]}}),
+        ("nu", {"mu": OK_MU, "nu": {"points": [[0, 1.0]]}}),
+    ],
+    "monotonicity": [{"max_len": 2.5}, {"n": "5"}],
+    "twist": [{"trials": "a"}, {"trials": 0}, {"directions": None}],
+    "fermat": [{"slope_cap": float("inf")}, {"slope_cap": True}, {"n": 9.5}, {"directions": "16"}],
+    "eilenberg": [{"n_samples": "x"}, {"n_samples": 0}, {"epsilon": float("nan")}, {"epsilon": "0.1"}],
+    "transport-identity": [{"sizes": 5}, {"sizes": [5, 9.5]}, {"sizes": ["5", 9]}],
+    "polar": [{"trials": True}, {"trials": -1}, {"n": 6.5}],
+    "geometry-suite": [{"samples": [3]}, {"samples": 0}, {"samples": float("nan")}],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_malformed_parameters_reach_run_scenario_as_config_invalid(experiment):
+    for case in BAD_PARAMS[experiment]:
+        key, params = case if isinstance(case, tuple) else (next(iter(case)), case)
+        # built directly, as the benchmark builds its scenarios
+        with pytest.raises(ConfigInvalid) as info:
+            run_scenario(Scenario(E2, experiment, params, 1))
+        assert info.value.path == f"params.{key}", params
+
+
+@pytest.mark.parametrize(
+    "experiment, params, integral",
+    [
+        ("solve", {"instance": "random", "n": 4, "m": 3}, {"n": 4.0, "m": 3.0}),
+        ("monotonicity", {"n": 4, "max_len": 2}, {"n": 4.0, "max_len": 2.0}),
+        ("twist", {"trials": 3, "directions": 8}, {"trials": 3.0, "directions": 8.0}),
+        ("fermat", {"n": 9, "slope_cap": 10}, {"n": 9.0, "slope_cap": 10.0}),
+        ("eilenberg", {"n_samples": 2000, "epsilon": 0.004}, {"n_samples": 2000.0}),
+        ("transport-identity", {"sizes": [5, 9]}, {"sizes": [5.0, 9.0]}),
+        ("polar", {"trials": 2, "n": 4}, {"trials": 2.0, "n": 4.0}),
+        ("geometry-suite", {"samples": 50}, {"samples": 50.0}),
+    ],
+)
+def test_integral_float_parameters_still_run(experiment, params, integral):
+    want = run_scenario(Scenario(E2, experiment, params, 5))
+    got = run_scenario(Scenario(E2, experiment, {**params, **integral}, 5))
+    assert got.metrics == want.metrics
+    assert got.passed == want.passed
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +378,18 @@ def test_cli_space_field_beyond_float_range_returns_two(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_malformed_parameter_returns_two(tmp_path, capsys):
+    cfg = tmp_path / "bad-n.json"
+    cfg.write_text('{"space": {"kind": "euclidean", "dim": 2}, "params": {"n": "x"}, "seed": 1}')
+    assert main(["solve", "--config", str(cfg)]) == 2
+    huge = tmp_path / "huge-n.json"
+    huge.write_text('{"space": {"kind": "euclidean", "dim": 2}, "params": {"n": 1e400}, "seed": 1}')
+    assert main(["solve", "--config", str(huge)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error: params.n:") == 2
     assert captured.out == ""
 
 

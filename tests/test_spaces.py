@@ -10,14 +10,18 @@ import pytest
 
 from cat0ot import (
     Ball,
+    BallRegion,
+    BoxRegion,
     CapExceeded,
     ConfigInvalid,
+    EmptyRegion,
     InvalidPoint,
     ParamOutOfRange,
     Point,
     Subtree,
     TreeRegion,
     UnsupportedConvexSet,
+    UnsupportedRegion,
     build_comb,
     build_euclidean,
     build_open_book,
@@ -28,6 +32,7 @@ from cat0ot import (
     convex_combination,
     cost,
     distance,
+    eilenberg_estimate,
     geodesic,
     measure,
     normalize,
@@ -39,11 +44,19 @@ from cat0ot import (
     space_from_json,
     space_to_json,
 )
-from cat0ot import spaces
+from cat0ot import geometry, spaces
 from cat0ot.harness import Scenario, render_report, run_scenario, sample_points
 from cat0ot.rng import substream
 
-from _oracles import book_distance, comb_counts, route_by_four_lcas, tree_distance
+from _oracles import (
+    book_distance,
+    comb_counts,
+    region_diameter_by_family,
+    region_volume_by_family,
+    route_by_four_lcas,
+    sample_region_by_family,
+    tree_distance,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +196,7 @@ def test_tree_region_diameter_is_all_pairs_maximum(fixture, request):
     ]
     for vs in [verts, verts[::-1]] + balls:
         want = max(impl.vertex_distance(u, v) for u in vs for v in vs)
-        assert impl.region_diameter(TreeRegion(tuple(vs))) == want
+        assert impl.region(TreeRegion(tuple(vs)))[1] == want
 
 
 def _route_cases(space, rng):
@@ -228,11 +241,8 @@ def test_rerooted_subtree_connectivity(lopsided_at_e):
     impl = lopsided_at_e.impl
     x = Point(3, (1.0,))  # inside edge d-e
     apart = ("a", "g")  # two leaves joined through b and d
-    for call in (impl.region_volume, impl.region_diameter):
-        with pytest.raises(UnsupportedConvexSet):
-            call(TreeRegion(apart))
     with pytest.raises(UnsupportedConvexSet):
-        impl.sample_region(TreeRegion(apart), 4, substream(1, "sub"))
+        impl.region(TreeRegion(apart))
     with pytest.raises(UnsupportedConvexSet):
         project_convex(lopsided_at_e, x, Subtree(apart))
     cases = [
@@ -242,7 +252,7 @@ def test_rerooted_subtree_connectivity(lopsided_at_e):
         (("a", "b", "d", "f"), 1.8, impl.vertex_point("d")),  # connected, without the root e
     ]
     for vs, volume, proj in cases:
-        assert impl.region_volume(TreeRegion(vs)) == pytest.approx(volume, abs=1e-12)
+        assert impl.region(TreeRegion(vs))[0] == pytest.approx(volume, abs=1e-12)
         assert distance(lopsided_at_e, project_convex(lopsided_at_e, x, Subtree(vs)), proj) <= 1e-12
 
 
@@ -554,3 +564,217 @@ def test_point_json_round_trip(tripod, book3, e2):
         doc = point_to_json(p)
         q = point_from_json(space, doc)
         assert q.chart == p.chart and q.coords == p.coords
+
+
+# ---------------------------------------------------------------------------
+# regions: one answer per family, against the separate methods it replaced
+
+
+def _valid_regions(space, rng):
+    impl = space.impl
+    if space.kind == "euclidean":
+        d = impl.dim
+        out = []
+        for _ in range(6):
+            lo = tuple(rng.uniform(-2.0, 1.0, d).tolist())
+            hi = tuple(l + w for l, w in zip(lo, rng.uniform(0.0, 2.0, d).tolist()))
+            out.append(BoxRegion(0, lo, hi))
+            center = Point(0, tuple(rng.uniform(-3.0, 3.0, d).tolist()))
+            out.append(BallRegion(center, float(rng.uniform(0.01, 2.0))))
+        out.append(BoxRegion(0, (0.5,) * d, (0.5,) + (1.0,) * (d - 1)))  # a flat side
+        out.append(BallRegion(Point(0, (1,) * d), 1))  # integer coordinates
+        return out
+    if space.kind == "open_book":
+        out = []
+        for page in range(impl.pages):
+            for _ in range(3):
+                lo = (float(rng.uniform(0.0, 1.0)), float(rng.uniform(-1.0, 1.0)))
+                hi = (lo[0] + float(rng.uniform(0.0, 2.0)), lo[1] + float(rng.uniform(0.0, 2.0)))
+                out.append(BoxRegion(page, lo, hi))
+                r = float(rng.uniform(0.01, 1.0))
+                u = r + float(rng.uniform(0.0, 1.0))
+                out.append(BallRegion(Point(page, (u, float(rng.uniform(-1.0, 1.0)))), r))
+            out.append(BoxRegion(page, (0.0, -1.0), (1.0, 1.0)))  # against the spine
+            out.append(BallRegion(Point(page, (0.3, 0.2)), 0.3))  # tangent to the spine
+        # a center within the snap tolerance of the spine normalizes onto page 0
+        out.append(BallRegion(Point(2, (1e-13, 0.3)), 5e-14))
+        return out
+    verts = list(space.params.vertices)
+    picks = [verts[int(k)] for k in rng.choice(len(verts), min(len(verts), 8), replace=False)]
+    out = [TreeRegion(tuple(verts)), TreeRegion(tuple(verts[::-1])), TreeRegion((verts[0],))]
+    for c in picks:
+        for r in (0.3, 1.0, 2.5):
+            # a closed vertex ball is connected
+            ball = [v for v in verts if impl.vertex_distance(c, v) <= r]
+            out.append(TreeRegion(tuple(rng.permutation(ball).tolist()) + (ball[0],)))
+    return out
+
+
+def _outcome(call, *args):
+    """The call's result, or its error as (type, message)."""
+    try:
+        return call(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+def _is_error(outcome) -> bool:
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type)
+
+
+REGION_SPACES = ["e2", "e3", "book3", "tripod", "comb14", "comb316", "lopsided_tree"]
+
+
+@pytest.mark.parametrize("name", REGION_SPACES)
+def test_region_matches_the_separate_family_methods(name, request):
+    space = request.getfixturevalue(name)
+    kinds = set()
+    for k, region in enumerate(_valid_regions(space, substream(23, f"regions:{name}"))):
+        volume, diameter, sample = space.impl.region(region)
+        assert float(volume).hex() == float(region_volume_by_family(space, region)).hex()
+        want = region_diameter_by_family(space, region)
+        if space.kind == "open_book" and isinstance(region, BoxRegion):
+            # sqrt of the sum of squares, where the book once used math.hypot
+            assert abs(diameter - want) <= math.ulp(want)
+        else:
+            assert float(diameter).hex() == float(want).hex()
+        for n in (1, 257):
+            rng, ref = substream(k, f"draw:{n}"), substream(k, f"draw:{n}")
+            got = _outcome(sample, n, rng)
+            expected = _outcome(sample_region_by_family, space, region, n, ref)
+            if _is_error(expected):
+                # only a zero-length subtree samples nothing, and says so when asked
+                assert got == expected == (UnsupportedRegion, "subtree region has zero length")
+                assert volume == 0
+                kinds.add("empty")
+                continue
+            charts, coords = got
+            assert charts.dtype == expected[0].dtype == np.int64
+            assert charts.tobytes() == expected[0].tobytes()
+            assert coords.shape == expected[1].shape
+            assert coords.tobytes() == expected[1].tobytes()
+            # the same generator calls, so the stream continues identically
+            assert rng.random(4).tobytes() == ref.random(4).tobytes()
+            kinds.add(type(region).__name__)
+            kinds.update(f"chart{c}" for c in set(charts.tolist()))
+    if space.kind == "open_book":
+        assert {"BoxRegion", "BallRegion", "chart0", "chart1", "chart2"} <= kinds
+    elif space.kind == "tree":
+        assert {"TreeRegion", "empty"} <= kinds
+
+
+def _rejected_regions(space):
+    if space.kind == "euclidean":
+        d = space.impl.dim
+        return [
+            BoxRegion(1, (0.0,) * d, (1.0,) * d),  # wrong chart
+            BoxRegion(0, (0.0,) * (d + 1), (1.0,) * d),  # wrong dimension
+            BoxRegion(0, (0.0,) * d, (1.0,) * (d - 1)),
+            BoxRegion(0, (0.0,) * d, (-1.0,) + (1.0,) * (d - 1)),  # hi < lo
+            BallRegion(Point(1, (0.0,) * d), 1.0),  # center off the chart
+            BallRegion(Point(0, (0.0,) * (d + 1)), 1.0),
+            BallRegion(Point(0, (math.nan,) * d), 1.0),
+            TreeRegion((0, 1)),
+            EmptyRegion(),
+        ]
+    if space.kind == "open_book":
+        return [
+            BoxRegion(-1, (0.0, 0.0), (1.0, 1.0)),  # page out of range
+            BoxRegion(3, (0.0, 0.0), (1.0, 1.0)),
+            BoxRegion(0, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),  # wrong dimension
+            BoxRegion(0, (0.0, 0.0), (1.0,)),
+            BoxRegion(1, (-0.1, 0.0), (1.0, 1.0)),  # across the spine
+            BoxRegion(1, (0.5, 1.0), (1.0, 0.0)),  # hi < lo
+            BoxRegion(1, (-0.1, 0.0), (-0.2, 1.0)),  # across the spine and hi < lo
+            BallRegion(Point(1, (0.2, 0.0)), 0.3),  # off its page
+            BallRegion(Point(3, (1.0, 0.0)), 0.3),  # center's page out of range
+            BallRegion(Point(0, (-0.5, 0.0)), 0.3),  # center off the page
+            TreeRegion((0, 1)),
+            EmptyRegion(),
+        ]
+    verts = list(space.params.vertices)
+    far_leaves = [v for v, inc in zip(verts, space.impl.incident) if len(inc) == 1][:2]
+    return [
+        TreeRegion(()),  # empty
+        TreeRegion((verts[0], "nowhere")),  # unknown
+        TreeRegion(tuple(far_leaves)),  # disconnected
+        BoxRegion(0, (0.0,), (1.0,)),
+        BallRegion(space.impl.vertex_point(verts[0]), 0.5),
+        EmptyRegion(),
+    ]
+
+
+def _first_family_error(space, region):
+    # the order _shell_estimate asked the separate methods in
+    for call, args in (
+        (region_volume_by_family, (space, region)),
+        (region_diameter_by_family, (space, region)),
+        (sample_region_by_family, (space, region, 4, substream(0, "reject"))),
+    ):
+        outcome = _outcome(call, *args)
+        if _is_error(outcome):
+            return outcome
+    raise AssertionError(f"{region} was accepted by the family methods")
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "book3", "tripod", "comb14", "lopsided_tree"])
+def test_region_rejects_what_the_family_methods_rejected(name, request):
+    space = request.getfixturevalue(name)
+    for region in _rejected_regions(space):
+        got = _outcome(space.impl.region, region)
+        assert _is_error(got), region
+        want = _first_family_error(space, region)
+        if space.kind == "open_book" and want[1].startswith("box must sit") and region.lo[0] >= 0:
+            # hi < lo now gets the message the shared flat-chart box gives
+            want = (UnsupportedRegion, "box has hi < lo")
+        assert got == want, region
+
+
+def test_tree_region_checks_its_subtree_once(monkeypatch, lopsided_tree):
+    calls = []
+    check = spaces.TreeImpl._check_subtree
+
+    def spy(self, vertex_set):
+        calls.append(vertex_set)
+        return check(self, vertex_set)
+
+    monkeypatch.setattr(spaces.TreeImpl, "_check_subtree", spy)
+    g = geodesic(lopsided_tree, lopsided_tree.impl.vertex_point("a"), lopsided_tree.impl.vertex_point("e"))
+    for vs in (lopsided_tree.params.vertices, ("b", "d", "f"), ("d",)):
+        calls.clear()
+        eilenberg_estimate(lopsided_tree, g, TreeRegion(vs), 1000, seed=2)
+        assert calls == [vs]
+
+
+def test_zero_length_subtree_region_estimates_zero(lopsided_tree):
+    # the sampler would refuse it; the estimator returns before drawing
+    g = geodesic(lopsided_tree, lopsided_tree.impl.vertex_point("a"), lopsided_tree.impl.vertex_point("e"))
+    assert eilenberg_estimate(lopsided_tree, g, TreeRegion(("d", "d")), 100) == (0.0, 0.0, True)
+
+
+# the public methods every family's impl defines, as the geometry docstring
+# lists them, and the tree's documented extras
+IMPL_CONTRACT = (
+    "validate_point",
+    "normalize",
+    "distance",
+    "geodesic",
+    "represent_in_chart",
+    "continuation",
+    "project_segment",
+    "region",
+    "distances_from",
+    "direction_targets",
+)
+TREE_EXTRAS = ("vertex_point", "vertex_distance", "project_subtree")
+
+
+def test_every_impl_defines_the_contract_and_nothing_else():
+    for name in IMPL_CONTRACT + TREE_EXTRAS:
+        assert f"`impl.{name}`" in geometry.__doc__, name
+    impls = {n: c for n, c in vars(spaces).items() if n.endswith("Impl") and isinstance(c, type)}
+    assert sorted(impls) == ["BookImpl", "EuclideanImpl", "TreeImpl"]
+    for name, cls in impls.items():
+        public = {k for k, v in vars(cls).items() if callable(v) and not k.startswith("_")}
+        extras = set(TREE_EXTRAS) if cls is spaces.TreeImpl else set()
+        assert public == set(IMPL_CONTRACT) | extras, name
