@@ -111,15 +111,14 @@ def _one_sided(
     s: float,
     f0s: Sequence[float],
     sign: float,
-    steps: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Refined difference quotient on one side for each f, from one evaluation
     of each step point; (nan, nan) when there is no room."""
     room = (1.0 - s) if sign > 0 else s
     if room <= 1e-15:
         return [(math.nan, math.nan)] * len(fs)
-    scale = min(1.0, room / steps[0])
-    hs = [h * scale for h in steps]
+    scale = min(1.0, room / DEFAULT_STEPS[0])
+    hs = [h * scale for h in DEFAULT_STEPS]
     pts = [g.eval(s + sign * h) for h in hs]
     h1, h2 = hs[-2], hs[-1]
     out = []
@@ -135,26 +134,19 @@ def _derivatives(
     fs: Sequence[Callable[[Point], float]],
     x: Point,
     g: Geodesic,
-    schedule: Optional[Sequence[float]],
-    tol: float,
 ) -> list[DerivativeEstimate]:
     """geodesic_derivative of each f in fs, evaluating each point of g once."""
     s = parameter_on(space, g, x)
-    steps = DEFAULT_STEPS if schedule is None else [float(h) for h in schedule]
-    if len(steps) < 2 or any(h <= 0 for h in steps) or any(
-        steps[i + 1] >= steps[i] for i in range(len(steps) - 1)
-    ):
-        raise ParamOutOfRange("step schedule must be strictly decreasing and positive")
     p0 = g.eval(s)
     f0s = [f(p0) for f in fs]
-    plus = _one_sided(fs, g, s, f0s, +1.0, steps)
-    minus = _one_sided(fs, g, s, f0s, -1.0, steps)
+    plus = _one_sided(fs, g, s, f0s, +1.0)
+    minus = _one_sided(fs, g, s, f0s, -1.0)
     out = []
     for (d_plus, h_plus), (d_minus, h_minus) in zip(plus, minus):
         have_plus = not math.isnan(d_plus)
         have_minus = not math.isnan(d_minus)
         if have_plus and have_minus:
-            diff = abs(d_plus - d_minus) < tol * (1.0 + abs(d_plus) + abs(d_minus))
+            diff = abs(d_plus - d_minus) < DIFF_TOL * (1.0 + abs(d_plus) + abs(d_minus))
             value = 0.5 * (d_plus + d_minus)
             step = min(h_plus, h_minus)
         elif have_plus:
@@ -172,16 +164,16 @@ def geodesic_derivative(
     f: Callable[[Point], float],
     x: Point,
     g: Geodesic,
-    schedule: Optional[Sequence[float]] = None,
-    tol: float = DIFF_TOL,
 ) -> DerivativeEstimate:
     """Derivative of f along g at x, with respect to the parameter on [0, 1].
 
-    x must lie on g (within 1e-9). At the endpoints only the inward one-sided
-    quotient exists; the missing side is reported as nan and the estimate is
-    flagged non-differentiable.
+    x must lie on g (within `PT_TOL` = 1e-9). Steps follow `DEFAULT_STEPS`, and
+    the two sides must agree within `DIFF_TOL` = 1e-5 (relative) for f to count
+    as differentiable. At the endpoints only the inward one-sided quotient
+    exists; the missing side is reported as nan and the estimate is flagged
+    non-differentiable.
     """
-    return _derivatives(space, (f,), x, g, schedule, tol)[0]
+    return _derivatives(space, (f,), x, g)[0]
 
 
 def direction_set(
@@ -217,9 +209,9 @@ def twist_test(
     y1: Point,
     y2: Point,
     directions: Sequence[Geodesic],
-    gap_tol: float = GAP_TOL,
 ) -> TwistReport:
-    """Can first-order cost data at x tell y1 and y2 apart along some direction?"""
+    """Can first-order cost data at x tell y1 and y2 apart along some direction?
+    Yes when the two cost derivatives differ by more than `GAP_TOL` = 1e-6."""
     xn = normalize(space, x)
     _check_origins(space, xn, directions)
     f1 = _cost_to(space, normalize(space, y1))
@@ -229,12 +221,12 @@ def twist_test(
     for g in directions:
         if g.length == 0:
             continue
-        e1, e2 = _derivatives(space, (f1, f2), xn, g, None, DIFF_TOL)
+        e1, e2 = _derivatives(space, (f1, f2), xn, g)
         gap = abs(e1.value - e2.value)
         if gap > max_gap:
             max_gap = gap
             witness = g
-    holds = max_gap > gap_tol
+    holds = max_gap > GAP_TOL
     return TwistReport(witness if holds else None, max_gap, holds)
 
 
@@ -243,11 +235,11 @@ def fermat_check(
     f: Callable[[Point], float],
     x_star: Point,
     directions: Sequence[Geodesic],
-    tol: float = DIFF_TOL,
 ) -> FermatReport:
     """First-order minimality at x_star: directional derivatives over the sample.
 
-    two_sided_zero quantifies only over directions that extend through x_star;
+    two_sided_zero asks both derivatives to be within `DIFF_TOL` = 1e-5 of 0.
+    It quantifies only over directions that extend through x_star;
     at points with no continuation (tree leaves) it is vacuously true.
     """
     xn = normalize(space, x_star)
@@ -267,7 +259,7 @@ def fermat_check(
             continue
         opp = space.impl.geodesic(xn, ext.end)
         d_opp = geodesic_derivative(space, f, xn, opp).value
-        if abs(d_fwd) > tol or abs(d_opp) > tol:
+        if abs(d_fwd) > DIFF_TOL or abs(d_opp) > DIFF_TOL:
             two_sided = False
     if not seen:
         raise ParamOutOfRange("no non-degenerate directions supplied")
@@ -280,7 +272,9 @@ def radial_projection(space: SpaceHandle, g: Geodesic, x: Point) -> Point:
     return g.at_arc(min(d0, g.length))
 
 
-def _batch_sigma(values: np.ndarray, batches: int = 20) -> float:
+def _batch_sigma(values: np.ndarray) -> float:
+    """Standard error of the mean from 20 batch means (plain below 40 values)."""
+    batches = 20
     n = values.size
     if n < 2 * batches:
         return float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0

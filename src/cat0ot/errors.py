@@ -30,10 +30,6 @@ class OriginMismatch(Cat0otError):
     """Two geodesics were expected to share a start point and do not."""
 
 
-class ScheduleTooShort(Cat0otError):
-    pass
-
-
 class UnsupportedConvexSet(Cat0otError):
     pass
 

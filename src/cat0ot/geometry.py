@@ -30,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, sub
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DegenerateTriangle,
@@ -39,7 +39,6 @@ from .errors import (
     OriginMismatch,
     ParamOutOfRange,
     PointNotOnGeodesic,
-    ScheduleTooShort,
     UnsupportedConvexSet,
 )
 
@@ -237,8 +236,9 @@ def normalize(space: SpaceHandle, p: Point) -> Point:
     return impl.normalize(p)
 
 
-def points_equal(space: SpaceHandle, p: Point, q: Point, tol: float = PT_TOL) -> bool:
-    return distance(space, p, q) <= tol
+def points_equal(space: SpaceHandle, p: Point, q: Point) -> bool:
+    """Whether d(p, q) is within `PT_TOL` = 1e-9."""
+    return distance(space, p, q) <= PT_TOL
 
 
 def distance(space: SpaceHandle, p: Point, q: Point) -> float:
@@ -275,35 +275,24 @@ def _default_angle_schedule(lg: float, lh: float) -> list[float]:
     return [s0 * 2.0 ** (-k) for k in range(13)]
 
 
-def alexandrov_angle(
-    space: SpaceHandle,
-    g: Geodesic,
-    h: Geodesic,
-    schedule: Optional[Sequence[float]] = None,
-    tol: float = 1e-7,
-) -> AngleEstimate:
+def alexandrov_angle(space: SpaceHandle, g: Geodesic, h: Geodesic) -> AngleEstimate:
     """Upper angle between two geodesics issuing from a common point.
 
-    Comparison angles along the shrinking schedule are non-increasing in
+    Comparison angles are taken along `_default_angle_schedule`: a quarter of
+    the shorter length, halved twelve times. They are non-increasing in
     nonpositive curvature, so the value at the smallest scale is a certified
     upper bound on the limit and [last, first] brackets the whole sequence.
+    The estimate is converged when its last two angles differ by less than
+    1e-7. The start points must agree within `PT_TOL` = 1e-9.
     """
     if distance(space, g.start, h.start) > PT_TOL:
         raise OriginMismatch("geodesics do not share a start point")
     if g.length <= 0 or h.length <= 0:
         raise ParamOutOfRange("angle needs two non-degenerate geodesics")
-    if schedule is None:
-        schedule = _default_angle_schedule(g.length, h.length)
-    sched = [float(s) for s in schedule]
-    if len(sched) < 2:
-        raise ScheduleTooShort("angle schedule needs at least 2 entries")
-    if any(s <= 0 for s in sched) or any(
-        sched[i + 1] >= sched[i] for i in range(len(sched) - 1)
-    ):
-        raise ParamOutOfRange("angle schedule must be strictly decreasing and positive")
-
-    angles = comparison_angle_sequence(space, g, h, sched)
-    converged = abs(angles[-1] - angles[-2]) < tol
+    angles = comparison_angle_sequence(
+        space, g, h, _default_angle_schedule(g.length, h.length)
+    )
+    converged = abs(angles[-1] - angles[-2]) < 1e-7
     low = min(angles[-1], angles[0])
     high = max(angles[-1], angles[0])
     return AngleEstimate(angles[-1], low, high, converged)
@@ -381,11 +370,12 @@ def extend(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:
     return geodesic_from_chain(space, chain + space.impl.continuation(g.pieces[-1], delta))
 
 
-def parameter_on(space: SpaceHandle, g: Geodesic, x: Point, tol: float = PT_TOL) -> float:
-    """Curve parameter of a point lying on g (smallest match wins)."""
+def parameter_on(space: SpaceHandle, g: Geodesic, x: Point) -> float:
+    """Curve parameter of a point lying on g within `PT_TOL` = 1e-9 (smallest
+    match wins)."""
     xn = normalize(space, x)
     if g.length == 0:
-        if space.impl.distance(xn, g.start) <= tol:
+        if space.impl.distance(xn, g.start) <= PT_TOL:
             return 0.0
         raise PointNotOnGeodesic("point is not on the (degenerate) geodesic")
     best = None
@@ -395,7 +385,7 @@ def parameter_on(space: SpaceHandle, g: Geodesic, x: Point, tol: float = PT_TOL)
             continue
         w, proj = segment_projection(coords, pc.c0, pc.c1)
         err = math.sqrt(sum((c - p) ** 2 for c, p in zip(coords, proj)))
-        if err <= tol:
+        if err <= PT_TOL:
             t = pc.t0 + w * (pc.t1 - pc.t0)
             if best is None or t < best:
                 best = t

@@ -237,7 +237,7 @@ def _run_monotonicity(space: SpaceHandle, params: dict, seed: int) -> tuple[dict
     mu, nu = _instance(space, params, seed)
     plan, _pot, total = solve_kantorovich(space, mu, nu)
     max_len = _param(params, "max_len", 3)
-    result = check_cyclic_monotonicity(space, plan, max_len=max_len, seed=seed)
+    result = check_cyclic_monotonicity(space, plan, max_len=max_len)
     metrics = {
         "violations": _metric(result["violations"]),
         "worst_slack": _metric(result["worst_slack"]),

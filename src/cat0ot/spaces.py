@@ -28,6 +28,7 @@ from .errors import (
     ParamOutOfRange,
     UnsupportedConvexSet,
     UnsupportedRegion,
+    config_float,
     config_int,
 )
 from .geometry import (
@@ -460,7 +461,8 @@ class TreeImpl:
         db = self._vertex_rows(self._vidx[b], ends)
         dp = np.minimum(sp + da, (ln - sp) + db)
         s = coords[:, 0]
-        base = np.minimum(dp[:, 0] + s, dp[:, 1] + self._lens[charts] - s)
+        # the far end's term grouped as _route groups it, so rows equal distance()
+        base = np.minimum(dp[:, 0] + s, dp[:, 1] + (self._lens[charts] - s))
         return np.where(charts == p.chart, np.abs(s - sp), base)
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
@@ -762,12 +764,13 @@ def _space_from_json(doc: dict) -> SpaceHandle:
         if kind == "euclidean":
             return build_euclidean(config_int(doc["dim"], "space.dim"))
         if kind == "tree":
-            edges = [(a, b, float(ln)) for a, b, ln in doc["edges"]]
+            edges = [(a, b, config_float(ln, "space.edges")) for a, b, ln in doc["edges"]]
             return build_tree(doc["vertices"], edges, doc.get("root"))
         if kind == "tripod":
             return build_tripod()
         if kind == "star":
-            return build_star(config_int(doc["legs"], "space.legs"), float(doc.get("length", 1.0)))
+            legs = config_int(doc["legs"], "space.legs")
+            return build_star(legs, config_float(doc.get("length", 1.0), "space.length"))
         if kind == "comb":
             depth = config_int(doc["depth"], "space.depth")
             return build_comb(depth, config_int(doc["grid"], "space.grid"))
@@ -787,6 +790,6 @@ def point_to_json(p: Point) -> list:
 def point_from_json(space: SpaceHandle, doc: Sequence) -> Point:
     if len(doc) < 2:
         raise ConfigInvalid("point", f"need [chart, coords...], got {doc}")
-    p = Point(int(doc[0]), tuple(float(c) for c in doc[1:]))
+    p = Point(config_int(doc[0], "point"), tuple(config_float(c, "point") for c in doc[1:]))
     space.impl.validate_point(p)
     return space.impl.normalize(p)

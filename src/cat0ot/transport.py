@@ -28,6 +28,8 @@ from .errors import (
     TooManyTuples,
     UnsupportedShape,
     WeightMismatch,
+    config_float,
+    config_int,
 )
 from .geometry import Point, SpaceHandle, distance, normalize
 from .rng import substream
@@ -381,7 +383,8 @@ def c_transform(
         raise EmptySet("the c-transform needs a nonempty base set")
     if len(psi) != len(a_points):
         raise ParamOutOfRange("one value per base point required")
-    C = _cost_rows(space, [normalize(space, x) for x in a_points], b_points)
+    xs = [normalize(space, x) for x in a_points]
+    C = _cost_rows(space, xs, [normalize(space, y) for y in b_points])
     vals = (np.asarray(psi, dtype=float)[:, None] + C).min(axis=0)
     return [float(v) for v in vals]
 
@@ -392,9 +395,8 @@ def c_subdifferential(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     x_index: int,
-    tol: float = 1e-9,
 ) -> set[int]:
-    """Target indices where phi(y) - psi(x) = c(x, y) within tol."""
+    """Target indices where phi(y) - psi(x) = c(x, y) within 1e-9."""
     # measure atoms are normal already
     x = mu.points[x_index]
     psi_x = potentials.psi[x_index]
@@ -402,13 +404,14 @@ def c_subdifferential(
     out = set()
     for j, y in enumerate(nu.points):
         d = dist(x, y)
-        if abs(potentials.phi[j] - psi_x - 0.5 * d * d) <= tol:
+        if abs(potentials.phi[j] - psi_x - 0.5 * d * d) <= 1e-9:
             out.add(j)
     return out
 
 
-def extract_monge_map(plan: TransportPlan, tol: float = 1e-9):
-    """Largest-entry assignment, or NotDeterministic with the total split mass."""
+def extract_monge_map(plan: TransportPlan):
+    """Largest-entry assignment, or NotDeterministic with the total split mass
+    when that mass exceeds 1e-9."""
     n = len(plan.source.points)
     largest: list[Optional[tuple[int, float]]] = [None] * n
     for i, j, mass in plan.entries:
@@ -418,7 +421,7 @@ def extract_monge_map(plan: TransportPlan, tol: float = 1e-9):
     for i in range(n):
         carried = largest[i][1] if largest[i] is not None else 0.0
         split += plan.source.weights[i] - carried
-    if split > tol:
+    if split > 1e-9:
         return NotDeterministic(split)
     targets = tuple(largest[i][0] for i in range(n))
     points = tuple(plan.target.points[j] for j in targets)
@@ -560,7 +563,11 @@ def measure_to_json(m: DiscreteMeasure) -> dict:
 
 
 def measure_from_json(space: SpaceHandle, doc: dict) -> DiscreteMeasure:
-    pts = [Point(int(row[0]), tuple(float(c) for c in row[1:])) for row in doc["points"]]
+    """Charts are read by `config_int`, coordinates by `config_float`."""
+    pts = [
+        Point(config_int(row[0], "points"), tuple(config_float(c, "points") for c in row[1:]))
+        for row in doc["points"]
+    ]
     return measure(space, pts, doc.get("weights"))
 
 

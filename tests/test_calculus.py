@@ -106,18 +106,6 @@ def test_kink_is_flagged_not_differentiable(e2):
     assert est.one_sided_minus == pytest.approx(-2.0, abs=1e-9)
 
 
-def test_schedule_validation(e2):
-    g = geodesic(e2, Point(0, (0.0, 0.0)), Point(0, (1.0, 0.0)))
-    f = lambda p: p.coords[0]
-    x = Point(0, (0.5, 0.0))
-    with pytest.raises(ParamOutOfRange):
-        geodesic_derivative(e2, f, x, g, schedule=[0.1])
-    with pytest.raises(ParamOutOfRange):
-        geodesic_derivative(e2, f, x, g, schedule=[0.1, 0.2])
-    with pytest.raises(ParamOutOfRange):
-        geodesic_derivative(e2, f, x, g, schedule=[0.1, -0.01])
-
-
 # ---------------------------------------------------------------------------
 # direction sets
 

@@ -17,7 +17,6 @@ from cat0ot import (
     ParamOutOfRange,
     Point,
     PointNotOnGeodesic,
-    ScheduleTooShort,
     Segment,
     Subtree,
     UnsupportedConvexSet,
@@ -331,13 +330,6 @@ def test_alexandrov_angle_error_contracts(e2):
     h = geodesic(e2, Point(0, (0.5, 0.5)), Point(0, (1.0, 1.0)))
     with pytest.raises(OriginMismatch):
         alexandrov_angle(e2, g, h)
-    k = geodesic(e2, Point(0, (0.0, 0.0)), Point(0, (0.0, 1.0)))
-    with pytest.raises(ScheduleTooShort):
-        alexandrov_angle(e2, g, k, schedule=[0.1])
-    with pytest.raises(ParamOutOfRange):
-        alexandrov_angle(e2, g, k, schedule=[0.1, 0.2])
-    with pytest.raises(ParamOutOfRange):
-        alexandrov_angle(e2, g, k, schedule=[0.1, -0.05])
 
 
 # ---------------------------------------------------------------------------

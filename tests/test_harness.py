@@ -106,6 +106,8 @@ def test_malformed_space_fails_at_run():
         {"kind": "comb", "depth": 1, "grid": "4"},
         {"kind": "comb", "depth": 1.5, "grid": 4},
         {"kind": "star", "legs": 2.5},
+        {"kind": "star", "legs": 3, "length": True},
+        {"kind": "tree", "vertices": [0, 1], "edges": [[0, 1, "2.5"]]},
     ],
     ids=[
         "unknown-kind",
@@ -125,11 +127,14 @@ def test_malformed_space_fails_at_run():
         "text-grid",
         "fractional-depth",
         "fractional-legs",
+        "boolean-star-length",
+        "text-edge-length",
     ],
 )
 def test_every_bad_space_reaches_run_scenario_as_config_invalid(space):
+    # a random instance runs on every family, so only the space can be at fault
     with pytest.raises(ConfigInvalid):
-        run_scenario(_scenario("solve", {"instance": "line"}, space=space))
+        run_scenario(_scenario("solve", {"instance": "random", "n": 3}, space=space))
 
 
 def test_integral_float_space_fields_build_the_integer_space():
@@ -137,12 +142,17 @@ def test_integral_float_space_fields_build_the_integer_space():
     assert space_from_json({"kind": "open_book", "pages": 3.0}).params.pages == 3
     comb = space_from_json({"kind": "comb", "depth": 1.0, "grid": 4.0})
     assert comb.params == space_from_json({"kind": "comb", "depth": 1, "grid": 4}).params
+    # integer lengths are numbers too
+    star = space_from_json({"kind": "star", "legs": 3, "length": 2})
+    assert star.params == space_from_json({"kind": "star", "legs": 3, "length": 2.0}).params
 
 
 # each experiment's malformed parameters: wrong type, non-integral, boolean,
 # non-finite, or a count below one; each must surface as ConfigInvalid at its
-# key. A single bad key is named once; inline measures name the bad side.
+# key. A single bad key is named once; inline measures name the bad side, and
+# a case that needs a space other than the plane names it third.
 OK_MU = {"points": [[0, 0.0, 0.0]]}
+BOOK3 = {"kind": "open_book", "pages": 3}
 BAD_PARAMS = {
     "solve": [
         {"n": "x"},
@@ -155,6 +165,8 @@ BAD_PARAMS = {
         ("mu", {"mu": {"points": [["a", 0.0, 0.0]]}, "nu": OK_MU}),
         ("nu", {"mu": OK_MU, "nu": {"points": [[]]}}),
         ("nu", {"mu": OK_MU, "nu": {"points": [[0, 1.0]]}}),
+        ("mu", {"mu": {"points": [[1.9, 0.5, 0.0]]}, "nu": OK_MU}, BOOK3),
+        ("mu", {"mu": {"points": [[True, 0.2, 0.1]]}, "nu": OK_MU}, BOOK3),
     ],
     "monotonicity": [{"max_len": 2.5}, {"n": "5"}],
     "twist": [{"trials": "a"}, {"trials": 0}, {"directions": None}],
@@ -169,10 +181,10 @@ BAD_PARAMS = {
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_malformed_parameters_reach_run_scenario_as_config_invalid(experiment):
     for case in BAD_PARAMS[experiment]:
-        key, params = case if isinstance(case, tuple) else (next(iter(case)), case)
+        key, params, *space = case if isinstance(case, tuple) else (next(iter(case)), case)
         # built directly, as the benchmark builds its scenarios
         with pytest.raises(ConfigInvalid) as info:
-            run_scenario(Scenario(E2, experiment, params, 1))
+            run_scenario(Scenario(space[0] if space else E2, experiment, params, 1))
         assert info.value.path == f"params.{key}", params
 
 
@@ -187,6 +199,8 @@ def test_malformed_parameters_reach_run_scenario_as_config_invalid(experiment):
         ("transport-identity", {"sizes": [5, 9]}, {"sizes": [5.0, 9.0]}),
         ("polar", {"trials": 2, "n": 4}, {"trials": 2.0, "n": 4.0}),
         ("geometry-suite", {"samples": 50}, {"samples": 50.0}),
+        ("solve", {"mu": {"points": [[0, 0.5, 0.0]]}, "nu": OK_MU},
+         {"mu": {"points": [[0.0, 0.5, 0.0]]}}),
     ],
 )
 def test_integral_float_parameters_still_run(experiment, params, integral):

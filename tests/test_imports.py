@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in it (no linter is installed)."""
+"""Every name a library module imports is used in it, and every error class is
+raised somewhere (no linter is installed)."""
 
 from __future__ import annotations
 
@@ -85,3 +86,43 @@ def test_package_exports_are_listed_in_each_module_all():
             if listed is not None:
                 missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in listed]
     assert missing == []
+
+
+def dead_errors(errors_source: str, module_sources: list[str]) -> list[str]:
+    """The `Cat0otError` subclasses defined in errors_source that no `raise X`
+    or `raise X(...)` statement in module_sources names."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for node in ast.parse(errors_source).body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def domain(name: str) -> bool:
+        return name == "Cat0otError" or any(domain(b) for b in bases.get(name, ()))
+
+    raised = set()
+    for source in module_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return sorted(n for n in bases if n != "Cat0otError" and domain(n) and n not in raised)
+
+
+def test_every_error_class_is_raised():
+    modules = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert dead_errors((SRC / "errors.py").read_text(), modules) == []
+
+
+def test_the_check_sees_a_dead_error_class():
+    errors = (
+        "class Cat0otError(Exception): pass\n"
+        "class Used(Cat0otError): pass\n"
+        "class Dead(Used): pass\n"
+        "class Bare(Cat0otError): pass\n"
+        "class Foreign(ValueError): pass\n"
+    )
+    module = "def f(exc):\n    if exc:\n        raise exc\n    raise Used('x')\n"
+    assert dead_errors(errors, [module]) == ["Bare", "Dead"]
+    assert dead_errors(errors, [module, "raise Bare\n"]) == ["Dead"]

@@ -183,6 +183,34 @@ def test_tree_cost_rows_match_networkx(fixture, request):
             assert C[i, j] == pytest.approx(0.5 * tree_distance(space, x, y) ** 2, abs=1e-12)
 
 
+# the most units in the last place by which a distances_from row may differ
+# from the scalar distance, as measured on this test's samples: Euclidean and
+# book rows use np.hypot / np.linalg.norm where the scalar uses math.hypot /
+# pow(v, 2), and pinned geometry bytes depend on both; tree rows add the same
+# terms in the same order as the scalar route.
+ROW_ULPS = {
+    "e2": 1, "e3": 1, "book3": 1,
+    "tripod": 0, "comb14": 0, "comb316": 0, "lopsided_tree": 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ULPS))
+def test_distance_rows_match_the_scalar_distance(name, request):
+    space = request.getfixturevalue(name)
+    rng = substream(17, f"rows-vs-distance:{name}")
+    sources, targets = sample_points(space, rng, 50), sample_points(space, rng, 200)
+    charts = np.asarray([y.chart for y in targets])
+    coords = np.asarray([y.coords for y in targets], dtype=float)
+    worst = 0.0
+    for x in sources:
+        row = space.impl.distances_from(x, charts, coords)
+        want = np.array([space.impl.distance(x, y) for y in targets])
+        if ROW_ULPS[name] == 0:
+            assert row.tobytes() == want.tobytes()
+        worst = max(worst, float((np.abs(row - want) / np.spacing(want)).max()))
+    assert worst <= ROW_ULPS[name]
+
+
 @pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
 def test_tree_region_diameter_is_all_pairs_maximum(fixture, request):
     space = request.getfixturevalue(fixture)
@@ -564,6 +592,10 @@ def test_point_json_round_trip(tripod, book3, e2):
         doc = point_to_json(p)
         q = point_from_json(space, doc)
         assert q.chart == p.chart and q.coords == p.coords
+    assert point_from_json(book3, [1.0, 0.5, 0.1]) == Point(1, (0.5, 0.1))
+    for doc in ([2.7, 0.5, 0.1], [True, 0.5, 0.1], [1, "0.5", 0.1]):
+        with pytest.raises(ConfigInvalid):
+            point_from_json(book3, doc)
 
 
 # ---------------------------------------------------------------------------
