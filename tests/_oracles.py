@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own geodesic and solver
 code paths: tree distances go through networkx shortest paths on the raw edge
 data, book distances through the two-case unfolding formula, transport costs
 and the arcs of optimal plans through scipy's LP solver, comb sizes
-through a closed-form count, and the cycle audit one tuple at a time.
+through a closed-form count, the cycle audit one tuple at a time, and the
+assignment prices by relaxing the dense n-by-n exchange graph every round.
 Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
@@ -160,6 +161,30 @@ def optimal_arcs(C: np.ndarray, a, b) -> set[tuple[int, int]]:
         if -res.fun > 1e-7:
             out.add(divmod(k, m))
     return out
+
+
+def assignment_duals_by_dense_relaxation(C: np.ndarray, perm, arcs=None):
+    """(alpha, beta) of an assignment by relaxing every exchange arc each round.
+
+    W[i, k] = C[i, perm[k]] - C[k, perm[k]]; arcs, a boolean n-by-n mask,
+    keeps only the arcs it marks (the rest weigh +inf). alpha starts at 0 and
+    takes min(alpha, min_k alpha[k] + W[i, k]) until it stops moving, for at
+    most n + 5 rounds; beta[perm] = C[i, perm[i]] - alpha.
+    """
+    n = C.shape[0]
+    d = C[np.arange(n), perm]
+    W = C[:, perm] - d[None, :]
+    if arcs is not None:
+        W = np.where(arcs, W, np.inf)
+    alpha = np.zeros(n)
+    for _ in range(n + 5):
+        relaxed = np.minimum(alpha, (alpha[None, :] + W).min(axis=1))
+        if np.array_equal(relaxed, alpha):
+            break
+        alpha = relaxed
+    beta = np.empty(n)
+    beta[perm] = d - alpha
+    return alpha, beta
 
 
 def euclidean_vertex_angle(origin, a, b) -> float:

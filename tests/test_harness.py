@@ -167,6 +167,8 @@ BAD_PARAMS = {
         ("nu", {"mu": OK_MU, "nu": {"points": [[0, 1.0]]}}),
         ("mu", {"mu": {"points": [[1.9, 0.5, 0.0]]}, "nu": OK_MU}, BOOK3),
         ("mu", {"mu": {"points": [[True, 0.2, 0.1]]}, "nu": OK_MU}, BOOK3),
+        ("mu", {"mu": {"points": [[0, 0.0, 0.0]], "weights": [True]}, "nu": OK_MU}),
+        ("nu", {"mu": OK_MU, "nu": {"points": [[0, 1.0, 0.0]], "weights": ["1.0"]}}),
     ],
     "monotonicity": [{"max_len": 2.5}, {"n": "5"}],
     "twist": [{"trials": "a"}, {"trials": 0}, {"directions": None}],
@@ -201,6 +203,8 @@ def test_malformed_parameters_reach_run_scenario_as_config_invalid(experiment):
         ("geometry-suite", {"samples": 50}, {"samples": 50.0}),
         ("solve", {"mu": {"points": [[0, 0.5, 0.0]]}, "nu": OK_MU},
          {"mu": {"points": [[0.0, 0.5, 0.0]]}}),
+        ("solve", {"mu": {"points": [[0, 0.5, 0.0]], "weights": [1.0]}, "nu": OK_MU},
+         {"mu": {"points": [[0, 0.5, 0.0]], "weights": [1]}}),
     ],
 )
 def test_integral_float_parameters_still_run(experiment, params, integral):

@@ -46,7 +46,12 @@ from cat0ot import (
 from cat0ot.harness import random_instance, sample_points, translation_instance
 from cat0ot.rng import substream
 
-from _oracles import cyclic_monotonicity_by_tuple, lp_transport_cost, optimal_arcs
+from _oracles import (
+    assignment_duals_by_dense_relaxation,
+    cyclic_monotonicity_by_tuple,
+    lp_transport_cost,
+    optimal_arcs,
+)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +219,122 @@ def test_assignment_fast_path_falls_back_to_the_simplex(
     assert simplex_calls == [(2, 2)]  # the crossed matching fails its certificate
     assert pot.feasible
     assert total == pytest.approx(lp_transport_cost(e1, mu, nu), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 24])
+def test_a_crossed_matching_stops_the_relaxation_and_falls_back(
+    e1, n, monkeypatch, simplex_calls
+):
+    # reversed, the matching of a shifted line has negative exchange cycles;
+    # at 24 atoms the first shortlist holds only 16 targets per row
+    mu = measure(e1, [Point(0, (float(i),)) for i in range(n)])
+    nu = measure(e1, [Point(0, (i + 0.5,)) for i in range(n)])
+    monkeypatch.setattr(transport, "ASSIGNMENT_FAST_PATH", 2)
+    monkeypatch.setattr(
+        scipy.optimize, "linear_sum_assignment", lambda C: (np.arange(n), np.arange(n)[::-1])
+    )
+    duals = []
+    relax = transport._assignment_duals
+
+    def spy(C, perm):
+        duals.append((C, perm, *relax(C, perm)))
+        return duals[-1][2:]
+
+    monkeypatch.setattr(transport, "_assignment_duals", spy)
+    _, pot, total = solve_kantorovich(e1, mu, nu)
+    [(C, perm, alpha, beta)] = duals
+    assert np.isfinite(alpha).all()
+    # the relaxation stopped on its cap: some exchange arc still prices negative
+    W = C[:, perm] - C[np.arange(n), perm][None, :]
+    assert ((alpha[None, :] + W) < alpha[:, None]).any()
+    assert (C - alpha[:, None] - beta[None, :]).min() < -1e-9  # the certificate rejects
+    assert simplex_calls == [(n, n)]
+    assert pot.feasible
+    assert total == pytest.approx(lp_transport_cost(e1, mu, nu), abs=1e-9)
+
+
+def _uniform_pair(space, n: int, tag: str):
+    rng = substream(n, tag)
+    mu = measure(space, sample_points(space, rng, n))
+    return mu, measure(space, sample_points(space, rng, n))
+
+
+def _assignment_costs(kind: str, n: int, request) -> np.ndarray:
+    """Costs of a translation grid of side n, or of n uniform random atoms."""
+    if kind == "grid":
+        e2 = request.getfixturevalue("e2")
+        mu, nu, _, _ = translation_instance(e2, n)
+        return pairwise_costs(e2, mu, nu)
+    space = request.getfixturevalue(kind)
+    return pairwise_costs(space, *_uniform_pair(space, n, f"sparse-duals:{kind}"))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("grid", 17), ("grid", 25), ("grid", 33)]
+    + [(kind, n) for kind in ("e2", "tripod") for n in (289, 576, 1089)],
+)
+def test_sparse_assignment_duals_equal_the_dense_relaxation(kind, n, request):
+    C = _assignment_costs(kind, n, request)
+    rows, cols = scipy.optimize.linear_sum_assignment(C)
+    perm = cols[np.argsort(rows)]
+    want = assignment_duals_by_dense_relaxation(C, perm)
+    got = transport._assignment_duals(C, perm)
+    for w, g in zip(want, got):
+        assert w.tobytes() == g.tobytes()
+
+
+def test_the_first_shortlist_misses_arcs_the_duals_need(e2):
+    # on 289 random atoms the fixpoint over each row's 16 nearest targets is
+    # not the dense one, so the sparse duals above had to grow their shortlist
+    C = pairwise_costs(e2, *_uniform_pair(e2, 289, "sparse-duals:e2"))
+    rows, cols = scipy.optimize.linear_sum_assignment(C)
+    perm = cols[np.argsort(rows)]
+    nearest = np.zeros_like(C, dtype=bool)
+    np.put_along_axis(nearest, np.argsort(C, axis=1)[:, :16], True, axis=1)
+    shortlist = nearest[:, perm]  # arc k -> i is kept when perm[k] is near row i
+    first, _ = assignment_duals_by_dense_relaxation(C, perm, shortlist)
+    alpha, _ = assignment_duals_by_dense_relaxation(C, perm)
+    assert not np.array_equal(first, alpha)
+    assert np.array_equal(transport._assignment_duals(C, perm)[0], alpha)
+
+
+LSA = scipy.optimize.linear_sum_assignment
+
+
+@pytest.fixture
+def lsa_inputs(monkeypatch):
+    calls = []
+
+    def spy(C):
+        calls.append(C)
+        return LSA(C)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+    return calls
+
+
+@pytest.mark.parametrize("side", [17, 25, 33])
+def test_tied_grid_costs_take_the_auction_warm_start(e2, side, lsa_inputs):
+    mu, nu, _, _ = translation_instance(e2, side)
+    C = pairwise_costs(e2, mu, nu)
+    plan, _, _ = solve_kantorovich(e2, mu, nu)
+    [warm] = lsa_inputs
+    offset = warm - C  # one price per column
+    assert not np.array_equal(warm, C)
+    assert np.allclose(offset, offset[0], rtol=0.0, atol=1e-12)
+    rows, cols = LSA(C)
+    assert [(i, j) for i, j, _ in plan.entries] == list(zip(rows.tolist(), cols.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
+@pytest.mark.parametrize("n", [289, 576])
+def test_untied_random_costs_take_plain_lsa(kind, n, request, lsa_inputs):
+    space = request.getfixturevalue(kind)
+    mu, nu = _uniform_pair(space, n, f"plain-lsa:{kind}")
+    solve_kantorovich(space, mu, nu)
+    [C] = lsa_inputs
+    assert np.array_equal(C, pairwise_costs(space, mu, nu))
 
 
 def test_solver_input_validation(e2):
