@@ -19,6 +19,7 @@ import scipy.optimize
 from . import _simplex
 from .errors import (
     BoundaryPoint,
+    ConfigInvalid,
     EmptyBall,
     EmptySet,
     InvalidPoint,
@@ -144,18 +145,15 @@ def map_from_points(
     return TransportMap(source, tuple(normalize(space, p) for p in points))
 
 
-def _support_arrays(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-    charts = np.asarray([p.chart for p in points], dtype=np.int64)
-    coords = np.asarray([p.coords for p in points], dtype=float)
-    return charts, coords
-
-
 def _cost_rows(
     space: SpaceHandle, sources: Sequence[Point], targets: Sequence[Point]
 ) -> np.ndarray:
     """C[i, j] = d(x_i, y_j)^2 / 2, one distances_from row per source point."""
-    charts, coords = _support_arrays(targets)
     C = np.empty((len(sources), len(targets)))
+    if not targets:  # no coordinate rows to broadcast against
+        return C
+    charts = np.asarray([p.chart for p in targets], dtype=np.int64)
+    coords = np.asarray([p.coords for p in targets], dtype=float)
     for i, x in enumerate(sources):
         d = space.impl.distances_from(x, charts, coords)
         C[i] = 0.5 * d * d
@@ -172,17 +170,6 @@ def pairwise_costs(
 def _uniform(weights: Sequence[float]) -> bool:
     n = len(weights)
     return bool(np.allclose(weights, 1.0 / n, rtol=0.0, atol=1e-12))
-
-
-def _exchange_weights(C: np.ndarray, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
-    """W[i, k] = min over support arcs (k, j) of C[i, j] - C[k, j].
-
-    The arcs (si, sj) must be sorted by row, with every row present. Prices
-    that are feasible and tight on the support are exactly those with
-    alpha[i] - alpha[k] <= W[i, k].
-    """
-    starts = np.flatnonzero(np.diff(si, prepend=-1))
-    return np.minimum.reduceat(C[:, sj] - C[si, sj][None, :], starts, axis=1)
 
 
 def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,34 +312,41 @@ def _interior_duals(
 ) -> np.ndarray:
     """Source potential tight exactly on the arcs some optimal plan uses.
 
-    The optimal prices are the solutions of the exchange graph's difference
-    constraints, taken on the smaller side. Column c of the graph's
-    shortest-path closure D is one solution, and its slack on the constraint
-    (c, l) is the weight of the cheapest exchange cycle through that arc,
-    zero exactly when the arc lies in some optimal plan. The mean of the
-    columns is therefore strictly slack on every other arc, so the tight set
-    no longer depends on which dual vertex the pivoting ended at. Returns psi
-    itself when the support is full, when n * m exceeds DUAL_REFINE_CAP, or
-    when the support has a negative exchange cycle (it is not optimal).
+    psi's slack R = C + psi - psi^c is >= 0 exactly; it is zeroed on the
+    support. The exchange graph on the smaller side weighs W[i, k] = min of
+    R[i, j] over k's support arcs (k, j), every row holding one. W >= 0, so its
+    Floyd-Warshall closure D meets no negative cycle (Johnson's reweighting).
+    Each column c of D is a u with psi - u tight on the support, slack on the
+    arc (c, l) by the reduced weight of the cheapest exchange cycle through it:
+    zero exactly when the arc lies in some optimal plan. The columns' mean is
+    thus strictly slack on every other arc, so the tight set no longer depends
+    on which dual vertex the pivoting ended at. Returns psi itself when the
+    support is full, when n * m exceeds DUAL_REFINE_CAP, or when R exceeds
+    1e-9 on the support (psi is not optimal for it).
     """
     n, m = C.shape
     if len(support) == n * m or n * m > DUAL_REFINE_CAP:
         return psi
     rows, cols = np.asarray(support).T
+    R = C + psi[:, None]
+    R -= R.min(axis=0)
+    if R[rows, cols].max() > 1e-9:
+        return psi
+    R[rows, cols] = 0.0
     flip = m < n
     if flip:
-        C, rows, cols = C.T, cols, rows
+        R, rows, cols = R.T, cols, rows
     order = np.argsort(rows, kind="stable")
-    D = _exchange_weights(C, rows[order], cols[order])
+    starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
+    D = np.minimum.reduceat(R[:, cols[order]], starts, axis=1)
     for k in range(len(D)):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
-    if D.diagonal().min() < -1e-12 * max(1.0, float(np.abs(C).max())):
-        return psi
-    alpha = D.mean(axis=1)
-    if flip:  # these are target prices; read the source prices off the support
-        beta, alpha = alpha, np.empty(n)
-        alpha[cols] = C[rows, cols] - beta[rows]
-    return alpha[0] - alpha  # psi = -alpha, anchored at psi[0] = 0
+    u = D.mean(axis=1)
+    if flip:  # u shifts the targets' prices; a source moves with its targets
+        u, v = np.empty(n), u
+        u[cols] = -v[rows]
+    psi = psi - u
+    return psi - psi[0]
 
 
 def solve_kantorovich(
@@ -365,9 +359,11 @@ def solve_kantorovich(
 
     Potentials follow the sign convention phi(y) - psi(x) <= c(x, y) with
     equality on the support; the optimal cost equals sum(phi nu) - sum(psi mu).
-    Deterministic for a fixed input order. refine_duals=False keeps the raw
-    node prices, whose finite-difference error scales uniformly with the
-    instance; grid convergence studies rely on that.
+    Deterministic for a fixed input order. `_interior_duals` refines the
+    solver's prices so that they are tight exactly on the arcs some optimal
+    plan uses, which is what `c_subdifferential` reads. refine_duals=False
+    keeps the raw node prices, whose finite-difference error scales uniformly
+    with the instance; grid convergence studies rely on that.
 
     Uniform n = m >= ASSIGNMENT_FAST_PATH inputs take the assignment fast
     path. When the costs are `_tied` (translation grids are), scipy's
@@ -407,15 +403,9 @@ def solve_kantorovich(
         psi = _interior_duals(C, [(i, j) for i, j, _ in entries], psi)
     phi = (psi[:, None] + C).min(axis=0)
     slack_max = float((phi[None, :] - psi[:, None] - C).max())
-    plan = TransportPlan(mu, nu, entries)
-    pot = PotentialPair(
-        tuple(float(v) for v in psi),
-        tuple(float(v) for v in phi),
-        slack_max <= 1e-9,
-        slack_max,
-    )
+    pot = PotentialPair(tuple(psi.tolist()), tuple(phi.tolist()), slack_max <= 1e-9, slack_max)
     total = float(sum(mass * C[i, j] for i, j, mass in entries))
-    return plan, pot, total
+    return TransportPlan(mu, nu, entries), pot, total
 
 
 def brute_force_oracle(
@@ -710,7 +700,15 @@ def plan_to_json(plan: TransportPlan) -> dict:
 def plan_from_json(
     doc: dict, source: DiscreteMeasure, target: DiscreteMeasure
 ) -> TransportPlan:
-    entries = tuple((int(i), int(j), float(m)) for i, j, m in doc["entries"])
+    """Entries [i, j, mass]: indices read by `config_int` and in range, masses
+    by `config_float` and >= 0; anything else is `ConfigInvalid`."""
+    entries = tuple(
+        (config_int(i, "entries"), config_int(j, "entries"), config_float(mass, "entries"))
+        for i, j, mass in doc["entries"]
+    )
+    for i, j, mass in entries:
+        if not (0 <= i < len(source.points) and 0 <= j < len(target.points) and mass >= 0):
+            raise ConfigInvalid("entries", f"entry {[i, j, mass]} is out of range")
     return TransportPlan(source, target, entries)
 
 

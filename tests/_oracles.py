@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own geodesic and solver
 code paths: tree distances go through networkx shortest paths on the raw edge
 data, book distances through the two-case unfolding formula, transport costs
 and the arcs of optimal plans through scipy's LP solver, comb sizes
-through a closed-form count, the cycle audit one tuple at a time, and the
-assignment prices by relaxing the dense n-by-n exchange graph every round.
+through a closed-form count, the cycle audit one tuple at a time, the
+assignment prices by relaxing the dense n-by-n exchange graph every round,
+and the interior potential by closing the raw, unreduced exchange graph.
 Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
@@ -185,6 +186,38 @@ def assignment_duals_by_dense_relaxation(C: np.ndarray, perm, arcs=None):
     beta = np.empty(n)
     beta[perm] = d - alpha
     return alpha, beta
+
+
+def interior_duals_by_raw_closure(C: np.ndarray, support, psi):
+    """Source potential tight exactly on the arcs some optimal plan uses, from
+    the Floyd-Warshall closure of the raw exchange weights.
+
+    The graph is on the smaller side: W[i, k] = min over k's support arcs
+    (k, j) of C[i, j] - C[k, j], every row holding a support arc. alpha is the
+    mean of the closure's columns; on the target side the source prices are
+    read off the support as C[i, j] - beta[j]. Returns psi itself when the
+    closure's diagonal falls below -1e-12 * max(1, max |C|), and otherwise
+    -alpha anchored at 0 on the first source. psi enters only through that
+    skip: the answer is re-derived from C alone.
+    """
+    n, m = C.shape
+    rows, cols = np.asarray(support).T
+    flip = m < n
+    if flip:
+        C, rows, cols = C.T, cols, rows
+    order = np.argsort(rows, kind="stable")
+    si, sj = rows[order], cols[order]
+    starts = np.flatnonzero(np.diff(si, prepend=-1))
+    D = np.minimum.reduceat(C[:, sj] - C[si, sj][None, :], starts, axis=1)
+    for k in range(len(D)):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+    if D.diagonal().min() < -1e-12 * max(1.0, float(np.abs(C).max())):
+        return psi
+    alpha = D.mean(axis=1)
+    if flip:
+        beta, alpha = alpha, np.empty(n)
+        alpha[cols] = C[rows, cols] - beta[rows]
+    return alpha[0] - alpha
 
 
 def euclidean_vertex_angle(origin, a, b) -> float:

@@ -475,6 +475,16 @@ PINNED_REPORTS = {
         (SUITE_SPACES["comb316"], "solve", {"instance": "random", "n": 24, "m": 24}, 18),
         "764ebd9129f898532551e4afeef226780cbd68179f9448c13182f84e2f792d8d",
     ),
+    # computed before interior duals were refined from the solver's prices;
+    # the raw exchange closure skipped refinement on both plans
+    "e2-solve": (
+        (E2, "solve", {"instance": "random", "n": 150, "m": 150}, 2),
+        "2fa54f4f0b757fb20c2089e11e33f69858a2239325a8c6aeb4adbd6a3e7bb9a4",
+    ),
+    "book3-solve": (
+        (BOOK3, "solve", {"instance": "random", "n": 95, "m": 105}, 2),
+        "3803e5ac9268f9c41b8709889f458782c3ce9fde4738153b8fe0f39cbd59ff0a",
+    ),
     # computed before geodesics stopped storing their breakpoints: the suite
     # whose geodesics are built most from measured tree sections
     "comb316-suite": (

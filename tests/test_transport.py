@@ -10,6 +10,7 @@ import scipy.optimize
 from cat0ot import _simplex, transport
 from cat0ot import (
     BoundaryPoint,
+    ConfigInvalid,
     DiscreteMeasure,
     EmptyBall,
     GridPotential,
@@ -49,6 +50,7 @@ from cat0ot.rng import substream
 from _oracles import (
     assignment_duals_by_dense_relaxation,
     cyclic_monotonicity_by_tuple,
+    interior_duals_by_raw_closure,
     lp_transport_cost,
     optimal_arcs,
 )
@@ -531,6 +533,13 @@ def test_c_transform_validates_its_targets(family, target, request):
 
 
 @pytest.mark.parametrize("family", ["e2", "tripod", "book3"])
+def test_c_transform_of_no_targets_is_empty(family, request):
+    space = request.getfixturevalue(family)
+    base = sample_points(space, substream(17, f"c-transform-{family}"), 2)
+    assert c_transform(space, [0.0, 1.0], base, []) == []
+
+
+@pytest.mark.parametrize("family", ["e2", "tripod", "book3"])
 def test_ball_potential_and_subdifferential_match_the_public_api_loop(family, request):
     space = request.getfixturevalue(family)
     rng = substream(15, f"psi-ball-bits-{family}")
@@ -633,6 +642,55 @@ def test_interior_duals_returns_its_input_when_it_skips(e1, line_instance):
     assert transport._interior_duals(big, diag, psi) is psi
 
 
+def _unrefined(space, mu, nu):
+    """Cost matrix, support arcs and the solver's own source prices."""
+    plan, pot, _ = solve_kantorovich(space, mu, nu, refine_duals=False)
+    support = [(i, j) for i, j, _ in plan.entries]
+    return pairwise_costs(space, mu, nu), support, np.asarray(pot.psi)
+
+
+def _support_slack(C, support, psi):
+    rows, cols = np.asarray(support).T
+    phi = (psi[:, None] + C).min(axis=0)
+    return float((C[rows, cols] + psi[rows] - phi[cols]).max())
+
+
+@pytest.mark.parametrize("family", ["tripod", "comb14"])
+@pytest.mark.parametrize("n, m", [(20, 40), (40, 20), (60, 120), (120, 60)])
+def test_interior_duals_equal_the_raw_closure_on_trees(family, n, m, request):
+    # uniform weights with one side twice the other leave the support
+    # degenerate, so refinement moves psi; n < m builds the exchange graph on
+    # the sources, n > m on the targets
+    space = request.getfixturevalue(family)
+    mu = measure(space, sample_points(space, substream(1, "mu"), n))
+    nu = measure(space, sample_points(space, substream(1, "nu"), m))
+    C, support, psi = _unrefined(space, mu, nu)
+    want = interior_duals_by_raw_closure(C, support, psi)
+    assert np.abs(want - (psi - psi[0])).max() > 1e-3
+    assert np.abs(transport._interior_duals(C, support, psi) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("side", range(5, 22))
+def test_interior_duals_equal_the_raw_closure_on_translation_grids(e2, side):
+    mu, nu, _shift, _h = translation_instance(e2, side)
+    C, support, psi = _unrefined(e2, mu, nu)
+    want = interior_duals_by_raw_closure(C, support, psi)
+    assert want is not psi
+    assert np.abs(transport._interior_duals(C, support, psi) - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family, seed", [(f, s) for f in ("e2", "book3") for s in (1, 3, 5)])
+def test_interior_duals_refine_float_optimal_plans(family, seed, request):
+    # the raw closure amplifies rounding-level exchange cycles past its
+    # tolerance and hands these optimal plans their prices back unrefined
+    space = request.getfixturevalue(family)
+    C, support, psi = _unrefined(space, *random_instance(space, seed, 300, 307))
+    assert interior_duals_by_raw_closure(C, support, psi) is psi
+    refined = transport._interior_duals(C, support, psi)
+    assert refined is not psi
+    assert _support_slack(C, support, refined) <= 1e-12
+
+
 @pytest.mark.parametrize("n, simplex", [(9, True), (17, False)])
 def test_identity_ladder_residual_on_each_dual_path(e2, n, simplex, simplex_calls):
     # 81 atoms take the simplex prices, 289 the assignment duals
@@ -724,6 +782,29 @@ def test_plan_serialization_round_trip(e1, line_instance):
     assert lines[0] == "i,j,mass"
     assert lines[1] == "0,0,0.5"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0, 5, 0.5], [1, 1, 0.5]],  # no target 5
+        [[-1, 0, 0.5], [1, 1, 0.5]],  # no source -1
+        [[0.9, True, "0.5"], [1, 1, 0.5]],  # not an index, a bool, a string
+        [[0, 0, -1.0]],  # negative mass
+        [[0, 0, math.nan]],
+    ],
+)
+def test_plan_from_json_rejects_malformed_entries(e1, line_instance, entries):
+    mu, nu = line_instance
+    with pytest.raises(ConfigInvalid):
+        plan_from_json({"entries": entries}, mu, nu)
+
+
+def test_plan_from_json_reads_integral_float_indices(e1, line_instance):
+    mu, nu = line_instance
+    plan = plan_from_json({"entries": [[0, 0.0, 0.5], [1.0, 1, 0.5]]}, mu, nu)
+    assert plan.entries == ((0, 0, 0.5), (1, 1, 0.5))
+    assert all(type(i) is int and type(j) is int for i, j, _ in plan.entries)
 
 
 def test_support_cap(e1):
