@@ -16,11 +16,10 @@ with a deterministic first-index tie break, a tie for the leaving arc goes
 to the smallest (i, j), and a Bland fallback engages after a streak of
 degenerate pivots so cycling cannot occur.
 
-The start is the cheaper of two bases: the cost-blind northwest corner and
-the least-cost (matrix-minimum) basis, and a tie keeps the northwest corner.
-On translation grids the northwest corner is already the optimal shift, so
-the grids keep their pivot path; on random costs the least-cost basis starts
-near the optimum and takes about half the pivots or fewer.
+The start is the least-cost (matrix-minimum) basis, which on random costs
+begins near the optimum. Uniform square inputs, where every basis is
+degenerate, reach the solver only when the assignment certificate in
+`transport.solve_kantorovich` rejects.
 """
 
 from __future__ import annotations
@@ -28,31 +27,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-
-
-def northwest_corner(a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
-    """Initial basic feasible staircase: flows on exactly n + m - 1 arcs."""
-    n, m = len(a), len(b)
-    ra = a.astype(float).copy()
-    rb = b.astype(float).copy()
-    flow: dict[tuple[int, int], float] = {}
-    i = j = 0
-    for k in range(n + m - 1):
-        q = min(ra[i], rb[j])
-        flow[(i, j)] = q
-        ra[i] -= q
-        rb[j] -= q
-        if k == n + m - 2:
-            break
-        if i == n - 1:
-            j += 1
-        elif j == m - 1:
-            i += 1
-        elif ra[i] <= 1e-15:
-            i += 1
-        else:
-            j += 1
-    return flow
 
 
 def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
@@ -86,14 +60,6 @@ def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, i
             col_open[j] = False
             cols_left -= 1
     return flow
-
-
-def initial_basis(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
-    """The least-cost start if its primal cost is strictly lower, else the northwest corner."""
-    nw, lc = northwest_corner(a, b), least_cost(C, a, b)
-    nw_cost = sum(C[arc] * q for arc, q in nw.items())
-    lc_cost = sum(C[arc] * q for arc, q in lc.items())
-    return lc if lc_cost < nw_cost else nw
 
 
 def _hang(
@@ -173,7 +139,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             alpha = C[:, 0] - beta[0]
         return flow, alpha, beta
 
-    flow = initial_basis(C, a, b)
+    flow = least_cost(C, a, b)
     # slot k holds the basic arc (bi[k], bj[k]) with mass x[k]; adj[u] maps
     # each tree neighbour of node u to the slot of the arc between them
     bi = np.array([i for i, _j in flow])

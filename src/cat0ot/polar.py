@@ -10,6 +10,7 @@ from .transport import (
     DiscreteMeasure,
     NotDeterministic,
     TransportMap,
+    TransportPlan,
     extract_monge_map,
     measure,
     solve_kantorovich,
@@ -25,8 +26,7 @@ class Factorization:
     residual: float
 
 
-def _solve_map(space: SpaceHandle, mu: DiscreteMeasure, nu: DiscreteMeasure, tag: str):
-    plan, _pot, _cost = solve_kantorovich(space, mu, nu)
+def _map(plan: TransportPlan, tag: str) -> TransportMap:
     result = extract_monge_map(plan)
     if isinstance(result, NotDeterministic):
         raise NotDeterministicError(tag, result.split_mass)
@@ -36,10 +36,14 @@ def _solve_map(space: SpaceHandle, mu: DiscreteMeasure, nu: DiscreteMeasure, tag
 def inverse_map(
     space: SpaceHandle, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> tuple[TransportMap, TransportMap]:
-    """Optimal maps T: mu -> nu and T*: nu -> mu; T* inverts T on the support."""
-    t_fwd = _solve_map(space, mu, nu, "forward")
-    t_bwd = _solve_map(space, nu, mu, "backward")
-    return t_fwd, t_bwd
+    """Optimal maps T: mu -> nu and T*: nu -> mu; T* inverts T on the support.
+
+    Both are read off one optimal plan, T* off its transpose, so a tie
+    between optimal plans cannot make them disagree.
+    """
+    plan, _pot, _cost = solve_kantorovich(space, mu, nu)
+    back = TransportPlan(nu, mu, tuple(sorted((j, i, mass) for i, j, mass in plan.entries)))
+    return _map(plan, "forward"), _map(back, "backward")
 
 
 def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) -> Factorization:

@@ -36,7 +36,6 @@ from .geometry import Point, SpaceHandle, distance, normalize
 from .rng import substream
 
 MAX_SUPPORT = 10_000
-ASSIGNMENT_FAST_PATH = 256
 DUAL_REFINE_CAP = 200_000
 _SHORTLIST = 16  # nearest targets per row in the exchange graph's first pass
 _PRICE_CELLS = 1 << 18  # cost cells priced per row chunk
@@ -240,11 +239,13 @@ def _tied(C: np.ndarray) -> bool:
     more than _TIE_SHARE of the steps between neighbours are exactly zero.
 
     Translation grids read 0.43-0.68 (sides 9-49); uniform random atoms on
-    e2, the tripod, book3 and comb(3,16) read 0.0 at 256-2,401 atoms.
+    e2, the tripod, book3 and comb(3,16) read 0.0 at 256-2,401 atoms. A single
+    column has no steps and is not tied.
     """
     n = C.shape[0]
     sample = np.sort(C[np.linspace(0, n - 1, min(_TIE_ROWS, n)).astype(np.intp)], axis=1)
-    return bool((np.diff(sample, axis=1) == 0).mean() > _TIE_SHARE)
+    steps = np.diff(sample, axis=1)
+    return bool(steps.size) and bool((steps == 0).mean() > _TIE_SHARE)
 
 
 def _auction_prices(C: np.ndarray) -> np.ndarray:
@@ -365,15 +366,16 @@ def solve_kantorovich(
     keeps the raw node prices, whose finite-difference error scales uniformly
     with the instance; grid convergence studies rely on that.
 
-    Uniform n = m >= ASSIGNMENT_FAST_PATH inputs take the assignment fast
-    path. When the costs are `_tied` (translation grids are), scipy's
-    `linear_sum_assignment` runs on C plus `_auction_prices`, an auction's
-    column prices, which leave the optimal assignments as they are and make
-    the LSA far faster on ties; otherwise it runs on C. `_assignment_duals`
-    prices the matching on a shortlist of the exchange graph that grows until
-    no arc prices negative. The matching is accepted when those prices have
-    slack >= -1e-9 on every cell of C and close the duality gap to 1e-9;
-    otherwise the transportation simplex solves the problem.
+    Uniform n = m inputs take the assignment path: by Birkhoff-von Neumann
+    some optimal plan is a permutation. When the costs are `_tied`
+    (translation grids are), scipy's `linear_sum_assignment` runs on C plus
+    `_auction_prices`, an auction's column prices, which leave the optimal
+    assignments as they are and make the LSA far faster on ties; otherwise
+    it runs on C. `_assignment_duals` prices the matching on a shortlist of
+    the exchange graph that grows until no arc prices negative. The matching
+    is accepted when those prices have slack >= -1e-9 on every cell of C and
+    close the duality gap to 1e-9; otherwise, and for every other input, the
+    transportation simplex solves the problem.
     """
     n, m = len(mu.points), len(nu.points)
     if n > MAX_SUPPORT or m > MAX_SUPPORT:
@@ -385,7 +387,7 @@ def solve_kantorovich(
     C = pairwise_costs(space, mu, nu)
 
     flow = None
-    if n == m and n >= ASSIGNMENT_FAST_PATH and _uniform(a) and _uniform(b):
+    if n == m and _uniform(a) and _uniform(b):
         perm = _assignment(C)
         alpha, beta = _assignment_duals(C, perm)
         slack = C - alpha[:, None] - beta[None, :]
@@ -700,11 +702,15 @@ def plan_to_json(plan: TransportPlan) -> dict:
 def plan_from_json(
     doc: dict, source: DiscreteMeasure, target: DiscreteMeasure
 ) -> TransportPlan:
-    """Entries [i, j, mass]: indices read by `config_int` and in range, masses
-    by `config_float` and >= 0; anything else is `ConfigInvalid`."""
+    """A dict whose "entries" is a list of [i, j, mass] lists: indices read by
+    `config_int` and in range, masses by `config_float` and >= 0; anything
+    else is `ConfigInvalid`."""
+    rows = doc.get("entries") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or any(not isinstance(r, list) or len(r) != 3 for r in rows):
+        raise ConfigInvalid("entries", "expected a list of [i, j, mass] entries")
     entries = tuple(
         (config_int(i, "entries"), config_int(j, "entries"), config_float(mass, "entries"))
-        for i, j, mass in doc["entries"]
+        for i, j, mass in rows
     )
     for i, j, mass in entries:
         if not (0 <= i < len(source.points) and 0 <= j < len(target.points) and mass >= 0):

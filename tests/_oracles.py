@@ -7,6 +7,8 @@ and the arcs of optimal plans through scipy's LP solver, comb sizes
 through a closed-form count, the cycle audit one tuple at a time, the
 assignment prices by relaxing the dense n-by-n exchange graph every round,
 and the interior potential by closing the raw, unreduced exchange graph.
+The cost-blind northwest-corner staircase is kept as a start to force on
+the transportation simplex.
 Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
@@ -186,6 +188,35 @@ def assignment_duals_by_dense_relaxation(C: np.ndarray, perm, arcs=None):
     beta = np.empty(n)
     beta[perm] = d - alpha
     return alpha, beta
+
+
+def staircase_basis(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
+    """Northwest-corner start for the transportation simplex: flows on exactly
+    n + m - 1 arcs of a staircase, C unread. It takes `least_cost`'s
+    arguments so that tests can force it on `_simplex.solve_transport`; on
+    translation grids it is the optimal shift, and its degenerate pivots from
+    there turn on the Bland rule on the 13 and 17 grids."""
+    n, m = len(a), len(b)
+    ra = np.asarray(a, dtype=float).copy()
+    rb = np.asarray(b, dtype=float).copy()
+    flow: dict[tuple[int, int], float] = {}
+    i = j = 0
+    for k in range(n + m - 1):
+        q = min(ra[i], rb[j])
+        flow[(i, j)] = q
+        ra[i] -= q
+        rb[j] -= q
+        if k == n + m - 2:
+            break
+        if i == n - 1:
+            j += 1
+        elif j == m - 1:
+            i += 1
+        elif ra[i] <= 1e-15:
+            i += 1
+        else:
+            j += 1
+    return flow
 
 
 def interior_duals_by_raw_closure(C: np.ndarray, support, psi):

@@ -8,6 +8,7 @@ from cat0ot import (
     NotDeterministicError,
     Point,
     TransportMap,
+    build_star,
     distance,
     inverse_map,
     map_from_points,
@@ -83,6 +84,47 @@ def test_inverse_map_tripod_legs(tripod):
     for i in range(2):
         j = T.targets[i]
         assert distance(tripod, T_star.assignment[j], mu.points[i]) <= 1e-12
+
+
+STAR_LATTICE = [(leg, offset) for leg in range(4) for offset in (0.25, 0.5, 0.75)]
+
+
+def _star_pair(star, mu_atoms, nu_atoms):
+    return tuple(
+        measure(star, [Point(leg, (offset,)) for leg, offset in atoms])
+        for atoms in (mu_atoms, nu_atoms)
+    )
+
+
+def _check_inverse_and_polar(star, mu, nu):
+    T, T_star = inverse_map(star, mu, nu)
+    assert [T_star.targets[j] for j in T.targets] == list(range(len(mu.points)))
+    fact = polar_factorize(star, mu, map_from_points(star, mu, list(nu.points)))
+    assert fact.residual == 0.0
+
+
+def test_inverse_map_inverts_on_a_tied_star():
+    # four legs, lattice offsets: several optimal plans tie, so T* must be
+    # read off the plan T came from; a separate nu -> mu solve can pick
+    # another one (here T* o T = [2, 1, 0, 3])
+    star = build_star(4)
+    mu, nu = _star_pair(
+        star,
+        [(1, 0.75), (1, 0.25), (1, 0.5), (3, 0.5)],
+        [(2, 0.75), (2, 0.25), (3, 0.25), (0, 0.25)],
+    )
+    _check_inverse_and_polar(star, mu, nu)
+
+
+def test_inverse_map_inverts_across_tied_star_instances():
+    star = build_star(4)
+    for seed in range(196):
+        rng = substream(seed, "polar-star-ties")
+        mu, nu = _star_pair(
+            star,
+            *([STAR_LATTICE[k] for k in rng.choice(12, 4, replace=False)] for _ in range(2)),
+        )
+        _check_inverse_and_polar(star, mu, nu)
 
 
 def test_verify_measure_preserving_cases(e1):

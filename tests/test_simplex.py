@@ -5,9 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from cat0ot import _simplex, build_euclidean, pairwise_costs
-from cat0ot.harness import translation_instance
+from cat0ot import _simplex, brute_force_oracle, build_euclidean, measure, pairwise_costs
+from cat0ot.harness import sample_points, translation_instance
 from cat0ot.rng import substream
+
+from _oracles import staircase_basis
 
 
 def _check_basis(flow, a, b):
@@ -95,28 +97,60 @@ def test_single_row_or_column_contract(n, m):
     _check_contract(*_single_line_instance(n, m))
 
 
-def test_translation_grid_engages_bland_and_stays_exact():
-    # 13 x 13 is the smallest translation grid whose degenerate streak turns
-    # on the Bland rule: a copy of solve_transport that recorded the switch
-    # was run on every grid side from 2 to 15, and it fired at 13 and 14 only
+def test_translation_grid_engages_bland_and_stays_exact(monkeypatch):
+    # from the least-cost start no grid of side 2 to 19 engages the Bland rule;
+    # from the northwest-corner staircase, which is already the optimal shift,
+    # 13 x 13 is the smallest grid whose degenerate streak turns it on (a copy
+    # of solve_transport that recorded the switch fired at 13 and 14 of the
+    # sides 2 to 15)
+    monkeypatch.setattr(_simplex, "least_cost", staircase_basis)
     flow = _check_contract(*_grid_instance(13))
     # target k is source k shifted by the lattice vector
     assert {arc for arc, mass in flow.items() if mass > 0.0} == {(k, k) for k in range(169)}
 
 
-@pytest.mark.parametrize("side", range(2, 16))
-def test_translation_grids_start_from_the_northwest_corner(side):
-    # the staircase is already the optimal shift; the least-cost start costs more
-    C, a, b = _grid_instance(side)
-    start = _simplex.initial_basis(C, a, b)
-    assert list(start.items()) == list(_simplex.northwest_corner(a, b).items())
-
-
-def test_random_nonuniform_start_is_least_cost():
+def test_random_nonuniform_start_is_least_cost(monkeypatch):
     C, a, b = _contract_instance(40, 31)
-    start = _simplex.initial_basis(C, a, b)
-    assert list(start.items()) == list(_simplex.least_cost(C, a, b).items())
-    assert set(start) != set(_simplex.northwest_corner(a, b))
+    starts = []
+    least_cost = _simplex.least_cost
+
+    def spy(*args):
+        starts.append(least_cost(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(_simplex, "least_cost", spy)
+    flow, _, _ = _simplex.solve_transport(C, a, b)
+    [start] = starts
+    assert set(start) != set(flow)  # the start is not already optimal
+
+
+@pytest.mark.parametrize("kind", ["e2", "e3", "tripod", "comb14", "book3"])
+def test_uniform_squares_match_the_permutation_minimum(kind, request):
+    # the acceptance gate's solver instances (n = 2-7, equal weights) now take
+    # the assignment path; every fifth one is solved here by the simplex, the
+    # fallback when an assignment certificate rejects
+    space = request.getfixturevalue(kind)
+    for k in range(0, 200, 5):
+        rng = substream(k, f"acceptance-solve:{kind}")
+        n = int(rng.integers(2, 8))
+        mu = measure(space, sample_points(space, rng, n))
+        nu = measure(space, sample_points(space, rng, n))
+        C, a = pairwise_costs(space, mu, nu), np.full(n, 1.0 / n)
+        flow = _check_contract(C, a, a)
+        _, best = brute_force_oracle(space, mu, nu)
+        assert sum(C[arc] * mass for arc, mass in flow.items()) == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "book3", "comb14"])
+def test_uniform_rectangle_contract(kind, request):
+    # equal weights on each side, a row's mass twice a column's: lines run out
+    # together, and these are the most degenerate inputs that still reach the
+    # simplex
+    space = request.getfixturevalue(kind)
+    rng = substream(0, f"simplex-uniform-rectangle:{kind}")
+    mu = measure(space, sample_points(space, rng, 40))
+    nu = measure(space, sample_points(space, rng, 80))
+    _check_contract(pairwise_costs(space, mu, nu), np.full(40, 1 / 40), np.full(80, 1 / 80))
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (9, 5), (23, 17), (31, 40)])
@@ -144,15 +178,8 @@ def test_least_cost_basis_constant_costs(n, m):
     _check_basis(_simplex.least_cost(np.full((n, m), 2.0), a, b), a, b)
 
 
-# Pivots per solve with each start forced. The default start is least_cost
-# on the random instance and northwest_corner on the grid.
-PIVOTS = {
-    ("120x97", "northwest_corner"): 861,
-    ("120x97", "least_cost"): 261,
-    ("grid13", "northwest_corner"): 698,
-    ("grid13", "least_cost"): 1442,
-}
-DEFAULT_START = {"120x97": "least_cost", "grid13": "northwest_corner"}
+# Pivots per solve from the least-cost start.
+PIVOTS = {"120x97": 261, "grid13": 1442}
 
 
 @pytest.fixture
@@ -174,16 +201,10 @@ def count_pivots(monkeypatch):
     return solve
 
 
-@pytest.mark.parametrize("instance,start", sorted(PIVOTS))
-def test_pivot_counts_are_pinned(instance, start, count_pivots, monkeypatch):
+@pytest.mark.parametrize("instance", sorted(PIVOTS))
+def test_pivot_counts_are_pinned(instance, count_pivots):
     C, a, b = _contract_instance(120, 97) if instance == "120x97" else _grid_instance(13)
-    assert count_pivots(C, a, b) == PIVOTS[instance, DEFAULT_START[instance]]
-    if start == "northwest_corner":
-        forced = lambda C, a, b: _simplex.northwest_corner(a, b)  # noqa: E731
-    else:
-        forced = _simplex.least_cost
-    monkeypatch.setattr(_simplex, "initial_basis", forced)
-    assert count_pivots(C, a, b) == PIVOTS[instance, start]
+    assert count_pivots(C, a, b) == PIVOTS[instance]
     _check_contract(C, a, b)
 
 
@@ -194,8 +215,8 @@ def _digest(flow, alpha, beta):
 
 # sha256 of the sorted flow items (masses as float.hex) plus the alpha and
 # beta bytes, recorded from the solver that kept the basis in flow and slot
-# dicts. They pin the leaving-arc tie rule (grid 13 runs under Bland) and
-# every price bit.
+# dicts. They pin the leaving-arc tie rule and every price bit. The grids
+# start from the northwest-corner staircase, so that grid 13 runs under Bland.
 DIGESTS = {
     "120x97": "9f47f36467b36d7b93babef60b545fb37357e3b03a45849f6f4cff9f6fb63e96",
     "97x120": "df463b23b51ab0281ba253df787f9dce12d86ef0ebf044fd1db9f9b03f002ca7",
@@ -214,5 +235,7 @@ def _pinned_instance(name):
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_solution_bits_are_pinned(name):
+def test_solution_bits_are_pinned(name, monkeypatch):
+    if name.startswith("grid"):
+        monkeypatch.setattr(_simplex, "least_cost", staircase_basis)
     assert _digest(*_simplex.solve_transport(*_pinned_instance(name))) == DIGESTS[name]

@@ -166,7 +166,7 @@ def test_solver_matches_lp_on_uneven_weights(kind, request):
 
 
 def test_large_uniform_instance_stays_consistent(e2):
-    # 64 uniform atoms sit below ASSIGNMENT_FAST_PATH, so the simplex solves this
+    # 64 uniform atoms on each side: the assignment path solves this
     rng = substream(7, "large-uniform")
     mu = measure(e2, sample_points(e2, rng, 64))
     nu = measure(e2, sample_points(e2, rng, 64))
@@ -189,10 +189,9 @@ def simplex_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
-def test_assignment_fast_path_matches_the_lp(kind, request, monkeypatch, simplex_calls):
+def test_assignment_fast_path_matches_the_lp(kind, request, simplex_calls):
     space = request.getfixturevalue(kind)
-    monkeypatch.setattr(transport, "ASSIGNMENT_FAST_PATH", 4)
-    for n in (6, 7, 8):
+    for n in (1, 2, 3, 6, 7, 8):
         rng = substream(n, f"fast-path:{kind}")
         mu = measure(space, sample_points(space, rng, n))
         nu = measure(space, sample_points(space, rng, n))
@@ -207,7 +206,6 @@ def test_assignment_fast_path_falls_back_to_the_simplex(
     e1, line_instance, monkeypatch, simplex_calls
 ):
     mu, nu = line_instance
-    monkeypatch.setattr(transport, "ASSIGNMENT_FAST_PATH", 2)
     lsa_calls = []
 
     def reversed_assignment(C):
@@ -231,7 +229,6 @@ def test_a_crossed_matching_stops_the_relaxation_and_falls_back(
     # at 24 atoms the first shortlist holds only 16 targets per row
     mu = measure(e1, [Point(0, (float(i),)) for i in range(n)])
     nu = measure(e1, [Point(0, (i + 0.5,)) for i in range(n)])
-    monkeypatch.setattr(transport, "ASSIGNMENT_FAST_PATH", 2)
     monkeypatch.setattr(
         scipy.optimize, "linear_sum_assignment", lambda C: (np.arange(n), np.arange(n)[::-1])
     )
@@ -691,12 +688,12 @@ def test_interior_duals_refine_float_optimal_plans(family, seed, request):
     assert _support_slack(C, support, refined) <= 1e-12
 
 
-@pytest.mark.parametrize("n, simplex", [(9, True), (17, False)])
-def test_identity_ladder_residual_on_each_dual_path(e2, n, simplex, simplex_calls):
-    # 81 atoms take the simplex prices, 289 the assignment duals
+@pytest.mark.parametrize("n", [9, 17])
+def test_identity_ladder_residual_on_the_assignment_duals(e2, n, simplex_calls):
+    # 81 and 289 atoms alike take the assignment duals
     mu, nu, _shift, h = translation_instance(e2, n)
     plan, pot, _ = solve_kantorovich(e2, mu, nu, refine_duals=False)
-    assert bool(simplex_calls) == simplex
+    assert simplex_calls == []
     grid = GridPotential((0.0, 0.0), h, (n, n), pot.psi)
     T = extract_monge_map(plan)
     worst = max(
@@ -792,12 +789,25 @@ def test_plan_serialization_round_trip(e1, line_instance):
         [[0.9, True, "0.5"], [1, 1, 0.5]],  # not an index, a bool, a string
         [[0, 0, -1.0]],  # negative mass
         [[0, 0, math.nan]],
+        [[0, 0]],  # too short to unpack
+        [[0, 0, 0.5, 1]],  # too long
+        [5],  # not a list
+        None,
     ],
 )
 def test_plan_from_json_rejects_malformed_entries(e1, line_instance, entries):
     mu, nu = line_instance
-    with pytest.raises(ConfigInvalid):
+    with pytest.raises(ConfigInvalid) as err:
         plan_from_json({"entries": entries}, mu, nu)
+    assert err.value.path == "entries"
+
+
+@pytest.mark.parametrize("doc", [[[0, 0, 0.5], [1, 1, 0.5]], {}], ids=["bare-list", "no-entries"])
+def test_plan_from_json_rejects_documents_without_entries(e1, line_instance, doc):
+    mu, nu = line_instance
+    with pytest.raises(ConfigInvalid) as err:
+        plan_from_json(doc, mu, nu)
+    assert err.value.path == "entries"
 
 
 def test_plan_from_json_reads_integral_float_indices(e1, line_instance):
