@@ -10,7 +10,10 @@ normalizes each point argument exactly once, and the `space.impl` methods
 take points that are already normal (validated, then passed through
 `impl.normalize`) and never check them again. Points that come out of
 `impl.normalize`, `Geodesic.eval` and the library's geodesics are normal, so
-code holding them calls `space.impl` directly.
+code holding them calls `space.impl` directly. A geodesic starts and ends at
+the normal points its builder already holds: `impl.geodesic(p, q)` hands p and
+q to `geodesic_from_chain`, and `extend` hands over its geodesic's start and
+its normalized new end; the assembly takes them as given.
 
 The impl supplies only what differs between families. Every family's impl
 defines `impl.validate_point`, `impl.normalize`, `impl.distance`,
@@ -28,9 +31,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
-from operator import attrgetter, sub
-from typing import Sequence
+from operator import add, attrgetter, sub
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DegenerateTriangle,
@@ -92,9 +96,12 @@ def point(chart: int, *coords: float) -> Point:
     return Point(int(chart), tuple(float(c) for c in coords))
 
 
-@dataclass(frozen=True, slots=True)
-class Piece:
-    """One straight-in-chart section of a geodesic, spanning [t0, t1]."""
+class Piece(NamedTuple):
+    """One straight-in-chart section of a geodesic, spanning [t0, t1].
+
+    Tuple-backed, so it is immutable and hashable, and it equals a plain tuple
+    with the same five fields in the same order.
+    """
 
     t0: float
     t1: float
@@ -366,8 +373,11 @@ def extend(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:
         raise ParamOutOfRange(f"extension length {delta} must be positive and finite")
     if g.length == 0:
         raise NotExtendable("zero-length geodesic has no direction")
-    chain = [(pc.chart, pc.c0, pc.c1) for pc in g.pieces]
-    return geodesic_from_chain(space, chain + space.impl.continuation(g.pieces[-1], delta))
+    impl = space.impl
+    more = impl.continuation(g.pieces[-1], delta)
+    chart, _c0, c1 = more[-1]
+    chain = [(pc.chart, pc.c0, pc.c1) for pc in g.pieces] + more
+    return geodesic_from_chain(space, chain, g.start, impl.normalize(Point(chart, c1)))
 
 
 def parameter_on(space: SpaceHandle, g: Geodesic, x: Point) -> float:
@@ -408,20 +418,25 @@ def segment_projection(coords: Sequence, c0: Sequence, c1: Sequence) -> tuple[fl
 
 
 def section_length(c0: Sequence, c1: Sequence) -> float:
-    """Length of a straight-in-chart section: the sum of (c1 - c0) ** 2 in
-    coordinate order, on the coordinates as given."""
-    return math.sqrt(sum(map(pow, map(sub, c1, c0), repeat(2))))
+    """Length of a straight-in-chart section: the square root of (c1 - c0) ** 2
+    folded left in coordinate order, on the coordinates as given."""
+    return math.sqrt(reduce(add, map(pow, map(sub, c1, c0), repeat(2)), 0.0))
 
 
-def geodesic_from_chain(space: SpaceHandle, chain: Sequence[tuple]) -> Geodesic:
-    """Assemble a Geodesic from consecutive straight-in-chart sections.
+def geodesic_from_chain(
+    space: SpaceHandle, chain: Sequence[tuple], start: Point, end: Point
+) -> Geodesic:
+    """Assemble the Geodesic from `start` to `end` out of consecutive
+    straight-in-chart sections.
 
     A section is (chart, c0, c1), or (chart, c0, c1, length) when the space
     has measured it already: an int chart, float coordinates and their
     `section_length`, all taken as given. Zero-length sections are dropped
     and collinear ones in the same chart merged; the surviving junctions are
     the geodesic's breakpoints. The chain is trusted to be a geodesic of the
-    space.
+    space, and `start` and `end` to be the normal points where it begins and
+    ends; a chain of length zero gives the constant curve at `start`. The
+    total length folds the section lengths left, in chain order.
     """
     segs: list[tuple[int, tuple, tuple, float]] = []
     for sec in chain:
@@ -445,13 +460,10 @@ def geodesic_from_chain(space: SpaceHandle, chain: Sequence[tuple]) -> Geodesic:
                 segs[-1] = (chart, pc0, c1, pln + ln)
                 continue
         segs.append((chart, c0, c1, ln))
-    normal = space.impl.normalize
     if not segs:
-        chart, c0 = chain[0][:2]
-        p = normal(Point(int(chart), tuple(map(float, c0))))
-        pc = Piece(0.0, 1.0, p.chart, p.coords, p.coords)
-        return Geodesic(space, p, p, 0.0, (pc,))
-    total = sum([s[3] for s in segs])
+        pc = Piece(0.0, 1.0, start.chart, start.coords, start.coords)
+        return Geodesic(space, start, start, 0.0, (pc,))
+    total = reduce(add, [s[3] for s in segs], 0.0)
     pieces = []
     acc = 0.0
     for chart, c0, c1, ln in segs[:-1]:
@@ -460,6 +472,4 @@ def geodesic_from_chain(space: SpaceHandle, chain: Sequence[tuple]) -> Geodesic:
         pieces.append(Piece(t0, acc / total, chart, c0, c1))
     chart, c0, c1, _ln = segs[-1]
     pieces.append(Piece(acc / total, 1.0, chart, c0, c1))
-    start = normal(Point(segs[0][0], segs[0][1]))
-    end = normal(Point(chart, c1))
     return Geodesic(space, start, end, total, tuple(pieces))

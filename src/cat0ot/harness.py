@@ -7,6 +7,7 @@ import io
 import json
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,22 +85,31 @@ def _metric(value: float, sigma: Optional[float] = None) -> dict[str, Optional[f
 
 
 def sample_points(space: SpaceHandle, rng: np.random.Generator, n: int) -> list[Point]:
-    """Draw n points spread over a bounded patch of the space."""
-    out: list[Point] = []
+    """Draw n normal points spread over a bounded patch of the space.
+
+    Euclidean points are uniform in [-1, 1]^dim. A tree point picks an edge
+    with probability proportional to its length, then a uniform offset on it.
+    A book point picks a page, then (u, v) uniform in [0, 1] x [-1, 1].
+    Euclidean and tree points come from one block of draws that gives the
+    per-point draws bit for bit and leaves `rng` in the same state; book
+    points draw one by one, because a bounded `integers` draw keeps half of a
+    64-bit word for the next one.
+    """
     if space.kind == "euclidean":
-        for _ in range(n):
-            out.append(Point(0, tuple(rng.uniform(-1.0, 1.0, space.dim).tolist())))
-        return out
+        return [Point(0, tuple(row)) for row in rng.uniform(-1.0, 1.0, (n, space.dim)).tolist()]
     if space.kind == "tree":
-        lens = space.impl._lens
-        # the draws of Generator.choice(len(lens), p=lens / lens.sum())
-        cdf = space.impl._cdf
-        for _ in range(n):
-            e = int(cdf.searchsorted(rng.random(), side="right"))
-            s = float(rng.uniform(0.0, lens[e]))
-            out.append(space.impl.normalize(Point(e, (s,))))
+        impl = space.impl
+        # per point: the draw of Generator.choice(len(lens), p=lens / lens.sum()),
+        # then that of uniform(0, lens[e]), which is lens[e] * random()
+        draws = rng.random(2 * n).tolist()
+        cdf, edges, normal = impl._cdf, impl.edges, impl.normalize
+        out = []
+        for r, u in zip(draws[::2], draws[1::2]):
+            e = bisect_right(cdf, r)
+            out.append(normal(Point(e, (edges[e][2] * u,))))
         return out
     if space.kind == "open_book":
+        out = []
         for _ in range(n):
             page = int(rng.integers(0, space.params.pages))
             u = float(rng.uniform(0.0, 1.0))
@@ -306,6 +316,8 @@ def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
 
 
 def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
+    if space.kind == "euclidean" and space.dim != 2:
+        raise ConfigInvalid("space", "fermat runs on trees, open books and the euclidean plane")
     cap = _param(params, "slope_cap", 10.0, config_float)
     if space.kind in ("tree", "open_book"):
         if space.kind == "tree":

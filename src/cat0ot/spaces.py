@@ -116,7 +116,7 @@ class EuclideanImpl:
         return section_length(p.coords, q.coords)
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
-        return geodesic_from_chain(self.handle, [(0, p.coords, q.coords)])
+        return geodesic_from_chain(self.handle, [(0, p.coords, q.coords)], p, q)
 
     def represent_in_chart(self, p: Point, chart: int) -> Optional[tuple]:
         return p.coords if chart == 0 else None
@@ -237,9 +237,10 @@ class TreeImpl:
         # and its (up, down) sections to and from its parent
         self._vpoints: list[Optional[Point]] = [None] * nv
         self._vsections: list[Optional[tuple]] = [None] * nv
-        # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds it
-        self._cdf = np.cumsum(self._lens / self._lens.sum())
-        self._cdf /= self._cdf[-1]
+        # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds
+        # it; a list, for bisect on one draw at a time
+        cdf = np.cumsum(self._lens / self._lens.sum())
+        self._cdf: list[float] = (cdf / cdf[-1]).tolist()
 
     # Point bookkeeping. A point is (edge index, (arc offset,)); vertices are
     # normalized onto their lowest-index incident edge.
@@ -336,7 +337,7 @@ class TreeImpl:
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         if p.chart == q.chart:
-            return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)])
+            return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)], p, q)
         _tot, u, cu, v, cv, w = self._route(p, q)
         parent, cached, fill = self.parent, self._vsections, self._fill_sections
         chain = [(p.chart, p.coords, (cu,))]
@@ -349,7 +350,7 @@ class TreeImpl:
             down.append((cached[v] or fill(v))[1])
             v = parent[v]
         chain += reversed(down)
-        return geodesic_from_chain(self.handle, chain)
+        return geodesic_from_chain(self.handle, chain, p, q)
 
     def _fill_sections(self, u: int) -> tuple:
         """(up, down): the measured sections from vertex index u to its parent and back."""
@@ -505,18 +506,20 @@ class BookImpl:
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         if p.chart == q.chart:
-            return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)])
+            return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)], p, q)
         u1, v1 = p.coords
         u2, v2 = q.coords
         if u1 <= SNAP_TOL:
-            return geodesic_from_chain(self.handle, [(q.chart, (0.0, v1), q.coords)])
+            return geodesic_from_chain(self.handle, [(q.chart, (0.0, v1), q.coords)], p, q)
         if u2 <= SNAP_TOL:
-            return geodesic_from_chain(self.handle, [(p.chart, p.coords, (0.0, v2))])
+            return geodesic_from_chain(self.handle, [(p.chart, p.coords, (0.0, v2))], p, q)
         # unfold the two pages into one plane; the straight segment crosses u = 0
         vs = v1 + u1 * (v2 - v1) / (u1 + u2)
         return geodesic_from_chain(
             self.handle,
             [(p.chart, p.coords, (0.0, vs)), (q.chart, (0.0, vs), q.coords)],
+            p,
+            q,
         )
 
     def represent_in_chart(self, p: Point, chart: int) -> Optional[tuple]:

@@ -17,7 +17,8 @@ The per-family geodesic extension and segment projection are kept as each
 family first wrote them, whole, and the subtree check as a scan of every edge.
 The region questions are kept as the three separate methods per family
 (volume, diameter, sample) that first answered them, each running its own
-admissibility check.
+admissibility check. The point sampler is kept as it first drew, point by
+point.
 """
 
 from __future__ import annotations
@@ -306,6 +307,31 @@ def cyclic_monotonicity_by_tuple(
     return {"violations": violations, "worst_slack": worst}
 
 
+def sample_points_by_point(space: SpaceHandle, rng: np.random.Generator, n: int) -> list:
+    """harness.sample_points as first written: the draws of each point in turn,
+    the tree edge through the CDF that Generator.choice(p=...) builds."""
+    out = []
+    if space.kind == "euclidean":
+        for _ in range(n):
+            out.append(Point(0, tuple(rng.uniform(-1.0, 1.0, space.dim).tolist())))
+        return out
+    if space.kind == "tree":
+        lens = np.array([ln for _a, _b, ln in space.params.edges])
+        cdf = np.cumsum(lens / lens.sum())
+        cdf /= cdf[-1]
+        for _ in range(n):
+            e = int(cdf.searchsorted(rng.random(), side="right"))
+            s = float(rng.uniform(0.0, lens[e]))
+            out.append(space.impl.normalize(Point(e, (s,))))
+        return out
+    for _ in range(n):
+        page = int(rng.integers(0, space.params.pages))
+        u = float(rng.uniform(0.0, 1.0))
+        v = float(rng.uniform(-1.0, 1.0))
+        out.append(space.impl.normalize(Point(page, (u, v))))
+    return out
+
+
 def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> tuple[Geodesic, tuple]:
     """geodesic_from_chain as first written: per-section generator expressions.
 
@@ -434,18 +460,24 @@ def extend_by_family(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:
     """The space families' own `extend` methods as first written, one per kind.
 
     Each rebuilds the whole chain and assembles it itself; only the assembler
-    is shared with the library.
+    is shared with the library, which is handed g's start and the normal form
+    of the chain's last point.
     """
     impl = space.impl
     if g.length == 0:
         raise NotExtendable("zero-length geodesic has no direction")
+
+    def assemble(chain):
+        chart, _c0, c1 = chain[-1]
+        return geodesic_from_chain(space, chain, g.start, impl.normalize(Point(chart, c1)))
+
     chain = [(q.chart, q.c0, q.c1) for q in g.pieces]
     pc = g.pieces[-1]
     if space.kind == "euclidean":
         seg = [b - a for a, b in zip(pc.c0, pc.c1)]
         ln = math.sqrt(sum(v * v for v in seg))
         tip = tuple(c + delta * v / ln for c, v in zip(pc.c1, seg))
-        return geodesic_from_chain(space, chain + [(0, pc.c1, tip)])
+        return assemble(chain + [(0, pc.c1, tip)])
     if space.kind == "tree":
         e = pc.chart
         s = pc.c1[0]
@@ -474,25 +506,25 @@ def extend_by_family(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:
             a2, _b2, ln2 = impl.edges[e]
             forward = a2 == v
             s = 0.0 if forward else ln2
-        return geodesic_from_chain(space, chain)
+        return assemble(chain)
     ln = math.hypot(pc.c1[0] - pc.c0[0], pc.c1[1] - pc.c0[1])
     du = (pc.c1[0] - pc.c0[0]) / ln
     dv = (pc.c1[1] - pc.c0[1]) / ln
     ue, ve = pc.c1
     if du >= 0:
         chain.append((pc.chart, pc.c1, (ue + delta * du, ve + delta * dv)))
-        return geodesic_from_chain(space, chain)
+        return assemble(chain)
     to_spine = ue / (-du)
     if delta <= to_spine:
         chain.append((pc.chart, pc.c1, (ue + delta * du, ve + delta * dv)))
-        return geodesic_from_chain(space, chain)
+        return assemble(chain)
     vs = ve + to_spine * dv
     if to_spine > 0:
         chain.append((pc.chart, pc.c1, (0.0, vs)))
     rest = delta - to_spine
     nxt = 0 if pc.chart != 0 else 1
     chain.append((nxt, (0.0, vs), (rest * (-du), vs + rest * dv)))
-    return geodesic_from_chain(space, chain)
+    return assemble(chain)
 
 
 def project_segment_by_family(space: SpaceHandle, x: Point, g: Geodesic) -> Point:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cat0ot import (
     NotExtendable,
     OriginMismatch,
     ParamOutOfRange,
+    Piece,
     Point,
     PointNotOnGeodesic,
     Segment,
@@ -131,6 +134,8 @@ def test_geodesic_from_chain_merges_collinear_sections(e2):
             (0, (1.0, 0.0), (2.0, 0.0)),
             (0, (2.0, 0.0), (2.0, 1.0)),
         ],
+        Point(0, (0.0, 0.0)),
+        Point(0, (2.0, 1.0)),
     )
     assert g.length == pytest.approx(3.0, abs=1e-12)
     assert len(g.pieces) == 2  # the two straight sections merged
@@ -142,16 +147,20 @@ def _bits(g):
     return fields, repr(fields)
 
 
-def _check_against_section_loop(space, chain):
-    g = geodesic_from_chain(space, chain)
+def _check_against_section_loop(space, chain, start=None, end=None):
+    """Compare the assembly of `chain` with the section loop, which rebuilds the
+    endpoints from the chain; endpoints left out are taken from that rebuild."""
+    plain = [sec[:3] for sec in chain]
+    want, want_breakpoints = geodesic_from_chain_by_section(space, plain)
+    g = geodesic_from_chain(
+        space, chain, want.start if start is None else start, want.end if end is None else end
+    )
     for sec in chain:
         assert len(sec) in (3, 4)
         if len(sec) == 4:
             # a measured section carries the length the section loop computes
             chart, c0, c1, ln = sec
             assert ln.hex() == math.sqrt(sum((b - a) ** 2 for a, b in zip(c0, c1))).hex()
-    plain = [sec[:3] for sec in chain]
-    want, want_breakpoints = geodesic_from_chain_by_section(space, plain)
     assert _bits(g) == _bits(want)
     # the derived breakpoints equal the ones the section loop records per junction
     assert g.breakpoints == want_breakpoints
@@ -167,11 +176,11 @@ def _check_against_section_loop(space, chain):
 )
 def test_geodesic_from_chain_matches_the_section_loop(name, request, monkeypatch):
     space = request.getfixturevalue(name)
-    chains = []
+    calls = []
 
-    def spy(handle, chain):
-        chains.append(list(chain))
-        return geodesic_from_chain(handle, chain)
+    def spy(handle, chain, start, end):
+        calls.append((list(chain), start, end))
+        return geodesic_from_chain(handle, chain, start, end)
 
     # geodesics are assembled in `spaces`, extensions in `geometry`
     monkeypatch.setattr(spaces, "geodesic_from_chain", spy)
@@ -186,12 +195,56 @@ def test_geodesic_from_chain_matches_the_section_loop(name, request, monkeypatch
             extend(space, g, 0.25)
         except NotExtendable:
             pass
-    assert len(chains) >= 300
+    assert len(calls) >= 300
     if name in ("comb14", "comb316", "lopsided_tree"):
         # geodesics that cross whole edges hand over the sections measured per vertex
-        assert any(len(sec) == 4 for chain in chains for sec in chain)
-    for chain in chains:
-        _check_against_section_loop(space, chain)
+        assert any(len(sec) == 4 for chain, _p, _q in calls for sec in chain)
+    for chain, start, end in calls:
+        # the endpoints the callers hand over equal the ones rebuilt from the chain
+        _check_against_section_loop(space, chain, start, end)
+
+
+@pytest.mark.parametrize(
+    "name", ["e2", "e3", "book3", "tripod", "comb14", "comb316", "lopsided_tree"]
+)
+def test_geodesics_start_and_end_at_their_normal_endpoints(name, request):
+    # the geodesic keeps the endpoints it is given, which are the normal points
+    # that rebuilding them from its first and last pieces gives
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    pts = sample_points(space, substream(29, "normal endpoints"), 40)
+    if space.kind == "tree":
+        pts += [impl.vertex_point(v) for v in impl.vertices[:40]]
+    elif space.kind == "open_book":
+        pts += [impl.normalize(Point(k, (0.0, v))) for k, v in enumerate((-0.5, -0.0, 0.25))]
+    else:
+        pts.append(Point(0, (-0.0,) * space.dim))
+    pairs = list(zip(pts, reversed(pts))) + list(zip(pts, pts[1:])) + [(p, p) for p in pts]
+    for p, q in pairs:
+        g = impl.geodesic(p, q)
+        first, last = g.pieces[0], g.pieces[-1]
+        rebuilt = (
+            impl.normalize(Point(first.chart, first.c0)),
+            impl.normalize(Point(last.chart, last.c1)),
+        )
+        assert repr((g.start, g.end)) == repr((p, q)) == repr(rebuilt)
+        if p == q:
+            assert g.length == 0.0 and g.pieces == (Piece(0.0, 1.0, p.chart, p.coords, p.coords),)
+
+
+def test_piece_is_a_named_immutable_tuple():
+    pc = Piece(0.0, 0.5, 1, (0.0, 0.25), (0.5, 1.0))
+    assert repr(pc) == "Piece(t0=0.0, t1=0.5, chart=1, c0=(0.0, 0.25), c1=(0.5, 1.0))"
+    same = Piece(0.0, 0.5, 1, (0.0, 0.25), (0.5, 1.0))
+    assert pc == same and hash(pc) == hash(same) and len({pc, same}) == 1
+    assert pc != Piece(0.0, 0.5, 2, (0.0, 0.25), (0.5, 1.0))
+    # tuple-backed: equal to the plain tuple of its fields, in field order
+    assert pc == (0.0, 0.5, 1, (0.0, 0.25), (0.5, 1.0))
+    with pytest.raises(AttributeError):
+        pc.t1 = 1.0
+    pieces = [Piece(t0, t1, 0, (t0,), (t1,)) for t0, t1 in ((0.0, 0.25), (0.25, 0.75), (0.75, 1.0))]
+    got = [bisect_left(pieces, t, key=attrgetter("t1")) for t in (0.0, 0.25, 0.3, 0.75, 0.9, 1.0)]
+    assert got == [0, 0, 1, 1, 2, 2]
 
 
 HAND_CHAINS = {

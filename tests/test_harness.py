@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
 
-from cat0ot import ConfigInvalid, IoFailure, Point
+from cat0ot import ConfigInvalid, IoFailure, Point, geometry
 from cat0ot.cli import main
 from cat0ot.harness import (
     _ALLOWED_PARAMS,
@@ -23,7 +24,7 @@ from cat0ot.harness import (
 from cat0ot.rng import substream
 from cat0ot.spaces import space_from_json
 
-from _oracles import geometry_suite_by_public_api
+from _oracles import geometry_suite_by_public_api, sample_points_by_point
 
 E2 = {"kind": "euclidean", "dim": 2}
 
@@ -330,6 +331,26 @@ def test_tree_sampling_draws_as_generator_choice(kind, request):
             assert p == space.impl.normalize(Point(e, (s,)))
 
 
+@pytest.mark.parametrize("n", [1, 3, 50])
+@pytest.mark.parametrize("name", ["e2", "e3", "tripod", "comb316", "book3"])
+def test_sample_points_draws_as_point_by_point(name, n, request):
+    # the same points, bit for bit, and the generator left in the same state
+    space = request.getfixturevalue(name)
+    rng, ref = substream(31, f"draws:{n}"), substream(31, f"draws:{n}")
+    for _ in range(2):
+        assert repr(sample_points(space, rng, n)) == repr(sample_points_by_point(space, ref, n))
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("experiment", ["fermat", "transport-identity"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_plane_experiments_reject_other_euclidean_dimensions(experiment, dim):
+    with pytest.raises(ConfigInvalid) as info:
+        run_scenario(Scenario({"kind": "euclidean", "dim": dim}, experiment, {}, 1))
+    assert info.value.path == "space"
+    assert experiment in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -491,12 +512,56 @@ PINNED_REPORTS = {
         (SUITE_SPACES["comb316"], "geometry-suite", {"samples": 50}, 19),
         "eb2e51c14f22253d7211879a390e1ec5effbe693018d00c629bcf1610144f1b4",
     ),
+    # the comb316-suite settings on the other suite spaces, computed before
+    # geodesics took their endpoints from their callers and before sample_points
+    # drew in one block
+    "e2-suite-19": (
+        (E2, "geometry-suite", {"samples": 50}, 19),
+        "0f470f1f282be93fb86625b5b4079da84e0d32899d976c4ba71bf9d55306a297",
+    ),
+    "book3-suite-19": (
+        (BOOK3, "geometry-suite", {"samples": 50}, 19),
+        "95b76f717e0b446bccbfbdf5bacaed6effde24ff10d423ef64c418563d980ed5",
+    ),
+    "tripod-suite-19": (
+        (TRIPOD, "geometry-suite", {"samples": 50}, 19),
+        "10a690daf10217a906e686f84cf6d7d4530573026042dd36b5d3b0ef0d8a9806",
+    ),
+    "comb14-suite-19": (
+        (COMB14, "geometry-suite", {"samples": 50}, 19),
+        "06574d6808299c90f4f70f82c232cd6f2557de04b412779218e47cbaeafe3959",
+    ),
 }
+
+
+def _report_hash(name):
+    (space, experiment, params, seed), _want = PINNED_REPORTS[name]
+    rep = run_scenario(Scenario(space, experiment, params, seed))
+    text = render_report(rep) + render_report(rep, "csv")
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_report_bytes_are_pinned(name):
-    (space, experiment, params, seed), want = PINNED_REPORTS[name]
-    rep = run_scenario(Scenario(space, experiment, params, seed))
-    text = render_report(rep) + render_report(rep, "csv")
-    assert hashlib.sha256(text.encode()).hexdigest() == want
+    assert _report_hash(name) == PINNED_REPORTS[name][1]
+
+
+def _compensated_sum(values, start=0):
+    """The builtin sum of floats from Python 3.12 on: Neumaier's compensated
+    summation, whose correction is added once at the end."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_geodesic_lengths_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # the emulation differs from a left fold where rounding errors build up
+    assert _compensated_sum([0.1] * 10) == 1.0
+    monkeypatch.setattr(geometry, "sum", _compensated_sum, raising=False)
+    assert _report_hash("comb316-suite") == PINNED_REPORTS["comb316-suite"][1]
