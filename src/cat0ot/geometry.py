@@ -23,7 +23,9 @@ sections past a geodesic's end that `extend` assembles),
 `impl.region` (every check on a region, then its volume, its diameter and a
 sampler `sample(n, rng) -> (charts, coords)`), `impl.distances_from` and
 `impl.direction_targets`; trees add `impl.vertex_point`,
-`impl.vertex_distance` and `impl.project_subtree`.
+`impl.vertex_distance` and `impl.project_subtree`. One distance formula per
+family: each `impl.distances_from` entry is `impl.distance` bit for bit, and
+chart lengths go through `section_length`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
 from operator import add, attrgetter, sub
 from typing import NamedTuple, Sequence
 
@@ -394,8 +395,7 @@ def parameter_on(space: SpaceHandle, g: Geodesic, x: Point) -> float:
         if coords is None:
             continue
         w, proj = segment_projection(coords, pc.c0, pc.c1)
-        err = math.sqrt(sum((c - p) ** 2 for c, p in zip(coords, proj)))
-        if err <= PT_TOL:
+        if section_length(proj, coords) <= PT_TOL:
             t = pc.t0 + w * (pc.t1 - pc.t0)
             if best is None or t < best:
                 best = t
@@ -408,19 +408,19 @@ def segment_projection(coords: Sequence, c0: Sequence, c1: Sequence) -> tuple[fl
     """(w, proj): the nearest point proj = c0 + w (c1 - c0) of the chart segment
     [c0, c1] to coords, with w clamped to [0, 1] (0 on a segment of length 0)."""
     seg = [b - a for a, b in zip(c0, c1)]
-    sq = sum(v * v for v in seg)
+    sq = reduce(add, [v * v for v in seg], 0.0)
     if sq == 0:
         w = 0.0
     else:
-        w = sum((c - a) * v for c, a, v in zip(coords, c0, seg)) / sq
+        w = reduce(add, [(c - a) * v for c, a, v in zip(coords, c0, seg)], 0.0) / sq
         w = min(1.0, max(0.0, w))
     return w, [a + w * v for a, v in zip(c0, seg)]
 
 
 def section_length(c0: Sequence, c1: Sequence) -> float:
-    """Length of a straight-in-chart section: the square root of (c1 - c0) ** 2
-    folded left in coordinate order, on the coordinates as given."""
-    return math.sqrt(reduce(add, map(pow, map(sub, c1, c0), repeat(2)), 0.0))
+    """Length of a straight-in-chart section: the square root of d * d, for
+    d = c1 - c0, folded left in coordinate order, on the coordinates as given."""
+    return math.sqrt(reduce(add, [d * d for d in map(sub, c1, c0)], 0.0))
 
 
 def geodesic_from_chain(

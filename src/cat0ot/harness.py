@@ -9,6 +9,8 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +39,7 @@ from .geometry import (
     TreeRegion,
     cat0_defect,
     geodesic,
+    section_length,
 )
 from .polar import polar_factorize, verify_measure_preserving
 from .rng import substream
@@ -214,8 +217,8 @@ def _dual_value(
     mu: DiscreteMeasure, nu: DiscreteMeasure, psi: tuple[float, ...], phi: tuple[float, ...]
 ) -> float:
     return float(
-        sum(p * w for p, w in zip(phi, nu.weights))
-        - sum(p * w for p, w in zip(psi, mu.weights))
+        reduce(add, [p * w for p, w in zip(phi, nu.weights)], 0.0)
+        - reduce(add, [p * w for p, w in zip(psi, mu.weights)], 0.0)
     )
 
 
@@ -438,9 +441,7 @@ def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tupl
             raise ParamOutOfRange("translation plan did not collapse to a map")
         for i, p in enumerate(mu.points):
             want = (p.coords[0] + shift[0], p.coords[1] + shift[1])
-            if math.hypot(
-                tmap.points[i].coords[0] - want[0], tmap.points[i].coords[1] - want[1]
-            ) > 1e-12:
+            if section_length(want, tmap.points[i].coords) > 1e-12:
                 exact = False
         grid = GridPotential((0.0, 0.0), h, (n, n), pot.psi)
         residuals = []

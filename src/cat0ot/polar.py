@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .errors import MapUndefined, NotDeterministicError
 from .geometry import Point, SpaceHandle, normalize
@@ -69,7 +71,8 @@ def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) ->
             merged.append(p)
             weights.append(mu.weights[i])
             where.append(len(merged) - 1)
-    nu = measure(space, merged, [w / sum(weights) for w in weights])
+    total = reduce(add, weights, 0.0)
+    nu = measure(space, merged, [w / total for w in weights])
 
     t_fwd, t_bwd = inverse_map(space, mu, nu)
     # mu's atoms are distinct, so T*'s target indices locate u's images in mu

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -95,7 +96,7 @@ def _box_region(region: BoxRegion) -> tuple:
         return np.full(n, region.chart, dtype=np.int64), coords
 
     sides = [h - l for l, h in zip(region.lo, region.hi)]
-    return float(np.prod(sides)), math.sqrt(sum(v**2 for v in sides)), sample
+    return float(np.prod(sides)), section_length(region.lo, region.hi), sample
 
 
 class EuclideanImpl:
@@ -123,7 +124,7 @@ class EuclideanImpl:
 
     def continuation(self, pc: Piece, delta: float) -> list[tuple]:
         seg = [b - a for a, b in zip(pc.c0, pc.c1)]
-        ln = math.sqrt(sum(v * v for v in seg))
+        ln = section_length(pc.c0, pc.c1)
         return [(0, pc.c1, tuple(c + delta * v / ln for c, v in zip(pc.c1, seg)))]
 
     def project_segment(self, x: Point, g: Geodesic) -> Point:
@@ -150,7 +151,8 @@ class EuclideanImpl:
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on euclidean")
 
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
-        return np.linalg.norm(coords - np.asarray(p.coords), axis=1)
+        cols = [coords[:, k] - c for k, c in enumerate(p.coords)]  # section_length's fold
+        return np.sqrt(functools.reduce(add, [d * d for d in cols]))
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
         base = np.asarray(x.coords)
@@ -427,12 +429,12 @@ class TreeImpl:
         edges = self._check_subtree(vertex_set)
         if x.chart in edges:
             return x
-        xv = self._vertex_of(x)
-        if xv is not None and xv in set(vertex_set):
-            return self.vertex_point(xv)
-        return min(
-            map(self.vertex_point, dict.fromkeys(vertex_set)), key=lambda p: self.distance(x, p)
+        # the first of the nearest members; x at a member vertex is its own nearest
+        pts = [self.vertex_point(v) for v in dict.fromkeys(vertex_set)]
+        row = self.distances_from(
+            x, np.asarray([p.chart for p in pts]), np.asarray([p.coords for p in pts])
         )
+        return pts[int(row.argmin())]
 
     def region(self, region) -> tuple:
         if not isinstance(region, TreeRegion):
@@ -451,7 +453,7 @@ class TreeImpl:
             offs = rng.uniform(0.0, 1.0, n) * lens[pick]
             return np.asarray(edges, dtype=np.int64)[pick], offs[:, None]
 
-        return sum(self.edges[e][2] for e in edges), diameter, sample
+        return functools.reduce(add, [self.edges[e][2] for e in edges], 0.0), diameter, sample
 
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
         a, b, ln = self.edges[p.chart]
@@ -500,9 +502,9 @@ class BookImpl:
         return Point(p.chart, (u, v))
 
     def distance(self, p: Point, q: Point) -> float:
-        if p.chart == q.chart:
-            return math.hypot(p.coords[0] - q.coords[0], p.coords[1] - q.coords[1])
-        return math.hypot(p.coords[0] + q.coords[0], p.coords[1] - q.coords[1])
+        # np.hypot, as in the rows; math.hypot differs from it in the last bit
+        (pu, pv), (qu, qv) = p.coords, q.coords
+        return float(np.hypot(pu - qu if p.chart == q.chart else pu + qu, pv - qv))
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         if p.chart == q.chart:
@@ -584,12 +586,8 @@ class BookImpl:
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on open books")
 
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
-        du_same = coords[:, 0] - p.coords[0]
-        du_cross = coords[:, 0] + p.coords[0]
-        dv = coords[:, 1] - p.coords[1]
-        return np.where(
-            charts == p.chart, np.hypot(du_same, dv), np.hypot(du_cross, dv)
-        )
+        du = np.where(charts == p.chart, coords[:, 0] - p.coords[0], coords[:, 0] + p.coords[0])
+        return np.hypot(du, coords[:, 1] - p.coords[1])
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
         u, v = x.coords

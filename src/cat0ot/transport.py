@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 import numpy as np
@@ -131,8 +133,8 @@ def measure(
             raise WeightMismatch("one weight per point required")
         if any(x <= 0 for x in w):
             raise ParamOutOfRange("weights must be strictly positive")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise WeightMismatch(f"weights sum to {sum(w)}, not 1")
+        if abs(reduce(add, w, 0.0) - 1.0) > 1e-12:
+            raise WeightMismatch(f"weights sum to {reduce(add, w, 0.0)}, not 1")
     return DiscreteMeasure(pts, w)
 
 
@@ -406,7 +408,7 @@ def solve_kantorovich(
     phi = (psi[:, None] + C).min(axis=0)
     slack_max = float((phi[None, :] - psi[:, None] - C).max())
     pot = PotentialPair(tuple(psi.tolist()), tuple(phi.tolist()), slack_max <= 1e-9, slack_max)
-    total = float(sum(mass * C[i, j] for i, j, mass in entries))
+    total = float(reduce(add, [mass * C[i, j] for i, j, mass in entries], 0.0))
     return TransportPlan(mu, nu, entries), pot, total
 
 
@@ -518,16 +520,14 @@ def c_subdifferential(
     x_index: int,
 ) -> set[int]:
     """Target indices where phi(y) - psi(x) = c(x, y) within 1e-9."""
+    if x_index not in range(len(mu.points)):
+        raise ParamOutOfRange(f"mu has no atom {x_index}")
+    if len(potentials.psi) != len(mu.points) or len(potentials.phi) != len(nu.points):
+        raise ParamOutOfRange("potentials need one value per atom of mu and of nu")
     # measure atoms are normal already
-    x = mu.points[x_index]
-    psi_x = potentials.psi[x_index]
-    dist = space.impl.distance
-    out = set()
-    for j, y in enumerate(nu.points):
-        d = dist(x, y)
-        if abs(potentials.phi[j] - psi_x - 0.5 * d * d) <= 1e-9:
-            out.add(j)
-    return out
+    c = _cost_rows(space, [mu.points[x_index]], nu.points)[0]
+    tight = np.abs(np.asarray(potentials.phi) - potentials.psi[x_index] - c) <= 1e-9
+    return set(np.flatnonzero(tight).tolist())
 
 
 def extract_monge_map(plan: TransportPlan):
@@ -560,21 +560,17 @@ def psi_R(
     """Ball-restricted potential: min of phi(y) - c(x, y) over targets in B(y0, R)."""
     if R <= 0:
         raise ParamOutOfRange(f"ball radius {R} must be positive")
+    if len(potentials.phi) != len(nu.points):
+        raise ParamOutOfRange("potentials need one value per atom of nu")
     x, y0 = normalize(space, x), normalize(space, y0)
-    dist = space.impl.distance
-    best = math.inf
-    hit = False
     # the atoms of nu are normal already
-    for j, y in enumerate(nu.points):
-        if dist(y0, y) < R:
-            hit = True
-            d = dist(x, y)
-            val = potentials.phi[j] - 0.5 * d * d
-            if val < best:
-                best = val
-    if not hit:
+    charts = np.asarray([y.chart for y in nu.points], dtype=np.int64)
+    coords = np.asarray([y.coords for y in nu.points], dtype=float)
+    inside = space.impl.distances_from(y0, charts, coords) < R
+    if not inside.any():
         raise EmptyBall(f"no target support point within {R} of the ball center")
-    return best
+    vals = np.asarray(potentials.phi) - _cost_rows(space, [x], nu.points)[0]
+    return float(vals[inside].min())
 
 
 # Grid potentials for the first-order transport identity.

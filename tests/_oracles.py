@@ -340,7 +340,7 @@ def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> tuple[Geodesic,
     """
     segs = []
     for chart, c0, c1 in chain:
-        ln = math.sqrt(sum((b - a) ** 2 for a, b in zip(c0, c1)))
+        ln = math.sqrt(sum((b - a) * (b - a) for a, b in zip(c0, c1)))
         if ln == 0:
             continue
         chart = int(chart)

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import math
+import sys
+from functools import reduce
+from operator import add
+
 import pytest
 
 from cat0ot import (
@@ -66,3 +71,34 @@ def lopsided_tree():
             ("d", "g", 1.1),
         ],
     )
+
+
+def _compensated_sum(values, start=0):
+    """The builtin sum from Python 3.12 on: ints add exactly, and floats by
+    Neumaier's compensated summation, whose correction is added once at the end."""
+    values = list(values)
+    if all(isinstance(x, int) for x in values):
+        return reduce(add, values, start)
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.fixture
+def compensated_sum():
+    """Python 3.12's builtin sum, on the running version, for a test to patch in."""
+    return _compensated_sum
+
+
+@pytest.fixture
+def compensated_package_sum(monkeypatch):
+    """Python 3.12's builtin sum patched in as `sum` on every loaded cat0ot module."""
+    for name, module in list(sys.modules.items()):
+        if name == "cat0ot" or name.startswith("cat0ot."):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)

@@ -160,7 +160,7 @@ def _check_against_section_loop(space, chain, start=None, end=None):
         if len(sec) == 4:
             # a measured section carries the length the section loop computes
             chart, c0, c1, ln = sec
-            assert ln.hex() == math.sqrt(sum((b - a) ** 2 for a, b in zip(c0, c1))).hex()
+            assert ln.hex() == math.sqrt(sum((b - a) * (b - a) for a, b in zip(c0, c1))).hex()
     assert _bits(g) == _bits(want)
     # the derived breakpoints equal the ones the section loop records per junction
     assert g.breakpoints == want_breakpoints
@@ -652,7 +652,9 @@ def test_subtree_projection_matches_the_vertex_loop(name, request):
     space = request.getfixturevalue(name)
     rng = substream(31, "subtree projection oracle")
     for vs in _vertex_sets(space, rng):
-        for x in sample_points(space, rng, 3):
+        # sampled points, and points at member vertices
+        members = [space.impl.vertex_point(v) for v in vs[:2] if v in space.impl._vidx]
+        for x in sample_points(space, rng, 3) + members:
             want = _outcome(project_subtree_by_loop, space, x, vs)
             assert _outcome(project_convex, space, x, Subtree(tuple(vs))) == want
 

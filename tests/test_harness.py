@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 
 import pytest
@@ -546,22 +545,13 @@ def test_report_bytes_are_pinned(name):
     assert _report_hash(name) == PINNED_REPORTS[name][1]
 
 
-def _compensated_sum(values, start=0):
-    """The builtin sum of floats from Python 3.12 on: Neumaier's compensated
-    summation, whose correction is added once at the end."""
-    total, comp = float(start), 0.0
-    for x in values:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp if comp and math.isfinite(comp) else total
-
-
-def test_geodesic_lengths_do_not_depend_on_the_builtin_sum(monkeypatch):
+def test_geodesic_lengths_do_not_depend_on_the_builtin_sum(monkeypatch, compensated_sum):
     # the emulation differs from a left fold where rounding errors build up
-    assert _compensated_sum([0.1] * 10) == 1.0
-    monkeypatch.setattr(geometry, "sum", _compensated_sum, raising=False)
+    assert compensated_sum([0.1] * 10) == 1.0
+    monkeypatch.setattr(geometry, "sum", compensated_sum, raising=False)
     assert _report_hash("comb316-suite") == PINNED_REPORTS["comb316-suite"][1]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_do_not_depend_on_the_builtin_sum(name, compensated_package_sum):
+    assert _report_hash(name) == PINNED_REPORTS[name][1]

@@ -183,32 +183,42 @@ def test_tree_cost_rows_match_networkx(fixture, request):
             assert C[i, j] == pytest.approx(0.5 * tree_distance(space, x, y) ** 2, abs=1e-12)
 
 
-# the most units in the last place by which a distances_from row may differ
-# from the scalar distance, as measured on this test's samples: Euclidean and
-# book rows use np.hypot / np.linalg.norm where the scalar uses math.hypot /
-# pow(v, 2), and pinned geometry bytes depend on both; tree rows add the same
-# terms in the same order as the scalar route.
-ROW_ULPS = {
-    "e2": 1, "e3": 1, "book3": 1,
-    "tripod": 0, "comb14": 0, "comb316": 0, "lopsided_tree": 0,
-}
+def _edge_points(space):
+    """Points where two distance formulas are most likely to part: book spine
+    points, -0.0 coordinates, tree vertices, and Euclidean coordinates of 1e200,
+    whose distances overflow to inf."""
+    if space.kind == "euclidean":
+        zero = (-0.0,) * space.dim
+        return [Point(0, zero), Point(0, (1e200,) + zero[1:]), Point(0, (-1e200,) * space.dim)]
+    if space.kind == "open_book":
+        return [
+            Point(0, (0.0, 0.5)),
+            Point(0, (0.0, -0.0)),
+            Point(2, (0.5, -0.0)),
+            Point(1, (1e200, -1e200)),
+        ]
+    return [space.impl.vertex_point(v) for v in space.params.vertices[:40]]
 
 
-@pytest.mark.parametrize("name", sorted(ROW_ULPS))
+@pytest.mark.parametrize(
+    "name", ["book3", "comb14", "comb316", "e2", "e3", "lopsided_tree", "tripod"]
+)
 def test_distance_rows_match_the_scalar_distance(name, request):
     space = request.getfixturevalue(name)
     rng = substream(17, f"rows-vs-distance:{name}")
-    sources, targets = sample_points(space, rng, 50), sample_points(space, rng, 200)
+    edge = [space.impl.normalize(p) for p in _edge_points(space)]
+    sources = sample_points(space, rng, 50) + edge
+    # every source is a target as well, so each row holds its own p == q
+    targets = sample_points(space, rng, 200) + edge + sources
     charts = np.asarray([y.chart for y in targets])
     coords = np.asarray([y.coords for y in targets], dtype=float)
-    worst = 0.0
     for x in sources:
-        row = space.impl.distances_from(x, charts, coords)
+        with np.errstate(over="ignore"):  # 1e200 squared is inf on both sides
+            row = space.impl.distances_from(x, charts, coords)
         want = np.array([space.impl.distance(x, y) for y in targets])
-        if ROW_ULPS[name] == 0:
-            assert row.tobytes() == want.tobytes()
-        worst = max(worst, float((np.abs(row - want) / np.spacing(want)).max()))
-    assert worst <= ROW_ULPS[name]
+        assert row.tobytes() == want.tobytes()
+    if space.kind == "euclidean":
+        assert space.impl.distance(edge[1], edge[2]) == math.inf
 
 
 @pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])

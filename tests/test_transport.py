@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -536,7 +537,7 @@ def test_c_transform_of_no_targets_is_empty(family, request):
     assert c_transform(space, [0.0, 1.0], base, []) == []
 
 
-@pytest.mark.parametrize("family", ["e2", "tripod", "book3"])
+@pytest.mark.parametrize("family", ["e2", "e3", "tripod", "comb316", "book3"])
 def test_ball_potential_and_subdifferential_match_the_public_api_loop(family, request):
     space = request.getfixturevalue(family)
     rng = substream(15, f"psi-ball-bits-{family}")
@@ -558,6 +559,50 @@ def test_ball_potential_and_subdifferential_match_the_public_api_loop(family, re
             if abs(pot.phi[j] - pot.psi[i] - cost(space, x, y)) <= 1e-9
         }
         assert c_subdifferential(space, pot, mu, nu, i) == want
+    # the ball is open: a target at exactly distance R is left out
+    y0 = sample_points(space, rng, 1)[0]
+    dist = [distance(space, y0, y) for y in nu.points]
+    R = min(dist)
+    j = dist.index(R)
+    x = mu.points[0]
+    with pytest.raises(EmptyBall):
+        psi_R(space, pot, nu, x, y0, R)
+    want = pot.phi[j] - cost(space, x, nu.points[j])
+    assert psi_R(space, pot, nu, x, y0, math.nextafter(R, math.inf)).hex() == want.hex()
+
+
+def _instance_and_potentials(space, n, m):
+    rng = substream(18, "subdifferential-checks")
+    mu = measure(space, sample_points(space, rng, n))
+    nu = measure(space, sample_points(space, rng, m))
+    return mu, nu, solve_kantorovich(space, mu, nu)[1]
+
+
+def test_c_subdifferential_rejects_an_index_outside_mu(e2):
+    mu, nu, pot = _instance_and_potentials(e2, 4, 5)
+    for i in (-1, -4, 4, 9):
+        with pytest.raises(ParamOutOfRange):
+            c_subdifferential(e2, pot, mu, nu, i)
+
+
+RESIZED = {"short": lambda v: v[:-1], "long": lambda v: v + (0.0,)}
+
+
+@pytest.mark.parametrize("size", sorted(RESIZED))
+@pytest.mark.parametrize("field", ["phi", "psi"])
+def test_c_subdifferential_rejects_potentials_of_the_wrong_length(e2, field, size):
+    mu, nu, pot = _instance_and_potentials(e2, 4, 5)
+    bad = dataclasses.replace(pot, **{field: RESIZED[size](getattr(pot, field))})
+    with pytest.raises(ParamOutOfRange):
+        c_subdifferential(e2, bad, mu, nu, 0)
+
+
+@pytest.mark.parametrize("size", sorted(RESIZED))
+def test_psi_R_rejects_potentials_of_the_wrong_length(e2, size):
+    mu, nu, pot = _instance_and_potentials(e2, 4, 5)
+    bad = dataclasses.replace(pot, phi=RESIZED[size](pot.phi))
+    with pytest.raises(ParamOutOfRange):
+        psi_R(e2, bad, nu, mu.points[0], nu.points[0], 10.0)
 
 
 def test_psi_R_is_lipschitz_with_rate_two_r(e2):
