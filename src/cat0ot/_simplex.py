@@ -17,9 +17,9 @@ to the smallest (i, j), and a Bland fallback engages after a streak of
 degenerate pivots so cycling cannot occur.
 
 The start is the least-cost (matrix-minimum) basis, which on random costs
-begins near the optimum. Uniform square inputs, where every basis is
-degenerate, reach the solver only when the assignment certificate in
-`transport.solve_kantorovich` rejects.
+begins near the optimum. `transport.solve_kantorovich` calls the solver on
+non-uniform or non-square inputs, and on uniform squares, where every basis
+is degenerate, only when the matching's exchange graph has a negative cycle.
 """
 
 from __future__ import annotations

@@ -173,8 +173,8 @@ def _uniform(weights: Sequence[float]) -> bool:
     return bool(np.allclose(weights, 1.0 / n, rtol=0.0, atol=1e-12))
 
 
-def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible LP prices supporting an optimal assignment.
+def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> Optional[np.ndarray]:
+    """Row prices certifying that perm is an optimal assignment, or None.
 
     alpha is the shortest-path fixpoint, from a virtual source at 0, of the
     exchange graph with arcs k -> i of weight W[i, k] = C[i, perm[k]] -
@@ -186,10 +186,11 @@ def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.n
     shortlist for another pass; no arc joining means alpha is the fixpoint on
     all n^2 arcs. Every comparison is exact and every sum is the left fold
     along a path, so this is the fixpoint that relaxing the dense graph
-    reaches, bit for bit. Optimality of the assignment rules out negative
-    cycles, and then a pass settles within n rounds; a pass still moving
-    after n + 5 rounds (the dense loop's cap) stops, and the certificate in
-    `solve_kantorovich` rejects what it returns.
+    reaches, bit for bit, and it is the certificate: no arc prices negative,
+    so alpha and the column prices C[k, perm[k]] - alpha[k] are feasible and
+    tight on perm. A pass settles within n rounds exactly when the graph has
+    no negative cycle; one still moving after n + 5 rounds is the verdict
+    that perm is not optimal, and then None is returned.
     """
     n = len(perm)
     rows = np.arange(n)
@@ -216,7 +217,7 @@ def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.n
             moved = relaxed < alpha
             alpha = relaxed
         else:
-            break  # a negative cycle: the assignment is not optimal
+            return None  # a negative cycle: the assignment is not optimal
         alpha_by_col = alpha[back]
         found = []
         for s in range(0, n, step):
@@ -225,15 +226,12 @@ def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.n
             found.append(np.flatnonzero(cand < alpha[s : s + step, None]) + s * n)
         new_head, new_col = np.divmod(np.concatenate(found), n)
         if len(new_head) == 0:
-            break
+            return alpha
         head = np.concatenate([head, new_head])
         tail = np.concatenate([tail, back[new_col]])
         w = np.concatenate([w, C[new_head, new_col] - d_by_col[new_col]])
         moved = np.zeros(n, dtype=bool)
         moved[back[new_col]] = True
-    beta = np.empty(n)
-    beta[perm] = d - alpha
-    return alpha, beta
 
 
 def _tied(C: np.ndarray) -> bool:
@@ -374,10 +372,11 @@ def solve_kantorovich(
     `_auction_prices`, an auction's column prices, which leave the optimal
     assignments as they are and make the LSA far faster on ties; otherwise
     it runs on C. `_assignment_duals` prices the matching on a shortlist of
-    the exchange graph that grows until no arc prices negative. The matching
-    is accepted when those prices have slack >= -1e-9 on every cell of C and
-    close the duality gap to 1e-9; otherwise, and for every other input, the
-    transportation simplex solves the problem.
+    the exchange graph that grows until no arc of C prices negative: those
+    prices certify it. If they do not settle within n + 5 rounds, a negative
+    exchange cycle rules the matching out, and the transportation simplex
+    solves the problem, as it does for every other input. Costs past the
+    float range raise ParamOutOfRange before either solver runs.
     """
     n, m = len(mu.points), len(nu.points)
     if n > MAX_SUPPORT or m > MAX_SUPPORT:
@@ -386,18 +385,17 @@ def solve_kantorovich(
     b = np.asarray(nu.weights)
     if abs(a.sum() - b.sum()) > 1e-12:
         raise WeightMismatch(f"total masses differ: {a.sum()} vs {b.sum()}")
-    C = pairwise_costs(space, mu, nu)
-
-    flow = None
+    with np.errstate(over="ignore"):  # a cost past the float range reads inf
+        C = pairwise_costs(space, mu, nu)
+    if not np.isfinite(C.max()):  # C >= 0, and max passes a nan on
+        raise ParamOutOfRange("a squared distance between the measures exceeds the float range")
+    alpha = None
     if n == m and _uniform(a) and _uniform(b):
         perm = _assignment(C)
-        alpha, beta = _assignment_duals(C, perm)
-        slack = C - alpha[:, None] - beta[None, :]
-        gap = abs(C[np.arange(n), perm].sum() / n - (alpha.mean() + beta.mean()))
-        if slack.min() >= -1e-9 and gap <= 1e-9:
-            flow = {(i, int(perm[i])): 1.0 / n for i in range(n)}
-    if flow is None:
-        flow, alpha, beta = _simplex.solve_transport(C, a, b)
+        alpha = _assignment_duals(C, perm)
+        flow = {(i, int(perm[i])): 1.0 / n for i in range(n)}
+    if alpha is None:
+        flow, alpha, _ = _simplex.solve_transport(C, a, b)
 
     entries = tuple(
         (i, j, float(mass)) for (i, j), mass in sorted(flow.items()) if mass > 0.0

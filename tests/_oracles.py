@@ -168,12 +168,13 @@ def optimal_arcs(C: np.ndarray, a, b) -> set[tuple[int, int]]:
 
 
 def assignment_duals_by_dense_relaxation(C: np.ndarray, perm, arcs=None):
-    """(alpha, beta) of an assignment by relaxing every exchange arc each round.
+    """Row prices alpha of an assignment by relaxing every exchange arc each
+    round, or None when they do not settle.
 
     W[i, k] = C[i, perm[k]] - C[k, perm[k]]; arcs, a boolean n-by-n mask,
     keeps only the arcs it marks (the rest weigh +inf). alpha starts at 0 and
-    takes min(alpha, min_k alpha[k] + W[i, k]) until it stops moving, for at
-    most n + 5 rounds; beta[perm] = C[i, perm[i]] - alpha.
+    takes min(alpha, min_k alpha[k] + W[i, k]) until it stops moving; alpha
+    still moving after n + 5 rounds means a negative cycle, and None.
     """
     n = C.shape[0]
     d = C[np.arange(n), perm]
@@ -184,11 +185,9 @@ def assignment_duals_by_dense_relaxation(C: np.ndarray, perm, arcs=None):
     for _ in range(n + 5):
         relaxed = np.minimum(alpha, (alpha[None, :] + W).min(axis=1))
         if np.array_equal(relaxed, alpha):
-            break
+            return alpha
         alpha = relaxed
-    beta = np.empty(n)
-    beta[perm] = d - alpha
-    return alpha, beta
+    return None
 
 
 def staircase_basis(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:

@@ -6,7 +6,15 @@ import os
 
 import pytest
 
-from cat0ot import ConfigInvalid, IoFailure, Point, geometry
+from cat0ot import (
+    ConfigInvalid,
+    IoFailure,
+    ParamOutOfRange,
+    Point,
+    _simplex,
+    geometry,
+    transport,
+)
 from cat0ot.cli import main
 from cat0ot.harness import (
     _ALLOWED_PARAMS,
@@ -428,6 +436,37 @@ def test_cli_malformed_parameter_returns_two(tmp_path, capsys):
     assert main(["solve", "--config", str(huge)]) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error: params.n:") == 2
+    assert captured.out == ""
+
+
+# a coordinate of 1e200 is a valid point, but its squared distances overflow;
+# one case reaches the assignment path, the other the simplex
+HUGE_MU = {"points": [[0, 1e200, 0.0], [0, 1.0, 0.0]]}
+HUGE_COSTS = {
+    "assignment": {"mu": HUGE_MU, "nu": {"points": [[0, 0.0, 0.0], [0, 2.0, 0.0]]}},
+    "simplex": {
+        "mu": {**HUGE_MU, "weights": [0.3, 0.7]},
+        "nu": {"points": [[0, 0.0, 0.0], [0, 2.0, 0.0], [0, 3.0, 0.0]]},
+    },
+}
+
+
+@pytest.mark.parametrize("route", sorted(HUGE_COSTS))
+def test_costs_past_the_float_range_are_out_of_range(route, monkeypatch):
+    def unreached(*_args):
+        raise AssertionError("a solver ran on non-finite costs")
+
+    monkeypatch.setattr(transport, "_tied", unreached)
+    monkeypatch.setattr(_simplex, "solve_transport", unreached)
+    with pytest.raises(ParamOutOfRange, match="float range"):
+        run_scenario(Scenario(E2, "solve", HUGE_COSTS[route], 1))
+
+
+def test_cli_costs_past_the_float_range_return_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"space": E2, "params": HUGE_COSTS["simplex"], "seed": 1})
+    assert main(["solve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert "error: a squared distance" in captured.err
     assert captured.out == ""
 
 

@@ -1,9 +1,11 @@
-"""Every name a library module imports is used in it, and every error class is
-raised somewhere (no linter is installed)."""
+"""Every name a library module imports is used in it, every error class is
+raised somewhere, and the builtin `sum` adds only integers (no linter is
+installed)."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -126,3 +128,46 @@ def test_the_check_sees_a_dead_error_class():
     module = "def f(exc):\n    if exc:\n        raise exc\n    raise Used('x')\n"
     assert dead_errors(errors, [module]) == ["Bare", "Dead"]
     assert dead_errors(errors, [module, "raise Bare\n"]) == ["Dead"]
+
+
+# From Python 3.12 the builtin sum adds floats with compensation, so a float
+# `sum` gives report bits that depend on the Python version; float totals are
+# left folds of `operator.add`. These integer tallies may call it, each keyed
+# by its module and top-level function.
+INTEGER_SUMS = Counter(
+    {
+        ("harness.py", "_run_twist"): 1,  # sum(holds), over booleans
+        ("transport.py", "check_cyclic_monotonicity"): 2,  # tuple total, violation count
+    }
+)
+
+
+def builtin_sum_uses(source: str) -> Counter:
+    """How often each top-level function or class of source reads the name
+    `sum`, keyed by its name ("" for module-level code)."""
+    uses = Counter()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "sum" and isinstance(node.ctx, ast.Load):
+                uses[owner] += 1
+    return uses
+
+
+def test_builtin_sum_only_tallies_integers():
+    uses = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        uses.update({(path.name, f): c for f, c in builtin_sum_uses(path.read_text()).items()})
+    assert uses - INTEGER_SUMS == Counter()
+
+
+def test_the_check_sees_a_builtin_sum():
+    source = (
+        "def f(xs):\n"
+        "    return sum(xs) + max(map(sum, xs))\n"
+        "class A:\n"
+        "    def total(self):\n"
+        "        return self.values.sum()\n"
+        "TOTAL = sum([0.5, 0.25])\n"
+    )
+    assert builtin_sum_uses(source) == Counter({"f": 2, "": 1})
