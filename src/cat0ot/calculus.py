@@ -320,7 +320,7 @@ def _shell_estimate(
         return 0.0, 0.0, 0.0, True
     if eps is None:
         eps = diam / 200.0
-    if eps <= 0 or eps > diam / 10.0:
+    if not 0 < eps <= diam / 10.0:  # a nan eps fails too
         raise BadEpsilon(f"eps = {eps} outside (0, diam/10 = {diam / 10.0}]")
     rng = substream(seed, "eilenberg")
     charts, coords = sample(int(n_samples), rng)

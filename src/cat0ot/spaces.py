@@ -635,6 +635,8 @@ def build_tree(vertices: Sequence, edges: Sequence[tuple], root=None) -> SpaceHa
             raise ParamOutOfRange(f"edge ({a}, {b}) does not join distinct known vertices")
         if not 0 < ln < math.inf:
             raise ParamOutOfRange(f"edge ({a}, {b}) needs a positive finite length, got {ln}")
+    if not functools.reduce(add, [ln for _a, _b, ln in eds], 0.0) < math.inf:
+        raise ParamOutOfRange("the edge lengths sum past the float range")
     if len(eds) != len(verts) - 1:
         raise ParamOutOfRange("a tree on n vertices has exactly n - 1 edges")
     if not eds:

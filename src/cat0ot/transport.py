@@ -131,7 +131,7 @@ def measure(
         w = tuple(float(x) for x in weights)
         if len(w) != len(pts):
             raise WeightMismatch("one weight per point required")
-        if any(x <= 0 for x in w):
+        if not all(x > 0 for x in w):  # a nan weight fails too
             raise ParamOutOfRange("weights must be strictly positive")
         if abs(reduce(add, w, 0.0) - 1.0) > 1e-12:
             raise WeightMismatch(f"weights sum to {reduce(add, w, 0.0)}, not 1")
@@ -149,15 +149,19 @@ def map_from_points(
 def _cost_rows(
     space: SpaceHandle, sources: Sequence[Point], targets: Sequence[Point]
 ) -> np.ndarray:
-    """C[i, j] = d(x_i, y_j)^2 / 2, one distances_from row per source point."""
+    """C[i, j] = d(x_i, y_j)^2 / 2, one distances_from row per source point. Every
+    cost in this module is built here, so its float-range guard lives here too."""
     C = np.empty((len(sources), len(targets)))
     if not targets:  # no coordinate rows to broadcast against
         return C
     charts = np.asarray([p.chart for p in targets], dtype=np.int64)
     coords = np.asarray([p.coords for p in targets], dtype=float)
-    for i, x in enumerate(sources):
-        d = space.impl.distances_from(x, charts, coords)
-        C[i] = 0.5 * d * d
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        for i, x in enumerate(sources):
+            d = space.impl.distances_from(x, charts, coords)
+            C[i] = 0.5 * d * d
+    if not np.isfinite(C.max(initial=0.0)):  # C >= 0, and max passes a nan on
+        raise ParamOutOfRange("a squared distance between the point sets exceeds the float range")
     return C
 
 
@@ -381,14 +385,10 @@ def solve_kantorovich(
     n, m = len(mu.points), len(nu.points)
     if n > MAX_SUPPORT or m > MAX_SUPPORT:
         raise SupportTooLarge(f"support sizes ({n}, {m}) exceed {MAX_SUPPORT}")
-    a = np.asarray(mu.weights)
-    b = np.asarray(nu.weights)
-    if abs(a.sum() - b.sum()) > 1e-12:
+    a, b = np.asarray(mu.weights), np.asarray(nu.weights)
+    if not abs(a.sum() - b.sum()) <= 1e-12:  # a nan mass fails too
         raise WeightMismatch(f"total masses differ: {a.sum()} vs {b.sum()}")
-    with np.errstate(over="ignore"):  # a cost past the float range reads inf
-        C = pairwise_costs(space, mu, nu)
-    if not np.isfinite(C.max()):  # C >= 0, and max passes a nan on
-        raise ParamOutOfRange("a squared distance between the measures exceeds the float range")
+    C = pairwise_costs(space, mu, nu)
     alpha = None
     if n == m and _uniform(a) and _uniform(b):
         perm = _assignment(C)
@@ -433,15 +433,26 @@ def check_cyclic_monotonicity(
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> dict:
-    """Cycle inequality sum c(x_k, y_k) <= sum c(x_k, y_{k+1}) over support tuples."""
+    """Cycle inequality sum c(x_k, y_k) <= sum c(x_k, y_{k+1}) over support tuples.
+
+    "exhaustive" scores every cycle of 2 to max_len arcs; past 10^6 of them it
+    raises TooManyTuples before building any cost. "sampled" scores n_samples
+    cycles drawn from substream(seed, "cyclic"); no harness path uses it. A slack
+    above 1e-9 is a violation, and a plan of one arc or none reports zero slack.
+    A cost past the float range raises ParamOutOfRange."""
     if max_len < 2:
         raise ParamOutOfRange("cycles need length at least 2")
-    pairs = [(i, j) for i, j, _mass in plan.entries]
-    K = len(pairs)
+    if mode not in ("exhaustive", "sampled"):
+        raise ParamOutOfRange(f"unknown mode {mode!r}")
+    K = len(plan.entries)
+    if mode == "exhaustive":
+        total = sum(math.comb(K, L) * math.factorial(L - 1) for L in range(2, max_len + 1))
+        if total > 1_000_000:
+            raise TooManyTuples(f"{total} tuples exceed the exhaustive cap 10^6")
     Cp = _cost_rows(
         space,
-        [plan.source.points[i] for i, _j in pairs],
-        [plan.target.points[j] for _i, j in pairs],
+        [plan.source.points[i] for i, _j, _mass in plan.entries],
+        [plan.target.points[j] for _i, j, _mass in plan.entries],
     )
     diag = np.diag(Cp)
 
@@ -458,11 +469,6 @@ def check_cyclic_monotonicity(
         return int((slack > 1e-9).sum()), float(slack.max())
 
     if mode == "exhaustive":
-        total = sum(
-            math.comb(K, L) * math.factorial(L - 1) for L in range(2, max_len + 1)
-        )
-        if total > 1_000_000:
-            raise TooManyTuples(f"{total} tuples exceed the exhaustive cap 10^6")
         # each cycle is a combination led by its smallest index, then an
         # ordering of the rest
         tallies = []
@@ -474,19 +480,13 @@ def check_cyclic_monotonicity(
             ).reshape(-1, L)
             for rest in itertools.permutations(range(1, L)):
                 tallies.append(score(combos[:, (0,) + rest]))
-    elif mode == "sampled":
+    else:
         rng = substream(seed, "cyclic")
         by_len: dict[int, list[np.ndarray]] = {}
         for _ in range(int(n_samples)):
-            L = int(rng.integers(2, max_len + 1))
-            if L > K:
-                L = K
+            L = min(int(rng.integers(2, max_len + 1)), K)
             by_len.setdefault(L, []).append(rng.permutation(K)[:L])
-        # an empty plan draws empty cycles, which have no terms to score
         tallies = [score(np.array(cycles)) for L, cycles in by_len.items() if L]
-    else:
-        raise ParamOutOfRange(f"unknown mode {mode!r}")
-    # no tuple at all (a one-arc plan) reports the zero slack of a trivial cycle
     return {
         "violations": sum(count for count, _worst in tallies),
         "worst_slack": max((worst for _count, worst in tallies), default=0.0),
@@ -556,7 +556,7 @@ def psi_R(
     R: float,
 ) -> float:
     """Ball-restricted potential: min of phi(y) - c(x, y) over targets in B(y0, R)."""
-    if R <= 0:
+    if not R > 0:  # a nan radius fails too
         raise ParamOutOfRange(f"ball radius {R} must be positive")
     if len(potentials.phi) != len(nu.points):
         raise ParamOutOfRange("potentials need one value per atom of nu")
@@ -564,7 +564,8 @@ def psi_R(
     # the atoms of nu are normal already
     charts = np.asarray([y.chart for y in nu.points], dtype=np.int64)
     coords = np.asarray([y.coords for y in nu.points], dtype=float)
-    inside = space.impl.distances_from(y0, charts, coords) < R
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range: outside
+        inside = space.impl.distances_from(y0, charts, coords) < R
     if not inside.any():
         raise EmptyBall(f"no target support point within {R} of the ball center")
     vals = np.asarray(potentials.phi) - _cost_rows(space, [x], nu.points)[0]

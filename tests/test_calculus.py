@@ -285,6 +285,12 @@ def test_eilenberg_empty_region_and_bad_eps(e2):
         eilenberg_estimate(e2, g, region, 100, eps=10.0)
 
 
+def test_eilenberg_rejects_a_nan_eps(e2):
+    g = geodesic(e2, Point(0, (0.0, 0.0)), Point(0, (1.0, 0.0)))
+    with pytest.raises(BadEpsilon):
+        eilenberg_estimate(e2, g, BoxRegion(0, (0.0, 0.0), (1.0, 1.0)), 100, eps=math.nan)
+
+
 def test_zeta_positive_in_flat_and_book_spaces(e2, book3):
     x = Point(0, (0.0, 0.0))
     g = geodesic(e2, x, Point(0, (1.0, 0.0)))

@@ -496,6 +496,13 @@ def test_tree_builder_rejects_non_finite_lengths(ln):
         build_tree(["a", "b"], [("a", "b", ln)])
 
 
+def test_tree_builder_rejects_edges_summing_past_the_float_range():
+    half = sys.float_info.max / 2
+    build_tree(["a", "b", "c"], [("a", "b", half), ("b", "c", half)])
+    with pytest.raises(ParamOutOfRange, match="float range"):
+        build_tree(["a", "b", "c"], [("a", "b", half), ("b", "c", 2 * half)])
+
+
 @pytest.fixture
 def empty_memo():
     """space_from_json with no space built yet."""

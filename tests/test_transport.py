@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cat0ot import _simplex, transport
 from cat0ot import (
@@ -20,6 +22,7 @@ from cat0ot import (
     NotDeterministic,
     ParamOutOfRange,
     Point,
+    PotentialPair,
     SupportTooLarge,
     TooManyTuples,
     TransportMap,
@@ -28,6 +31,8 @@ from cat0ot import (
     WeightMismatch,
     brute_force_oracle,
     build_euclidean,
+    build_open_book,
+    build_tree,
     c_subdifferential,
     c_transform,
     check_cyclic_monotonicity,
@@ -79,6 +84,11 @@ def test_measure_normalizes_and_defaults_uniform(e1):
         measure(e1, [Point(0, (0.0,)), Point(0, (1.0,))], weights=[0.5, 0.4])
     with pytest.raises(ParamOutOfRange):
         measure(e1, [Point(0, (0.0,)), Point(0, (1.0,))], weights=[1.0, 0.0])
+
+
+def test_measure_rejects_a_nan_weight(e1):
+    with pytest.raises(ParamOutOfRange):
+        measure(e1, [Point(0, (0.0,)), Point(0, (1.0,))], weights=[math.nan, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +392,13 @@ def test_solver_input_validation(e2):
         brute_force_oracle(e2, mu, nu)
 
 
+def test_solver_rejects_a_nan_mass(e1, line_instance):
+    # a measure built directly skips measure()'s weight checks
+    mu, nu = line_instance
+    with pytest.raises(WeightMismatch):
+        solve_kantorovich(e1, DiscreteMeasure(mu.points, (math.nan, 0.5)), nu)
+
+
 # ---------------------------------------------------------------------------
 # cyclic monotonicity
 
@@ -447,9 +464,13 @@ def test_plans_without_cycles_report_zero_slack(e1, entries):
         assert out == {"violations": 0, "worst_slack": 0.0}
 
 
-def test_cyclic_check_guards(e1, line_instance):
+def test_cyclic_check_guards(e1, line_instance, monkeypatch):
     mu, nu = line_instance
     plan, _, _ = solve_kantorovich(e1, mu, nu)
+    rows = []
+    impl = type(e1.impl)
+    real = impl.distances_from
+    monkeypatch.setattr(impl, "distances_from", lambda *args: rows.append(args) or real(*args))
     with pytest.raises(ParamOutOfRange):
         check_cyclic_monotonicity(e1, plan, max_len=1)
     with pytest.raises(ParamOutOfRange):
@@ -458,8 +479,11 @@ def test_cyclic_check_guards(e1, line_instance):
     big_plan = TransportPlan(big, big, tuple((i, i, 1 / 40) for i in range(40)))
     with pytest.raises(TooManyTuples):
         check_cyclic_monotonicity(e1, big_plan, max_len=6)
+    # every argument is checked before a cost row is built
+    assert rows == []
     sampled = check_cyclic_monotonicity(e1, big_plan, max_len=6, mode="sampled", n_samples=500)
     assert sampled["violations"] == 0
+    assert len(rows) == 40
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +663,12 @@ def test_psi_R_rejects_potentials_of_the_wrong_length(e2, size):
     bad = dataclasses.replace(pot, phi=RESIZED[size](pot.phi))
     with pytest.raises(ParamOutOfRange):
         psi_R(e2, bad, nu, mu.points[0], nu.points[0], 10.0)
+
+
+def test_psi_R_rejects_a_nan_radius(e2):
+    mu, nu, pot = _instance_and_potentials(e2, 4, 5)
+    with pytest.raises(ParamOutOfRange):
+        psi_R(e2, pot, nu, mu.points[0], nu.points[0], math.nan)
 
 
 def test_psi_R_is_lipschitz_with_rate_two_r(e2):
@@ -902,3 +932,91 @@ def test_support_cap(e1):
     pts = [Point(0, (float(i),)) for i in range(10_001)]
     with pytest.raises(SupportTooLarge):
         solve_kantorovich(e1, DiscreteMeasure(tuple(pts), (1.0 / 10_001,) * 10_001), measure(e1, pts[:1]))
+
+
+# ---------------------------------------------------------------------------
+# costs past the float range; the pytest configuration makes any RuntimeWarning,
+# such as numpy's overflow warning, an error
+
+SPREAD_FAMILIES = ["e2", "book3", "tree"]
+FRACS = (0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.8, 0.9)
+ZERO_POTENTIALS = PotentialPair((0.0, 0.0), (0.0, 0.0), True, 0.0)
+
+
+def _spread(family, s, t, f):
+    """A space and uniform two-atom measures mu and nu on it. Three atoms sit
+    at coordinates t * f, for distinct fractions f in (0, 1); on the tree they
+    sit on its edge b - c of length t. nu's second atom sits at coordinate s;
+    on the tree it sits on its edge a - b of length s, at offset f[3] * s.
+    When t <= s, that atom is at least 0.1 s from the others."""
+    if family == "e2":
+        space = build_euclidean(2)
+        pts = [(t * f[0], -t * f[1]), (-t * f[2], t * f[3]), (-t * f[4], t * f[5]), (s, -t * f[6])]
+        pts = [Point(0, p) for p in pts]
+    elif family == "book3":
+        space = build_open_book(3)
+        pts = [
+            Point(0, (t * f[0], t * f[1])),
+            Point(1, (t * f[2], -t * f[3])),
+            Point(2, (t * f[4], t * f[5])),
+            Point(1, (s, t * f[6])),
+        ]
+    else:
+        space = build_tree(["a", "b", "c"], [("a", "b", s), ("b", "c", t)])
+        pts = [Point(1, (t * f[0],)), Point(1, (t * f[1],)), Point(1, (t * f[2],))]
+        pts.append(Point(0, (s * f[3],)))
+    return space, measure(space, pts[:2]), measure(space, pts[2:])
+
+
+def _cost_entry_points(space, mu, nu, pot):
+    """Each public function that builds costs, on mu and nu, returning its numbers."""
+
+    def solved(weights):
+        _, p, total = solve_kantorovich(space, mu, DiscreteMeasure(nu.points, weights))
+        return [total, *p.psi, *p.phi]
+
+    plan = TransportPlan(mu, nu, ((0, 0, 0.5), (1, 1, 0.5)))
+    return {
+        "pairwise_costs": lambda: pairwise_costs(space, mu, nu).ravel(),
+        "solve_kantorovich": lambda: solved(nu.weights),
+        "solve_kantorovich by the simplex": lambda: solved((0.25, 0.75)),
+        "brute_force_oracle": lambda: [brute_force_oracle(space, mu, nu)[1]],
+        "check_cyclic_monotonicity": lambda: [check_cyclic_monotonicity(space, plan)["worst_slack"]],
+        "c_transform": lambda: c_transform(space, pot.psi, mu.points, nu.points),
+        "c_subdifferential": lambda: sorted(c_subdifferential(space, pot, mu, nu, 0)),
+        "psi_R": lambda: [psi_R(space, pot, nu, mu.points[0], nu.points[0], 1.0)],
+    }
+
+
+# the band between 1e150 and 1e160, where costs are finite but near the
+# float maximum, is left unasserted
+@pytest.mark.parametrize("family", SPREAD_FAMILIES)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.floats(1.0, 1e150), st.floats(0.0, 1.0), st.permutations(FRACS))
+def test_costs_up_to_1e150_are_finite(family, s, r, f):
+    space, mu, nu = _spread(family, s, max(1.0, r * s), f)
+    pot = solve_kantorovich(space, mu, nu)[1]
+    for name, call in _cost_entry_points(space, mu, nu, pot).items():
+        assert np.isfinite(np.asarray(call(), dtype=float)).all(), name
+
+
+@pytest.mark.parametrize("family", SPREAD_FAMILIES)
+@settings(max_examples=20, derandomize=True, deadline=None)
+@example(1e200, 0.0, list(FRACS))
+@given(st.floats(1e160, allow_infinity=False), st.floats(0.0, 1.0), st.permutations(FRACS))
+def test_costs_from_1e160_are_out_of_range(family, s, r, f):
+    t = max(1.0, r * s)
+    assume(family != "tree" or s + t < math.inf)  # a longer tree is not built
+    space, mu, nu = _spread(family, s, t, f)
+    for name, call in _cost_entry_points(space, mu, nu, ZERO_POTENTIALS).items():
+        with pytest.raises(ParamOutOfRange, match="float range"):
+            call()
+            pytest.fail(f"{name} returned")
+
+
+@pytest.mark.parametrize("family", SPREAD_FAMILIES)
+def test_a_ball_centre_past_the_float_range_holds_no_target(family):
+    space, mu, nu = _spread(family, 1e200, 1.0, FRACS)
+    near = DiscreteMeasure(nu.points[:1], (1.0,))
+    with pytest.raises(EmptyBall):
+        psi_R(space, PotentialPair((0.0,), (0.0,), True, 0.0), near, mu.points[0], nu.points[1], 1.0)
