@@ -502,9 +502,13 @@ class BookImpl:
         return Point(p.chart, (u, v))
 
     def distance(self, p: Point, q: Point) -> float:
-        # np.hypot, as in the rows; math.hypot differs from it in the last bit
+        # abs(complex) calls C hypot, as np.hypot in the rows does; math.hypot
+        # differs from it in the last bit
         (pu, pv), (qu, qv) = p.coords, q.coords
-        return float(np.hypot(pu - qu if p.chart == q.chart else pu + qu, pv - qv))
+        try:
+            return abs(complex(pu - qu if p.chart == q.chart else pu + qu, pv - qv))
+        except OverflowError:  # past the float range, where np.hypot gives inf
+            return math.inf
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         if p.chart == q.chart:

@@ -177,24 +177,36 @@ def _uniform(weights: Sequence[float]) -> bool:
     return bool(np.allclose(weights, 1.0 / n, rtol=0.0, atol=1e-12))
 
 
-def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> Optional[np.ndarray]:
+def _row_chunks(C: np.ndarray) -> list[slice]:
+    """Slices of C's rows, _PRICE_CELLS cells or one row each, for the passes
+    that would otherwise build an n x m temporary."""
+    step = max(1, _PRICE_CELLS // C.shape[1])
+    return [slice(s, s + step) for s in range(0, C.shape[0], step)]
+
+
+def _assignment_duals(
+    C: np.ndarray, perm: np.ndarray, prices: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
     """Row prices certifying that perm is an optimal assignment, or None.
 
     alpha is the shortest-path fixpoint, from a virtual source at 0, of the
     exchange graph with arcs k -> i of weight W[i, k] = C[i, perm[k]] -
     C[k, perm[k]]. It is found on a shortlist: each row's _SHORTLIST (16)
-    nearest targets, as arcs from the rows matched to them. Each round
-    relaxes, with `np.minimum.at`, the arcs out of the rows whose price moved
-    in the round before. Once a pass settles, every arc is priced in row
-    chunks, and each arc with alpha[k] + W[i, k] < alpha[i] joins the
+    nearest targets, as arcs from the rows matched to them, nearest by C, or
+    by C + prices when column prices are given (the auction's, on tied costs,
+    whose shortlist then already holds the far partners of a translation).
+    Each round relaxes, with `np.minimum.at`, the arcs out of the rows whose
+    price moved in the round before. Once a pass settles, every arc is priced
+    in row chunks, and each arc with alpha[k] + W[i, k] < alpha[i] joins the
     shortlist for another pass; no arc joining means alpha is the fixpoint on
     all n^2 arcs. Every comparison is exact and every sum is the left fold
     along a path, so this is the fixpoint that relaxing the dense graph
-    reaches, bit for bit, and it is the certificate: no arc prices negative,
-    so alpha and the column prices C[k, perm[k]] - alpha[k] are feasible and
-    tight on perm. A pass settles within n rounds exactly when the graph has
-    no negative cycle; one still moving after n + 5 rounds is the verdict
-    that perm is not optimal, and then None is returned.
+    reaches, bit for bit, from any first shortlist: the ranking only decides
+    how many passes it takes, never alpha. It is the certificate: no arc
+    prices negative, so alpha and the column prices C[k, perm[k]] - alpha[k]
+    are feasible and tight on perm. A pass settles within n rounds exactly
+    when the graph has no negative cycle; one still moving after n + 5 rounds
+    is the verdict that perm is not optimal, and then None is returned.
     """
     n = len(perm)
     rows = np.arange(n)
@@ -202,10 +214,12 @@ def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> Optional[np.ndarray]:
     back = np.empty(n, dtype=np.intp)  # back[j]: the row matched to column j
     back[perm] = rows
     k = min(_SHORTLIST, n)
-    step = max(1, _PRICE_CELLS // n)
-    near = np.concatenate(
-        [np.argpartition(C[s : s + step], k - 1, axis=1)[:, :k] for s in range(0, n, step)]
-    ).ravel()
+    chunks = _row_chunks(C)
+    near = []
+    for r in chunks:
+        rank = C[r] if prices is None else C[r] + prices
+        near.append(np.argpartition(rank, k - 1, axis=1)[:, :k].copy())
+    near = np.concatenate(near).ravel()
     head, tail = np.repeat(rows, k), back[near]
     w = C[head, near] - d[tail]
     d_by_col = d[back]  # W read by columns: W[i, back[j]] = C[i, j] - d_by_col[j]
@@ -224,10 +238,10 @@ def _assignment_duals(C: np.ndarray, perm: np.ndarray) -> Optional[np.ndarray]:
             return None  # a negative cycle: the assignment is not optimal
         alpha_by_col = alpha[back]
         found = []
-        for s in range(0, n, step):
-            cand = C[s : s + step] - d_by_col
+        for r in chunks:
+            cand = C[r] - d_by_col
             cand += alpha_by_col
-            found.append(np.flatnonzero(cand < alpha[s : s + step, None]) + s * n)
+            found.append(np.flatnonzero(cand < alpha[r, None]) + r.start * n)
         new_head, new_col = np.divmod(np.concatenate(found), n)
         if len(new_head) == 0:
             return alpha
@@ -257,29 +271,38 @@ def _auction_prices(C: np.ndarray) -> np.ndarray:
     "The auction algorithm: a distributed relaxation method for the
     assignment problem", Ann. Oper. Res. 1988).
 
-    In each bidding round every unassigned row bids for its cheapest column
-    under the prices p, raising that price by its margin over its second
-    cheapest plus eps; the highest bid takes the column (ties to the lower
-    row) and its former holder is unassigned. eps falls by 4x per phase to
-    (max C - min C) / n, starting at most 64 times that. A phase ends when
-    fewer than 1% of the rows are unassigned, or after n rounds. Adding a
+    The bids run in float32 on C in units of the final eps, (C - min C) /
+    eps_final with eps_final = (max C - min C) / n, so every cost lies in
+    [0, n] for any finite C; the copy is filled in row chunks, beside no
+    second n x n float64 array. In each bidding round every unassigned row
+    bids for its cheapest column under the prices p, raising that price by
+    its margin over its second cheapest plus eps; the highest bid takes the
+    column (ties to the lower row) and its former holder is unassigned. eps
+    falls by 4x per phase to 1, from the least power of 4 at or above
+    n / 64. A phase ends when fewer than 1% of the rows are unassigned, or
+    after n rounds. The prices return in float64, times eps_final. Adding a
     price to a column adds the same amount to every assignment, so C + p has
-    the optimal assignments of C; only its ties are broken.
+    the optimal assignments of C: the prices only break ties, and no
+    certified number depends on them.
     """
     n = C.shape[0]
-    p = np.zeros(n)
-    eps_final = (float(C.max()) - float(C.min())) / n
+    lo = float(C.min())
+    eps_final = (float(C.max()) - lo) / n
     if n < 2 or eps_final <= 0.0:
-        return p
+        return np.zeros(n)
+    U = np.empty(C.shape, dtype=np.float32)
+    for r in _row_chunks(C):
+        np.divide(C[r] - lo, eps_final, out=U[r])
+    p = np.zeros(n, dtype=np.float32)
     for phase in range(max(0, math.ceil(math.log(n / 64, 4))), -1, -1):
-        eps = eps_final * 4.0**phase
+        eps = np.float32(4.0**phase)
         holder = np.full(n, -1)
         held = np.full(n, -1)
         free = np.arange(n)
         for _ in range(n):
             if len(free) * 100 < n:
                 break
-            V = C[free]
+            V = U[free]
             V += p
             at = np.arange(len(free))
             best = V.argmin(axis=1)
@@ -297,19 +320,18 @@ def _auction_prices(C: np.ndarray) -> np.ndarray:
             held[free[won]] = cols
             p[cols] = bid[won]
             free = np.flatnonzero(held < 0)
-    return p
+    return p.astype(np.float64) * eps_final
 
 
-def _assignment(C: np.ndarray) -> np.ndarray:
-    """perm with C[i, perm[i]] summing to the least total: scipy's
-    `linear_sum_assignment` on C, or on C plus `_auction_prices` when C is
-    `_tied`. The scipy function is looked up at each call, so tests and the
+def _assignment(C: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """perm with C[i, perm[i]] summing to the least total, and the column
+    prices it was found under: scipy's `linear_sum_assignment` on C plus
+    `_auction_prices` when C is `_tied`, or on C alone, with None for the
+    prices. The scipy function is looked up at each call, so tests and the
     benchmark tracer can patch it."""
-    if _tied(C):
-        rows, cols = scipy.optimize.linear_sum_assignment(C + _auction_prices(C)[None, :])
-    else:
-        rows, cols = scipy.optimize.linear_sum_assignment(C)
-    return cols[np.argsort(rows)]
+    prices = _auction_prices(C) if _tied(C) else None
+    rows, cols = scipy.optimize.linear_sum_assignment(C if prices is None else C + prices)
+    return cols[np.argsort(rows)], prices
 
 
 def _interior_duals(
@@ -376,7 +398,8 @@ def solve_kantorovich(
     `_auction_prices`, an auction's column prices, which leave the optimal
     assignments as they are and make the LSA far faster on ties; otherwise
     it runs on C. `_assignment_duals` prices the matching on a shortlist of
-    the exchange graph that grows until no arc of C prices negative: those
+    the exchange graph, first ranked by C plus the auction's prices when
+    there are any, that grows until no arc of C prices negative: those
     prices certify it. If they do not settle within n + 5 rounds, a negative
     exchange cycle rules the matching out, and the transportation simplex
     solves the problem, as it does for every other input. Costs past the
@@ -391,8 +414,8 @@ def solve_kantorovich(
     C = pairwise_costs(space, mu, nu)
     alpha = None
     if n == m and _uniform(a) and _uniform(b):
-        perm = _assignment(C)
-        alpha = _assignment_duals(C, perm)
+        perm, prices = _assignment(C)
+        alpha = _assignment_duals(C, perm, prices)
         flow = {(i, int(perm[i])): 1.0 / n for i in range(n)}
     if alpha is None:
         flow, alpha, _ = _simplex.solve_transport(C, a, b)
@@ -403,8 +426,11 @@ def solve_kantorovich(
     psi = -alpha
     if refine_duals:
         psi = _interior_duals(C, [(i, j) for i, j, _ in entries], psi)
-    phi = (psi[:, None] + C).min(axis=0)
-    slack_max = float((phi[None, :] - psi[:, None] - C).max())
+    chunks = _row_chunks(C)  # a min and a max are exact in any grouping
+    phi = np.full(m, np.inf)
+    for r in chunks:
+        np.minimum(phi, (psi[r, None] + C[r]).min(axis=0), out=phi)
+    slack_max = max(float((phi - psi[r, None] - C[r]).max()) for r in chunks)
     pot = PotentialPair(tuple(psi.tolist()), tuple(phi.tolist()), slack_max <= 1e-9, slack_max)
     total = float(reduce(add, [mass * C[i, j] for i, j, mass in entries], 0.0))
     return TransportPlan(mu, nu, entries), pot, total

@@ -185,8 +185,9 @@ def test_tree_cost_rows_match_networkx(fixture, request):
 
 def _edge_points(space):
     """Points where two distance formulas are most likely to part: book spine
-    points, -0.0 coordinates, tree vertices, and Euclidean coordinates of 1e200,
-    whose distances overflow to inf."""
+    points, -0.0 coordinates, tree vertices, Euclidean coordinates of 1e200,
+    whose distances overflow to inf, and a book point whose distances overflow
+    from finite coordinate differences."""
     if space.kind == "euclidean":
         zero = (-0.0,) * space.dim
         return [Point(0, zero), Point(0, (1e200,) + zero[1:]), Point(0, (-1e200,) * space.dim)]
@@ -196,6 +197,7 @@ def _edge_points(space):
             Point(0, (0.0, -0.0)),
             Point(2, (0.5, -0.0)),
             Point(1, (1e200, -1e200)),
+            Point(1, (1.5e308, 1.5e308)),
         ]
     return [space.impl.vertex_point(v) for v in space.params.vertices[:40]]
 

@@ -246,8 +246,8 @@ def test_a_crossed_matching_stops_the_relaxation_and_falls_back(
     duals = []
     relax = transport._assignment_duals
 
-    def spy(C, perm):
-        duals.append(relax(C, perm))
+    def spy(C, perm, prices=None):
+        duals.append(relax(C, perm, prices))
         return duals[-1]
 
     monkeypatch.setattr(transport, "_assignment_duals", spy)
@@ -305,13 +305,32 @@ SPARSE_DUAL_CASES = [("grid", 17), ("grid", 25), ("grid", 33)] + [
 ]
 
 
-@pytest.mark.parametrize("kind, n", SPARSE_DUAL_CASES)
-def test_sparse_assignment_duals_equal_the_dense_relaxation(kind, n, request):
+def _shortlist_prices(kind: str, C: np.ndarray):
+    """Column prices that rank the first shortlist: none, or a seeded draw on
+    the scale of C. The auction's own prices are the "auction" kind."""
+    if kind == "none":
+        return None
+    if kind == "auction":
+        return transport._auction_prices(C)
+    return substream(len(C), "shortlist-prices").uniform(0.0, float(C.max()), len(C))
+
+
+@pytest.mark.parametrize(
+    "kind, n, prices",
+    [
+        pytest.param(kind, n, prices, id=f"{kind}-{n}" + ("" if prices == "none" else f"-{prices}"))
+        for prices in ("none", "auction", "random")
+        for kind, n in SPARSE_DUAL_CASES
+    ],
+)
+def test_sparse_assignment_duals_equal_the_dense_relaxation(kind, n, prices, request):
+    # the first shortlist's ranking moves the pass count, never alpha's bits
     C = _assignment_costs(kind, n, request)
     rows, cols = scipy.optimize.linear_sum_assignment(C)
     perm = cols[np.argsort(rows)]
     want = assignment_duals_by_dense_relaxation(C, perm)
-    assert transport._assignment_duals(C, perm).tobytes() == want.tobytes()
+    alpha = transport._assignment_duals(C, perm, _shortlist_prices(prices, C))
+    assert alpha.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind, n", SPARSE_DUAL_CASES)
@@ -345,6 +364,61 @@ def test_the_first_shortlist_misses_arcs_the_duals_need(e2):
     assert transport._assignment_duals(C, perm).tobytes() == alpha.tobytes()
 
 
+def _first_shortlist(C: np.ndarray, perm: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The arcs k -> i with perm[k] among row i's 16 lowest entries of rank."""
+    nearest = np.zeros_like(C, dtype=bool)
+    np.put_along_axis(nearest, np.argsort(rank, axis=1, kind="stable")[:, :16], True, axis=1)
+    return nearest[:, perm]
+
+
+@pytest.mark.parametrize("side", [17, 25, 33])
+def test_auction_prices_rank_a_first_shortlist_that_holds_the_fixpoint(e2, side):
+    # a translation's partners are far by C; ranked by C + the auction's prices,
+    # the first shortlist already holds every arc the dense fixpoint needs
+    mu, nu, _, _ = translation_instance(e2, side)
+    C = pairwise_costs(e2, mu, nu)
+    prices = transport._auction_prices(C)
+    rows, cols = scipy.optimize.linear_sum_assignment(C + prices)
+    perm = cols[np.argsort(rows)]
+    alpha = assignment_duals_by_dense_relaxation(C, perm)
+    by_cost = assignment_duals_by_dense_relaxation(C, perm, _first_shortlist(C, perm, C))
+    by_price = assignment_duals_by_dense_relaxation(C, perm, _first_shortlist(C, perm, C + prices))
+    assert not np.array_equal(by_cost, alpha)
+    assert by_price.tobytes() == alpha.tobytes()
+
+
+class _RowReads(np.ndarray):
+    """A cost matrix that counts its reads of row chunks, C[s:e]: the
+    certificate reads each chunk once for its first shortlist and once per
+    pricing pass."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            _RowReads.reads += 1
+        return super().__getitem__(key)
+
+
+def test_a_tied_certificate_settles_in_one_pricing_pass(e2):
+    # ranked by C, grid 33's first shortlist misses the translation's far
+    # partners and takes 6 passes; ranked by C + the auction's prices, one
+    mu, nu, _, _ = translation_instance(e2, 33)
+    C = pairwise_costs(e2, mu, nu)
+    prices = transport._auction_prices(C)
+    rows, cols = scipy.optimize.linear_sum_assignment(C + prices)
+    perm = cols[np.argsort(rows)]
+    chunks = len(transport._row_chunks(C))
+    passes = {}
+    for ranked, given in (("by price", prices), ("by cost", None)):
+        _RowReads.reads = 0
+        alpha = transport._assignment_duals(C.view(_RowReads), perm, given)
+        assert alpha is not None
+        passes[ranked] = _RowReads.reads // chunks - 1
+    assert passes["by price"] == 1
+    assert passes["by cost"] > 1
+
+
 LSA = scipy.optimize.linear_sum_assignment
 
 
@@ -371,6 +445,40 @@ def test_tied_grid_costs_take_the_auction_warm_start(e2, side, lsa_inputs):
     assert np.allclose(offset, offset[0], rtol=0.0, atol=1e-12)
     rows, cols = LSA(C)
     assert [(i, j) for i, j, _ in plan.entries] == list(zip(rows.tolist(), cols.tolist()))
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_the_certificate_ranks_by_the_prices_lsa_ran_on(e2, tied, monkeypatch, lsa_inputs):
+    # tied costs hand the auction's prices to the certificate; untied costs, none
+    mu, nu = translation_instance(e2, 17)[:2] if tied else _uniform_pair(e2, 289, "plain-lsa:e2")
+    given = []
+    relax = transport._assignment_duals
+
+    def spy(C, perm, prices=None):
+        given.append(prices)
+        return relax(C, perm, prices)
+
+    monkeypatch.setattr(transport, "_assignment_duals", spy)
+    solve_kantorovich(e2, mu, nu)
+    [warm], [prices] = lsa_inputs, given
+    C = pairwise_costs(e2, mu, nu)
+    if tied:
+        assert np.array_equal(warm, C + prices)
+    else:
+        assert prices is None and np.array_equal(warm, C)
+
+
+@pytest.mark.parametrize("scale", [1e-290, 1e290])
+def test_auction_prices_stay_finite_on_scaled_costs(e2, scale):
+    # the bids run in units of the final eps, so the float32 copy neither
+    # underflows on tiny costs nor overflows on huge ones
+    mu, nu, _, _ = translation_instance(e2, 17)
+    C = pairwise_costs(e2, mu, nu)
+    scaled = C * scale
+    prices = transport._auction_prices(scaled)
+    assert prices.dtype == np.float64 and np.isfinite(prices).all()
+    assert np.isfinite(scaled + prices).all()
+    assert np.array_equal(LSA(scaled + prices)[1], LSA(C)[1])
 
 
 @pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
