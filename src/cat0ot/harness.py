@@ -396,9 +396,9 @@ def _run_eilenberg(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, b
     elif space.kind == "tree":
         region = TreeRegion(tuple(space.params.vertices))
         impl = space.impl
-        far = max(range(len(space.params.vertices)), key=lambda k: impl.droot[k])
+        far = max(space.params.vertices, key=lambda v: impl.vertex_distance(impl.root, v))
         start = impl.vertex_point(impl.root)
-        end = impl.vertex_point(space.params.vertices[far])
+        end = impl.vertex_point(far)
     elif space.kind == "open_book":
         start = space.impl.normalize(Point(0, (0.5, 0.0)))
         region = BallRegion(start, 0.4)

@@ -204,7 +204,11 @@ class TreeImpl:
         self.parent = [-1] * nv
         self.parent_edge = [-1] * nv
         self._lower = [-1] * len(edges)  # each edge's child endpoint
-        self.droot = [0.0] * nv
+        # root distances as hi + lo: hi the plain sum down the path, lo its
+        # rounding errors by TwoSum (Knuth, TAOCP vol. 2, 4.2.2), so the
+        # distances below a long edge keep their precision
+        hi = self._droot = [0.0] * nv
+        lo = self._droot_lo = [0.0] * nv
         self._tin = [0] * nv
         order: list[int] = []
         seen = [False] * nv
@@ -222,7 +226,10 @@ class TreeImpl:
                     self.parent[w] = u
                     self.parent_edge[w] = e
                     self._lower[e] = w
-                    self.droot[w] = self.droot[u] + edges[e][2]
+                    ln = edges[e][2]
+                    hi[w] = hi[u] + ln
+                    back = hi[w] - hi[u]
+                    lo[w] = lo[u] + ((hi[u] - (hi[w] - back)) + (ln - back))
                     stack.append(w)
         self._tout = [t + 1 for t in self._tin]
         for u in reversed(order[1:]):
@@ -230,7 +237,8 @@ class TreeImpl:
             self._tout[p] = max(self._tout[p], self._tout[u])
         # preorder-indexed forms for the vectorized cost rows
         self._pre_tout = np.array([self._tout[u] for u in order], dtype=np.int64)
-        self._pre_droot = np.array([self.droot[u] for u in order])
+        self._pre_droot = np.array([hi[u] for u in order])
+        self._pre_droot_lo = np.array([lo[u] for u in order])
         self._ends = np.array(
             [[self._tin[ia], self._tin[ib]] for ia, ib in zip(ea, eb)], dtype=np.int64
         )
@@ -293,11 +301,12 @@ class TreeImpl:
         return u
 
     def vertex_distance(self, a, b) -> float:
-        u, v = self._vidx[a], self._vidx[b]
-        return self.droot[u] + self.droot[v] - 2.0 * self.droot[self._lca(u, v)]
+        """The length of the path between vertices a and b: `distance` between
+        their normal points."""
+        return self.distance(self.vertex_point(a), self.vertex_point(b))
 
     def _vertex_rows(self, u: int, targets: np.ndarray) -> np.ndarray:
-        """vertex_distance from vertex index u to vertices given by preorder position."""
+        """Path lengths from vertex index u to vertices given by preorder position."""
         t = self._tin[u]
         chain = np.flatnonzero(self._pre_tout[: t + 1] > t)  # u's ancestors, root first
         # along the chain tin rises and tout falls, so the ancestors of a target
@@ -306,8 +315,9 @@ class TreeImpl:
             np.searchsorted(chain, targets, side="right"),
             np.searchsorted(-self._pre_tout[chain], -targets),
         )
-        lca = chain[k - 1]
-        return self.droot[u] + self._pre_droot[targets] - 2.0 * self._pre_droot[lca]
+        w = chain[k - 1]
+        hi, lo = self._pre_droot, self._pre_droot_lo
+        return ((hi[t] - hi[w]) + (lo[t] - lo[w])) + ((hi[targets] - hi[w]) + (lo[targets] - lo[w]))
 
     def _route(self, p: Point, q: Point) -> tuple:
         """(length, u, cu, v, cv, w) of the shortest p -> u ~> v -> q, where u ends
@@ -322,12 +332,14 @@ class TreeImpl:
         # one LCA for all four pairs (see the class docstring)
         pl, ql = self._lower[e], self._lower[f]
         top = self._lca(pl, ql)
-        droot = self.droot
+        hi, lo = self._droot, self._droot_lo
         best = None
         for u, off_u, cu in ((a, s, 0.0), (b, lp - s, lp)):
             for v, off_v, cv in ((c, t, 0.0), (d, lq - t, lq)):
                 w = u if top == pl else v if top == ql else top
-                tot = off_u + (droot[u] + droot[v] - 2.0 * droot[w]) + off_v
+                up = (hi[u] - hi[w]) + (lo[u] - lo[w])
+                down = (hi[v] - hi[w]) + (lo[v] - lo[w])
+                tot = off_u + (up + down) + off_v
                 if best is None or tot < best[0]:
                     best = (tot, u, cu, v, cv, w)
         return best

@@ -23,6 +23,7 @@ point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -428,7 +429,9 @@ def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
     """TreeImpl._route as first written: one LCA climb per endpoint pair.
 
     Each LCA is found from the parent pointers alone: the ancestors of one
-    end, then a climb from the other until it meets them.
+    end, then a climb from the other until it meets them. Each root distance
+    is summed here from the raw edge lengths along the root path, as a plain
+    sum hi and its TwoSum rounding errors lo.
     """
     impl = space.impl
 
@@ -441,6 +444,23 @@ def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
             v = impl.parent[v]
         return v
 
+    @functools.cache
+    def root_distance(u: int) -> tuple:
+        path = []
+        while impl.parent[u] >= 0:
+            path.append(impl.edges[impl.parent_edge[u]][2])
+            u = impl.parent[u]
+        hi = lo = 0.0
+        for ln in reversed(path):
+            total = hi + ln
+            back = total - hi
+            hi, lo = total, lo + ((hi - (total - back)) + (ln - back))
+        return hi, lo
+
+    def leg(u: int, w: int) -> float:
+        (hu, lu), (hw, lw) = root_distance(u), root_distance(w)
+        return (hu - hw) + (lu - lw)
+
     a, b, lp = impl.edges[p.chart]
     c, d, lq = impl.edges[q.chart]
     s, t = p.coords[0], q.coords[0]
@@ -449,7 +469,7 @@ def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
         for v, off_v, cv in ((c, t, 0.0), (d, lq - t, lq)):
             ui, vi = impl._vidx[u], impl._vidx[v]
             w = lca(ui, vi)
-            tot = off_u + (impl.droot[ui] + impl.droot[vi] - 2.0 * impl.droot[w]) + off_v
+            tot = off_u + (leg(ui, w) + leg(vi, w)) + off_v
             if best is None or tot < best[0]:
                 best = (tot, ui, cu, vi, cv, w)
     return best

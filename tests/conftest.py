@@ -73,6 +73,16 @@ def lopsided_tree():
     )
 
 
+@pytest.fixture(scope="session")
+def deep_tree():
+    # unit edges a-b, b-d, a-c, c-e hung 1e20 below the root r, where root
+    # distances are 1e20 to the last bit and path lengths must not cancel
+    return build_tree(
+        ["r", "a", "b", "c", "d", "e"],
+        [("r", "a", 1e20), ("a", "b", 1.0), ("b", "d", 1.0), ("a", "c", 1.0), ("c", "e", 1.0)],
+    )
+
+
 def _compensated_sum(values, start=0):
     """The builtin sum from Python 3.12 on: ints add exactly, and floats by
     Neumaier's compensated summation, whose correction is added once at the end."""

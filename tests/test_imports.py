@@ -1,6 +1,6 @@
 """Every name a library module imports is used in it, every error class is
-raised somewhere, and the builtin `sum` adds only integers (no linter is
-installed)."""
+raised somewhere, the builtin `sum` adds only integers, and only the tree
+reads its own root distances (no linter is installed)."""
 
 from __future__ import annotations
 
@@ -171,3 +171,33 @@ def test_the_check_sees_a_builtin_sum():
         "TOTAL = sum([0.5, 0.25])\n"
     )
     assert builtin_sum_uses(source) == Counter({"f": 2, "": 1})
+
+
+# A tree path length is a difference of root distances, summed in one form by
+# TreeImpl._route and in one by its row form _vertex_rows; every other module
+# asks the tree for distances instead of reading its tables.
+
+
+def root_distance_reads(source: str) -> list[str]:
+    """The attribute reads in source whose name holds `droot`, the tree's
+    root-distance tables, in line order."""
+    reads = [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and "droot" in node.attr
+    ]
+    return [f"{attr} (line {line})" for line, attr in sorted(reads)]
+
+
+def test_only_the_tree_reads_its_root_distances():
+    reads = {m: root_distance_reads((SRC / m).read_text()) for m in MODULES if m != "spaces.py"}
+    assert {m: r for m, r in reads.items() if r} == {}
+
+
+def test_the_check_sees_a_root_distance_read():
+    source = (
+        "def far(impl, k):\n"
+        "    hi = impl._pre_droot\n"
+        "    return impl.droot[k] + hi[k] + impl.vertex_distance(impl.root, k)\n"
+    )
+    assert root_distance_reads(source) == ["_pre_droot (line 2)", "droot (line 3)"]

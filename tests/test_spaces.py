@@ -139,11 +139,21 @@ def test_tripod_worked_example(tripod):
     assert mid.coords[0] == pytest.approx(0.15, abs=1e-12)
 
 
-@pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
+def _oracle_points(fixture, space, rng, n):
+    """n sampled points; on the deep tree, drawn on its unit edges below the
+    long root edge, where path lengths are at most 4 and an absolute
+    tolerance holds."""
+    if fixture != "deep_tree":
+        return sample_points(space, rng, n)
+    edges = rng.integers(1, len(space.params.edges), n)
+    return [Point(int(e), (float(s),)) for e, s in zip(edges, rng.uniform(0.0, 1.0, n))]
+
+
+@pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree", "deep_tree"])
 def test_tree_distance_matches_networkx(fixture, request):
     space = request.getfixturevalue(fixture)
     rng = substream(11, f"oracle:{fixture}")
-    pts = sample_points(space, rng, 40)
+    pts = _oracle_points(fixture, space, rng, 40)
     for k in range(0, 38, 2):
         p, q = pts[k], pts[k + 1]
         want = tree_distance(space, p, q)
@@ -162,17 +172,19 @@ def lopsided_at_e(lopsided_tree):
 
 
 @pytest.mark.parametrize(
-    "fixture", ["tripod", "comb14", "lopsided_tree", "comb24", "lopsided_at_e"]
+    "fixture", ["tripod", "comb14", "lopsided_tree", "comb24", "lopsided_at_e", "deep_tree"]
 )
 def test_tree_cost_rows_match_networkx(fixture, request):
     space = request.getfixturevalue(fixture)
     impl = space.impl
     rng = substream(13, f"rows:{fixture}")
-    inner = sample_points(space, rng, 8)
-    # sources at every vertex and inside edges; targets inside edges, some on a
-    # source's own edge, and at the vertices too
+    inner = _oracle_points(fixture, space, rng, 8)
+    # sources at every vertex (but the deep tree's root, 1e20 above the rest)
+    # and inside edges; targets inside edges, some on a source's own edge, and
+    # at the vertices too
     same_edge = [Point(p.chart, (0.5 * p.coords[0],)) for p in inner[:3]]
-    sources = [impl.vertex_point(v) for v in space.params.vertices] + inner[:4]
+    verts = space.params.vertices[fixture == "deep_tree" :]
+    sources = [impl.vertex_point(v) for v in verts] + inner[:4]
     targets = inner + same_edge + [impl.vertex_point(space.params.vertices[-1])]
     mu, nu = measure(space, sources), measure(space, targets)
     C = pairwise_costs(space, mu, nu)
@@ -203,7 +215,7 @@ def _edge_points(space):
 
 
 @pytest.mark.parametrize(
-    "name", ["book3", "comb14", "comb316", "e2", "e3", "lopsided_tree", "tripod"]
+    "name", ["book3", "comb14", "comb316", "deep_tree", "e2", "e3", "lopsided_tree", "tripod"]
 )
 def test_distance_rows_match_the_scalar_distance(name, request):
     space = request.getfixturevalue(name)
@@ -221,6 +233,17 @@ def test_distance_rows_match_the_scalar_distance(name, request):
         assert row.tobytes() == want.tobytes()
     if space.kind == "euclidean":
         assert space.impl.distance(edge[1], edge[2]) == math.inf
+
+
+def test_path_lengths_below_a_long_root_edge_are_exact(deep_tree):
+    impl = deep_tree.impl
+    p, q = Point(2, (0.5,)), Point(4, (0.5,))  # halfway along b-d and c-e
+    want = tree_distance(deep_tree, p, q)
+    assert distance(deep_tree, p, q) == want == 3.0
+    C = pairwise_costs(deep_tree, measure(deep_tree, [p]), measure(deep_tree, [q]))
+    assert C[0, 0] == 0.5 * want**2 == 4.5
+    d, e = impl.vertex_point("d"), impl.vertex_point("e")
+    assert impl.vertex_distance("d", "e") == tree_distance(deep_tree, d, e) == 4.0
 
 
 @pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
