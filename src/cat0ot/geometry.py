@@ -22,10 +22,10 @@ sections past a geodesic's end that `extend` assembles),
 `impl.project_segment` (given only geodesics of positive length),
 `impl.region` (every check on a region, then its volume, its diameter and a
 sampler `sample(n, rng) -> (charts, coords)`), `impl.distances_from` and
-`impl.direction_targets`; trees add `impl.vertex_point`,
-`impl.vertex_distance` and `impl.project_subtree`. One distance formula per
-family: each `impl.distances_from` entry is `impl.distance` bit for bit, and
-chart lengths go through `section_length`.
+`impl.direction_targets`; trees add `impl.vertex_point` and
+`impl.project_subtree`. One distance formula per family: each
+`impl.distances_from` entry is `impl.distance` bit for bit, and chart lengths
+go through `section_length`.
 """
 
 from __future__ import annotations

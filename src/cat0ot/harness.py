@@ -396,9 +396,10 @@ def _run_eilenberg(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, b
     elif space.kind == "tree":
         region = TreeRegion(tuple(space.params.vertices))
         impl = space.impl
-        far = max(space.params.vertices, key=lambda v: impl.vertex_distance(impl.root, v))
         start = impl.vertex_point(impl.root)
-        end = impl.vertex_point(far)
+        # the first vertex farthest from the root, in vertex order
+        pts, charts, coords = impl._pack_vertices(space.params.vertices)
+        end = pts[int(impl.distances_from(start, charts, coords).argmax())]
     elif space.kind == "open_book":
         start = space.impl.normalize(Point(0, (0.5, 0.0)))
         region = BallRegion(start, 0.4)

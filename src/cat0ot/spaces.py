@@ -300,11 +300,6 @@ class TreeImpl:
             u = self.parent[u]
         return u
 
-    def vertex_distance(self, a, b) -> float:
-        """The length of the path between vertices a and b: `distance` between
-        their normal points."""
-        return self.distance(self.vertex_point(a), self.vertex_point(b))
-
     def _vertex_rows(self, u: int, targets: np.ndarray) -> np.ndarray:
         """Path lengths from vertex index u to vertices given by preorder position."""
         t = self._tin[u]
@@ -437,25 +432,30 @@ class TreeImpl:
             raise UnsupportedConvexSet("vertex set does not induce a connected subtree")
         return edges
 
+    def _pack_vertices(self, vertex_set) -> tuple:
+        """(points, charts, coords): the normal points of the distinct vertices,
+        in first-seen order, and their rows as `distances_from` takes them."""
+        pts = [self.vertex_point(v) for v in dict.fromkeys(vertex_set)]
+        charts = np.asarray([p.chart for p in pts], dtype=np.int64)
+        return pts, charts, np.asarray([p.coords for p in pts], dtype=float)
+
     def project_subtree(self, x: Point, vertex_set) -> Point:
         edges = self._check_subtree(vertex_set)
         if x.chart in edges:
             return x
         # the first of the nearest members; x at a member vertex is its own nearest
-        pts = [self.vertex_point(v) for v in dict.fromkeys(vertex_set)]
-        row = self.distances_from(
-            x, np.asarray([p.chart for p in pts]), np.asarray([p.coords for p in pts])
-        )
-        return pts[int(row.argmin())]
+        pts, charts, coords = self._pack_vertices(vertex_set)
+        return pts[int(self.distances_from(x, charts, coords).argmin())]
 
     def region(self, region) -> tuple:
         if not isinstance(region, TreeRegion):
             raise UnsupportedRegion(f"{type(region).__name__} unsupported on trees")
         edges = self._check_subtree(region.vertices)
-        # double sweep: exact on the connected vertex set of a tree
-        vs = list(dict.fromkeys(region.vertices))
-        far = max(vs, key=lambda v: self.vertex_distance(vs[0], v))
-        diameter = max(self.vertex_distance(far, v) for v in vs)
+        # double sweep, exact on the connected vertex set of a tree: the first
+        # member farthest from the first member, then the farthest from it
+        pts, charts, coords = self._pack_vertices(region.vertices)
+        far = pts[int(self.distances_from(pts[0], charts, coords).argmax())]
+        diameter = float(self.distances_from(far, charts, coords).max())
 
         def sample(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
             if not edges:

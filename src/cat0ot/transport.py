@@ -133,9 +133,14 @@ def measure(
             raise WeightMismatch("one weight per point required")
         if not all(x > 0 for x in w):  # a nan weight fails too
             raise ParamOutOfRange("weights must be strictly positive")
-        if abs(reduce(add, w, 0.0) - 1.0) > 1e-12:
-            raise WeightMismatch(f"weights sum to {reduce(add, w, 0.0)}, not 1")
+        if abs(_mass(w) - 1.0) > 1e-12:
+            raise WeightMismatch(f"weights sum to {_mass(w)}, not 1")
     return DiscreteMeasure(pts, w)
+
+
+def _mass(weights: Sequence[float]) -> float:
+    """A measure's total mass, summed in the order `measure` checks it."""
+    return reduce(add, weights, 0.0)
 
 
 def map_from_points(
@@ -408,9 +413,12 @@ def solve_kantorovich(
     n, m = len(mu.points), len(nu.points)
     if n > MAX_SUPPORT or m > MAX_SUPPORT:
         raise SupportTooLarge(f"support sizes ({n}, {m}) exceed {MAX_SUPPORT}")
+    # `measure` holds each total within 1e-12 of 1, so two of its measures
+    # differ by at most 2e-12 (both differences are exact near 1)
+    ma, mb = _mass(mu.weights), _mass(nu.weights)
+    if not abs(ma - mb) <= 2e-12:  # a nan mass fails too
+        raise WeightMismatch(f"total masses differ: {ma} vs {mb}")
     a, b = np.asarray(mu.weights), np.asarray(nu.weights)
-    if not abs(a.sum() - b.sum()) <= 1e-12:  # a nan mass fails too
-        raise WeightMismatch(f"total masses differ: {a.sum()} vs {b.sum()}")
     C = pairwise_costs(space, mu, nu)
     alpha = None
     if n == m and _uniform(a) and _uniform(b):
@@ -461,24 +469,27 @@ def check_cyclic_monotonicity(
 ) -> dict:
     """Cycle inequality sum c(x_k, y_k) <= sum c(x_k, y_{k+1}) over support tuples.
 
-    "exhaustive" scores every cycle of 2 to max_len arcs; past 10^6 of them it
-    raises TooManyTuples before building any cost. "sampled" scores n_samples
-    cycles drawn from substream(seed, "cyclic"); no harness path uses it. A slack
-    above 1e-9 is a violation, and a plan of one arc or none reports zero slack.
-    A cost past the float range raises ParamOutOfRange."""
+    The support is the plan's entries of positive mass; entries of mass 0 are
+    neither scored nor counted. "exhaustive" scores every cycle of 2 to
+    max_len arcs; past 10^6 of them it raises TooManyTuples before building
+    any cost. "sampled" scores n_samples cycles drawn from substream(seed,
+    "cyclic"); no harness path uses it. A slack above 1e-9 is a violation, and
+    a support of one arc or none reports zero slack. A cost past the float
+    range raises ParamOutOfRange."""
     if max_len < 2:
         raise ParamOutOfRange("cycles need length at least 2")
     if mode not in ("exhaustive", "sampled"):
         raise ParamOutOfRange(f"unknown mode {mode!r}")
-    K = len(plan.entries)
+    support = [(i, j) for i, j, mass in plan.entries if mass > 0]
+    K = len(support)
     if mode == "exhaustive":
         total = sum(math.comb(K, L) * math.factorial(L - 1) for L in range(2, max_len + 1))
         if total > 1_000_000:
             raise TooManyTuples(f"{total} tuples exceed the exhaustive cap 10^6")
     Cp = _cost_rows(
         space,
-        [plan.source.points[i] for i, _j, _mass in plan.entries],
-        [plan.target.points[j] for _i, j, _mass in plan.entries],
+        [plan.source.points[i] for i, _j in support],
+        [plan.target.points[j] for _i, j in support],
     )
     diag = np.diag(Cp)
 

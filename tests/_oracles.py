@@ -271,11 +271,11 @@ def cyclic_monotonicity_by_tuple(
     """Cycle audit scored one tuple at a time with Python's sum.
 
     Enumerates (exhaustive) or draws (sampled, same substream and draw order)
-    the same cycles as check_cyclic_monotonicity. With no tuple at all the
-    worst slack stays -inf.
+    the same cycles as check_cyclic_monotonicity, over the entries of positive
+    mass. With no tuple at all the worst slack stays -inf.
     """
-    si = [i for i, _j, _mass in plan.entries]
-    sj = [j for _i, j, _mass in plan.entries]
+    si = [i for i, _j, mass in plan.entries if mass > 0]
+    sj = [j for _i, j, mass in plan.entries if mass > 0]
     K = len(si)
     Cp = pairwise_costs(space, plan.source, plan.target)[np.ix_(si, sj)]
     diag = np.diag(Cp)
@@ -688,9 +688,10 @@ def region_diameter_by_family(space: SpaceHandle, region) -> float:
     elif space.kind == "tree":
         if isinstance(region, TreeRegion):
             check_subtree_by_scan(space, region.vertices)
-            vs = list(dict.fromkeys(region.vertices))
-            far = max(vs, key=lambda v: impl.vertex_distance(vs[0], v))
-            return max(impl.vertex_distance(far, v) for v in vs)
+            # the double sweep, one scalar distance at a time; max keeps the first of equal keys
+            vs = [impl.vertex_point(v) for v in dict.fromkeys(region.vertices)]
+            far = max(vs, key=lambda q: impl.distance(vs[0], q))
+            return max(impl.distance(far, q) for q in vs)
     else:
         if isinstance(region, BoxRegion):
             _check_book_box(space, region)

@@ -13,6 +13,7 @@ from cat0ot import (
     Point,
     _simplex,
     geometry,
+    harness,
     transport,
 )
 from cat0ot.cli import main
@@ -247,6 +248,31 @@ def test_eilenberg_on_the_largest_comb():
     rep = run_scenario(_scenario("eilenberg", {}, space={"kind": "comb", "depth": 3, "grid": 16}))
     assert rep.passed
     assert rep.metrics["rhs"]["value"] == pytest.approx(1 + 17 + 17**2 + 17**3, abs=1e-9)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["comb316", "deep_tree", "lopsided_tree", "tripod"])
+def test_eilenberg_ends_at_the_first_vertex_farthest_from_the_root(name, request, monkeypatch):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    start = impl.vertex_point(impl.root)
+    # the scalar sweep: max keeps the first of equal keys
+    far = max(space.params.vertices, key=lambda v: impl.distance(start, impl.vertex_point(v)))
+    ends = []
+
+    def stop_at_the_geodesic(_space, p, q):
+        ends.append((p, q))
+        raise _Stop
+
+    monkeypatch.setattr(harness, "geodesic", stop_at_the_geodesic)
+    with pytest.raises(_Stop):
+        harness._run_eilenberg(space, {}, 1)
+    assert ends == [(start, impl.vertex_point(far))]
+    if name == "tripod":
+        assert far == 1  # the three leaves tie, and the first in vertex order wins
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

@@ -198,6 +198,6 @@ def test_the_check_sees_a_root_distance_read():
     source = (
         "def far(impl, k):\n"
         "    hi = impl._pre_droot\n"
-        "    return impl.droot[k] + hi[k] + impl.vertex_distance(impl.root, k)\n"
+        "    return impl.droot[k] + hi[k] + impl.distance(impl.root, k)\n"
     )
     assert root_distance_reads(source) == ["_pre_droot (line 2)", "droot (line 3)"]

@@ -243,7 +243,7 @@ def test_path_lengths_below_a_long_root_edge_are_exact(deep_tree):
     C = pairwise_costs(deep_tree, measure(deep_tree, [p]), measure(deep_tree, [q]))
     assert C[0, 0] == 0.5 * want**2 == 4.5
     d, e = impl.vertex_point("d"), impl.vertex_point("e")
-    assert impl.vertex_distance("d", "e") == tree_distance(deep_tree, d, e) == 4.0
+    assert impl.distance(d, e) == tree_distance(deep_tree, d, e) == 4.0
 
 
 @pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
@@ -251,14 +251,16 @@ def test_tree_region_diameter_is_all_pairs_maximum(fixture, request):
     space = request.getfixturevalue(fixture)
     impl = space.impl
     verts = list(space.params.vertices)
+    pts, charts, coords = impl._pack_vertices(verts)
     # closed vertex balls are connected, so each is a valid subtree region
     balls = [
-        [v for v in verts if impl.vertex_distance(c, v) <= r]
-        for c in verts
+        [v for v, d in zip(verts, impl.distances_from(p, charts, coords).tolist()) if d <= r]
+        for p in pts
         for r in (0.5, 1.0, 1.6)
     ]
     for vs in [verts, verts[::-1]] + balls:
-        want = max(impl.vertex_distance(u, v) for u in vs for v in vs)
+        ends = [impl.vertex_point(v) for v in vs]
+        want = max(impl.distance(p, q) for p in ends for q in ends)
         assert impl.region(TreeRegion(tuple(vs)))[1] == want
 
 
@@ -676,10 +678,12 @@ def _valid_regions(space, rng):
     verts = list(space.params.vertices)
     picks = [verts[int(k)] for k in rng.choice(len(verts), min(len(verts), 8), replace=False)]
     out = [TreeRegion(tuple(verts)), TreeRegion(tuple(verts[::-1])), TreeRegion((verts[0],))]
+    _pts, charts, coords = impl._pack_vertices(verts)
     for c in picks:
+        row = impl.distances_from(impl.vertex_point(c), charts, coords).tolist()
         for r in (0.3, 1.0, 2.5):
             # a closed vertex ball is connected
-            ball = [v for v in verts if impl.vertex_distance(c, v) <= r]
+            ball = [v for v, d in zip(verts, row) if d <= r]
             out.append(TreeRegion(tuple(rng.permutation(ball).tolist()) + (ball[0],)))
     return out
 
@@ -804,6 +808,17 @@ def test_region_rejects_what_the_family_methods_rejected(name, request):
         assert got == want, region
 
 
+def test_a_whole_tree_region_reads_two_rows(monkeypatch, comb316):
+    calls = []
+    for name in ("distance", "distances_from"):
+        real = getattr(spaces.TreeImpl, name)
+        monkeypatch.setattr(
+            spaces.TreeImpl, name, lambda self, *args, _n=name, _f=real: calls.append(_n) or _f(self, *args)
+        )
+    comb316.impl.region(TreeRegion(comb316.params.vertices))
+    assert calls == ["distances_from", "distances_from"]
+
+
 def test_tree_region_checks_its_subtree_once(monkeypatch, lopsided_tree):
     calls = []
     check = spaces.TreeImpl._check_subtree
@@ -840,7 +855,7 @@ IMPL_CONTRACT = (
     "distances_from",
     "direction_targets",
 )
-TREE_EXTRAS = ("vertex_point", "vertex_distance", "project_subtree")
+TREE_EXTRAS = ("vertex_point", "project_subtree")
 
 
 def test_every_impl_defines_the_contract_and_nothing_else():

@@ -507,6 +507,21 @@ def test_solver_rejects_a_nan_mass(e1, line_instance):
         solve_kantorovich(e1, DiscreteMeasure(mu.points, (math.nan, 0.5)), nu)
 
 
+def test_the_solver_accepts_every_pair_of_measures(e1, line_instance):
+    # measure() holds each total within 1e-12 of 1, so two totals may differ by 2e-12
+    mu, nu = line_instance
+    heavy = measure(e1, mu.points, weights=[0.5, 0.5 + 9e-13])
+    light = measure(e1, nu.points, weights=[0.5, 0.5 - 9e-13])
+    plan, pot, total = solve_kantorovich(e1, heavy, light)
+    assert [(i, j) for i, j, _mass in plan.entries] == [(0, 0), (1, 1)]
+    assert total == pytest.approx(2.0, abs=1e-9)
+    assert pot.feasible
+    # further apart than the two tolerances allow
+    for weights in ((0.5, 0.5 + 2.5e-12), (0.5, 0.5 - 2.5e-12)):
+        with pytest.raises(WeightMismatch):
+            solve_kantorovich(e1, DiscreteMeasure(mu.points, weights), nu)
+
+
 # ---------------------------------------------------------------------------
 # cyclic monotonicity
 
@@ -570,6 +585,25 @@ def test_plans_without_cycles_report_zero_slack(e1, entries):
     for mode in ("exhaustive", "sampled"):
         out = check_cyclic_monotonicity(e1, plan, max_len=3, mode=mode, n_samples=50)
         assert out == {"violations": 0, "worst_slack": 0.0}
+
+
+def test_zero_mass_entries_are_not_support(e1, line_instance):
+    mu, nu = line_instance
+    plan, _, _ = solve_kantorovich(e1, mu, nu)
+    assert plan.entries == ((0, 0, 0.5), (1, 1, 0.5))
+    # the crossing arcs at mass 0 would violate the cycle inequality by 1.0
+    doc = {"entries": [[0, 0, 0.5], [1, 1, 0.5], [0, 1, 0.0], [1, 0, 0.0]]}
+    padded = plan_from_json(doc, mu, nu)
+    for kw in (dict(max_len=2), dict(max_len=3), dict(max_len=3, mode="sampled", n_samples=200)):
+        got = check_cyclic_monotonicity(e1, padded, **kw)
+        assert got == check_cyclic_monotonicity(e1, plan, **kw)
+        assert got == cyclic_monotonicity_by_tuple(e1, padded, **kw)
+        assert got["violations"] == 0
+    # and the exhaustive cap counts only the support
+    big = measure(e1, [Point(0, (float(i),)) for i in range(40)])
+    entries = ((0, 0, 0.5), (1, 1, 0.5)) + tuple((i, i, 0.0) for i in range(2, 40))
+    out = check_cyclic_monotonicity(e1, TransportPlan(big, big, entries), max_len=6)
+    assert out == {"violations": 0, "worst_slack": -1.0}  # the one 2-cycle, uncrossed
 
 
 def test_cyclic_check_guards(e1, line_instance, monkeypatch):
