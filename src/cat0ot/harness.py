@@ -7,7 +7,6 @@ import io
 import json
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -98,28 +97,40 @@ def sample_points(space: SpaceHandle, rng: np.random.Generator, n: int) -> list[
     points draw one by one, because a bounded `integers` draw keeps half of a
     64-bit word for the next one.
     """
-    if space.kind == "euclidean":
-        return [Point(0, tuple(row)) for row in rng.uniform(-1.0, 1.0, (n, space.dim)).tolist()]
-    if space.kind == "tree":
-        impl = space.impl
-        # per point: the draw of Generator.choice(len(lens), p=lens / lens.sum()),
-        # then that of uniform(0, lens[e]), which is lens[e] * random()
-        draws = rng.random(2 * n).tolist()
-        cdf, edges, normal = impl._cdf, impl.edges, impl.normalize
-        out = []
-        for r, u in zip(draws[::2], draws[1::2]):
-            e = bisect_right(cdf, r)
-            out.append(normal(Point(e, (edges[e][2] * u,))))
-        return out
+    charts, coords = _points_from_draws(space, _point_draws(space, rng, n))
+    return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
+
+
+def _draw_width(space: SpaceHandle) -> int:
+    """The random() doubles one euclidean or tree point takes."""
+    return space.dim if space.kind == "euclidean" else 2
+
+
+def _point_draws(space: SpaceHandle, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The draws of n points, one row each: `_draw_width` random() doubles on
+    a euclidean space or a tree; on an open book, a page and then two doubles,
+    point by point."""
+    if space.kind in ("euclidean", "tree"):
+        return rng.random((n, _draw_width(space)))
     if space.kind == "open_book":
-        out = []
-        for _ in range(n):
-            page = int(rng.integers(0, space.params.pages))
-            u = float(rng.uniform(0.0, 1.0))
-            v = float(rng.uniform(-1.0, 1.0))
-            out.append(space.impl.normalize(Point(page, (u, v))))
-        return out
+        pages = space.params.pages
+        return np.array([(rng.integers(0, pages), rng.random(), rng.random()) for _ in range(n)]).reshape(n, 3)
     raise ParamOutOfRange(f"no sampler for space kind {space.kind!r}")
+
+
+def _points_from_draws(space: SpaceHandle, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(charts, coords) of the normal points that `sample_points` makes of
+    `_point_draws` rows. uniform(lo, hi) is lo + (hi - lo) * random()."""
+    if space.kind == "euclidean":
+        return np.zeros(len(draws), dtype=np.int64), -1.0 + 2.0 * draws
+    if space.kind == "open_book":
+        coords = np.stack([draws[:, 1], -1.0 + 2.0 * draws[:, 2]], axis=1)
+        return space.impl._normal_rows(draws[:, 0].astype(np.int64), coords)
+    impl = space.impl
+    # the draw of Generator.choice(len(lens), p=lens / lens.sum()), then that
+    # of uniform(0, lens[e])
+    edges = np.searchsorted(impl._cdf, draws[:, 0], side="right")
+    return impl._normal_rows(edges, (impl._lens[edges] * draws[:, 1])[:, None])
 
 
 def line_instance(space: SpaceHandle) -> tuple[DiscreteMeasure, DiscreteMeasure]:
@@ -501,31 +512,70 @@ def _run_polar(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
     return metrics, worst <= 1e-9 and preserved == trials
 
 
+# samples per vectorized pass of the geometry suite: a tree geodesic's sections
+# take a row of its path's length, and this bounds the arrays they fill
+SUITE_CHUNK = 4096
+
+
+def _suite_checks(impl, charts: np.ndarray, coords: np.ndarray, draws: np.ndarray) -> tuple:
+    """(defect, triangle, symmetry, speed) per sample of the geometry suite,
+    from its points x, y, z as consecutive rows and its draws (two geodesic
+    parameters, then the defect's t)."""
+    x, y, z = ((charts[i::3], coords[i::3]) for i in range(3))
+    t1, t2 = np.minimum(draws[:, 0], draws[:, 1]), np.maximum(draws[:, 0], draws[:, 1])
+    t = draws[:, 2]
+    between = impl.distances_between
+    dxy, dxz, dyz = between(*x, *y), between(*x, *z), between(*y, *z)
+    length, on_charts, on_coords = impl.geodesic_points(*x, *y, np.stack([t1, t2, t], axis=1))
+    at = [(on_charts[:, j], on_coords[:, j]) for j in range(3)]
+    dxtz = between(*at[2], *z)
+    defect = (1 - t) * dxz * dxz + t * dyz * dyz - t * (1 - t) * dxy * dxy - dxtz * dxtz
+    triangle = dxz - dxy - dyz
+    symmetry = np.abs(dxy - between(*y, *x))
+    speed = np.abs(between(*at[0], *at[1]) - (t2 - t1) * length)
+    return defect, triangle, symmetry, speed
+
+
 def _run_geometry_suite(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
+    """Symmetry, triangle, constant-speed and CAT(0) defect checks on sampled
+    triples, SUITE_CHUNK samples at a time.
+
+    Per sample, the draws are those of `sample_points(space, rng, 3)`, then
+    `uniform(0, 1, 2)` for two parameters t1 <= t2 on the geodesic [x, y],
+    then `uniform(0, 1)` for the defect's t; for euclidean spaces and trees
+    they come from one block. The space's array methods give every
+    distance and geodesic point bit for bit as the scalar calls do, and each
+    metric is the first extreme sample's value, as a running min or max keeps
+    it. The samples of least and greatest defect are checked again through
+    the public `cat0_defect`, and the report fails if either differs.
+    """
     samples = _count(params, "samples", 2000)
     rng = substream(seed, "geometry")
-    min_defect = math.inf
-    max_defect = -math.inf
-    worst_triangle = -math.inf
-    worst_symmetry = 0.0
-    worst_speed = 0.0
-    # sampled points are normal, so the checks call the space implementation
-    # directly; cat0_defect stays the public entry point it is meant to test
-    impl = space.impl
-    for _ in range(samples):
-        x, y, z = sample_points(space, rng, 3)
-        dxy = impl.distance(x, y)
-        worst_symmetry = max(worst_symmetry, abs(dxy - impl.distance(y, x)))
-        worst_triangle = max(
-            worst_triangle, impl.distance(x, z) - dxy - impl.distance(y, z)
-        )
-        g = impl.geodesic(x, y)
-        t1, t2 = sorted(rng.uniform(0.0, 1.0, 2))
-        seg = impl.distance(g.eval(float(t1)), g.eval(float(t2)))
-        worst_speed = max(worst_speed, abs(seg - (t2 - t1) * g.length))
-        defect = cat0_defect(space, x, y, z, float(rng.uniform(0, 1)))
-        min_defect = min(min_defect, defect)
-        max_defect = max(max_defect, defect)
+    if space.kind == "open_book":
+        # a bounded integers draw keeps half a word, so book samples draw in turn
+        blocks = [(_point_draws(space, rng, 3), rng.random(3)) for _ in range(samples)]
+        points, draws = (np.concatenate(b) for b in zip(*blocks))
+        draws = draws.reshape(samples, 3)
+    else:
+        k = _draw_width(space)
+        block = rng.random((samples, 3 * k + 3))
+        points, draws = block[:, : 3 * k].reshape(-1, k), block[:, 3 * k :]
+    charts, coords = _points_from_draws(space, points)
+    chunks = [
+        _suite_checks(space.impl, charts[3 * a : 3 * b], coords[3 * a : 3 * b], draws[a:b])
+        for a in range(0, samples, SUITE_CHUNK)
+        for b in [min(samples, a + SUITE_CHUNK)]
+    ]
+    defect, triangle, symmetry, speed = (np.concatenate(v) for v in zip(*chunks))
+
+    def recheck(i: int) -> bool:
+        x, y, z = (Point(int(charts[j]), tuple(coords[j].tolist())) for j in range(3 * i, 3 * i + 3))
+        return float(cat0_defect(space, x, y, z, float(draws[i, 2]))).hex() == float(defect[i]).hex()
+
+    lowest, highest = int(defect.argmin()), int(defect.argmax())
+    rechecked = all([recheck(lowest), recheck(highest)])
+    min_defect, max_defect = float(defect[lowest]), float(defect[highest])
+    worst_triangle, worst_symmetry, worst_speed = (float(v[v.argmax()]) for v in (triangle, symmetry, speed))
     metrics = {
         "samples": _metric(samples),
         "min_defect": _metric(min_defect),
@@ -535,7 +585,8 @@ def _run_geometry_suite(space: SpaceHandle, params: dict, seed: int) -> tuple[di
         "max_speed_deviation": _metric(worst_speed),
     }
     ok = (
-        min_defect >= -1e-9
+        rechecked
+        and min_defect >= -1e-9
         and worst_triangle <= 1e-9
         and worst_symmetry <= 1e-12
         and worst_speed <= 1e-9

@@ -86,6 +86,61 @@ def _finite(coords: Sequence[float]) -> bool:
     return all(map(math.isfinite, coords))
 
 
+def _path_length(hi, lo, u, w):
+    """Length of the tree path from vertex u up to its ancestor w, from root
+    distances kept as hi + lo; u and w index hi and lo, one by one or as arrays."""
+    return (hi[u] - hi[w]) + (lo[u] - lo[w])
+
+
+def _chain_points(start: tuple, end: tuple, sections: tuple, t: np.ndarray, normal_rows) -> tuple:
+    """`geodesic_from_chain`, then `Geodesic.eval`, on rows.
+
+    Row i of `sections` = (charts [n, L], c0 [n, L, d], c1 [n, L, d]) holds in
+    chain order the sections of the geodesic from row i of `start` to row i of
+    `end`, each a (charts, coords) pair of normal points; a row with fewer
+    sections pads with zero-length ones anywhere. Returns (lengths [n],
+    charts [n, k], coords [n, k, d]): each geodesic's length and its normal
+    points at the parameters t [n, k] in [0, 1], bit for bit as the scalar
+    geodesic gives them. A zero-length section adds +0.0 to the left fold of
+    the lengths and ends where the section before it ends, so the search for
+    the first piece with t <= t1 never stops on it. No family chains two
+    collinear sections in one chart, so the scalar assembly merges none.
+    `normal_rows(charts, coords)` is the family's `normalize` on rows.
+    """
+    (p_charts, p_coords), (q_charts, q_coords) = start, end
+    charts, c0, c1 = sections
+    n, k = t.shape
+    rows = np.arange(n)[:, None]
+    # rows that eval overrides (t at an end, a zero-length geodesic) may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diff = c1 - c0
+        lengths = np.sqrt(functools.reduce(add, [diff[..., j] * diff[..., j] for j in range(diff.shape[2])]))
+        fold = np.cumsum(lengths, axis=1)  # the left fold, column by column
+        total = fold[:, -1]
+        flat = (total == 0)[:, None]
+        ends = fold / np.where(flat, 1.0, total[:, None])
+        j = (ends[:, None, :] >= t[:, :, None]).argmax(axis=2)
+        # a zero-length geodesic is one piece over [0, 1], from its start to its start
+        t0 = np.where(flat | (j == 0), 0.0, ends[rows, j - 1])
+        t1 = np.where(flat, 1.0, ends[rows, j])
+        a = np.where(flat[..., None], p_coords[:, None, :], c0[rows, j])
+        b = np.where(flat[..., None], p_coords[:, None, :], c1[rows, j])
+        w = ((t - t0) / (t1 - t0))[..., None]
+        ch, x = normal_rows(
+            np.where(flat, p_charts[:, None], charts[rows, j]).ravel(),
+            (a + w * (b - a)).reshape(n * k, -1),
+        )
+    # eval's ends: the start at t <= 0, the end at t >= 1 (the start, when flat)
+    q_charts = np.where(flat[:, 0], p_charts, q_charts)
+    q_coords = np.where(flat, p_coords, q_coords)
+    lo, hi = t <= 0, t >= 1
+    ch = np.where(lo, p_charts[:, None], np.where(hi, q_charts[:, None], ch.reshape(n, k)))
+    x = np.where(
+        lo[..., None], p_coords[:, None, :], np.where(hi[..., None], q_coords[:, None, :], x.reshape(n, k, -1))
+    )
+    return total, ch, x
+
+
 def _box_region(region: BoxRegion) -> tuple:
     """(volume, diameter, sample) of an axis box whose chart the family has checked."""
     if any(h < l for l, h in zip(region.lo, region.hi)):
@@ -153,6 +208,19 @@ class EuclideanImpl:
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
         cols = [coords[:, k] - c for k, c in enumerate(p.coords)]  # section_length's fold
         return np.sqrt(functools.reduce(add, [d * d for d in cols]))
+
+    def distances_between(self, charts_p, coords_p, charts_q, coords_q):
+        with np.errstate(over="ignore"):  # past the float range, inf as the scalar gives it
+            cols = [coords_q[:, k] - coords_p[:, k] for k in range(self.dim)]
+            return np.sqrt(functools.reduce(add, [d * d for d in cols]))
+
+    def geodesic_points(self, charts_p, coords_p, charts_q, coords_q, t):
+        sections = (charts_p[:, None], coords_p[:, None, :], coords_q[:, None, :])
+        return _chain_points((charts_p, coords_p), (charts_q, coords_q), sections, t, self._normal_rows)
+
+    @staticmethod
+    def _normal_rows(charts, coords):
+        return charts, coords
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
         base = np.asarray(x.coords)
@@ -243,14 +311,24 @@ class TreeImpl:
             [[self._tin[ia], self._tin[ib]] for ia, ib in zip(ea, eb)], dtype=np.int64
         )
         self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
+        # preorder-indexed parents, parent edges and normal vertex points, and
+        # each edge's lower end by preorder position, for the pair kernels
+        pre = np.asarray(order, dtype=np.int64)
+        up = np.asarray(self.parent, dtype=np.int64)[pre]
+        self._pre_parent = np.where(up < 0, 0, np.asarray(self._tin, dtype=np.int64)[up])
+        self._pre_parent_edge = np.asarray(self.parent_edge, dtype=np.int64)[pre]
+        self._pre_lower = self._ends.max(axis=1)
+        first = np.full(len(order), len(edges), dtype=np.int64)  # lowest-index incident edge
+        np.minimum.at(first, self._ends.ravel(), np.repeat(np.arange(len(edges)), 2))
+        self._pre_vchart = first
+        self._pre_voff = np.where(self._ends[first, 0] == np.arange(len(order)), 0.0, self._lens[first])
         # per vertex, built on first use (geodesics meet many): its normal point,
         # and its (up, down) sections to and from its parent
         self._vpoints: list[Optional[Point]] = [None] * nv
         self._vsections: list[Optional[tuple]] = [None] * nv
-        # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds
-        # it; a list, for bisect on one draw at a time
+        # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds it
         cdf = np.cumsum(self._lens / self._lens.sum())
-        self._cdf: list[float] = (cdf / cdf[-1]).tolist()
+        self._cdf = cdf / cdf[-1]
 
     # Point bookkeeping. A point is (edge index, (arc offset,)); vertices are
     # normalized onto their lowest-index incident edge.
@@ -312,7 +390,7 @@ class TreeImpl:
         )
         w = chain[k - 1]
         hi, lo = self._pre_droot, self._pre_droot_lo
-        return ((hi[t] - hi[w]) + (lo[t] - lo[w])) + ((hi[targets] - hi[w]) + (lo[targets] - lo[w]))
+        return _path_length(hi, lo, t, w) + _path_length(hi, lo, targets, w)
 
     def _route(self, p: Point, q: Point) -> tuple:
         """(length, u, cu, v, cv, w) of the shortest p -> u ~> v -> q, where u ends
@@ -332,17 +410,105 @@ class TreeImpl:
         for u, off_u, cu in ((a, s, 0.0), (b, lp - s, lp)):
             for v, off_v, cv in ((c, t, 0.0), (d, lq - t, lq)):
                 w = u if top == pl else v if top == ql else top
-                up = (hi[u] - hi[w]) + (lo[u] - lo[w])
-                down = (hi[v] - hi[w]) + (lo[v] - lo[w])
-                tot = off_u + (up + down) + off_v
+                tot = off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v
                 if best is None or tot < best[0]:
                     best = (tot, u, cu, v, cv, w)
         return best
+
+    def _lcas(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """`_lca` on rows of preorder positions: climb each u until its range holds v."""
+        tout, parent = self._pre_tout, self._pre_parent
+        u = u.copy()
+        rows = np.flatnonzero((u > v) | (v >= tout[u]))
+        while rows.size:
+            u[rows] = parent[u[rows]]
+            ur, vr = u[rows], v[rows]
+            rows = rows[(ur > vr) | (vr >= tout[ur])]
+        return u
+
+    def _pair_routes(self, e, s, f, t) -> tuple:
+        """`_route` on rows, from offsets s on edges e to offsets t on edges f:
+        (length, u, cu, v, cv, w), with u, v and w as preorder positions."""
+        ends, lens = self._ends, self._lens
+        lp, lq = lens[e], lens[f]
+        pl, ql = self._pre_lower[e], self._pre_lower[f]
+        top = self._lcas(pl, ql)
+        hi, lo = self._pre_droot, self._pre_droot_lo
+        tots, ws = [], []
+        for u, off_u in ((ends[e, 0], s), (ends[e, 1], lp - s)):
+            for v, off_v in ((ends[f, 0], t), (ends[f, 1], lq - t)):
+                w = np.where(top == pl, u, np.where(top == ql, v, top))
+                tots.append(off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v)
+                ws.append(w)
+        rows, tots = np.arange(len(e)), np.stack(tots, axis=1)
+        best = tots.argmin(axis=1)  # the first shortest, as _route keeps it
+        at_a, at_c = best < 2, best % 2 == 0
+        return (
+            tots[rows, best],
+            np.where(at_a, ends[e, 0], ends[e, 1]),
+            np.where(at_a, 0.0, lp),
+            np.where(at_c, ends[f, 0], ends[f, 1]),
+            np.where(at_c, 0.0, lq),
+            np.stack(ws, axis=1)[rows, best],
+        )
+
+    def _path_sections(self, u: np.ndarray, w: np.ndarray) -> tuple:
+        """(charts, near, far), each [n, K]: the sections from preorder position u
+        up to its ancestor w, row by row, as the edge and the offsets on it of
+        the lower and the upper end; zero-length sections pad the shorter rows."""
+        ends, lens, pedge = self._ends, self._lens, self._pre_parent_edge
+        cols = []
+        live = u != w
+        while live.any():
+            e = pedge[u]
+            lower_first = ends[e, 0] == u
+            cols.append(
+                (
+                    np.where(live, e, 0),
+                    np.where(live & ~lower_first, lens[e], 0.0),
+                    np.where(live & lower_first, lens[e], 0.0),
+                )
+            )
+            u = np.where(live, self._pre_parent[u], u)
+            live = u != w
+        if not cols:
+            return np.zeros((len(u), 0), dtype=np.int64), np.zeros((len(u), 0)), np.zeros((len(u), 0))
+        return tuple(np.stack(c, axis=1) for c in zip(*cols))
 
     def distance(self, p: Point, q: Point) -> float:
         if p.chart == q.chart:
             return abs(p.coords[0] - q.coords[0])
         return self._route(p, q)[0]
+
+    def distances_between(self, charts_p, coords_p, charts_q, coords_q):
+        s, t = coords_p[:, 0], coords_q[:, 0]
+        return np.where(charts_p == charts_q, np.abs(s - t), self._pair_routes(charts_p, s, charts_q, t)[0])
+
+    def geodesic_points(self, charts_p, coords_p, charts_q, coords_q, t):
+        s, tq = coords_p[:, 0], coords_q[:, 0]
+        same = charts_p == charts_q
+        _tot, u, cu, v, cv, w = self._pair_routes(charts_p, s, charts_q, tq)
+        # a same-edge pair is the one section p -> q, then a zero-length one
+        cu, cv = np.where(same, tq, cu), np.where(same, tq, cv)
+        u, v = np.where(same, w, u), np.where(same, w, v)
+        up_charts, up_near, up_far = self._path_sections(u, w)
+        # the far side climbs from q, then runs downwards
+        dn_charts, dn_near, dn_far = (a[:, ::-1] for a in self._path_sections(v, w))
+        charts = np.concatenate([charts_p[:, None], up_charts, dn_charts, charts_q[:, None]], axis=1)
+        c0 = np.concatenate([s[:, None], up_near, dn_far, cv[:, None]], axis=1)
+        c1 = np.concatenate([cu[:, None], up_far, dn_near, tq[:, None]], axis=1)
+        sections = (charts, c0[..., None], c1[..., None])
+        return _chain_points((charts_p, coords_p), (charts_q, coords_q), sections, t, self._normal_rows)
+
+    def _normal_rows(self, charts, coords):
+        """`normalize` on rows: the normal (charts, coords) of edge offsets."""
+        ln = self._lens[charts]
+        s = np.minimum(ln, np.maximum(0.0, coords[:, 0]))
+        at_a = s <= SNAP_TOL
+        snap = at_a | (s >= ln - SNAP_TOL)
+        vertex = np.where(at_a, self._ends[charts, 0], self._ends[charts, 1])
+        charts = np.where(snap, self._pre_vchart[vertex], charts)
+        return charts, np.where(snap, self._pre_voff[vertex], s)[:, None]
 
     def geodesic(self, p: Point, q: Point) -> Geodesic:
         if p.chart == q.chart:
@@ -604,6 +770,36 @@ class BookImpl:
     def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
         du = np.where(charts == p.chart, coords[:, 0] - p.coords[0], coords[:, 0] + p.coords[0])
         return np.hypot(du, coords[:, 1] - p.coords[1])
+
+    def distances_between(self, charts_p, coords_p, charts_q, coords_q):
+        (pu, pv), (qu, qv) = coords_p.T, coords_q.T
+        with np.errstate(over="ignore"):  # past the float range, inf as the scalar gives it
+            return np.hypot(np.where(charts_p == charts_q, pu - qu, pu + qu), pv - qv)
+
+    def geodesic_points(self, charts_p, coords_p, charts_q, coords_q, t):
+        (pu, pv), (qu, qv) = coords_p.T, coords_q.T
+        same = charts_p == charts_q
+        from_spine = ~same & (pu <= SNAP_TOL)
+        to_spine = ~same & ~from_spine & (qu <= SNAP_TOL)
+        cross = ~(same | from_spine | to_spine)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # read on crossing rows only
+            vs = pv + pu * (qv - pv) / (pu + qu)
+        # as `geodesic`: p -> q on one page, from or to a spine end, or two
+        # sections through the spine point (0, vs); a zero-length one pads
+        zero = np.zeros_like(pu)
+        cut = np.stack([zero, np.where(to_spine, qv, vs)], axis=1)
+        first_c0 = np.where(from_spine[:, None], np.stack([zero, pv], axis=1), coords_p)
+        first_c1 = np.where((same | from_spine)[:, None], coords_q, cut)
+        charts = np.stack([np.where(from_spine, charts_q, charts_p), charts_q], axis=1)
+        c0 = np.stack([first_c0, np.where(cross[:, None], cut, coords_q)], axis=1)
+        c1 = np.stack([first_c1, coords_q], axis=1)
+        return _chain_points((charts_p, coords_p), (charts_q, coords_q), (charts, c0, c1), t, self._normal_rows)
+
+    @staticmethod
+    def _normal_rows(charts, coords):
+        spine = coords[:, 0] <= SNAP_TOL
+        coords = np.stack([np.where(spine, 0.0, coords[:, 0]), coords[:, 1]], axis=1)
+        return np.where(spine, 0, charts), coords
 
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
         u, v = x.coords

@@ -83,6 +83,16 @@ def deep_tree():
     )
 
 
+@pytest.fixture(scope="session")
+def long_tree():
+    # a 24-edge path with a leaf at each vertex, none of whose lengths is
+    # dyadic: geodesics run through many sections whose lengths do not add
+    # exactly, so their order of summation shows
+    path = [(k, k + 1, 0.1 + 0.037 * k) for k in range(24)]
+    leaves = [(k, 25 + k, 0.3 + 0.011 * k) for k in range(25)]
+    return build_tree(range(50), path + leaves)
+
+
 def _compensated_sum(values, start=0):
     """The builtin sum from Python 3.12 on: ints add exactly, and floats by
     Neumaier's compensated summation, whose correction is added once at the end."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from cat0ot import (
     _simplex,
     geometry,
     harness,
+    spaces,
     transport,
 )
 from cat0ot.cli import main
@@ -496,20 +498,32 @@ def test_cli_costs_past_the_float_range_return_two(tmp_path, capsys):
     assert captured.out == ""
 
 
-# the suite loop calls the space implementation directly; the public-API loop
-# it replaced must give the same bits
+# the suite runs all its samples at once through the space's array methods;
+# the per-sample loop over the public API must give the same bits
 
 SUITE_SPACES = {
     "e2": E2,
+    "e3": {"kind": "euclidean", "dim": 3},
     "book3": {"kind": "open_book", "pages": 3},
     "tripod": {"kind": "tripod"},
     "comb316": {"kind": "comb", "depth": 3, "grid": 16},
     "comb14": {"kind": "comb", "depth": 1, "grid": 4},
+    # the conftest trees: uneven lengths, and unit edges 1e20 below the root
+    "lopsided_tree": {
+        "kind": "tree",
+        "vertices": ["a", "b", "c", "d", "e", "f", "g"],
+        "edges": [["a", "b", 0.8], ["b", "c", 1.5], ["b", "d", 0.4], ["d", "e", 2.2], ["d", "f", 0.6], ["d", "g", 1.1]],
+    },
+    "deep_tree": {
+        "kind": "tree",
+        "vertices": ["r", "a", "b", "c", "d", "e"],
+        "edges": [["r", "a", 1e20], ["a", "b", 1.0], ["b", "d", 1.0], ["a", "c", 1.0], ["c", "e", 1.0]],
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_SPACES))
-@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("seed", [3, 8, 101, 102, 103])
 def test_geometry_suite_matches_the_public_api_loop(name, seed):
     space = SUITE_SPACES[name]
     samples = 100 if name == "comb316" else 300
@@ -518,6 +532,47 @@ def test_geometry_suite_matches_the_public_api_loop(name, seed):
     assert all(cell["sigma"] is None for cell in rep.metrics.values())
     got = {k: float(cell["value"]).hex() for k, cell in rep.metrics.items()}
     assert got == {k: float(v).hex() for k, v in want.items()}
+
+
+@pytest.mark.parametrize("name", ["book3", "comb14", "e3", "lopsided_tree"])
+def test_the_suite_gives_the_same_bits_in_any_chunk_size(name, monkeypatch):
+    monkeypatch.setattr(harness, "SUITE_CHUNK", 7)
+    space = SUITE_SPACES[name]
+    rep = run_scenario(_scenario("geometry-suite", {"samples": 100}, 101, space))
+    want = geometry_suite_by_public_api(space_from_json(space), 100, 101)
+    assert {k: float(cell["value"]).hex() for k, cell in rep.metrics.items()} == {
+        k: float(v).hex() for k, v in want.items()
+    }
+
+
+@pytest.mark.parametrize("name", ["book3", "comb14", "comb316", "e2", "tripod"])
+def test_the_suite_makes_as_many_scalar_calls_at_any_size(name, monkeypatch):
+    calls = Counter()
+
+    def counted(key, original):
+        def call(*args):
+            calls[key] += 1
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(harness, "cat0_defect", counted("cat0_defect", harness.cat0_defect))
+    for cls in (spaces.BookImpl, spaces.EuclideanImpl, spaces.TreeImpl):
+        for method in ("distance", "geodesic"):
+            monkeypatch.setattr(cls, method, counted(method, getattr(cls, method)))
+    counts = []
+    for samples in (50, 500):
+        calls.clear()
+        assert run_scenario(_scenario("geometry-suite", {"samples": samples}, 5, SUITE_SPACES[name])).passed
+        counts.append(dict(calls))
+    # the least and the greatest defect, checked again through the public API
+    assert counts[0] == counts[1]
+    assert counts[0]["cat0_defect"] == 2
+
+
+def test_the_suite_fails_when_the_public_defect_disagrees(monkeypatch):
+    monkeypatch.setattr(harness, "cat0_defect", lambda *args: 0.5)
+    assert not run_scenario(_scenario("geometry-suite", {"samples": 20}, 5, SUITE_SPACES["tripod"])).passed
 
 
 # report bytes pinned by sha256 of the json and csv renderings, computed before

@@ -173,9 +173,10 @@ def test_the_check_sees_a_builtin_sum():
     assert builtin_sum_uses(source) == Counter({"f": 2, "": 1})
 
 
-# A tree path length is a difference of root distances, summed in one form by
-# TreeImpl._route and in one by its row form _vertex_rows; every other module
-# asks the tree for distances instead of reading its tables.
+# A tree path length is a difference of root distances, summed by one helper,
+# spaces._path_length, that TreeImpl._route, its row form _vertex_rows and its
+# pair form _pair_routes share; every other module asks the tree for
+# distances instead of reading its tables.
 
 
 def root_distance_reads(source: str) -> list[str]:

@@ -198,11 +198,13 @@ def test_tree_cost_rows_match_networkx(fixture, request):
 def _edge_points(space):
     """Points where two distance formulas are most likely to part: book spine
     points, -0.0 coordinates, tree vertices, Euclidean coordinates of 1e200,
-    whose distances overflow to inf, and a book point whose distances overflow
-    from finite coordinate differences."""
+    whose distances overflow to inf, a book point whose distances overflow
+    from finite coordinate differences, and two points 1e-170 apart, whose
+    squared distance underflows to zero."""
     if space.kind == "euclidean":
         zero = (-0.0,) * space.dim
-        return [Point(0, zero), Point(0, (1e200,) + zero[1:]), Point(0, (-1e200,) * space.dim)]
+        tiny = [Point(0, (c,) * space.dim) for c in (1e-170, 2e-170)]
+        return [Point(0, zero), Point(0, (1e200,) + zero[1:]), Point(0, (-1e200,) * space.dim)] + tiny
     if space.kind == "open_book":
         return [
             Point(0, (0.0, 0.5)),
@@ -210,6 +212,8 @@ def _edge_points(space):
             Point(2, (0.5, -0.0)),
             Point(1, (1e200, -1e200)),
             Point(1, (1.5e308, 1.5e308)),
+            Point(2, (0.5, 1e-170)),
+            Point(2, (0.5, 2e-170)),
         ]
     return [space.impl.vertex_point(v) for v in space.params.vertices[:40]]
 
@@ -235,6 +239,11 @@ def test_distance_rows_match_the_scalar_distance(name, request):
         assert space.impl.distance(edge[1], edge[2]) == math.inf
 
 
+def _rows(points):
+    """(charts, coords) arrays of a list of points, as the array methods take them."""
+    return np.asarray([p.chart for p in points], dtype=np.int64), np.asarray([p.coords for p in points], dtype=float)
+
+
 def test_path_lengths_below_a_long_root_edge_are_exact(deep_tree):
     impl = deep_tree.impl
     p, q = Point(2, (0.5,)), Point(4, (0.5,))  # halfway along b-d and c-e
@@ -244,6 +253,91 @@ def test_path_lengths_below_a_long_root_edge_are_exact(deep_tree):
     assert C[0, 0] == 0.5 * want**2 == 4.5
     d, e = impl.vertex_point("d"), impl.vertex_point("e")
     assert impl.distance(d, e) == tree_distance(deep_tree, d, e) == 4.0
+    # the pair forms, on both pairs at once
+    ends = (_rows([p, d]), _rows([q, e]))
+    rows = impl.distances_between(*ends[0], *ends[1])
+    assert rows.tolist() == [3.0, 4.0]
+    assert (0.5 * rows[0] ** 2) == 4.5
+    lengths, _charts, _coords = impl.geodesic_points(*ends[0], *ends[1], np.full((2, 1), 0.5))
+    assert lengths.tolist() == [3.0, 4.0]
+
+
+PAIR_SPACES = [
+    "book3",
+    "comb14",
+    "comb316",
+    "deep_tree",
+    "e2",
+    "e3",
+    "long_tree",
+    "lopsided_at_e",
+    "lopsided_tree",
+    "tripod",
+]
+
+
+def _pairs(space, rng):
+    """Point pairs where the pair methods and the scalar calls are most likely
+    to part: sampled pairs, the `_edge_points` against each other and against
+    samples, pairs on one edge or page, spine points and p == q."""
+    impl = space.impl
+    edge = [impl.normalize(p) for p in _edge_points(space)]
+    pts = sample_points(space, rng, 80)
+    pairs = list(zip(pts[::2], pts[1::2]))
+    pairs += [(p, q) for p in edge[:12] for q in edge + pts[:8]] + [(q, p) for p in edge for q in pts[:8]]
+    pairs += [(p, p) for p in pts[:8] + edge]
+    if space.kind == "tree":
+        same = [impl.normalize(Point(p.chart, (0.5 * p.coords[0],))) for p in pts[:20]]
+    elif space.kind == "open_book":
+        spine = [Point(0, (0.0, p.coords[1])) for p in pts[:10]]
+        pairs += [(p, q) for p, q in zip(spine, pts[10:20])] + [(q, p) for p, q in zip(spine, pts[20:30])]
+        same = [impl.normalize(Point(p.chart, (0.5 * p.coords[0], -p.coords[1]))) for p in pts[:20]]
+    else:
+        same = pts[40:60]
+    return pairs + list(zip(pts[:20], same))
+
+
+@pytest.mark.parametrize("name", PAIR_SPACES)
+def test_distances_between_match_the_scalar_distance(name, request):
+    space = request.getfixturevalue(name)
+    pairs = _pairs(space, substream(23, f"pairs:{name}"))
+    got = space.impl.distances_between(*_rows([p for p, _ in pairs]), *_rows([q for _, q in pairs]))
+    want = np.array([space.impl.distance(p, q) for p, q in pairs])
+    assert got.tobytes() == want.tobytes()
+    # the overflowing edge points read inf, as the scalar gives it, and warn nowhere
+    assert np.isinf(want).any() == (space.kind != "tree")
+
+
+@pytest.mark.parametrize("name", PAIR_SPACES)
+def test_geodesic_points_match_the_scalar_geodesic(name, request):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    rng = substream(29, f"geodesic-pairs:{name}")
+    pairs = [(p, q) for p, q in _pairs(space, rng) if math.isfinite(impl.distance(p, q))]
+    geos = [impl.geodesic(p, q) for p, q in pairs]
+    pairs = [pq for pq, g in zip(pairs, geos) if math.isfinite(g.length)]
+    geos = [g for g in geos if math.isfinite(g.length)]
+    # t at both ends, at each exact piece end, just short of it, where a tree
+    # point snaps to the vertex, and inside
+    ts = [
+        [0.0, 1.0, *(pc.t1 for pc in g.pieces), *(max(0.0, pc.t1 - 1e-14) for pc in g.pieces)]
+        + rng.uniform(0.0, 1.0, 2).tolist()
+        for g in geos
+    ]
+    width = max(map(len, ts))
+    t = np.array([row + [0.5] * (width - len(row)) for row in ts])
+    lengths, charts, coords = impl.geodesic_points(
+        *_rows([p for p, _ in pairs]), *_rows([q for _, q in pairs]), t
+    )
+    assert lengths.tobytes() == np.array([g.length for g in geos]).tobytes()
+    want = [g.eval(float(s)) for g, row in zip(geos, t) for s in row]
+    want_charts, want_coords = _rows(want)
+    assert charts.ravel().tobytes() == want_charts.tobytes()
+    assert coords.reshape(len(want), -1).tobytes() == want_coords.tobytes()
+    assert any(g.length == 0 for g in geos)
+    # on the flat families, the points 1e-170 apart span a zero-length geodesic
+    assert any(g.length == 0 and p != q for (p, q), g in zip(pairs, geos)) == (space.kind != "tree")
+    assert any(len(g.pieces) > 1 for g in geos) == (space.kind != "euclidean")
 
 
 @pytest.mark.parametrize("fixture", ["tripod", "comb14", "lopsided_tree"])
@@ -853,6 +947,8 @@ IMPL_CONTRACT = (
     "project_segment",
     "region",
     "distances_from",
+    "distances_between",
+    "geodesic_points",
     "direction_targets",
 )
 TREE_EXTRAS = ("vertex_point", "project_subtree")
