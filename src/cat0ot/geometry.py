@@ -436,25 +436,19 @@ def geodesic_from_chain(
     """Assemble the Geodesic from `start` to `end` out of consecutive
     straight-in-chart sections.
 
-    A section is (chart, c0, c1), or (chart, c0, c1, length) when the space
-    has measured it already: an int chart, float coordinates and their
-    `section_length`, all taken as given. Zero-length sections are dropped
-    and collinear ones in the same chart merged; the surviving junctions are
-    the geodesic's breakpoints. The chain is trusted to be a geodesic of the
+    A section is (chart, c0, c1). Zero-length sections are dropped and
+    collinear ones in the same chart merged; the surviving junctions are the
+    geodesic's breakpoints. The chain is trusted to be a geodesic of the
     space, and `start` and `end` to be the normal points where it begins and
     ends; a chain of length zero gives the constant curve at `start`. The
     total length folds the section lengths left, in chain order.
     """
     segs: list[tuple[int, tuple, tuple, float]] = []
-    for sec in chain:
-        if len(sec) == 4:
-            chart, c0, c1, ln = sec
-        else:
-            chart, c0, c1 = sec
-            ln = section_length(c0, c1)
-            chart = int(chart)
-            c0 = tuple(map(float, c0))
-            c1 = tuple(map(float, c1))
+    for chart, c0, c1 in chain:
+        ln = section_length(c0, c1)
+        chart = int(chart)
+        c0 = tuple(map(float, c0))
+        c1 = tuple(map(float, c1))
         if ln == 0:
             continue
         if segs and segs[-1][0] == chart and segs[-1][2] == c0:

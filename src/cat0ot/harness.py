@@ -295,7 +295,7 @@ def _tree_same_gate_pair(
 
 def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
     trials = _count(params, "trials", 20)
-    count = _param(params, "directions", 16)
+    count = _count(params, "directions", 16)
     rng = substream(seed, "twist")
     gaps = []
     holds = []
@@ -355,7 +355,7 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
                 space,
                 _cost_to(space, y),
                 y,
-                direction_set(space, y, count=_param(params, "directions", 16)),
+                direction_set(space, y, count=_count(params, "directions", 16)),
             )
             passed = rep.min_directional >= -1e-6
         metrics = {
@@ -382,7 +382,7 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
     x_star = min(range(len(mu.points)), key=lambda i: f(mu.points[i]))
     xs = mu.points[x_star]
     worst = math.inf
-    count = _param(params, "directions", 32)
+    count = _count(params, "directions", 32)
     for g in direction_set(space, xs, targets=[y], count=count, seed=seed):
         d_plus = geodesic_derivative(space, f, xs, g).one_sided_plus
         if not math.isnan(d_plus):
@@ -409,8 +409,8 @@ def _run_eilenberg(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, b
         impl = space.impl
         start = impl.vertex_point(impl.root)
         # the first vertex farthest from the root, in vertex order
-        pts, charts, coords = impl._pack_vertices(space.params.vertices)
-        end = pts[int(impl.distances_from(start, charts, coords).argmax())]
+        verts, charts, coords = impl._pack_vertices(space.params.vertices)
+        end = impl.vertex_point(verts[int(impl.distances_from(start, charts, coords).argmax())])
     elif space.kind == "open_book":
         start = space.impl.normalize(Point(0, (0.5, 0.0)))
         region = BallRegion(start, 0.4)
@@ -434,8 +434,9 @@ def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tupl
     if not isinstance(sizes, (list, tuple)):
         raise ConfigInvalid("params.sizes", f"expected a list of grid sizes, got {sizes!r}")
     sizes = tuple(config_int(v, "params.sizes") for v in sizes)
-    if len(sizes) < 2 or any(s < 3 for s in sizes):
-        raise ConfigInvalid("params.sizes", "need at least two grid sizes of side >= 3")
+    # the order is the slope of a line fitted through the pitches, which needs two distinct ones
+    if len(set(sizes)) < 2 or any(s < 3 for s in sizes):
+        raise ConfigInvalid("params.sizes", "need at least two distinct grid sizes of side >= 3")
     pitches = []
     res_mean = []
     res_p95 = []
@@ -492,7 +493,7 @@ def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tupl
 
 def _run_polar(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
     trials = _count(params, "trials", 20)
-    n = _param(params, "n", 6)
+    n = _count(params, "n", 6)
     rng = substream(seed, "polar")
     worst = 0.0
     preserved = 0

@@ -246,11 +246,6 @@ class TreeImpl:
     their lower endpoints gives the LCA of every endpoint pair (u, v). It is
     w when w lies strictly above both lower endpoints, u when w is p's lower
     endpoint, and v when w is q's.
-
-    Section cache: each vertex keeps, filled on first use, its normal point
-    and the measured sections (chart, c0, c1, length) to its parent and back,
-    with float offsets and their `section_length`. Tree geodesics hand these
-    to `geodesic_from_chain`, which takes them as given.
     """
 
     def __init__(self, vertices: tuple, edges: tuple, root):
@@ -322,10 +317,6 @@ class TreeImpl:
         np.minimum.at(first, self._ends.ravel(), np.repeat(np.arange(len(edges)), 2))
         self._pre_vchart = first
         self._pre_voff = np.where(self._ends[first, 0] == np.arange(len(order)), 0.0, self._lens[first])
-        # per vertex, built on first use (geodesics meet many): its normal point,
-        # and its (up, down) sections to and from its parent
-        self._vpoints: list[Optional[Point]] = [None] * nv
-        self._vsections: list[Optional[tuple]] = [None] * nv
         # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds it
         cdf = np.cumsum(self._lens / self._lens.sum())
         self._cdf = cdf / cdf[-1]
@@ -356,12 +347,8 @@ class TreeImpl:
         return self._vpoint(self._vidx[v])
 
     def _vpoint(self, i: int) -> Point:
-        pt = self._vpoints[i]
-        if pt is None:
-            e = self.incident[i][0]
-            pt = Point(e, (0.0,) if self._ea[e] == i else (self.edges[e][2],))
-            self._vpoints[i] = pt
-        return pt
+        t = self._tin[i]
+        return Point(int(self._pre_vchart[t]), (float(self._pre_voff[t]),))
 
     def _vertex_of(self, p: Point):
         """Vertex id when p sits at an edge endpoint, else None."""
@@ -514,29 +501,25 @@ class TreeImpl:
         if p.chart == q.chart:
             return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)], p, q)
         _tot, u, cu, v, cv, w = self._route(p, q)
-        parent, cached, fill = self.parent, self._vsections, self._fill_sections
+        parent, step = self.parent, self._parent_step
         chain = [(p.chart, p.coords, (cu,))]
         while u != w:
-            chain.append((cached[u] or fill(u))[0])
+            chain.append(step(u))
             u = parent[u]
         # the far side, gathered from q upwards and then reversed
         down = [(q.chart, (cv,), q.coords)]
         while v != w:
-            down.append((cached[v] or fill(v))[1])
+            e, at_v, at_parent = step(v)
+            down.append((e, at_parent, at_v))
             v = parent[v]
         chain += reversed(down)
         return geodesic_from_chain(self.handle, chain, p, q)
 
-    def _fill_sections(self, u: int) -> tuple:
-        """(up, down): the measured sections from vertex index u to its parent and back."""
+    def _parent_step(self, u: int) -> tuple:
+        """(edge, offset at u, offset at its parent) of the edge from vertex index u up."""
         e = self.parent_edge[u]
         ln = self.edges[e][2]
-        cu, cp = ((0.0,), (ln,)) if self._ea[e] == u else ((ln,), (0.0,))
-        # the length is symmetric in its ends, bit for bit
-        sl = section_length(cu, cp)
-        up, down = (e, cu, cp, sl), (e, cp, cu, sl)
-        self._vsections[u] = (up, down)
-        return up, down
+        return (e, (0.0,), (ln,)) if self._ea[e] == u else (e, (ln,), (0.0,))
 
     def represent_in_chart(self, p: Point, chart: int) -> Optional[tuple]:
         if p.chart == chart:
@@ -599,19 +582,19 @@ class TreeImpl:
         return edges
 
     def _pack_vertices(self, vertex_set) -> tuple:
-        """(points, charts, coords): the normal points of the distinct vertices,
-        in first-seen order, and their rows as `distances_from` takes them."""
-        pts = [self.vertex_point(v) for v in dict.fromkeys(vertex_set)]
-        charts = np.asarray([p.chart for p in pts], dtype=np.int64)
-        return pts, charts, np.asarray([p.coords for p in pts], dtype=float)
+        """(vertices, charts, coords): the distinct vertices in first-seen order,
+        and their normal points as the rows `distances_from` takes."""
+        verts = list(dict.fromkeys(vertex_set))
+        pos = np.asarray([self._tin[self._vidx[v]] for v in verts], dtype=np.int64)
+        return verts, self._pre_vchart[pos], self._pre_voff[pos][:, None]
 
     def project_subtree(self, x: Point, vertex_set) -> Point:
         edges = self._check_subtree(vertex_set)
         if x.chart in edges:
             return x
         # the first of the nearest members; x at a member vertex is its own nearest
-        pts, charts, coords = self._pack_vertices(vertex_set)
-        return pts[int(self.distances_from(x, charts, coords).argmin())]
+        verts, charts, coords = self._pack_vertices(vertex_set)
+        return self.vertex_point(verts[int(self.distances_from(x, charts, coords).argmin())])
 
     def region(self, region) -> tuple:
         if not isinstance(region, TreeRegion):
@@ -619,8 +602,9 @@ class TreeImpl:
         edges = self._check_subtree(region.vertices)
         # double sweep, exact on the connected vertex set of a tree: the first
         # member farthest from the first member, then the farthest from it
-        pts, charts, coords = self._pack_vertices(region.vertices)
-        far = pts[int(self.distances_from(pts[0], charts, coords).argmax())]
+        verts, charts, coords = self._pack_vertices(region.vertices)
+        first = self.vertex_point(verts[0])
+        far = self.vertex_point(verts[int(self.distances_from(first, charts, coords).argmax())])
         diameter = float(self.distances_from(far, charts, coords).max())
 
         def sample(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -964,10 +948,8 @@ def space_from_json(doc: dict) -> SpaceHandle:
 # repeating within one process: a geometry-tree benchmark pass runs 15
 # scenarios on 5 spaces, and a CLI call builds its one space once, while a
 # comb(3, 16) takes tens of milliseconds to build. A built handle is never
-# changed after its builder returns, except for the tree's lazily filled
-# per-vertex caches, whose contents do not depend on the order they are filled
-# in; so one handle serves every caller. lru_cache is thread-safe, and it keeps
-# no result for a call that raised.
+# changed after its builder returns, so one handle serves every caller.
+# lru_cache is thread-safe, and it keeps no result for a call that raised.
 @functools.lru_cache(maxsize=8)
 def _built(key: str) -> SpaceHandle:
     return _space_from_json(json.loads(key))

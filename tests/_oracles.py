@@ -14,7 +14,8 @@ their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
 and the route that climbs to an LCA for each of its four endpoint pairs.
 The per-family geodesic extension and segment projection are kept as each
-family first wrote them, whole, and the subtree check as a scan of every edge.
+family first wrote them, whole, the subtree check as a scan of every edge,
+and a tree vertex's normal point as the incident-edge lookup.
 The region questions are kept as the three separate methods per family
 (volume, diameter, sample) that first answered them, each running its own
 admissibility check. The point sampler is kept as it first drew, point by
@@ -78,6 +79,15 @@ def tree_distance(space: SpaceHandle, p: Point, q: Point) -> float:
     return float(
         nx.dijkstra_path_length(G, splice(pn, "__p__"), splice(qn, "__q__"))
     )
+
+
+def vertex_point_by_incident_edge(space: SpaceHandle, v) -> Point:
+    """A tree vertex as a normal point, by the rule its first per-vertex cache
+    used: its offset on the first of its incident edges, the lowest-index one."""
+    impl = space.impl
+    i = impl._vidx[v]
+    e = impl.incident[i][0]
+    return Point(e, (0.0,) if impl._ea[e] == i else (impl.edges[e][2],))
 
 
 def book_distance(p: Point, q: Point) -> float:

@@ -164,6 +164,7 @@ def test_integral_float_space_fields_build_the_integer_space():
 # a case that needs a space other than the plane names it third.
 OK_MU = {"points": [[0, 0.0, 0.0]]}
 BOOK3 = {"kind": "open_book", "pages": 3}
+E3 = {"kind": "euclidean", "dim": 3}
 BAD_PARAMS = {
     "solve": [
         {"n": "x"},
@@ -182,23 +183,48 @@ BAD_PARAMS = {
         ("nu", {"mu": OK_MU, "nu": {"points": [[0, 1.0, 0.0]], "weights": ["1.0"]}}),
     ],
     "monotonicity": [{"max_len": 2.5}, {"n": "5"}],
-    "twist": [{"trials": "a"}, {"trials": 0}, {"directions": None}],
-    "fermat": [{"slope_cap": float("inf")}, {"slope_cap": True}, {"n": 9.5}, {"directions": "16"}],
+    "twist": [
+        {"trials": "a"},
+        {"trials": 0},
+        {"directions": None},
+        ("directions", {"directions": -1}, E3),
+        ("directions", {"directions": -4}, BOOK3),
+        {"directions": 0},
+    ],
+    "fermat": [
+        {"slope_cap": float("inf")},
+        {"slope_cap": True},
+        {"n": 9.5},
+        {"directions": "16"},
+        {"directions": -3},
+        ("directions", {"directions": 0}, BOOK3),
+    ],
     "eilenberg": [{"n_samples": "x"}, {"n_samples": 0}, {"epsilon": float("nan")}, {"epsilon": "0.1"}],
-    "transport-identity": [{"sizes": 5}, {"sizes": [5, 9.5]}, {"sizes": ["5", 9]}],
-    "polar": [{"trials": True}, {"trials": -1}, {"n": 6.5}],
+    "transport-identity": [
+        {"sizes": 5},
+        {"sizes": [5, 9.5]},
+        {"sizes": ["5", 9]},
+        {"sizes": [5, 5]},
+        {"sizes": [9, 9, 9]},
+    ],
+    "polar": [{"trials": True}, {"trials": -1}, {"n": 6.5}, {"n": -2}, {"n": 0}],
     "geometry-suite": [{"samples": [3]}, {"samples": 0}, {"samples": float("nan")}],
 }
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_malformed_parameters_reach_run_scenario_as_config_invalid(experiment):
+def test_malformed_parameters_reach_run_scenario_as_config_invalid(experiment, tmp_path, capsys):
     for case in BAD_PARAMS[experiment]:
         key, params, *space = case if isinstance(case, tuple) else (next(iter(case)), case)
+        space = space[0] if space else E2
         # built directly, as the benchmark builds its scenarios
         with pytest.raises(ConfigInvalid) as info:
-            run_scenario(Scenario(space[0] if space else E2, experiment, params, 1))
+            run_scenario(Scenario(space, experiment, params, 1))
         assert info.value.path == f"params.{key}", params
+        # and read from a config file by the CLI
+        cfg = _write_config(tmp_path, {"space": space, "params": params, "seed": 1})
+        assert main([experiment, "--config", cfg]) == 2, params
+        assert capsys.readouterr().err.startswith(f"error: params.{key}:"), params
 
 
 @pytest.mark.parametrize(
@@ -626,7 +652,7 @@ PINNED_REPORTS = {
         "3803e5ac9268f9c41b8709889f458782c3ce9fde4738153b8fe0f39cbd59ff0a",
     ),
     # computed before geodesics stopped storing their breakpoints: the suite
-    # whose geodesics are built most from measured tree sections
+    # whose geodesics cross the most tree edges
     "comb316-suite": (
         (SUITE_SPACES["comb316"], "geometry-suite", {"samples": 50}, 19),
         "eb2e51c14f22253d7211879a390e1ec5effbe693018d00c629bcf1610144f1b4",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import sys
 import threading
 
@@ -45,7 +46,7 @@ from cat0ot import (
     space_to_json,
 )
 from cat0ot import geometry, spaces
-from cat0ot.harness import Scenario, render_report, run_scenario, sample_points
+from cat0ot.harness import EXPERIMENTS, Scenario, render_report, run_scenario, sample_points
 from cat0ot.rng import substream
 
 from _oracles import (
@@ -56,6 +57,7 @@ from _oracles import (
     route_by_four_lcas,
     sample_region_by_family,
     tree_distance,
+    vertex_point_by_incident_edge,
 )
 
 
@@ -345,13 +347,10 @@ def test_tree_region_diameter_is_all_pairs_maximum(fixture, request):
     space = request.getfixturevalue(fixture)
     impl = space.impl
     verts = list(space.params.vertices)
-    pts, charts, coords = impl._pack_vertices(verts)
+    _verts, charts, coords = impl._pack_vertices(verts)
+    rows = [impl.distances_from(impl.vertex_point(c), charts, coords).tolist() for c in verts]
     # closed vertex balls are connected, so each is a valid subtree region
-    balls = [
-        [v for v, d in zip(verts, impl.distances_from(p, charts, coords).tolist()) if d <= r]
-        for p in pts
-        for r in (0.5, 1.0, 1.6)
-    ]
+    balls = [[v for v, d in zip(verts, row) if d <= r] for row in rows for r in (0.5, 1.0, 1.6)]
     for vs in [verts, verts[::-1]] + balls:
         ends = [impl.vertex_point(v) for v in vs]
         want = max(impl.distance(p, q) for p in ends for q in ends)
@@ -709,15 +708,83 @@ def test_reports_from_a_reused_space_equal_a_fresh_build(empty_memo):
         reports = [run_scenario(sc) for sc in scenarios]
         return [render_report(r) + render_report(r, "csv") for r in reports]
 
-    rendered()
     impl = space_from_json(comb).impl
-    # the lazy caches of the kept handle are filled by now
-    assert any(impl._vsections) and any(impl._vpoints)
+    built = _impl_state(impl)
+    rendered()
+    # the runs leave the kept handle as its builder left it
+    assert _impl_state(impl) == built
     reused = rendered()
     assert space_from_json(comb).impl is impl
     empty_memo.cache_clear()
     assert reused == rendered()
     assert space_from_json(comb).impl is not impl
+
+
+def _random_tree(rng):
+    """A random tree on 2-30 shuffled integer ids, with edges in random order
+    and orientation, and a random root."""
+    n = int(rng.integers(2, 31))
+    ids = rng.permutation(n).tolist()
+    edges = []
+    for k in range(1, n):
+        a, b = ids[int(rng.integers(0, k))], ids[k]
+        if rng.random() < 0.5:
+            a, b = b, a
+        edges.append((a, b, float(rng.uniform(0.1, 2.0))))
+    edges = [edges[int(i)] for i in rng.permutation(n - 1)]
+    return build_tree(rng.permutation(ids).tolist(), edges, root=ids[int(rng.integers(0, n))])
+
+
+def test_vertex_points_follow_the_incident_edge_rule(request):
+    rng = substream(43, "random trees")
+    fixtures = ["tripod", "comb14", "comb316", "lopsided_tree", "deep_tree", "long_tree"]
+    trees = [request.getfixturevalue(name) for name in fixtures] + [_random_tree(rng) for _ in range(20)]
+    for space in trees:
+        for v in space.params.vertices:
+            # repr tells a numpy scalar from the builtin int and float
+            assert repr(space.impl.vertex_point(v)) == repr(vertex_point_by_incident_edge(space, v))
+
+
+def _impl_state(impl) -> dict:
+    """Every attribute of a space impl but its handle, as bytes."""
+    return {
+        key: (val.dtype.str, val.shape, val.tobytes()) if isinstance(val, np.ndarray) else pickle.dumps(val)
+        for key, val in vars(impl).items()
+        if key != "handle"
+    }
+
+
+# one small run of each experiment
+SMALL_RUNS = {
+    "solve": {"instance": "random", "n": 6, "m": 5},
+    "monotonicity": {"instance": "random", "n": 5},
+    "twist": {"trials": 3},
+    "fermat": {},
+    "eilenberg": {"n_samples": 2000},
+    "transport-identity": {"sizes": [5, 9]},
+    "polar": {"trials": 2, "n": 4},
+    "geometry-suite": {"samples": 50},
+}
+
+
+@pytest.mark.parametrize("name", ["e2", "book3", "tripod", "comb14", "comb316", "deep_tree"])
+def test_built_spaces_do_not_change(name, request, empty_memo):
+    assert sorted(SMALL_RUNS) == sorted(EXPERIMENTS)
+    doc = space_to_json(request.getfixturevalue(name))
+    impl = space_from_json(doc).impl
+    built = _impl_state(impl)
+    ran = []
+    for experiment, params in SMALL_RUNS.items():
+        try:
+            run_scenario(Scenario(doc, experiment, params, 3))
+        except ConfigInvalid as exc:
+            # an experiment the space does not support
+            assert exc.path == "space", (experiment, exc)
+            continue
+        ran.append(experiment)
+    assert space_from_json(doc).impl is impl
+    assert {"solve", "eilenberg", "geometry-suite"} <= set(ran)
+    assert _impl_state(impl) == built
 
 
 def test_point_json_round_trip(tripod, book3, e2):
@@ -772,7 +839,7 @@ def _valid_regions(space, rng):
     verts = list(space.params.vertices)
     picks = [verts[int(k)] for k in rng.choice(len(verts), min(len(verts), 8), replace=False)]
     out = [TreeRegion(tuple(verts)), TreeRegion(tuple(verts[::-1])), TreeRegion((verts[0],))]
-    _pts, charts, coords = impl._pack_vertices(verts)
+    _verts, charts, coords = impl._pack_vertices(verts)
     for c in picks:
         row = impl.distances_from(impl.vertex_point(c), charts, coords).tolist()
         for r in (0.3, 1.0, 2.5):
