@@ -4,7 +4,9 @@ The squared-distance cost, one-sided geodesic derivatives with a halving
 step schedule, twist and first-order minimality reports, radial projection,
 and two Monte Carlo shell estimators: the co-area inequality for regions
 swept by distance spheres, and positivity of the sphere-density at probe
-points.
+points. `_twist_gaps` is `twist_test` over many probes in one vectorized
+pass, bit for bit; the twist experiment runs it and checks its least and
+greatest gap again through `twist_test`.
 """
 
 from __future__ import annotations
@@ -105,6 +107,16 @@ def cost_derivative_closed(g: Geodesic, t: float, s: float) -> float:
     return (t - s) * g.length * g.length
 
 
+def _extrapolated(fvals: Sequence, f0, hs: Sequence[float], sign: float):
+    """The refined one-sided difference quotient from f at the step points
+    (one value per step h in hs) and f0 at the base point. Works alike on
+    floats and on numpy rows, with the same bits."""
+    quots = [(f - f0) / (sign * h) for f, h in zip(fvals, hs)]
+    # two-point extrapolation in h, exact for quadratic f along g
+    h1, h2 = hs[-2], hs[-1]
+    return (h1 * quots[-1] - h2 * quots[-2]) / (h1 - h2)
+
+
 def _one_sided(
     fs: Sequence[Callable[[Point], float]],
     g: Geodesic,
@@ -120,13 +132,7 @@ def _one_sided(
     scale = min(1.0, room / DEFAULT_STEPS[0])
     hs = [h * scale for h in DEFAULT_STEPS]
     pts = [g.eval(s + sign * h) for h in hs]
-    h1, h2 = hs[-2], hs[-1]
-    out = []
-    for f, f0 in zip(fs, f0s):
-        quots = [(f(pt) - f0) / (sign * h) for pt, h in zip(pts, hs)]
-        # two-point extrapolation in h, exact for quadratic f along g
-        out.append(((h1 * quots[-1] - h2 * quots[-2]) / (h1 - h2), h2))
-    return out
+    return [(_extrapolated([f(pt) for pt in pts], f0, hs, sign), hs[-1]) for f, f0 in zip(fs, f0s)]
 
 
 def _derivatives(
@@ -190,11 +196,21 @@ def direction_set(
     """
     xn = normalize(space, x)
     impl = space.impl
+    tgts = _direction_targets(space, xn, targets, count, seed)
+    return [impl.geodesic(xn, tgt) for tgt in tgts if impl.distance(xn, tgt) > 1e-12]
+
+
+def _direction_targets(
+    space: SpaceHandle, xn: Point, targets: Sequence[Point], count: int, seed: int
+) -> list[Point]:
+    """The normal targets of `direction_set` at the normal point xn, before
+    those at xn are dropped."""
+    impl = space.impl
     # the space's own targets are valid by construction; the caller's are checked
     tgts = [impl.normalize(tgt) for tgt in impl.direction_targets(xn, count, seed)]
     if space.kind != "tree":
         tgts += [normalize(space, tgt) for tgt in targets]
-    return [impl.geodesic(xn, tgt) for tgt in tgts if impl.distance(xn, tgt) > 1e-12]
+    return tgts
 
 
 def _check_origins(space: SpaceHandle, x: Point, directions: Sequence[Geodesic]) -> None:
@@ -228,6 +244,75 @@ def twist_test(
             witness = g
     holds = max_gap > GAP_TOL
     return TwistReport(witness if holds else None, max_gap, holds)
+
+
+# step points per vectorized pass of `_twist_gaps`: a tree geodesic's sections
+# take a row of its path's length, and this bounds the arrays they fill
+TWIST_CHUNK = 8192
+
+
+def _twist_gaps(
+    space: SpaceHandle, probes: Sequence[tuple[Point, Point, Point]], count: int, seed: int
+) -> np.ndarray:
+    """For each probe (x, y1, y2), the `max_gap` of
+    `twist_test(space, x, y1, y2, direction_set(space, x, [y1, y2], count, seed))`,
+    bit for bit, from one vectorized pass over every probe's directions.
+
+    A direction is the row (x, target) for each target `direction_set` keeps,
+    and the derivative along it is taken at s = 0.0. That is the parameter
+    `_derivatives` finds: `impl.geodesic` starts its first piece, over
+    [t0, t1] with t0 = 0.0, at x's own coordinates c0 in that piece's chart,
+    so every term (x - c0) * (c1 - c0) of x's projection weight is zero, the
+    weight is 0.0, and `parameter_on` returns t0 + 0.0 * (t1 - t0) = 0.0, the
+    least parameter any piece can give. At s = 0.0 the backward side has no
+    room, and the derivative is the forward quotient. The rows go through
+    `impl.geodesic_points` at t = 0 and at each of the `DEFAULT_STEPS`, and
+    the costs to y1 and y2 through `impl.distances_between`, `TWIST_CHUNK`
+    step points at a time; the quotients share `_extrapolated` with the
+    scalar path.
+    """
+    impl = space.impl
+    rows = []
+    for i, (x, y1, y2) in enumerate(probes):
+        xn, y1n, y2n = normalize(space, x), normalize(space, y1), normalize(space, y2)
+        rows += [(i, xn, tgt, y1n, y2n) for tgt in _direction_targets(space, xn, (y1, y2), count, seed)]
+    trial, *points = zip(*rows)
+    trial = np.array(trial, dtype=np.int64)
+    x, tgt, y1, y2 = (
+        (np.array([p.chart for p in pts], dtype=np.int64), np.array([p.coords for p in pts], dtype=float))
+        for pts in points
+    )
+    between = impl.distances_between
+    # direction_set drops the targets at x
+    keep = between(*x, *tgt) > 1e-12
+    # at s = 0.0 the forward side has room 1.0, which scales no step
+    s, hs = 0.0, DEFAULT_STEPS
+    t = np.array([s] + [s + h for h in hs])
+    k = len(t)
+    gaps = np.zeros(len(probes))
+    chunk = max(1, TWIST_CHUNK // k)
+    for a in range(0, len(trial), chunk):
+        part = slice(a, a + chunk)
+        (xc, xx), (tc, tx) = ((c[part], v[part]) for c, v in (x, tgt))
+        n = len(xc)
+        length, charts, coords = impl.geodesic_points(xc, xx, tc, tx, np.tile(t, (n, 1)))
+        charts, coords = charts.ravel(), coords.reshape(n * k, -1)
+        values = []
+        for yc, yx in (y1, y2):
+            # the cost to y at every point, as `_cost_to` gives it
+            d = between(charts, coords, np.repeat(yc[part], k), np.repeat(yx[part], k, axis=0))
+            # past the float range, inf and nan as the float arithmetic gives them
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = (0.5 * d * d).reshape(n, k)
+                values.append(_extrapolated(f[:, 1:].T, f[:, 0], hs, 1.0))
+        # twist_test skips directions of length zero, and a nan derivative
+        # fails as it does in `_derivatives`
+        live = keep[part] & (length != 0)
+        if np.isnan(np.stack(values)[:, live]).any():
+            raise ParamOutOfRange("degenerate geodesic leaves no room for any quotient")
+        # a running maximum from 0.0 that a nan gap never raises
+        np.fmax.at(gaps, trial[part][live], np.abs(values[0] - values[1])[live])
+    return gaps
 
 
 def fermat_check(

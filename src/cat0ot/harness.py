@@ -15,8 +15,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .calculus import (
+    GAP_TOL,
     _cost_to,
     _shell_estimate,
+    _twist_gaps,
     direction_set,
     fermat_check,
     geodesic_derivative,
@@ -270,15 +272,22 @@ def _run_monotonicity(space: SpaceHandle, params: dict, seed: int) -> tuple[dict
     return metrics, result["violations"] == 0
 
 
-def _tree_same_gate_pair(
-    space: SpaceHandle, rng: np.random.Generator
-) -> tuple[Point, Point, Point]:
-    """x behind a branch vertex, y1 != y2 equidistant from x beyond the same vertex."""
-    edges = space.params.edges
-    incident = space.impl.incident
-    branch = [i for i, inc in enumerate(incident) if len(inc) >= 3]
+def _branch_vertices(space: SpaceHandle) -> list[int]:
+    """The indices of the tree's vertices of degree 3 or more."""
+    branch = [i for i, inc in enumerate(space.impl.incident) if len(inc) >= 3]
     if not branch:
         raise ConfigInvalid("space", "twist probes on trees need a branch vertex")
+    return branch
+
+
+def _tree_same_gate_pair(
+    space: SpaceHandle, rng: np.random.Generator, branch: Optional[list[int]] = None
+) -> tuple[Point, Point, Point]:
+    """x behind a branch vertex, y1 != y2 equidistant from x beyond the same
+    vertex; `branch` is `_branch_vertices(space)`, found here when not given."""
+    edges = space.params.edges
+    incident = space.impl.incident
+    branch = _branch_vertices(space) if branch is None else branch
     i = branch[int(rng.integers(0, len(branch)))]
     v, inc = space.params.vertices[i], incident[i]
     idx = rng.permutation(len(inc))
@@ -293,29 +302,50 @@ def _tree_same_gate_pair(
     return x, at_arc(e_1, s), at_arc(e_2, s)
 
 
+def _twist_probes(
+    space: SpaceHandle, trials: int, rng: np.random.Generator
+) -> list[tuple[Point, Point, Point]]:
+    """The (x, y1, y2) of each twist trial, drawn in turn: on trees behind a
+    branch vertex, elsewhere three sampled points with y1 and y2 apart and,
+    on open books, every point off the spine."""
+    if space.kind == "tree":
+        # one scan of the vertices for every trial
+        branch = _branch_vertices(space)
+        return [_tree_same_gate_pair(space, rng, branch) for _ in range(trials)]
+    probes = []
+    for _ in range(trials):
+        while True:
+            x, y1, y2 = sample_points(space, rng, 3)
+            if space.impl.distance(y1, y2) <= 1e-3:
+                continue
+            if space.kind == "open_book" and min(x.coords[0], y1.coords[0], y2.coords[0]) <= 1e-3:
+                continue
+            break
+        probes.append((x, y1, y2))
+    return probes
+
+
 def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
+    """Twist probes in one vectorized pass over every trial's directions.
+
+    Each trial's max_gap is that of `twist_test` over
+    `direction_set(space, x, [y1, y2], count, seed)`, bit for bit, from
+    `calculus._twist_gaps`. The trials of least and greatest gap are run
+    again through the public `direction_set` and `twist_test`, and the report
+    fails if either's max_gap or verdict differs.
+    """
     trials = _count(params, "trials", 20)
     count = _count(params, "directions", 16)
-    rng = substream(seed, "twist")
-    gaps = []
-    holds = []
-    for _ in range(trials):
-        if space.kind == "tree":
-            x, y1, y2 = _tree_same_gate_pair(space, rng)
-        else:
-            while True:
-                x, y1, y2 = sample_points(space, rng, 3)
-                if space.impl.distance(y1, y2) <= 1e-3:
-                    continue
-                if space.kind == "open_book" and min(
-                    x.coords[0], y1.coords[0], y2.coords[0]
-                ) <= 1e-3:
-                    continue
-                break
-        dirs = direction_set(space, x, targets=[y1, y2], count=count, seed=seed)
-        rep = twist_test(space, x, y1, y2, dirs)
-        gaps.append(rep.max_gap)
-        holds.append(rep.twist_holds)
+    probes = _twist_probes(space, trials, substream(seed, "twist"))
+    gaps = _twist_gaps(space, probes, count, seed).tolist()
+    holds = [gap > GAP_TOL for gap in gaps]
+
+    def recheck(i: int) -> bool:
+        x, y1, y2 = probes[i]
+        rep = twist_test(space, x, y1, y2, direction_set(space, x, targets=[y1, y2], count=count, seed=seed))
+        return rep.max_gap.hex() == gaps[i].hex() and rep.twist_holds == holds[i]
+
+    rechecked = all([recheck(gaps.index(min(gaps))), recheck(gaps.index(max(gaps)))])
     frac = sum(holds) / trials
     metrics = {
         "trials": _metric(trials),
@@ -326,7 +356,7 @@ def _run_twist(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
     # trees are probed with equidistant same-branch targets, which the squared
     # distance cost cannot tell apart; everywhere else the probes distinguish.
     ok = frac == 0.0 if space.kind == "tree" else frac == 1.0
-    return metrics, ok
+    return metrics, rechecked and ok
 
 
 def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
@@ -334,6 +364,8 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
         raise ConfigInvalid("space", "fermat runs on trees, open books and the euclidean plane")
     cap = _param(params, "slope_cap", 10.0, config_float)
     if space.kind in ("tree", "open_book"):
+        # a tree takes one direction per incident edge, whatever the count
+        count = _count(params, "directions", 16)
         if space.kind == "tree":
             incident = space.impl.incident
             leaf = next(v for v, inc in zip(space.params.vertices, incident) if len(inc) == 1)
@@ -342,7 +374,7 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
                 space,
                 lambda p: space.impl.distance(p, leaf_pt),
                 leaf_pt,
-                direction_set(space, leaf_pt),
+                direction_set(space, leaf_pt, count=count),
             )
             passed = rep.min_directional > 0.0
         else:
@@ -355,7 +387,7 @@ def _run_fermat(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool
                 space,
                 _cost_to(space, y),
                 y,
-                direction_set(space, y, count=_count(params, "directions", 16)),
+                direction_set(space, y, count=count),
             )
             passed = rep.min_directional >= -1e-6
         metrics = {

@@ -1,24 +1,31 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 
 import pytest
 
 from cat0ot import (
+    DEFAULT_STEPS,
     ConfigInvalid,
     IoFailure,
     ParamOutOfRange,
     Point,
     _simplex,
+    calculus,
+    direction_set,
     geometry,
     harness,
     spaces,
     transport,
+    twist_test,
 )
 from cat0ot.cli import main
+from cat0ot.geometry import Geodesic, parameter_on
 from cat0ot.harness import (
     _ALLOWED_PARAMS,
     EXPERIMENTS,
@@ -165,6 +172,7 @@ def test_integral_float_space_fields_build_the_integer_space():
 OK_MU = {"points": [[0, 0.0, 0.0]]}
 BOOK3 = {"kind": "open_book", "pages": 3}
 E3 = {"kind": "euclidean", "dim": 3}
+TRIPOD = {"kind": "tripod"}
 BAD_PARAMS = {
     "solve": [
         {"n": "x"},
@@ -198,6 +206,8 @@ BAD_PARAMS = {
         {"directions": "16"},
         {"directions": -3},
         ("directions", {"directions": 0}, BOOK3),
+        ("directions", {"directions": -3}, TRIPOD),
+        ("directions", {"directions": 0}, TRIPOD),
     ],
     "eilenberg": [{"n_samples": "x"}, {"n_samples": 0}, {"epsilon": float("nan")}, {"epsilon": "0.1"}],
     "transport-identity": [
@@ -601,13 +611,105 @@ def test_the_suite_fails_when_the_public_defect_disagrees(monkeypatch):
     assert not run_scenario(_scenario("geometry-suite", {"samples": 20}, 5, SUITE_SPACES["tripod"])).passed
 
 
+# twist runs every trial's directions at once through the space's array
+# methods; the per-trial loop over direction_set and twist_test must give the
+# same bits, on deep_tree too, whose frac_holds of 1.0 is wrong for a tree
+
+TWIST_SPACES = ["book3", "comb14", "comb316", "deep_tree", "e2", "tripod"]
+
+
+@pytest.mark.parametrize("name", TWIST_SPACES)
+@pytest.mark.parametrize("params", [{}, {"trials": 3, "directions": 1}, {"directions": 5}])
+@pytest.mark.parametrize("seed", [3, 101, 102])
+def test_twist_matches_the_per_trial_loop(name, params, seed):
+    space = space_from_json(SUITE_SPACES[name])
+    trials, count = params.get("trials", 20), params.get("directions", 16)
+    probes = harness._twist_probes(space, trials, substream(seed, "twist"))
+    want = []
+    for x, y1, y2 in probes:
+        dirs = direction_set(space, x, targets=[y1, y2], count=count, seed=seed)
+        # the vectorized pass takes every derivative at s = 0.0
+        assert all(parameter_on(space, g, x) == 0.0 for g in dirs)
+        want.append(twist_test(space, x, y1, y2, dirs))
+    gaps = calculus._twist_gaps(space, probes, count, seed).tolist()
+    assert [g.hex() for g in gaps] == [rep.max_gap.hex() for rep in want]
+    assert [g > calculus.GAP_TOL for g in gaps] == [rep.twist_holds for rep in want]
+    # and the report is the loop's
+    rep = run_scenario(Scenario(SUITE_SPACES[name], "twist", params, seed))
+    frac = sum(r.twist_holds for r in want) / trials
+    assert {k: float(cell["value"]).hex() for k, cell in rep.metrics.items()} == {
+        "trials": float(trials).hex(),
+        "min_gap": min(r.max_gap for r in want).hex(),
+        "max_gap": max(r.max_gap for r in want).hex(),
+        "frac_holds": frac.hex(),
+    }
+    assert rep.passed == (frac == 0.0 if space.kind == "tree" else frac == 1.0)
+
+
+def test_twist_past_the_float_range_fails_as_the_per_trial_loop_does():
+    # squared distances past the float range make every quotient nan, which
+    # twist_test reports as ParamOutOfRange; no numpy warning may come first
+    sc = Scenario({"kind": "star", "legs": 3, "length": 1e200}, "twist", {"trials": 3}, 1)
+    with pytest.raises(ParamOutOfRange, match="no room for any quotient"):
+        run_scenario(sc)
+
+
+@pytest.mark.parametrize("name", ["e2", "tripod"])
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        lambda rep: dataclasses.replace(rep, max_gap=math.nextafter(rep.max_gap, math.inf)),
+        lambda rep: dataclasses.replace(rep, twist_holds=not rep.twist_holds),
+    ],
+    ids=["max_gap", "twist_holds"],
+)
+def test_twist_fails_when_the_public_twist_test_disagrees(name, perturb, monkeypatch):
+    sc = Scenario(SUITE_SPACES[name], "twist", {"trials": 4}, 5)
+    assert run_scenario(sc).passed
+    public = harness.twist_test
+    monkeypatch.setattr(harness, "twist_test", lambda *args: perturb(public(*args)))
+    assert not run_scenario(sc).passed
+
+
+@pytest.mark.parametrize("name", ["book3", "comb14", "e2", "tripod"])
+def test_twist_runs_the_scalar_path_only_in_its_rechecks(name, monkeypatch):
+    calls = Counter()
+    inside = []
+
+    def recheck(key, original):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            inside.append(key)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return call
+
+    plain_eval = Geodesic.eval
+
+    def counted_eval(g, t):
+        calls["eval" if inside else "eval outside the rechecks"] += 1
+        return plain_eval(g, t)
+
+    monkeypatch.setattr(harness, "twist_test", recheck("twist_test", harness.twist_test))
+    monkeypatch.setattr(harness, "direction_set", recheck("direction_set", harness.direction_set))
+    monkeypatch.setattr(Geodesic, "eval", counted_eval)
+    for trials in (1, 20, 40):
+        calls.clear()
+        assert run_scenario(Scenario(SUITE_SPACES[name], "twist", {"trials": trials}, 9)).passed
+        # the least and the greatest gap, checked again through the public API
+        assert calls["twist_test"] == calls["direction_set"] == 2
+        assert calls["eval"] > 0
+        assert calls["eval outside the rechecks"] == 0
+
+
 # report bytes pinned by sha256 of the json and csv renderings, computed before
 # tree routes, tree geodesics, twist derivatives and space reuse were reworked
 # to do each piece of work once; any change to the bits of a metric shows here
 
 COMB14 = {"kind": "comb", "depth": 1, "grid": 4}
-TRIPOD = {"kind": "tripod"}
-BOOK3 = {"kind": "open_book", "pages": 3}
 PINNED_REPORTS = {
     "comb14-suite": (
         (COMB14, "geometry-suite", {"samples": 100}, 11),
@@ -676,6 +778,15 @@ PINNED_REPORTS = {
         (COMB14, "geometry-suite", {"samples": 50}, 19),
         "06574d6808299c90f4f70f82c232cd6f2557de04b412779218e47cbaeafe3959",
     ),
+    # computed before twist ran every trial's directions in one vectorized pass
+    "comb14-twist": (
+        (COMB14, "twist", {}, 20),
+        "c01b83fecea95646fa66dbcd88f73b8e0c4317c7a4da5442305b18548ad18b8d",
+    ),
+    "e2-twist-5x7": (
+        (E2, "twist", {"trials": 5, "directions": 7}, 21),
+        "d026a96b64056b5b86b52a9425f86138f58750b832768f8ad308adadc73ac981",
+    ),
 }
 
 
@@ -688,6 +799,14 @@ def _report_hash(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_report_bytes_are_pinned(name):
+    assert _report_hash(name) == PINNED_REPORTS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (sc, _want) in PINNED_REPORTS.items() if sc[1] == "twist"))
+@pytest.mark.parametrize("chunk", [1, 3 * (1 + len(DEFAULT_STEPS))])
+def test_twist_reports_keep_their_bytes_in_any_chunk_size(name, chunk, monkeypatch):
+    # one direction per pass, and three
+    monkeypatch.setattr(calculus, "TWIST_CHUNK", chunk)
     assert _report_hash(name) == PINNED_REPORTS[name][1]
 
 
