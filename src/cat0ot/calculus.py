@@ -1,12 +1,12 @@
 """Derivatives along geodesics and the testers built on them.
 
-The squared-distance cost, one-sided geodesic derivatives with a halving
-step schedule, twist and first-order minimality reports, radial projection,
-and two Monte Carlo shell estimators: the co-area inequality for regions
-swept by distance spheres, and positivity of the sphere-density at probe
-points. `_twist_gaps` is `twist_test` over many probes in one vectorized
-pass, bit for bit; the twist experiment runs it and checks its least and
-greatest gap again through `twist_test`.
+The squared-distance cost, one-sided geodesic derivatives extrapolated from
+the two finest steps of a halving schedule, twist and first-order minimality
+reports, radial projection, and two Monte Carlo shell estimators: the
+co-area inequality for regions swept by distance spheres, and positivity of
+the sphere-density at probe points. `_twist_gaps` is `twist_test` over many
+probes in one vectorized pass, bit for bit; the twist experiment runs it and
+checks its least and greatest gap again through `twist_test`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ from .geometry import (
 from .rng import substream
 
 # Parameter-step schedule for difference quotients: 1/16 halved ten times.
+# The quotients read the two finest steps, 2^-13 and 2^-14; the first step
+# sets the scale near an endpoint, where less than 1/16 of room is left.
 DEFAULT_STEPS: tuple[float, ...] = tuple(2.0 ** (-4 - k) for k in range(11))
+_READ_STEPS = DEFAULT_STEPS[-2:]
 DIFF_TOL = 1e-5
 GAP_TOL = 1e-6
 
@@ -108,13 +111,13 @@ def cost_derivative_closed(g: Geodesic, t: float, s: float) -> float:
 
 
 def _extrapolated(fvals: Sequence, f0, hs: Sequence[float], sign: float):
-    """The refined one-sided difference quotient from f at the step points
-    (one value per step h in hs) and f0 at the base point. Works alike on
-    floats and on numpy rows, with the same bits."""
-    quots = [(f - f0) / (sign * h) for f, h in zip(fvals, hs)]
+    """The refined one-sided difference quotient from f at the two step points
+    (one value per step h in hs, the coarser first) and f0 at the base point.
+    Works alike on floats and on numpy rows, with the same bits."""
+    q1, q2 = ((f - f0) / (sign * h) for f, h in zip(fvals, hs))
     # two-point extrapolation in h, exact for quadratic f along g
-    h1, h2 = hs[-2], hs[-1]
-    return (h1 * quots[-1] - h2 * quots[-2]) / (h1 - h2)
+    h1, h2 = hs
+    return (h1 * q2 - h2 * q1) / (h1 - h2)
 
 
 def _one_sided(
@@ -125,12 +128,13 @@ def _one_sided(
     sign: float,
 ) -> list[tuple[float, float]]:
     """Refined difference quotient on one side for each f, from one evaluation
-    of each step point; (nan, nan) when there is no room."""
+    of each of the two step points it reads; (nan, nan) when there is no
+    room."""
     room = (1.0 - s) if sign > 0 else s
     if room <= 1e-15:
         return [(math.nan, math.nan)] * len(fs)
     scale = min(1.0, room / DEFAULT_STEPS[0])
-    hs = [h * scale for h in DEFAULT_STEPS]
+    hs = [h * scale for h in _READ_STEPS]
     pts = [g.eval(s + sign * h) for h in hs]
     return [(_extrapolated([f(pt) for pt in pts], f0, hs, sign), hs[-1]) for f, f0 in zip(fs, f0s)]
 
@@ -173,9 +177,10 @@ def geodesic_derivative(
 ) -> DerivativeEstimate:
     """Derivative of f along g at x, with respect to the parameter on [0, 1].
 
-    x must lie on g (within `PT_TOL` = 1e-9). Steps follow `DEFAULT_STEPS`, and
-    the two sides must agree within `DIFF_TOL` = 1e-5 (relative) for f to count
-    as differentiable. At the endpoints only the inward one-sided quotient
+    x must lie on g (within `PT_TOL` = 1e-9). Each side extrapolates from the
+    two finest `DEFAULT_STEPS`, scaled down where less than the first step of
+    room is left, and the two sides must agree within `DIFF_TOL` = 1e-5
+    (relative) for f to count as differentiable. At the endpoints only the inward one-sided quotient
     exists; the missing side is reported as nan and the estimate is flagged
     non-differentiable.
     """
@@ -266,10 +271,10 @@ def _twist_gaps(
     weight is 0.0, and `parameter_on` returns t0 + 0.0 * (t1 - t0) = 0.0, the
     least parameter any piece can give. At s = 0.0 the backward side has no
     room, and the derivative is the forward quotient. The rows go through
-    `impl.geodesic_points` at t = 0 and at each of the `DEFAULT_STEPS`, and
-    the costs to y1 and y2 through `impl.distances_between`, `TWIST_CHUNK`
-    step points at a time; the quotients share `_extrapolated` with the
-    scalar path.
+    `impl.geodesic_points` at t = 0 and at the two steps the quotient reads,
+    and the costs to y1 and y2 through `impl.distances_between`,
+    `TWIST_CHUNK` step points at a time; the quotients share `_extrapolated`
+    with the scalar path.
     """
     impl = space.impl
     rows = []
@@ -286,7 +291,7 @@ def _twist_gaps(
     # direction_set drops the targets at x
     keep = between(*x, *tgt) > 1e-12
     # at s = 0.0 the forward side has room 1.0, which scales no step
-    s, hs = 0.0, DEFAULT_STEPS
+    s, hs = 0.0, _READ_STEPS
     t = np.array([s] + [s + h for h in hs])
     k = len(t)
     gaps = np.zeros(len(probes))

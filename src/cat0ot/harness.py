@@ -43,7 +43,7 @@ from .geometry import (
     section_length,
 )
 from .polar import polar_factorize, verify_measure_preserving
-from .rng import substream
+from .rng import _paged_draws, substream
 from .spaces import space_from_json
 from .transport import (
     DiscreteMeasure,
@@ -94,29 +94,31 @@ def sample_points(space: SpaceHandle, rng: np.random.Generator, n: int) -> list[
     Euclidean points are uniform in [-1, 1]^dim. A tree point picks an edge
     with probability proportional to its length, then a uniform offset on it.
     A book point picks a page, then (u, v) uniform in [0, 1] x [-1, 1].
-    Euclidean and tree points come from one block of draws that gives the
-    per-point draws bit for bit and leaves `rng` in the same state; book
-    points draw one by one, because a bounded `integers` draw keeps half of a
-    64-bit word for the next one.
+    The points come from one block of draws that gives the per-point draws
+    bit for bit and leaves `rng` in the same state; on a book the block
+    replays each page draw from the half word it reads
+    (`rng._paged_draws`).
     """
     charts, coords = _points_from_draws(space, _point_draws(space, rng, n))
     return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
 
 
 def _draw_width(space: SpaceHandle) -> int:
-    """The random() doubles one euclidean or tree point takes."""
-    return space.dim if space.kind == "euclidean" else 2
+    """The draws one point takes: its doubles on a euclidean space or a tree,
+    and a page and two doubles on an open book."""
+    return space.dim if space.kind == "euclidean" else 2 if space.kind == "tree" else 3
 
 
-def _point_draws(space: SpaceHandle, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The draws of n points, one row each: `_draw_width` random() doubles on
-    a euclidean space or a tree; on an open book, a page and then two doubles,
-    point by point."""
+def _point_draws(
+    space: SpaceHandle, rng: np.random.Generator, n: int, points: int = 1, extra: int = 0
+) -> np.ndarray:
+    """n rows of draws, each those of `points` points and then `extra`
+    random() doubles. A euclidean or tree point takes `_draw_width` random()
+    doubles; a book point a page and then two doubles."""
     if space.kind in ("euclidean", "tree"):
-        return rng.random((n, _draw_width(space)))
+        return rng.random((n, points * _draw_width(space) + extra))
     if space.kind == "open_book":
-        pages = space.params.pages
-        return np.array([(rng.integers(0, pages), rng.random(), rng.random()) for _ in range(n)]).reshape(n, 3)
+        return _paged_draws(rng, space.params.pages, "iuu" * points + "u" * extra, n)
     raise ParamOutOfRange(f"no sampler for space kind {space.kind!r}")
 
 
@@ -575,8 +577,8 @@ def _run_geometry_suite(space: SpaceHandle, params: dict, seed: int) -> tuple[di
 
     Per sample, the draws are those of `sample_points(space, rng, 3)`, then
     `uniform(0, 1, 2)` for two parameters t1 <= t2 on the geodesic [x, y],
-    then `uniform(0, 1)` for the defect's t; for euclidean spaces and trees
-    they come from one block. The space's array methods give every
+    then `uniform(0, 1)` for the defect's t; they come from one block, as
+    `sample_points` draws its points. The space's array methods give every
     distance and geodesic point bit for bit as the scalar calls do, and each
     metric is the first extreme sample's value, as a running min or max keeps
     it. The samples of least and greatest defect are checked again through
@@ -584,15 +586,9 @@ def _run_geometry_suite(space: SpaceHandle, params: dict, seed: int) -> tuple[di
     """
     samples = _count(params, "samples", 2000)
     rng = substream(seed, "geometry")
-    if space.kind == "open_book":
-        # a bounded integers draw keeps half a word, so book samples draw in turn
-        blocks = [(_point_draws(space, rng, 3), rng.random(3)) for _ in range(samples)]
-        points, draws = (np.concatenate(b) for b in zip(*blocks))
-        draws = draws.reshape(samples, 3)
-    else:
-        k = _draw_width(space)
-        block = rng.random((samples, 3 * k + 3))
-        points, draws = block[:, : 3 * k].reshape(-1, k), block[:, 3 * k :]
+    k = _draw_width(space)
+    block = _point_draws(space, rng, samples, points=3, extra=3)
+    points, draws = block[:, : 3 * k].reshape(-1, k), block[:, 3 * k :]
     charts, coords = _points_from_draws(space, points)
     chunks = [
         _suite_checks(space.impl, charts[3 * a : 3 * b], coords[3 * a : 3 * b], draws[a:b])

@@ -41,9 +41,10 @@ def inverse_map(
     """Optimal maps T: mu -> nu and T*: nu -> mu; T* inverts T on the support.
 
     Both are read off one optimal plan, T* off its transpose, so a tie
-    between optimal plans cannot make them disagree.
+    between optimal plans cannot make them disagree. Only the plan is read,
+    so the solve skips refining its potentials.
     """
-    plan, _pot, _cost = solve_kantorovich(space, mu, nu)
+    plan, _pot, _cost = solve_kantorovich(space, mu, nu, refine_duals=False)
     back = TransportPlan(nu, mu, tuple(sorted((j, i, mass) for i, j, mass in plan.entries)))
     return _map(plan, "forward"), _map(back, "backward")
 

@@ -178,8 +178,8 @@ def pairwise_costs(
 
 
 def _uniform(weights: Sequence[float]) -> bool:
-    n = len(weights)
-    return bool(np.allclose(weights, 1.0 / n, rtol=0.0, atol=1e-12))
+    """Whether every weight is within 1e-12 of 1/n; a nan weight is not."""
+    return bool((np.abs(np.asarray(weights, dtype=float) - 1.0 / len(weights)) <= 1e-12).all())
 
 
 def _row_chunks(C: np.ndarray) -> list[slice]:
@@ -258,15 +258,17 @@ def _assignment_duals(
 
 
 def _tied(C: np.ndarray) -> bool:
-    """Whether the costs are tied: over _TIE_ROWS evenly spaced rows, sorted,
-    more than _TIE_SHARE of the steps between neighbours are exactly zero.
+    """Whether the costs are tied: over every row, or over _TIE_ROWS evenly
+    spaced rows when there are more, sorted, more than _TIE_SHARE of the
+    steps between neighbours are exactly zero.
 
     Translation grids read 0.43-0.68 (sides 9-49); uniform random atoms on
     e2, the tripod, book3 and comb(3,16) read 0.0 at 256-2,401 atoms. A single
     column has no steps and is not tied.
     """
     n = C.shape[0]
-    sample = np.sort(C[np.linspace(0, n - 1, min(_TIE_ROWS, n)).astype(np.intp)], axis=1)
+    rows = C if n <= _TIE_ROWS else C[np.linspace(0, n - 1, _TIE_ROWS).astype(np.intp)]
+    sample = np.sort(rows, axis=1)
     steps = np.diff(sample, axis=1)
     return bool(steps.size) and bool((steps == 0).mean() > _TIE_SHARE)
 

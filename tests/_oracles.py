@@ -19,7 +19,8 @@ and a tree vertex's normal point as the incident-edge lookup.
 The region questions are kept as the three separate methods per family
 (volume, diameter, sample) that first answered them, each running its own
 admissibility check. The point sampler is kept as it first drew, point by
-point.
+point, and the one-sided difference quotient as it first ran, from f at
+every one of the eleven `DEFAULT_STEPS`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 import scipy.optimize
 
 from cat0ot import (
+    DEFAULT_STEPS,
     BallRegion,
     BoxRegion,
     Geodesic,
@@ -50,7 +52,6 @@ from cat0ot import (
     normalize,
     pairwise_costs,
 )
-from cat0ot.harness import sample_points
 from cat0ot.rng import substream
 
 
@@ -388,8 +389,8 @@ def geodesic_from_chain_by_section(space: SpaceHandle, chain) -> tuple[Geodesic,
 def geometry_suite_by_public_api(space: SpaceHandle, samples: int, seed: int) -> dict:
     """The geometry-suite metrics from a per-sample loop over the public API only.
 
-    Same draws, in the same order, as the harness runner; every distance and
-    geodesic goes through the validating public functions.
+    Same draws, in the same order, as the harness runner, made one at a time;
+    every distance and geodesic goes through the validating public functions.
     """
     rng = substream(seed, "geometry")
     min_defect = math.inf
@@ -398,7 +399,7 @@ def geometry_suite_by_public_api(space: SpaceHandle, samples: int, seed: int) ->
     worst_symmetry = 0.0
     worst_speed = 0.0
     for _ in range(samples):
-        x, y, z = sample_points(space, rng, 3)
+        x, y, z = sample_points_by_point(space, rng, 3)
         dxy = distance(space, x, y)
         worst_symmetry = max(worst_symmetry, abs(dxy - distance(space, y, x)))
         worst_triangle = max(
@@ -752,3 +753,18 @@ def sample_region_by_family(space: SpaceHandle, region, n: int, rng):
             pts = np.stack([c.coords[0] + r * np.cos(th), c.coords[1] + r * np.sin(th)], axis=1)
             return charts, pts
     raise _unsupported(space, region)
+
+
+def one_sided_by_every_step(f, g: Geodesic, s: float, sign: float) -> float:
+    """The refined one-sided quotient of f along g at parameter s as first
+    computed: one quotient at each of the eleven `DEFAULT_STEPS`, scaled by
+    the room left, then extrapolated from the last two; nan without room."""
+    room = (1.0 - s) if sign > 0 else s
+    if room <= 1e-15:
+        return math.nan
+    scale = min(1.0, room / DEFAULT_STEPS[0])
+    hs = [h * scale for h in DEFAULT_STEPS]
+    f0 = f(g.eval(s))
+    quots = [(f(g.eval(s + sign * h)) - f0) / (sign * h) for h in hs]
+    h1, h2 = hs[-2], hs[-1]
+    return (h1 * quots[-1] - h2 * quots[-2]) / (h1 - h2)

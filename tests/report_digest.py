@@ -9,6 +9,10 @@ CSV renderings joined in seed and scenario order, then one over every
 workload's renderings joined in workload, seed and scenario order. Two
 checkouts that print the same last digest produce byte-equal reports on every
 workload scenario; a workload's own line tells which workload moved.
+
+The line before the last is a digest over `EXTRA` reports at each seed, kept
+out of the combined digest: experiments in no workload that reach the draws,
+difference quotients and polar factorization the workloads also run.
 """
 
 from __future__ import annotations
@@ -21,7 +25,24 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from workloads import WORKLOADS  # noqa: E402
 
-from cat0ot.harness import render_report, run_scenario  # noqa: E402
+from cat0ot.harness import Scenario, render_report, run_scenario  # noqa: E402
+
+E2 = {"kind": "euclidean", "dim": 2}
+BOOK3 = {"kind": "open_book", "pages": 3}
+TRIPOD = {"kind": "tripod"}
+COMB14 = {"kind": "comb", "depth": 1, "grid": 4}
+# (space, experiment, params) of the reports outside the workloads
+EXTRA = (
+    [(space, "fermat", {}) for space in (E2, BOOK3, TRIPOD, COMB14)]
+    + [(COMB14, "twist", {}), (COMB14, "polar", {})]
+    + [(space, "polar", {"n": 9}) for space in (E2, TRIPOD, BOOK3)]
+    + [(BOOK3, "geometry-suite", {"samples": k}) for k in (1, 2, 3, 7, 50)]
+)
+
+
+def _rendered(scenario: Scenario) -> bytes:
+    rep = run_scenario(scenario)
+    return (render_report(rep) + render_report(rep, "csv")).encode()
 
 
 def report_digests(seeds) -> tuple[dict[str, str], str, int]:
@@ -34,8 +55,7 @@ def report_digests(seeds) -> tuple[dict[str, str], str, int]:
         own = hashlib.sha256()
         for seed in seeds:
             for scenario in WORKLOADS[name].scenarios(seed):
-                rep = run_scenario(scenario)
-                text = (render_report(rep) + render_report(rep, "csv")).encode()
+                text = _rendered(scenario)
                 digest.update(text)
                 own.update(text)
                 count += 1
@@ -43,9 +63,20 @@ def report_digests(seeds) -> tuple[dict[str, str], str, int]:
     return per_workload, digest.hexdigest(), count
 
 
+def extra_digest(seeds) -> tuple[str, int]:
+    """(hex digest, number of reports) over the `EXTRA` reports at the seeds."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        for space, experiment, params in EXTRA:
+            digest.update(_rendered(Scenario(space, experiment, params, seed)))
+    return digest.hexdigest(), len(seeds) * len(EXTRA)
+
+
 if __name__ == "__main__":
     seeds = [int(s) for s in sys.argv[1:]] or [101, 102, 103]
     per_workload, hexdigest, count = report_digests(seeds)
     for name, own in per_workload.items():
         print(f"{own}  {name}")
+    extra, extra_count = extra_digest(seeds)
+    print(f"{extra}  extra: {extra_count} reports outside the workloads")
     print(f"{hexdigest}  {count} reports, seeds {' '.join(map(str, seeds))}")

@@ -27,8 +27,12 @@ from cat0ot import (
     twist_test,
     zeta_positivity,
 )
+from cat0ot.calculus import _twist_gaps
+from cat0ot.geometry import normalize, parameter_on
 from cat0ot.harness import sample_points
 from cat0ot.rng import substream
+
+from _oracles import one_sided_by_every_step
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +186,54 @@ def test_twist_evaluates_each_step_point_once(name, request, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Geodesic, "eval", counting_eval)
             rep = twist_test(space, x, y1, y2, dirs)
-        # every direction starts at x: the base point and the 11 forward steps
-        assert len(calls) == 12 * len(dirs)
+        # every direction starts at x: the base point and the two forward
+        # steps the quotient reads
+        assert len(calls) == 3 * len(dirs)
         assert rep.max_gap.hex() == want.hex()
         assert rep.distinguishing_geodesic is (witness if rep.twist_holds else None)
+
+
+QUOTIENT_SPACES = ["e2", "e3", "tripod", "comb14", "lopsided_tree", "book2", "book3"]
+
+
+@pytest.mark.parametrize("name", QUOTIENT_SPACES)
+def test_two_step_quotients_equal_the_quotient_over_every_step(name, request):
+    # each step's quotient is computed on its own, so leaving out the nine
+    # that the extrapolation never reads changes no bit; t = 0.97 and
+    # 1 - 2^-10 leave less room than the first step, which scales them all
+    space = request.getfixturevalue(name)
+    rng = substream(33, f"two steps:{name}")
+    for _ in range(12):
+        y, z, w = sample_points(space, rng, 3)
+        if distance(space, y, z) <= 1e-3:
+            continue
+        g = geodesic(space, y, z)
+
+        def f(p, w=w):
+            return cost(space, p, w)
+
+        for t in (0.0, float(rng.random()), 0.97, 1.0 - 2.0**-10, 1.0):
+            x = g.eval(t)
+            s = parameter_on(space, g, x)
+            est = geodesic_derivative(space, f, x, g)
+            assert est.one_sided_plus.hex() == one_sided_by_every_step(f, g, s, 1.0).hex()
+            assert est.one_sided_minus.hex() == one_sided_by_every_step(f, g, s, -1.0).hex()
+
+
+@pytest.mark.parametrize("name", QUOTIENT_SPACES)
+def test_twist_gaps_equal_the_quotients_over_every_step(name, request):
+    space = request.getfixturevalue(name)
+    rng = substream(34, f"two steps twist:{name}")
+    probes = [tuple(sample_points(space, rng, 3)) for _ in range(6)]
+    for gap, (x, y1, y2) in zip(_twist_gaps(space, probes, 8, 5), probes):
+        want = 0.0
+        for g in direction_set(space, x, [y1, y2], 8, 5):
+            if g.length == 0:
+                continue
+            s = parameter_on(space, g, normalize(space, x))
+            d1, d2 = (one_sided_by_every_step(lambda p, y=y: cost(space, p, y), g, s, 1.0) for y in (y1, y2))
+            want = max(want, abs(d1 - d2))
+        assert gap.hex() == want.hex()
 
 
 def test_twist_checks_direction_origins(e2):

@@ -86,6 +86,29 @@ def test_inverse_map_tripod_legs(tripod):
         assert distance(tripod, T_star.assignment[j], mu.points[i]) <= 1e-12
 
 
+# (forward targets, backward targets) between two sample_points sets, computed
+# before inverse_map stopped refining the potentials it does not read
+INVERSE_TARGETS = {
+    ("e2", 0, 6): ((0, 1, 4, 5, 3, 2), (0, 1, 5, 4, 2, 3)),
+    ("e2", 1, 9): ((4, 3, 7, 0, 1, 2, 8, 6, 5), (3, 4, 5, 1, 0, 8, 7, 2, 6)),
+    ("tripod", 0, 6): ((1, 5, 4, 3, 0, 2), (4, 0, 5, 3, 2, 1)),
+    ("tripod", 1, 9): ((8, 0, 7, 1, 4, 6, 5, 3, 2), (1, 3, 8, 7, 4, 6, 5, 2, 0)),
+    ("book3", 0, 6): ((4, 2, 3, 0, 5, 1), (3, 5, 1, 2, 0, 4)),
+    ("book3", 1, 9): ((6, 8, 0, 2, 7, 3, 4, 5, 1), (2, 8, 3, 5, 6, 7, 0, 4, 1)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(INVERSE_TARGETS))
+def test_inverse_map_targets_are_pinned(key, request):
+    name, seed, n = key
+    space = request.getfixturevalue(name)
+    rng = substream(seed, f"inverse pin:{name}")
+    mu = measure(space, sample_points(space, rng, n))
+    nu = measure(space, sample_points(space, rng, n))
+    T, T_star = inverse_map(space, mu, nu)
+    assert (T.targets, T_star.targets) == INVERSE_TARGETS[key]
+
+
 STAR_LATTICE = [(leg, offset) for leg in range(4) for offset in (0.25, 0.5, 0.75)]
 
 

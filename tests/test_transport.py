@@ -434,6 +434,22 @@ def lsa_inputs(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 31, 32, 33, 64])
+def test_shape_checks_give_the_verdicts_of_their_first_form(n):
+    # _uniform was np.allclose at atol 1e-12; _tied gathered its rows through
+    # linspace, which picks every row in order when there are few enough
+    share = 1.0 / n
+    for off in (0.0, 5e-13, 1e-12, -1e-12, 1.5e-12, math.nan, math.inf, -2.0 * share):
+        w = [share + off] + [share] * (n - 1)
+        assert transport._uniform(w) == bool(np.allclose(w, share, rtol=0.0, atol=1e-12))
+    rng = substream(n, "shape checks")
+    for C in (rng.random((n, 5)), np.floor(4.0 * rng.random((n, 9))), np.zeros((n, 1))):
+        rows = C[np.linspace(0, n - 1, min(transport._TIE_ROWS, n)).astype(np.intp)]
+        steps = np.diff(np.sort(rows, axis=1), axis=1)
+        first = bool(steps.size) and bool((steps == 0).mean() > transport._TIE_SHARE)
+        assert transport._tied(C) == first
+
+
 @pytest.mark.parametrize("side", [17, 25, 33])
 def test_tied_grid_costs_take_the_auction_warm_start(e2, side, lsa_inputs):
     mu, nu, _, _ = translation_instance(e2, side)
