@@ -24,15 +24,15 @@ sections past a geodesic's end that `extend` assembles),
 sampler `sample(n, rng) -> (charts, coords)`), `impl.distances_from`,
 `impl.distances_between`, `impl.geodesic_points` and
 `impl.direction_targets`; trees add `impl.vertex_point` and
-`impl.project_subtree`. One distance formula per family: each
-`impl.distances_from` entry is `impl.distance` bit for bit, and chart lengths
-go through `section_length`. The two pair methods take rows of normal points
-P_i and Q_i as (charts, coords) arrays, and answer bit for bit as the scalar
-calls do: row i of `impl.distances_between(charts_p, coords_p, charts_q,
-coords_q)` is `impl.distance(P_i, Q_i)`, and `impl.geodesic_points(charts_p,
-coords_p, charts_q, coords_q, t)` gives, for parameters t [n, k] in [0, 1],
-(lengths [n], charts [n, k], coords [n, k, d]): the length of
-`impl.geodesic(P_i, Q_i)` and its points `eval(t[i, j])`.
+`impl.project_subtree`. One array distance per family, chart lengths through
+`section_length`: `impl.distances_from(p, charts, coords)` is the pair kernel
+`impl.distances_between` on p repeated. The two pair methods take rows of
+normal points P_i and Q_i as (charts, coords) arrays, and answer bit for bit
+as the scalar calls do: row i of `impl.distances_between(charts_p, coords_p,
+charts_q, coords_q)` is `impl.distance(P_i, Q_i)`, and
+`impl.geodesic_points(charts_p, coords_p, charts_q, coords_q, t)` gives, for
+parameters t [n, k] in [0, 1], (lengths [n], charts [n, k], coords [n, k, d]):
+the length of `impl.geodesic(P_i, Q_i)` and its points `eval(t[i, j])`.
 """
 
 from __future__ import annotations

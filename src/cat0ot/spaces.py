@@ -92,6 +92,13 @@ def _path_length(hi, lo, u, w):
     return (hi[u] - hi[w]) + (lo[u] - lo[w])
 
 
+def _distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """`distances_between` from p to each row, p repeated as zero-copy views;
+    every family binds it by name as its `distances_from`."""
+    n, at = len(charts), np.asarray(p.coords, dtype=float)
+    return self.distances_between(np.broadcast_to(p.chart, n), np.broadcast_to(at, (n, len(at))), charts, coords)
+
+
 def _chain_points(start: tuple, end: tuple, sections: tuple, t: np.ndarray, normal_rows) -> tuple:
     """`geodesic_from_chain`, then `Geodesic.eval`, on rows.
 
@@ -205,13 +212,11 @@ class EuclideanImpl:
             return volume, 2.0 * region.radius, sample
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on euclidean")
 
-    def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
-        cols = [coords[:, k] - c for k, c in enumerate(p.coords)]  # section_length's fold
-        return np.sqrt(functools.reduce(add, [d * d for d in cols]))
+    distances_from = _distances_from
 
     def distances_between(self, charts_p, coords_p, charts_q, coords_q):
         with np.errstate(over="ignore"):  # past the float range, inf as the scalar gives it
-            cols = [coords_q[:, k] - coords_p[:, k] for k in range(self.dim)]
+            cols = [coords_q[:, k] - coords_p[:, k] for k in range(self.dim)]  # section_length's fold
             return np.sqrt(functools.reduce(add, [d * d for d in cols]))
 
     def geodesic_points(self, charts_p, coords_p, charts_q, coords_q, t):
@@ -298,7 +303,7 @@ class TreeImpl:
         for u in reversed(order[1:]):
             p = self.parent[u]
             self._tout[p] = max(self._tout[p], self._tout[u])
-        # preorder-indexed forms for the vectorized cost rows
+        # preorder-indexed tables for the pair kernels
         self._pre_tout = np.array([self._tout[u] for u in order], dtype=np.int64)
         self._pre_droot = np.array([hi[u] for u in order])
         self._pre_droot_lo = np.array([lo[u] for u in order])
@@ -306,8 +311,6 @@ class TreeImpl:
             [[self._tin[ia], self._tin[ib]] for ia, ib in zip(ea, eb)], dtype=np.int64
         )
         self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
-        # preorder-indexed parents, parent edges and normal vertex points, and
-        # each edge's lower end by preorder position, for the pair kernels
         pre = np.asarray(order, dtype=np.int64)
         up = np.asarray(self.parent, dtype=np.int64)[pre]
         self._pre_parent = np.where(up < 0, 0, np.asarray(self._tin, dtype=np.int64)[up])
@@ -365,20 +368,6 @@ class TreeImpl:
             u = self.parent[u]
         return u
 
-    def _vertex_rows(self, u: int, targets: np.ndarray) -> np.ndarray:
-        """Path lengths from vertex index u to vertices given by preorder position."""
-        t = self._tin[u]
-        chain = np.flatnonzero(self._pre_tout[: t + 1] > t)  # u's ancestors, root first
-        # along the chain tin rises and tout falls, so the ancestors of a target
-        # are the shorter of the two prefixes that pass each test
-        k = np.minimum(
-            np.searchsorted(chain, targets, side="right"),
-            np.searchsorted(-self._pre_tout[chain], -targets),
-        )
-        w = chain[k - 1]
-        hi, lo = self._pre_droot, self._pre_droot_lo
-        return _path_length(hi, lo, t, w) + _path_length(hi, lo, targets, w)
-
     def _route(self, p: Point, q: Point) -> tuple:
         """(length, u, cu, v, cv, w) of the shortest p -> u ~> v -> q, where u ends
         p's edge, v ends q's edge, cu, cv are their offsets on those edges, and
@@ -413,20 +402,30 @@ class TreeImpl:
             rows = rows[(ur > vr) | (vr >= tout[ur])]
         return u
 
+    def _end_routes(self, e, s, f, t) -> tuple:
+        """The four routes p -> u ~> v -> q on rows, from offsets s on edges e to
+        offsets t on edges f, over the end pairs (u, v) in `_route`'s order:
+        (lengths, lcas), two lists of four rows, the LCAs w as preorder positions."""
+        ends, lens = self._ends, self._lens
+        pl, ql = self._pre_lower[e], self._pre_lower[f]
+        top = self._lcas(pl, ql)
+        at_p, at_q = top == pl, top == ql
+        hi, lo = self._pre_droot, self._pre_droot_lo
+        p_ends = ((ends[e, 0], s), (ends[e, 1], lens[e] - s))
+        q_ends = ((ends[f, 0], t), (ends[f, 1], lens[f] - t))
+        tots, ws = [], []
+        for u, off_u in p_ends:
+            for v, off_v in q_ends:
+                w = np.where(at_p, u, np.where(at_q, v, top))
+                tots.append(off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v)
+                ws.append(w)
+        return tots, ws
+
     def _pair_routes(self, e, s, f, t) -> tuple:
         """`_route` on rows, from offsets s on edges e to offsets t on edges f:
         (length, u, cu, v, cv, w), with u, v and w as preorder positions."""
-        ends, lens = self._ends, self._lens
-        lp, lq = lens[e], lens[f]
-        pl, ql = self._pre_lower[e], self._pre_lower[f]
-        top = self._lcas(pl, ql)
-        hi, lo = self._pre_droot, self._pre_droot_lo
-        tots, ws = [], []
-        for u, off_u in ((ends[e, 0], s), (ends[e, 1], lp - s)):
-            for v, off_v in ((ends[f, 0], t), (ends[f, 1], lq - t)):
-                w = np.where(top == pl, u, np.where(top == ql, v, top))
-                tots.append(off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v)
-                ws.append(w)
+        tots, ws = self._end_routes(e, s, f, t)
+        ends, lp, lq = self._ends, self._lens[e], self._lens[f]
         rows, tots = np.arange(len(e)), np.stack(tots, axis=1)
         best = tots.argmin(axis=1)  # the first shortest, as _route keeps it
         at_a, at_c = best < 2, best % 2 == 0
@@ -469,7 +468,10 @@ class TreeImpl:
 
     def distances_between(self, charts_p, coords_p, charts_q, coords_q):
         s, t = coords_p[:, 0], coords_q[:, 0]
-        return np.where(charts_p == charts_q, np.abs(s - t), self._pair_routes(charts_p, s, charts_q, t)[0])
+        tots, _ws = self._end_routes(charts_p, s, charts_q, t)
+        return np.where(charts_p == charts_q, np.abs(s - t), functools.reduce(np.minimum, tots))
+
+    distances_from = _distances_from
 
     def geodesic_points(self, charts_p, coords_p, charts_q, coords_q, t):
         s, tq = coords_p[:, 0], coords_q[:, 0]
@@ -617,19 +619,6 @@ class TreeImpl:
 
         return functools.reduce(add, [self.edges[e][2] for e in edges], 0.0), diameter, sample
 
-    def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
-        a, b, ln = self.edges[p.chart]
-        sp = p.coords[0]
-        # distance from p to each target edge's two endpoints, leaving p via a or b
-        ends = self._ends[charts]  # preorder positions
-        da = self._vertex_rows(self._vidx[a], ends)
-        db = self._vertex_rows(self._vidx[b], ends)
-        dp = np.minimum(sp + da, (ln - sp) + db)
-        s = coords[:, 0]
-        # the far end's term grouped as _route groups it, so rows equal distance()
-        base = np.minimum(dp[:, 0] + s, dp[:, 1] + (self._lens[charts] - s))
-        return np.where(charts == p.chart, np.abs(s - sp), base)
-
     def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
         v = self._vertex_of(x)
         if v is None:
@@ -751,9 +740,7 @@ class BookImpl:
             return math.pi * region.radius**2, 2.0 * region.radius, sample
         raise UnsupportedRegion(f"{type(region).__name__} unsupported on open books")
 
-    def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray):
-        du = np.where(charts == p.chart, coords[:, 0] - p.coords[0], coords[:, 0] + p.coords[0])
-        return np.hypot(du, coords[:, 1] - p.coords[1])
+    distances_from = _distances_from
 
     def distances_between(self, charts_p, coords_p, charts_q, coords_q):
         (pu, pv), (qu, qv) = coords_p.T, coords_q.T

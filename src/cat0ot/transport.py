@@ -41,6 +41,7 @@ MAX_SUPPORT = 10_000
 DUAL_REFINE_CAP = 200_000
 _SHORTLIST = 16  # nearest targets per row in the exchange graph's first pass
 _PRICE_CELLS = 1 << 18  # cost cells priced per row chunk
+_COST_PAIRS = 1 << 14  # (source, target) pairs per distances_between call
 _TIE_ROWS = 32  # cost rows sampled by the tie rule
 _TIE_SHARE = 0.25  # share of zero steps above which the costs count as tied
 
@@ -154,17 +155,25 @@ def map_from_points(
 def _cost_rows(
     space: SpaceHandle, sources: Sequence[Point], targets: Sequence[Point]
 ) -> np.ndarray:
-    """C[i, j] = d(x_i, y_j)^2 / 2, one distances_from row per source point. Every
-    cost in this module is built here, so its float-range guard lives here too."""
-    C = np.empty((len(sources), len(targets)))
-    if not targets:  # no coordinate rows to broadcast against
+    """C[i, j] = d(x_i, y_j)^2 / 2, one `distances_between` call per block of whole
+    source rows, _COST_PAIRS pairs or one row. Every cost in this module is
+    built here, so its float-range guard lives here too."""
+    n, m = len(sources), len(targets)
+    C = np.empty((n, m))
+    if not (n and m):  # no coordinate rows to broadcast against
         return C
-    charts = np.asarray([p.chart for p in targets], dtype=np.int64)
-    coords = np.asarray([p.coords for p in targets], dtype=float)
+    step = min(n, max(1, _COST_PAIRS // m))
+    xc, xs = np.asarray([p.chart for p in sources]), np.asarray([p.coords for p in sources], dtype=float)
+    # the targets repeated for a whole block; a shorter block reads a prefix
+    yc = np.tile([p.chart for p in targets], step)
+    ys = np.tile(np.asarray([p.coords for p in targets], dtype=float), (step, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
-        for i, x in enumerate(sources):
-            d = space.impl.distances_from(x, charts, coords)
-            C[i] = 0.5 * d * d
+        for i in range(0, n, step):
+            k = min(step, n - i)
+            d = space.impl.distances_between(
+                np.repeat(xc[i : i + k], m), np.repeat(xs[i : i + k], m, axis=0), yc[: k * m], ys[: k * m]
+            )
+            C[i : i + k] = (0.5 * d * d).reshape(k, m)
     if not np.isfinite(C.max(initial=0.0)):  # C >= 0, and max passes a nan on
         raise ParamOutOfRange("a squared distance between the point sets exceeds the float range")
     return C

@@ -19,6 +19,7 @@ from cat0ot import (
     direction_set,
     geometry,
     harness,
+    polar_factorize,
     spaces,
     transport,
     twist_test,
@@ -40,6 +41,7 @@ from cat0ot.harness import (
 from cat0ot.rng import substream
 from cat0ot.spaces import space_from_json
 
+import report_digest
 from _oracles import geometry_suite_by_public_api, sample_points_by_point
 
 E2 = {"kind": "euclidean", "dim": 2}
@@ -806,6 +808,37 @@ PINNED_REPORTS = {
         "b10525cc6a236cd7462351c29e6d102b8493159e537d28e17b837e8595a8a691",
     ),
 }
+
+
+# the combined and the extra digest that `tests/report_digest.py 101` prints,
+# over every benchmark workload report and the reports outside the workloads
+REPORT_DIGESTS_101 = (
+    "12e83724ff92713700f7e41fcaa3d563cf61abf8516cc158a07572fdc85391c2",
+    "cba5787a55e723c210dd7415447e61cb15a9d842f2520ac694d9d1ce69603000",
+)
+
+
+def test_report_digests_are_pinned_at_seed_101():
+    _per_workload, combined, count = report_digest.report_digests([101])
+    extra, _extra_count = report_digest.extra_digest([101])
+    assert count == 64
+    assert (combined, extra) == REPORT_DIGESTS_101
+
+
+@pytest.mark.parametrize("space", [E2, BOOK3, TRIPOD, COMB14], ids=["e2", "book3", "tripod", "comb14"])
+def test_the_polar_experiment_factors_maps_that_move_atoms(space, monkeypatch):
+    factored = []
+
+    def recorded(space, mu, s):
+        factored.append((mu, polar_factorize(space, mu, s)))
+        return factored[-1][1]
+
+    monkeypatch.setattr(harness, "polar_factorize", recorded)
+    assert run_scenario(Scenario(space, "polar", {}, 101)).passed
+    assert len(factored) == 20
+    # the optimal map onto s#mu moves every atom of mu, in every trial
+    for mu, fact in factored:
+        assert all(t != x for t, x in zip(fact.T.points, mu.points))
 
 
 def _report_hash(name):

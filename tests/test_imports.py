@@ -174,9 +174,8 @@ def test_the_check_sees_a_builtin_sum():
 
 
 # A tree path length is a difference of root distances, summed by one helper,
-# spaces._path_length, that TreeImpl._route, its row form _vertex_rows and its
-# pair form _pair_routes share; every other module asks the tree for
-# distances instead of reading its tables.
+# spaces._path_length, that TreeImpl._route and its pair form _end_routes share;
+# every other module asks the tree for distances instead of reading its tables.
 
 
 def root_distance_reads(source: str) -> list[str]:

@@ -625,10 +625,10 @@ def test_zero_mass_entries_are_not_support(e1, line_instance):
 def test_cyclic_check_guards(e1, line_instance, monkeypatch):
     mu, nu = line_instance
     plan, _, _ = solve_kantorovich(e1, mu, nu)
-    rows = []
+    blocks = []
     impl = type(e1.impl)
-    real = impl.distances_from
-    monkeypatch.setattr(impl, "distances_from", lambda *args: rows.append(args) or real(*args))
+    real = impl.distances_between
+    monkeypatch.setattr(impl, "distances_between", lambda *args: blocks.append(args) or real(*args))
     with pytest.raises(ParamOutOfRange):
         check_cyclic_monotonicity(e1, plan, max_len=1)
     with pytest.raises(ParamOutOfRange):
@@ -637,11 +637,12 @@ def test_cyclic_check_guards(e1, line_instance, monkeypatch):
     big_plan = TransportPlan(big, big, tuple((i, i, 1 / 40) for i in range(40)))
     with pytest.raises(TooManyTuples):
         check_cyclic_monotonicity(e1, big_plan, max_len=6)
-    # every argument is checked before a cost row is built
-    assert rows == []
+    # every argument is checked before a cost is built
+    assert blocks == []
     sampled = check_cyclic_monotonicity(e1, big_plan, max_len=6, mode="sampled", n_samples=500)
     assert sampled["violations"] == 0
-    assert len(rows) == 40
+    # the sampled audit builds the costs of all 40 x 40 support pairs
+    assert sum(len(args[1]) for args in blocks) == 40 * 40
 
 
 # ---------------------------------------------------------------------------
@@ -1090,6 +1091,54 @@ def test_support_cap(e1):
     pts = [Point(0, (float(i),)) for i in range(10_001)]
     with pytest.raises(SupportTooLarge):
         solve_kantorovich(e1, DiscreteMeasure(tuple(pts), (1.0 / 10_001,) * 10_001), measure(e1, pts[:1]))
+
+
+# ---------------------------------------------------------------------------
+# cost matrices, built in blocks of whole source rows
+
+COST_SPACES = ["e2", "book3", "tripod", "comb14", "comb316", "deep_tree", "lopsided_tree", "long_tree"]
+
+
+def _cost_points(space, rng, n):
+    """n distinct normal points: samples, and on a tree its vertices first."""
+    pts = sample_points(space, rng, n)
+    if space.kind == "tree":
+        verts = [space.impl.vertex_point(v) for v in space.params.vertices]
+        pts = list(dict.fromkeys(verts[: n // 4] + pts))[:n]
+    return pts
+
+
+@pytest.mark.parametrize("name", COST_SPACES)
+def test_cost_blocks_equal_the_scalar_distance_cell_by_cell(name, request, monkeypatch):
+    space = request.getfixturevalue(name)
+    rng = substream(31, f"cost-blocks:{name}")
+    m = 256
+    n = 2 * (transport._COST_PAIRS // m) + 1  # two whole blocks and one row
+    xs, ys = _cost_points(space, rng, n), _cost_points(space, rng, m)
+    want = np.array([[0.5 * d * d for d in (space.impl.distance(x, y) for y in ys)] for x in xs])
+    # (rows, columns, pairs per block): one cell, one row, one column and three
+    # blocks at the default size; blocks of two rows of 17 with a short last
+    # one, and blocks of one row when a row is longer than a block
+    cases = [(1, 1, None), (1, m, None), (n, 1, None), (n, m, None), (23, 17, 40), (5, m, 40)]
+    for rows, cols, pairs in cases:
+        if pairs is not None:
+            monkeypatch.setattr(transport, "_COST_PAIRS", pairs)
+        C = pairwise_costs(space, measure(space, xs[:rows]), measure(space, ys[:cols]))
+        assert C.tobytes() == want[:rows, :cols].tobytes(), (rows, cols, pairs)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("family", ["e2", "book3"])
+def test_an_overflow_in_a_later_cost_block_is_out_of_range(family, request, monkeypatch):
+    space = request.getfixturevalue(family)
+    rng = substream(37, f"late-overflow:{family}")
+    xs, ys = sample_points(space, rng, 30), sample_points(space, rng, 10)
+    far = Point(1, (1e200, 0.0)) if space.kind == "open_book" else Point(0, (1e200, 0.0))
+    monkeypatch.setattr(transport, "_COST_PAIRS", 20)  # two rows per block
+    assert np.isfinite(pairwise_costs(space, measure(space, xs), measure(space, ys))).all()
+    # the far source's row is the last of sixteen blocks
+    with pytest.raises(ParamOutOfRange, match="float range"):
+        pairwise_costs(space, measure(space, xs + [far]), measure(space, ys))
 
 
 # ---------------------------------------------------------------------------
