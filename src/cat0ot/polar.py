@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
+import numpy as np
+
 from .errors import MapUndefined, NotDeterministicError
 from .geometry import Point, SpaceHandle, normalize
 from .transport import (
+    _COST_PAIRS,
+    _PRICE_CELLS,
     DiscreteMeasure,
     NotDeterministic,
     TransportMap,
     TransportPlan,
+    _assignment,
+    _assignment_duals,
     extract_monge_map,
+    map_from_points,
     measure,
     solve_kantorovich,
 )
@@ -56,6 +64,8 @@ def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) ->
     optimal map mu -> s#mu and u = T* o s. The residual is the largest
     distance between T(u(x)) and s(x) over the support.
     """
+    if s.source != mu:
+        raise MapUndefined("s must be a map on mu")
     if len(s.points) != len(mu.points):
         raise MapUndefined("s must be defined on every atom of mu")
     images = [normalize(space, p) for p in s.points]
@@ -89,6 +99,8 @@ def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) ->
 
 def verify_measure_preserving(mu: DiscreteMeasure, u: TransportMap) -> bool:
     """True iff u permutes the support with matching atom weights (tol 1e-12)."""
+    if u.source != mu:
+        raise MapUndefined("u must be a map on mu")
     if len(u.points) != len(mu.points):
         raise MapUndefined("u must be defined on every atom of mu")
     support = {(p.chart, p.coords): i for i, p in enumerate(mu.points)}
@@ -101,3 +113,111 @@ def verify_measure_preserving(mu: DiscreteMeasure, u: TransportMap) -> bool:
             return False
         hit.add(k)
     return len(hit) == len(mu.points)
+
+
+def _row_points(charts: np.ndarray, coords: np.ndarray) -> list[Point]:
+    """Points from rows of charts and coords, as `harness.sample_points` makes them."""
+    return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
+
+
+def _factor_row(
+    space: SpaceHandle, charts: np.ndarray, coords: np.ndarray
+) -> tuple[Factorization, bool]:
+    """One trial through the public calls: mu uniform on the first half of
+    the points and s sending its atoms to the second half in order, then
+    `polar_factorize` and `verify_measure_preserving` of its u."""
+    points = _row_points(charts, coords)
+    n = len(points) // 2
+    mu = measure(space, points[:n])
+    fact = polar_factorize(space, mu, map_from_points(space, mu, points[n:]))
+    return fact, verify_measure_preserving(mu, fact.u)
+
+
+def _certified(space: SpaceHandle, charts: np.ndarray, coords: np.ndarray) -> dict[int, np.ndarray]:
+    """T's targets for each trial of a group that the batch factors.
+
+    A trial's distances from each atom to each image, and between any two of
+    its atoms or two of its images, come from `distances_between`,
+    _COST_PAIRS pairs per call; the first give the costs bit for bit as
+    `pairwise_costs` does. A trial is left out when two atoms or
+    two images lie within 1e-9 (`measure` rejects the one, T* splits over the
+    other), when a distance is not finite, and when its costs are `_tied`: the
+    public solve certifies those on a shortlist ranked by an auction's prices.
+    Each other trial's permutation is `_assignment`'s, as in
+    `solve_kantorovich`, and one `_assignment_duals` call on the group's
+    block-diagonal costs, +inf off the blocks, certifies them all; if it does
+    not settle, the group keeps none.
+    """
+    g, m = charts.shape
+    n = m // 2
+    # each trial's atom-image pairs, then its atom pairs and its image pairs,
+    # each pair (later, earlier) as `polar_factorize` compares images
+    later, earlier = np.tril_indices(n, -1)
+    mine = np.concatenate([np.repeat(np.arange(n), n), later, n + later])
+    other = np.concatenate([np.tile(np.arange(n, m), n), earlier, n + earlier])
+    left, right = ((np.arange(0, g * m, m)[:, None] + v).ravel() for v in (mine, other))
+    flat_c, flat_x = charts.reshape(-1), coords.reshape(g * m, -1)
+    d = np.empty(len(left))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
+        for i in range(0, len(left), _COST_PAIRS):
+            p, q = left[i : i + _COST_PAIRS], right[i : i + _COST_PAIRS]
+            d[i : i + _COST_PAIRS] = space.impl.distances_between(flat_c[p], flat_x[p], flat_c[q], flat_x[q])
+        d = d.reshape(g, len(mine))
+        C = (0.5 * d[:, : n * n] * d[:, : n * n]).reshape(g, n, n)
+    apart = (d[:, n * n :] > 1e-9).all(axis=1)
+    perms = {}
+    for t in np.flatnonzero(apart & np.isfinite(C).all(axis=(1, 2))).tolist():
+        perm, prices = _assignment(C[t])
+        if prices is None:
+            perms[t] = perm
+    if perms:
+        keep = list(perms)
+        at = np.arange(len(keep))[:, None] * n + np.arange(n)
+        B = np.full((len(keep) * n, len(keep) * n), np.inf)
+        B[at[:, :, None], at[:, None, :]] = C[keep]
+        if _assignment_duals(B, (np.stack(list(perms.values())) + at[:, :1]).ravel()) is None:
+            return {}
+    return perms
+
+
+def _factor_trials(
+    space: SpaceHandle, charts: np.ndarray, coords: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Polar factorizations of many trials in one batched pass.
+
+    Row t of (charts, coords) holds trial t's 2n normal points, as `_factor_row`
+    reads them. Returns each trial's T targets and u targets (u's points are
+    mu's atoms at them), its residual, and whether u preserves mu, all as
+    `_factor_row` gives them, bit for bit. Trials go in groups whose
+    block-diagonal costs hold at most _PRICE_CELLS cells, and `_certified`
+    gives their permutations. Then u = T^-1 o s is the inverse permutation,
+    the residual is the largest distance from T(u(x)) to s(x), one
+    `distances_between` call for every trial, and u preserves the uniform mu
+    when it hits every atom once. A trial `_certified` leaves out, or one
+    whose costs alone exceed _PRICE_CELLS cells, goes through `_factor_row`,
+    in trial order, so the first trial that raises raises here.
+    """
+    trials, n = charts.shape[0], charts.shape[1] // 2
+    t_targets = np.empty((trials, n), dtype=np.intp)
+    u_targets = np.empty((trials, n), dtype=np.intp)
+    residual = np.empty(trials)
+    preserved = np.empty(trials, dtype=bool)
+    batched = np.zeros(trials, dtype=bool)
+    per = math.isqrt(_PRICE_CELLS) // n  # trials per certificate call
+    for a in range(0, trials, per) if per else ():
+        for t, perm in _certified(space, charts[a : a + per], coords[a : a + per]).items():
+            t_targets[a + t], batched[a + t] = perm, True
+    rows = np.flatnonzero(batched)
+    u_targets[rows[:, None], t_targets[rows]] = np.arange(n)
+    # T(u(x_i)) and s(x_i) as rows of the flattened points; images follow the n atoms
+    base = rows[:, None] * 2 * n + n
+    tu = (base + np.take_along_axis(t_targets[rows], u_targets[rows], axis=1)).ravel()
+    s_at = (base + np.arange(n)).ravel()
+    flat_c, flat_x = charts.reshape(-1), coords.reshape(trials * 2 * n, -1)
+    d = space.impl.distances_between(flat_c[tu], flat_x[tu], flat_c[s_at], flat_x[s_at])
+    residual[rows] = d.reshape(len(rows), n).max(axis=1, initial=0.0)
+    preserved[rows] = (np.sort(u_targets[rows], axis=1) == np.arange(n)).all(axis=1)
+    for t in np.flatnonzero(~batched).tolist():
+        fact, preserved[t] = _factor_row(space, charts[t], coords[t])
+        t_targets[t], u_targets[t], residual[t] = fact.T.targets, fact.u.targets, fact.residual
+    return t_targets, u_targets, residual, preserved

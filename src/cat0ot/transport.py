@@ -221,6 +221,13 @@ def _assignment_duals(
     are feasible and tight on perm. A pass settles within n rounds exactly
     when the graph has no negative cycle; one still moving after n + 5 rounds
     is the verdict that perm is not optimal, and then None is returned.
+
+    A cost of +inf is a forbidden arc: it never relaxes a price, never joins
+    the shortlist in a pricing pass, and perm must not use it. So on a
+    block-diagonal C, +inf off the blocks and perm within them, no arc joins
+    two blocks: each block's prices are those of a call on that block alone,
+    bit for bit, and None is returned exactly when some block's matching is
+    not optimal.
     """
     n = len(perm)
     rows = np.arange(n)

@@ -20,7 +20,8 @@ The region questions are kept as the three separate methods per family
 (volume, diameter, sample) that first answered them, each running its own
 admissibility check. The point sampler is kept as it first drew, point by
 point, and the one-sided difference quotient as it first ran, from f at
-every one of the eleven `DEFAULT_STEPS`.
+every one of the eleven `DEFAULT_STEPS`. The polar experiment is kept as
+its first loop: one `polar_factorize` call per trial.
 """
 
 from __future__ import annotations
@@ -49,8 +50,12 @@ from cat0ot import (
     distance,
     geodesic,
     geodesic_from_chain,
+    map_from_points,
+    measure,
     normalize,
     pairwise_costs,
+    polar_factorize,
+    verify_measure_preserving,
 )
 from cat0ot.rng import substream
 
@@ -420,6 +425,39 @@ def geometry_suite_by_public_api(space: SpaceHandle, samples: int, seed: int) ->
         "max_symmetry_error": worst_symmetry,
         "max_speed_deviation": worst_speed,
     }
+
+
+def polar_draws_by_point(space: SpaceHandle, trials: int, n: int, seed: int):
+    """Each trial's atoms of mu, then their images under s, drawn point by
+    point in turn from the polar experiment's stream."""
+    rng = substream(seed, "polar")
+    for _ in range(trials):
+        yield sample_points_by_point(space, rng, n), sample_points_by_point(space, rng, n)
+
+
+def polar_in_turn(space: SpaceHandle, trial_points) -> tuple[dict, bool, list]:
+    """The polar experiment as first written: one trial at a time, mu
+    uniform on the trial's atoms and s sending them to its images in order,
+    factored through the public `polar_factorize`.
+
+    Returns the report's metrics and verdict, and each trial's (mu,
+    Factorization, measure-preserving verdict).
+    """
+    worst, preserved, out = 0.0, 0, []
+    for atoms, images in trial_points:
+        mu = measure(space, atoms)
+        s = map_from_points(space, mu, images)
+        fact = polar_factorize(space, mu, s)
+        worst = max(worst, fact.residual)
+        kept = verify_measure_preserving(mu, fact.u)
+        preserved += kept
+        out.append((mu, fact, kept))
+    metrics = {
+        "trials": float(len(out)),
+        "residual_max": worst,
+        "frac_measure_preserving": preserved / len(out),
+    }
+    return metrics, worst <= 1e-9 and preserved == len(out), out
 
 
 def eval_by_scan(g: Geodesic, t: float) -> Point:

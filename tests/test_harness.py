@@ -7,6 +7,7 @@ import math
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cat0ot import (
@@ -19,7 +20,7 @@ from cat0ot import (
     direction_set,
     geometry,
     harness,
-    polar_factorize,
+    polar,
     spaces,
     transport,
     twist_test,
@@ -42,7 +43,7 @@ from cat0ot.rng import substream
 from cat0ot.spaces import space_from_json
 
 import report_digest
-from _oracles import geometry_suite_by_public_api, sample_points_by_point
+from _oracles import geometry_suite_by_public_api, polar_draws_by_point, polar_in_turn, sample_points_by_point
 
 E2 = {"kind": "euclidean", "dim": 2}
 
@@ -825,20 +826,54 @@ def test_report_digests_are_pinned_at_seed_101():
     assert (combined, extra) == REPORT_DIGESTS_101
 
 
+def _recorded_polar_batches(monkeypatch) -> list:
+    """Patches the polar experiment's batch to record (charts, coords, result) per call."""
+    calls = []
+
+    def recorded(space, charts, coords):
+        calls.append((charts, coords, polar._factor_trials(space, charts, coords)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(harness, "_factor_trials", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("space", [E2, BOOK3, TRIPOD, COMB14], ids=["e2", "book3", "tripod", "comb14"])
 def test_the_polar_experiment_factors_maps_that_move_atoms(space, monkeypatch):
-    factored = []
-
-    def recorded(space, mu, s):
-        factored.append((mu, polar_factorize(space, mu, s)))
-        return factored[-1][1]
-
-    monkeypatch.setattr(harness, "polar_factorize", recorded)
+    calls = _recorded_polar_batches(monkeypatch)
     assert run_scenario(Scenario(space, "polar", {}, 101)).passed
-    assert len(factored) == 20
+    ((charts, coords, (t_targets, _u, _residual, _kept)),) = calls
+    assert t_targets.shape == (20, 6)
     # the optimal map onto s#mu moves every atom of mu, in every trial
-    for mu, fact in factored:
-        assert all(t != x for t, x in zip(fact.T.points, mu.points))
+    at = 6 + t_targets
+    moved = charts[:, :6] != np.take_along_axis(charts, at, axis=1)
+    moved |= (coords[:, :6] != np.take_along_axis(coords, at[..., None], axis=1)).any(axis=2)
+    assert moved.all()
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+@pytest.mark.parametrize("n", [1, 4, 6, 9, 17])
+@pytest.mark.parametrize("space", [E2, TRIPOD, BOOK3, COMB14], ids=["e2", "tripod", "book3", "comb14"])
+def test_the_polar_batch_equals_the_loop_of_public_calls(space, n, seed, monkeypatch):
+    calls = _recorded_polar_batches(monkeypatch)
+    public = []
+    monkeypatch.setattr(polar, "_factor_row", lambda *args: public.append(args))
+    sc = Scenario(space, "polar", {"n": n}, seed)
+    rep = run_scenario(sc)
+    assert public == []  # the batch factors every sampled trial itself
+    handle = space_from_json(space)
+    metrics, passed, trials = polar_in_turn(handle, polar_draws_by_point(handle, 20, n, seed))
+    ((charts, coords, (t_targets, u_targets, residual, kept)),) = calls
+    for t, (mu, fact, preserved) in enumerate(trials):
+        assert tuple(t_targets[t].tolist()) == fact.T.targets
+        assert tuple(u_targets[t].tolist()) == fact.u.targets
+        assert tuple(mu.points[k] for k in fact.u.targets) == fact.u.points
+        assert float(residual[t]).hex() == fact.residual.hex()
+        assert bool(kept[t]) == preserved
+    # the batch's points are the trials' atoms and images
+    assert [Point(c, tuple(x)) for c, x in zip(charts[0, :n].tolist(), coords[0, :n].tolist())] == list(trials[0][0].points)
+    want = Report(sc, {k: {"value": v, "sigma": None} for k, v in metrics.items()}, passed, 0)
+    assert rep.passed and render_report(rep) + render_report(rep, "csv") == render_report(want) + render_report(want, "csv")
 
 
 def _report_hash(name):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from cat0ot import (
+    Cat0otError,
+    InvalidPoint,
     MapUndefined,
     NotDeterministicError,
     Point,
@@ -16,8 +20,12 @@ from cat0ot import (
     polar_factorize,
     verify_measure_preserving,
 )
+from cat0ot import polar, transport
 from cat0ot.harness import sample_points
 from cat0ot.rng import substream
+from cat0ot.transport import _mass, _tied, _uniform, pairwise_costs
+
+from _oracles import polar_in_turn
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +184,16 @@ def test_polar_requires_full_cover(e1, line_mu):
         polar_factorize(e1, line_mu, TransportMap(line_mu, (Point(0, (2.0,)),), (0,)))
 
 
+def test_maps_on_another_measure_are_undefined_on_mu(e1, line_mu):
+    # same size as mu, so a length check alone let these through: s factored
+    # with residual 0.0 and u counted as measure-preserving
+    other = measure(e1, [Point(0, (10.0,)), Point(0, (11.0,))], weights=[0.25, 0.75])
+    with pytest.raises(MapUndefined):
+        polar_factorize(e1, line_mu, map_from_points(e1, other, [Point(0, (3.0,)), Point(0, (2.0,))]))
+    with pytest.raises(MapUndefined):
+        verify_measure_preserving(line_mu, map_from_points(e1, other, list(reversed(line_mu.points))))
+
+
 @pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
 def test_polar_random_instances(kind, request):
     space = request.getfixturevalue(kind)
@@ -212,3 +230,125 @@ def test_polar_stable_under_input_reordering(e2):
 
     assert graph(mu, fact.T) == graph(mu2, fact2.T)
     assert graph(mu, fact.u) == graph(mu2, fact2.u)
+
+
+# ---------------------------------------------------------------------------
+# the polar experiment's batch against the loop of public calls
+
+
+def _sampled_rows(space, trials, n, seed):
+    """charts [trials, 2n] and coords [trials, 2n, d]: each trial's n atoms, then n images."""
+    rng = substream(seed, "polar routes")
+    rows = [sample_points(space, rng, 2 * n) for _ in range(trials)]
+    charts = np.array([[p.chart for p in row] for row in rows])
+    return charts, np.array([[p.coords for p in row] for row in rows], dtype=float)
+
+
+def _row(charts, coords):
+    return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Cat0otError as exc:
+        return type(exc), str(exc)
+
+
+def _batch_against_loop(space, charts, coords):
+    """The batch's and the loop's per-trial T targets, u targets and points,
+    residual bits and verdicts, or the error that each raises, must agree."""
+    n = charts.shape[1] // 2
+    rows = [_row(charts[t], coords[t]) for t in range(len(charts))]
+
+    def loop():
+        _metrics, _passed, trials = polar_in_turn(space, ((row[:n], row[n:]) for row in rows))
+        return [(f.T.targets, f.u.targets, f.u.points, f.residual.hex(), kept) for _mu, f, kept in trials]
+
+    def batch():
+        t_targets, u_targets, residual, kept = polar._factor_trials(space, charts, coords)
+        return [
+            (tuple(t_targets[t].tolist()), tuple(u_targets[t].tolist()),
+             tuple(rows[t][k] for k in u_targets[t].tolist()), float(residual[t]).hex(), bool(kept[t]))
+            for t in range(len(rows))
+        ]
+
+    want = _outcome(loop)
+    assert _outcome(batch) == want
+    return want
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
+def test_a_trial_with_a_duplicate_atom_raises_as_the_loop_does(kind, request):
+    space = request.getfixturevalue(kind)
+    charts, coords = _sampled_rows(space, 5, 4, 0)
+    charts[2, 1], coords[2, 1] = charts[2, 0], coords[2, 0]
+    assert sorted(polar._certified(space, charts, coords)) == [0, 1, 3, 4]
+    assert _batch_against_loop(space, charts, coords)[0] is InvalidPoint
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
+def test_a_trial_with_images_within_1e_9_raises_as_the_loop_does(kind, request):
+    space = request.getfixturevalue(kind)
+    charts, coords = _sampled_rows(space, 5, 4, 1)
+    charts[3, 5], coords[3, 5] = charts[3, 4], coords[3, 4]
+    coords[3, 5, -1] += 5e-10  # merged into one atom of s#mu, which T* must split
+    assert sorted(polar._certified(space, charts, coords)) == [0, 1, 2, 4]
+    assert _batch_against_loop(space, charts, coords)[0] is NotDeterministicError
+
+
+def test_a_trial_with_tied_costs_goes_through_the_public_calls(e2):
+    charts, coords = _sampled_rows(e2, 3, 9, 2)
+    grid = np.array([(x, y) for x in (-0.5, 0.0, 0.5) for y in (-0.5, 0.0, 0.5)])
+    coords[1] = np.concatenate([grid, grid + (0.25, 0.0)])
+    atoms, images = _row(charts[1], coords[1])[:9], _row(charts[1], coords[1])[9:]
+    assert _tied(pairwise_costs(e2, measure(e2, atoms), measure(e2, images)))
+    assert sorted(polar._certified(e2, charts, coords)) == [0, 2]
+    trials = _batch_against_loop(e2, charts, coords)
+    assert len(trials) == 3 and all(kept for *_rest, kept in trials)
+
+
+def test_a_certificate_that_does_not_settle_sends_its_group_to_the_public_calls(tripod, monkeypatch):
+    charts, coords = _sampled_rows(tripod, 4, 6, 3)
+    for module in (polar, transport):
+        monkeypatch.setattr(module, "_assignment_duals", lambda C, perm, prices=None: None)
+    assert polar._certified(tripod, charts, coords) == {}
+    assert len(_batch_against_loop(tripod, charts, coords)) == 4
+
+
+def test_certificates_are_grouped_within_the_price_cells(e2, monkeypatch):
+    shapes = []
+
+    def spy(C, perm, prices=None):
+        shapes.append(C.shape)
+        return transport._assignment_duals(C, perm, prices)
+
+    monkeypatch.setattr(polar, "_assignment_duals", spy)
+    charts, coords = _sampled_rows(e2, 120, 6, 4)
+    assert (720 * 720) > transport._PRICE_CELLS
+    assert len(_batch_against_loop(e2, charts, coords)) == 120
+    # 512 // 6 = 85 trials of 6 atoms per call, then the other 35
+    assert shapes == [(510, 510), (210, 210)]
+    assert all(rows * cols <= transport._PRICE_CELLS for rows, cols in shapes)
+
+
+def test_trials_too_large_for_one_certificate_go_through_the_public_calls(book3, monkeypatch):
+    public = []
+    real = polar._factor_row
+    monkeypatch.setattr(polar, "_factor_row", lambda *args: public.append(args) or real(*args))
+    monkeypatch.setattr(polar, "_PRICE_CELLS", 35)  # below one trial's 6 x 6 costs
+    charts, coords = _sampled_rows(book3, 3, 6, 5)
+    assert len(_batch_against_loop(book3, charts, coords)) == 3
+    assert len(public) == 3
+
+
+def test_distinct_images_give_the_public_solve_uniform_weights():
+    # the batch reads each trial as the assignment that solve_kantorovich
+    # takes on uniform weights; for every n it batches (n * n <= _PRICE_CELLS),
+    # polar_factorize's s#mu of n distinct images has weights that `measure`
+    # accepts and `_uniform` counts as uniform
+    for n in range(1, math.isqrt(transport._PRICE_CELLS) + 1):
+        w = [1.0 / n] * n
+        total = _mass(w)
+        nu = [x / total for x in w]
+        assert abs(_mass(nu) - 1.0) <= 1e-12 and abs(_mass(w) - _mass(nu)) <= 2e-12 and _uniform(nu)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,38 @@ def test_the_first_shortlist_misses_arcs_the_duals_need(e2):
     alpha = assignment_duals_by_dense_relaxation(C, perm)
     assert not np.array_equal(first, alpha)
     assert transport._assignment_duals(C, perm).tobytes() == alpha.tobytes()
+
+
+def test_block_diagonal_duals_certify_each_block_as_a_call_on_it_alone(tripod):
+    # +inf off the blocks forbids every arc between them; blocks of up to and
+    # past the 16-target shortlist, on tree costs and on uniform draws
+    rng = substream(0, "block-diagonal duals")
+    blocks = [pairwise_costs(tripod, *_uniform_pair(tripod, n, "block-diagonal")) for n in (1, 2, 6, 17)]
+    blocks += [rng.random((n, n)) for n in (3, 40)]
+    perms = []
+    for C in blocks:
+        rows, cols = scipy.optimize.linear_sum_assignment(C)
+        perms.append(cols[np.argsort(rows)])
+    starts = np.cumsum([0] + [len(C) for C in blocks])
+    B = np.full((starts[-1], starts[-1]), np.inf)
+    for C, a in zip(blocks, starts):
+        B[a : a + len(C), a : a + len(C)] = C
+    perm = np.concatenate([p + a for p, a in zip(perms, starts)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = transport._assignment_duals(B, perm)
+        for C, p, a in zip(blocks, perms, starts):
+            assert alpha[a : a + len(C)].tobytes() == transport._assignment_duals(C, p).tobytes()
+        # two entries of the 6-atom block's matching swapped: that block, and
+        # with it the whole matrix, is not optimal
+        C, p, a = blocks[2], perms[2], starts[2]
+        d = C[np.arange(6), p]
+        k = int(np.argmax(C[0, p] + C[:, p[0]] - d[0] - d))
+        swapped = p.copy()
+        swapped[[0, k]] = p[[k, 0]]
+        assert transport._assignment_duals(C, swapped) is None
+        perm[a : a + 6] = swapped + a
+        assert transport._assignment_duals(B, perm) is None
 
 
 def _first_shortlist(C: np.ndarray, perm: np.ndarray, rank: np.ndarray) -> np.ndarray:
