@@ -3,18 +3,25 @@
 Minimizes sum C[i, j] x[i, j] over nonnegative x with prescribed row sums a
 and column sums b (sum a = sum b). Exact at desk scale. The basis is a
 spanning tree of the bipartite node graph (rows 0..n-1, columns n..n+m-1),
-stored once as slot-indexed arrays: slot k holds the arc (bi[k], bj[k]) with
-mass x[k], and adj[u] maps each tree neighbour of node u to the slot of the
+stored once as slot-indexed arrays: slot k holds the arc at row-major cell
+basic[k] = i * m + j with mass x[k], and adj[u] maps each tree neighbour of node u to the slot of the
 arc between them. Node prices and parent and depth arrays are rooted at
 row 0. The entering arc's cycle is the two parent walks from its endpoints
 up to where they meet, and its slots are read off that node path. The
 leaving arc cuts one subtree off its walk, and the entering arc takes its
 slot. Only the cut subtree moves, so only it is re-hung from the entering
 arc and re-priced, by the recurrence that priced the initial tree; the
-prices are the bits a full traversal would give. Pricing is most-negative
-with a deterministic first-index tie break, a tie for the leaving arc goes
-to the smallest (i, j), and a Bland fallback engages after a streak of
-degenerate pivots so cycling cannot occur.
+prices are the bits a full traversal would give. The prices live in one
+array of doubles that numpy reads in place.
+
+Pricing keeps a candidate list (Bonneel et al., SIGGRAPH Asia 2011; Kovács,
+Optim. Methods Softw. 2015): a full pricing of the n x m reduced costs keeps
+its n + m most negative cells, and the pivots after it re-price only those,
+entering the most negative with a first-index tie break. The matrix is priced
+in full again when no candidate prices negative, and optimality is declared
+only by a full pricing. A tie for the leaving arc goes to the smallest (i, j),
+and a Bland fallback, which prices in full at every pivot, engages after a
+streak of degenerate pivots so cycling cannot occur.
 
 The start is the least-cost (matrix-minimum) basis, which on random costs
 begins near the optimum. `transport.solve_kantorovich` calls the solver on
@@ -24,9 +31,14 @@ is degenerate, only when the matching's exchange graph has a negative cycle.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from array import array
+from collections.abc import Iterable, MutableSequence
 
 import numpy as np
+
+# Bland's rule engages after a streak of more than BLAND_STREAK * (n + m)
+# degenerate pivots
+BLAND_STREAK = 2
 
 
 def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
@@ -66,7 +78,7 @@ def _hang(
     n: int,
     adj: list[Iterable[int]],
     C: list[list[float]],
-    price: list[float],
+    price: MutableSequence[float],
     parent: list[int],
     depth: list[int],
     q: int,
@@ -116,12 +128,31 @@ def _cycle_path(
     return up + down[-2::-1], len(up) - 1
 
 
+def _shortlist(reduced: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices, ascending, of the k most negative cells of the flat
+    reduced-cost array; a tie at the k-th value goes to the smallest indices,
+    so the list does not depend on the order argpartition leaves ties in."""
+    kth = reduced[np.argpartition(reduced, k - 1)[k - 1]]
+    cells = np.flatnonzero(reduced <= kth)
+    if len(cells) > k:
+        ties = np.flatnonzero(reduced[cells] == kth)
+        cells = np.delete(cells, ties[k - (len(cells) - len(ties)) :])
+    return cells
+
+
 def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Optimal flows and dual prices for the dense transportation problem.
 
     Returns (flow dict (i, j) -> mass including degenerate basic arcs,
     alpha, beta) with alpha[i] + beta[j] <= C[i, j] everywhere and equality
     on basic arcs.
+
+    Each full pricing of the n x m reduced costs keeps its n + m most
+    negative cells (`_shortlist`); the pivots after it re-price only those
+    and enter the most negative, the first in row-major order on a tie. When
+    none prices below -enter_eps the whole matrix is priced again, and only
+    a full pricing that finds no entering cell ends the solve. Under Bland's
+    rule every pivot prices in full and enters the first negative cell.
     """
     C = np.asarray(C, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -140,50 +171,65 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         return flow, alpha, beta
 
     flow = least_cost(C, a, b)
-    # slot k holds the basic arc (bi[k], bj[k]) with mass x[k]; adj[u] maps
-    # each tree neighbour of node u to the slot of the arc between them
-    bi = np.array([i for i, _j in flow])
-    bj = np.array([j for _i, j in flow])
+    # slot k holds the basic arc at row-major cell basic[k] with mass x[k];
+    # adj[u] maps each tree neighbour of node u to the slot of the arc
+    # between them
+    basic = np.array([i * m + j for i, j in flow])
     x = list(flow.values())
     adj: list[dict[int, int]] = [{} for _ in range(n + m)]
     for k, (i, j) in enumerate(flow):
         adj[i][n + j] = adj[n + j][i] = k
     Cl = C.tolist()
-    price = [0.0] * (n + m)
+    # _hang writes the prices as doubles; numpy reads the same memory
+    price = array("d", bytes(8 * (n + m)))
     parent = [-1] * (n + m)
     depth = [0] * (n + m)
     _hang(n, adj, Cl, price, parent, depth, 0, -1)
+    prices = np.frombuffer(price)
+    alpha, beta = prices[:n], prices[n:]
     enter_eps = 1e-12 * max(1.0, float(np.abs(C).max()))
     bland = False
     degenerate_streak = 0
     max_iters = 100 * (n + m) ** 2 + 10_000
     reduced = np.empty_like(C)
+    flat_reduced = reduced.reshape(-1)
+    # the candidate cells, with their rows, columns and costs once there are
+    # any; empty until the first full pricing and under Bland
+    cells = np.empty(0, dtype=np.intp)
 
     for _ in range(max_iters):
-        alpha, beta = np.array(price[:n]), np.array(price[n:])
-        np.subtract(C, alpha[:, None], out=reduced)
-        np.subtract(reduced, beta[None, :], out=reduced)
-        reduced[bi, bj] = 0.0
-        if bland:
-            entering = reduced < -enter_eps
-            flat = int(np.argmax(entering))  # the first True, row-major
-            if not entering.flat[flat]:
-                break
-            ei, ej = divmod(flat, m)
-        else:
-            flat = int(np.argmin(reduced))
-            ei, ej = divmod(flat, m)
-            if reduced[ei, ej] >= -enter_eps:
-                break
+        flat = -1
+        if len(cells):
+            priced = costs - alpha[rows] - beta[cols]
+            t = int(np.argmin(priced))
+            if priced[t] < -enter_eps:
+                flat = int(cells[t])
+        if flat < 0:
+            np.subtract(C, alpha[:, None], out=reduced)
+            np.subtract(reduced, beta[None, :], out=reduced)
+            flat_reduced[basic] = 0.0
+            if bland:
+                entering = flat_reduced < -enter_eps
+                flat = int(np.argmax(entering))  # the first True, row-major
+                if not entering[flat]:
+                    break
+            else:
+                flat = int(np.argmin(flat_reduced))
+                if flat_reduced[flat] >= -enter_eps:
+                    break
+                cells = _shortlist(flat_reduced, n + m)
+                rows, cols = np.divmod(cells, m)
+                costs = C.reshape(-1)[cells]
+        ei, ej = divmod(flat, m)
         path, meet = _cycle_path(parent, depth, ei, n + ej)
         # the arcs at even path positions lose theta, those at odd ones gain it
         slots = [adj[u][w] for u, w in zip(path, path[1:])]
         lose = slots[::2]
         theta = min(x[k] for k in lose)
-        # a tie leaves by the smallest (i, j) arc; arcs are distinct, so the
-        # path position only rides along
-        _arc, cut = min(
-            ((bi[k], bj[k]), p)
+        # a tie leaves by the smallest (i, j) arc, the smallest row-major
+        # cell; cells are distinct, so the path position only rides along
+        _cell, cut = min(
+            (basic[k], p)
             for p, k in zip(range(0, len(slots), 2), lose)
             if x[k] <= theta + 1e-15
         )
@@ -194,7 +240,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
         k, u, w = slots[cut], path[cut], path[cut + 1]
         del adj[u][w], adj[w][u]
         adj[ei][n + ej] = adj[n + ej][ei] = k
-        bi[k], bj[k], x[k] = ei, ej, theta
+        basic[k], x[k] = flat, theta
         # the leaving arc cut off the subtree below it on its own walk; only
         # that subtree's prices, parents and depths change
         if cut < meet:
@@ -203,12 +249,14 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             _hang(n, adj, Cl, price, parent, depth, n + ej, ei)
         if theta <= 1e-15:
             degenerate_streak += 1
-            if degenerate_streak > 2 * (n + m):
+            if degenerate_streak > BLAND_STREAK * (n + m):
                 bland = True
+                cells = cells[:0]
         else:
             degenerate_streak = 0
     else:
         raise RuntimeError("transportation simplex failed to terminate")
 
-    # the loop leaves right after pricing the final basis
-    return dict(zip(zip(bi.tolist(), bj.tolist()), x)), alpha, beta
+    # the loop leaves right after a full pricing of the final basis
+    arcs = [divmod(cell, m) for cell in basic.tolist()]
+    return dict(zip(arcs, x)), alpha.copy(), beta.copy()

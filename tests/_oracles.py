@@ -8,7 +8,8 @@ through a closed-form count, the cycle audit one tuple at a time, the
 assignment prices by relaxing the dense n-by-n exchange graph every round,
 and the interior potential by closing the raw, unreduced exchange graph.
 The cost-blind northwest-corner staircase is kept as a start to force on
-the transportation simplex.
+the transportation simplex, and the simplex itself as it first priced:
+the whole reduced-cost matrix at every pivot.
 Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
@@ -57,6 +58,7 @@ from cat0ot import (
     polar_factorize,
     verify_measure_preserving,
 )
+from cat0ot import _simplex
 from cat0ot.rng import substream
 
 
@@ -212,7 +214,7 @@ def staircase_basis(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
     n + m - 1 arcs of a staircase, C unread. It takes `least_cost`'s
     arguments so that tests can force it on `_simplex.solve_transport`; on
     translation grids it is the optimal shift, and its degenerate pivots from
-    there turn on the Bland rule on the 13 and 17 grids."""
+    there turn on the Bland rule on the 21 grid."""
     n, m = len(a), len(b)
     ra = np.asarray(a, dtype=float).copy()
     rb = np.asarray(b, dtype=float).copy()
@@ -234,6 +236,81 @@ def staircase_basis(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
         else:
             j += 1
     return flow
+
+
+def solve_transport_by_full_pricing(C: np.ndarray, a, b):
+    """The transportation simplex as it priced before candidate lists: every
+    pivot rebuilds the whole n-by-m reduced-cost matrix and enters its most
+    negative cell (the first in row-major order on a tie), or the first
+    negative cell once Bland's rule is on. It shares the start, the tree
+    walks and the pricing recurrence with `_simplex.solve_transport`, read
+    from the module at call time, so a test that patches the start patches
+    both. Returns (flow, alpha, beta) as the solver does; n, m >= 2.
+    """
+    C = np.asarray(C, dtype=float)
+    n, m = C.shape
+    flow = _simplex.least_cost(C, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    bi = np.array([i for i, _j in flow])
+    bj = np.array([j for _i, j in flow])
+    x = list(flow.values())
+    adj: list[dict[int, int]] = [{} for _ in range(n + m)]
+    for k, (i, j) in enumerate(flow):
+        adj[i][n + j] = adj[n + j][i] = k
+    Cl = C.tolist()
+    price = [0.0] * (n + m)
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    _simplex._hang(n, adj, Cl, price, parent, depth, 0, -1)
+    enter_eps = 1e-12 * max(1.0, float(np.abs(C).max()))
+    bland = False
+    degenerate_streak = 0
+    reduced = np.empty_like(C)
+    for _ in range(100 * (n + m) ** 2 + 10_000):
+        alpha, beta = np.array(price[:n]), np.array(price[n:])
+        np.subtract(C, alpha[:, None], out=reduced)
+        np.subtract(reduced, beta[None, :], out=reduced)
+        reduced[bi, bj] = 0.0
+        if bland:
+            entering = reduced < -enter_eps
+            flat = int(np.argmax(entering))
+            if not entering.flat[flat]:
+                break
+            ei, ej = divmod(flat, m)
+        else:
+            flat = int(np.argmin(reduced))
+            ei, ej = divmod(flat, m)
+            if reduced[ei, ej] >= -enter_eps:
+                break
+        path, meet = _simplex._cycle_path(parent, depth, ei, n + ej)
+        slots = [adj[u][w] for u, w in zip(path, path[1:])]
+        lose = slots[::2]
+        theta = min(x[k] for k in lose)
+        _arc, cut = min(
+            ((bi[k], bj[k]), p)
+            for p, k in zip(range(0, len(slots), 2), lose)
+            if x[k] <= theta + 1e-15
+        )
+        for k in lose:
+            x[k] = max(0.0, x[k] - theta)
+        for k in slots[1::2]:
+            x[k] += theta
+        k, u, w = slots[cut], path[cut], path[cut + 1]
+        del adj[u][w], adj[w][u]
+        adj[ei][n + ej] = adj[n + ej][ei] = k
+        bi[k], bj[k], x[k] = ei, ej, theta
+        if cut < meet:
+            _simplex._hang(n, adj, Cl, price, parent, depth, ei, n + ej)
+        else:
+            _simplex._hang(n, adj, Cl, price, parent, depth, n + ej, ei)
+        if theta <= 1e-15:
+            degenerate_streak += 1
+            if degenerate_streak > 2 * (n + m):
+                bland = True
+        else:
+            degenerate_streak = 0
+    else:
+        raise RuntimeError("transportation simplex failed to terminate")
+    return dict(zip(zip(bi.tolist(), bj.tolist()), x)), alpha, beta
 
 
 def interior_duals_by_raw_closure(C: np.ndarray, support, psi):

@@ -741,19 +741,21 @@ PINNED_REPORTS = {
         (E2, "twist", {}, 17),
         "12cfbf39f073eab0007a5ad175db1d2cd5459c98110f9d1d5c0546543a94a088",
     ),
+    # the three solves were recorded again when the transportation simplex went
+    # to candidate-list pricing: the pivot path moved the flows' last bits
     "comb316-solve": (
         (SUITE_SPACES["comb316"], "solve", {"instance": "random", "n": 24, "m": 24}, 18),
-        "764ebd9129f898532551e4afeef226780cbd68179f9448c13182f84e2f792d8d",
+        "e5001d7c3157ff0834ca8e59216dd349ec2256927953cd8b3cda47edc16420c6",
     ),
     # computed before interior duals were refined from the solver's prices;
     # the raw exchange closure skipped refinement on both plans
     "e2-solve": (
         (E2, "solve", {"instance": "random", "n": 150, "m": 150}, 2),
-        "2fa54f4f0b757fb20c2089e11e33f69858a2239325a8c6aeb4adbd6a3e7bb9a4",
+        "37892c1ea565ce8ecee04f9eab4042ee2e849a1b38988f69125dd80ac4e78f1a",
     ),
     "book3-solve": (
         (BOOK3, "solve", {"instance": "random", "n": 95, "m": 105}, 2),
-        "3803e5ac9268f9c41b8709889f458782c3ce9fde4738153b8fe0f39cbd59ff0a",
+        "b45418ada2908fa66bbff377d6160c9b355fd532be6fdacb6f1a1f7957bf0286",
     ),
     # computed before geodesics stopped storing their breakpoints: the suite
     # whose geodesics cross the most tree edges
@@ -812,17 +814,26 @@ PINNED_REPORTS = {
 
 
 # the combined and the extra digest that `tests/report_digest.py 101` prints,
-# over every benchmark workload report and the reports outside the workloads
+# over every benchmark workload report and the reports outside the workloads,
+# and each workload's own digest, so that a failure names the workload that
+# moved
 REPORT_DIGESTS_101 = (
-    "12e83724ff92713700f7e41fcaa3d563cf61abf8516cc158a07572fdc85391c2",
+    "0883bf3f91893eea9f5daf7f559e1aff35ac4899dc70d7ca94d6b2c9c92a2ecc",
     "cba5787a55e723c210dd7415447e61cb15a9d842f2520ac694d9d1ce69603000",
 )
+WORKLOAD_DIGESTS_101 = {
+    "assign-grid": "ede903df50ad1b59fb8ac84df49024fc20713b358aaa7b0357ad4946a1d6d4ed",
+    "batch-sweep": "05d2c4e05205b19347a46c1ec1c2fb78d0c42b4107e60b4027757b3915a8d73a",
+    "geometry-tree": "b32690bc5ab5fe6c8a954f3a9e079c197d606a9bb3cddb37a457cb67b2a07c0e",
+    "simplex-random": "75aa456947c042a22dc640b4fa02a25965839db295898613af0d92ce9e23df91",
+}
 
 
 def test_report_digests_are_pinned_at_seed_101():
-    _per_workload, combined, count = report_digest.report_digests([101])
+    per_workload, combined, count = report_digest.report_digests([101])
     extra, _extra_count = report_digest.extra_digest([101])
     assert count == 64
+    assert per_workload == WORKLOAD_DIGESTS_101
     assert (combined, extra) == REPORT_DIGESTS_101
 
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from cat0ot import _simplex, brute_force_oracle, build_euclidean, measure, pairwise_costs
-from cat0ot.harness import sample_points, translation_instance
+from cat0ot.harness import run_scenario, sample_points, translation_instance
 from cat0ot.rng import substream
 
-from _oracles import staircase_basis
+import report_digest
+from _oracles import solve_transport_by_full_pricing, staircase_basis
 
 
 def _check_basis(flow, a, b):
@@ -97,16 +98,41 @@ def test_single_row_or_column_contract(n, m):
     _check_contract(*_single_line_instance(n, m))
 
 
-def test_translation_grid_engages_bland_and_stays_exact(monkeypatch):
-    # from the least-cost start no grid of side 2 to 19 engages the Bland rule;
+@pytest.fixture
+def count_pivots(monkeypatch):
+    """Solve and return the pivots: _hang prices the initial tree, then re-hangs once per pivot."""
+    calls = []
+    hang = _simplex._hang
+
+    def spy(*args):
+        calls.append(None)
+        return hang(*args)
+
+    def solve(C, a, b):
+        calls.clear()
+        _simplex.solve_transport(C, a, b)
+        return len(calls) - 1
+
+    monkeypatch.setattr(_simplex, "_hang", spy)
+    return solve
+
+
+def test_translation_grid_engages_bland_and_stays_exact(monkeypatch, count_pivots):
     # from the northwest-corner staircase, which is already the optimal shift,
-    # 13 x 13 is the smallest grid whose degenerate streak turns it on (a copy
-    # of solve_transport that recorded the switch fired at 13 and 14 of the
-    # sides 2 to 15)
+    # 21 x 21 is the smallest grid whose degenerate streak turns on the Bland
+    # rule (of the sides 2 to 25, a copy of solve_transport that recorded the
+    # switch saw it fire at 21, 23, 24 and 25); from the least-cost start no
+    # grid of side 2 to 25 engages it
     monkeypatch.setattr(_simplex, "least_cost", staircase_basis)
-    flow = _check_contract(*_grid_instance(13))
+    C, a, b = _grid_instance(21)
+    pivots = count_pivots(C, a, b)
+    flow = _check_contract(C, a, b)
     # target k is source k shifted by the lattice vector
-    assert {arc for arc, mass in flow.items() if mass > 0.0} == {(k, k) for k in range(169)}
+    assert {arc for arc, mass in flow.items() if mass > 0.0} == {(k, k) for k in range(441)}
+    # with the switch out of reach the pivots take another path, so the
+    # rule did engage
+    monkeypatch.setattr(_simplex, "BLAND_STREAK", 10**9)
+    assert count_pivots(C, a, b) != pivots
 
 
 def test_random_nonuniform_start_is_least_cost(monkeypatch):
@@ -178,27 +204,8 @@ def test_least_cost_basis_constant_costs(n, m):
     _check_basis(_simplex.least_cost(np.full((n, m), 2.0), a, b), a, b)
 
 
-# Pivots per solve from the least-cost start.
-PIVOTS = {"120x97": 261, "grid13": 1442}
-
-
-@pytest.fixture
-def count_pivots(monkeypatch):
-    """Solve and return the pivots: _hang prices the initial tree, then re-hangs once per pivot."""
-    calls = []
-    hang = _simplex._hang
-
-    def spy(*args):
-        calls.append(None)
-        return hang(*args)
-
-    def solve(C, a, b):
-        calls.clear()
-        _simplex.solve_transport(C, a, b)
-        return len(calls) - 1
-
-    monkeypatch.setattr(_simplex, "_hang", spy)
-    return solve
+# Pivots per solve from the least-cost start, under candidate-list pricing.
+PIVOTS = {"120x97": 289, "grid13": 1588}
 
 
 @pytest.mark.parametrize("instance", sorted(PIVOTS))
@@ -214,14 +221,15 @@ def _digest(flow, alpha, beta):
 
 
 # sha256 of the sorted flow items (masses as float.hex) plus the alpha and
-# beta bytes, recorded from the solver that kept the basis in flow and slot
-# dicts. They pin the leaving-arc tie rule and every price bit. The grids
-# start from the northwest-corner staircase, so that grid 13 runs under Bland.
+# beta bytes. They pin the leaving-arc tie rule, the candidate-list pricing
+# and every price bit. The grids start from the northwest-corner staircase,
+# so that grid 21 runs under Bland.
 DIGESTS = {
-    "120x97": "9f47f36467b36d7b93babef60b545fb37357e3b03a45849f6f4cff9f6fb63e96",
-    "97x120": "df463b23b51ab0281ba253df787f9dce12d86ef0ebf044fd1db9f9b03f002ca7",
-    "grid13": "8877058a8714abb061d3bb03584ce95795f7bca6dfbd22402168cf115461a5df",
+    "120x97": "832087a2c20f6bbcfa646359c762885a0c15104ad1b965d10c0c391a73ab6eef",
+    "97x120": "d065b27b2e511951a3b7a23ed6e2064f6b05145617f3bea69a2f8e2299ea220a",
+    "grid13": "71de700e91548cf2fff28cf76bf84dc68e6fb67d8acde727d2a63cee74dc85b2",
     "grid17": "9af7e12a4ffa5ce559d4b8ffd7c09a7b60e9513c187a702b2d2fa8b7a15095e5",
+    "grid21": "2b158b0b939c8e29c8ec8842eacebbad888f9a22342f10890904f9c4ffdc005e",
     "1x6": "23b1e04e1981692f9992e72d2dcab539b47bb2325e1fef02a278d4e43936fbae",
     "6x1": "e1396b3dec2e487104d7bc4323a8e4cc13b64c4c03a6163f2376929f7f4a652b",
 }
@@ -239,3 +247,57 @@ def test_solution_bits_are_pinned(name, monkeypatch):
     if name.startswith("grid"):
         monkeypatch.setattr(_simplex, "least_cost", staircase_basis)
     assert _digest(*_simplex.solve_transport(*_pinned_instance(name))) == DIGESTS[name]
+
+
+def _workload_instances(seed, monkeypatch):
+    """(C, a, b) of every simplex solve the simplex-random workload's scenarios make at seed."""
+    solve, out = _simplex.solve_transport, []
+
+    def recorded(C, a, b):
+        out.append((C, a, b))
+        return solve(C, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_simplex, "solve_transport", recorded)
+        for scenario in report_digest.WORKLOADS["simplex-random"].scenarios(seed):
+            run_scenario(scenario)
+    return out
+
+
+@pytest.mark.parametrize("seed", [101, 102, 103])
+def test_candidate_pricing_reaches_the_full_pricing_basis(seed, monkeypatch):
+    # random non-uniform weights leave one optimal basis, so the pricing rule
+    # moves only the pivot path: the basis and every price bit match the solver
+    # that priced the whole matrix at each pivot, and the flows differ only in
+    # their last bits
+    instances = _workload_instances(seed, monkeypatch)
+    assert len(instances) == 12  # the ten solve classes and two audits
+    if seed == 101:
+        sizes = [(2, 3), (7, 11), (23, 17), (40, 31), (120, 97), (97, 120)]
+        instances += [_contract_instance(n, m) for n, m in sizes]
+    lists = []
+    shortlist = _simplex._shortlist
+    monkeypatch.setattr(_simplex, "_shortlist", lambda *args: lists.append(None) or shortlist(*args))
+    refills = 0
+    for C, a, b in instances:
+        lists.clear()
+        flow, alpha, beta = _simplex.solve_transport(C, a, b)
+        want, want_alpha, want_beta = solve_transport_by_full_pricing(C, a, b)
+        assert set(flow) == set(want)
+        assert alpha.tobytes() == want_alpha.tobytes() and beta.tobytes() == want_beta.tobytes()
+        assert max(abs(flow[arc] - want[arc]) for arc in flow) <= 1e-15
+        cost = sum(C[arc] * mass for arc, mass in flow.items())
+        assert cost == pytest.approx(sum(C[arc] * mass for arc, mass in want.items()), rel=0, abs=1e-15)
+        refills += len(lists) > 1
+    # most solves run their list dry and price the whole matrix again
+    assert refills > len(instances) // 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 17, 40])
+def test_shortlist_breaks_ties_by_smallest_index(k):
+    # integer costs tie often; the list is the first k cells of a stable sort
+    rng = substream(k, "simplex-shortlist")
+    for _ in range(20):
+        reduced = rng.integers(-3, 2, 40).astype(float)
+        want = np.sort(np.argsort(reduced, kind="stable")[:k])
+        assert _simplex._shortlist(reduced, k).tolist() == want.tolist()
