@@ -30,6 +30,7 @@ from .geometry import (
     Geodesic,
     Point,
     SpaceHandle,
+    _row_points,
     distance,
     extend,
     normalize,
@@ -201,21 +202,11 @@ def direction_set(
     """
     xn = normalize(space, x)
     impl = space.impl
-    tgts = _direction_targets(space, xn, targets, count, seed)
-    return [impl.geodesic(xn, tgt) for tgt in tgts if impl.distance(xn, tgt) > 1e-12]
-
-
-def _direction_targets(
-    space: SpaceHandle, xn: Point, targets: Sequence[Point], count: int, seed: int
-) -> list[Point]:
-    """The normal targets of `direction_set` at the normal point xn, before
-    those at xn are dropped."""
-    impl = space.impl
-    # the space's own targets are valid by construction; the caller's are checked
-    tgts = [impl.normalize(tgt) for tgt in impl.direction_targets(xn, count, seed)]
+    # the space's own targets are normal by construction; the caller's are checked
+    tgts = _row_points(*impl.direction_rows(xn, count, seed))
     if space.kind != "tree":
         tgts += [normalize(space, tgt) for tgt in targets]
-    return tgts
+    return [impl.geodesic(xn, tgt) for tgt in tgts if impl.distance(xn, tgt) > 1e-12]
 
 
 def _check_origins(space: SpaceHandle, x: Point, directions: Sequence[Geodesic]) -> None:
@@ -277,15 +268,22 @@ def _twist_gaps(
     with the scalar path.
     """
     impl = space.impl
-    rows = []
-    for i, (x, y1, y2) in enumerate(probes):
-        xn, y1n, y2n = normalize(space, x), normalize(space, y1), normalize(space, y2)
-        rows += [(i, xn, tgt, y1n, y2n) for tgt in _direction_targets(space, xn, (y1, y2), count, seed)]
-    trial, *points = zip(*rows)
-    trial = np.array(trial, dtype=np.int64)
-    x, tgt, y1, y2 = (
-        (np.array([p.chart for p in pts], dtype=np.int64), np.array([p.coords for p in pts], dtype=float))
-        for pts in points
+    ends, targets = [], []
+    for probe in probes:
+        xn, y1n, y2n = (normalize(space, p) for p in probe)
+        charts, coords = impl.direction_rows(xn, count, seed)
+        if space.kind != "tree":  # direction_set's checked targets
+            charts = np.append(charts, [y1n.chart, y2n.chart])
+            coords = np.concatenate([coords, [y1n.coords, y2n.coords]])
+        ends.append((xn, y1n, y2n))
+        targets.append((charts, coords))
+    sizes = [len(charts) for charts, _coords in targets]
+    trial = np.repeat(np.arange(len(probes)), sizes)
+    tgt = tuple(np.concatenate(rows) for rows in zip(*targets))
+    # each probe's x, y1 and y2, repeated over its targets
+    x, y1, y2 = (
+        (np.repeat([p.chart for p in pts], sizes), np.repeat([p.coords for p in pts], sizes, axis=0))
+        for pts in zip(*ends)
     )
     between = impl.distances_between
     # direction_set drops the targets at x

@@ -23,7 +23,7 @@ sections past a geodesic's end that `extend` assembles),
 `impl.region` (every check on a region, then its volume, its diameter and a
 sampler `sample(n, rng) -> (charts, coords)`), `impl.distances_from`,
 `impl.distances_between`, `impl.geodesic_points` and
-`impl.direction_targets`; trees add `impl.vertex_point` and
+`impl.direction_rows`; trees add `impl.vertex_point` and
 `impl.project_subtree`. One array distance per family, chart lengths through
 `section_length`: `impl.distances_from(p, charts, coords)` is the pair kernel
 `impl.distances_between` on p repeated. The two pair methods take rows of
@@ -33,6 +33,11 @@ charts_q, coords_q)` is `impl.distance(P_i, Q_i)`, and
 `impl.geodesic_points(charts_p, coords_p, charts_q, coords_q, t)` gives, for
 parameters t [n, k] in [0, 1], (lengths [n], charts [n, k], coords [n, k, d]):
 the length of `impl.geodesic(P_i, Q_i)` and its points `eval(t[i, j])`.
+`impl.direction_rows(x, count, seed)` gives the targets that `direction_set`
+aims at from the normal point x, as rows (charts, coords) of normal points:
+unit steps from x on flat pieces, equiangular in the plane and on a book,
+drawn from `substream(seed, "directions")` in other dimensions, and on a
+tree the far end of each edge at x.
 """
 
 from __future__ import annotations
@@ -102,6 +107,11 @@ class Point:
 
 def point(chart: int, *coords: float) -> Point:
     return Point(int(chart), tuple(float(c) for c in coords))
+
+
+def _row_points(charts, coords) -> list[Point]:
+    """Points from numpy rows: chart i and the coordinates in row i of coords."""
+    return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
 
 
 class Piece(NamedTuple):

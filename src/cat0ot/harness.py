@@ -38,11 +38,12 @@ from .geometry import (
     Point,
     SpaceHandle,
     TreeRegion,
+    _row_points,
     cat0_defect,
     geodesic,
     section_length,
 )
-from .polar import _factor_row, _factor_trials, _row_points
+from .polar import _factor_row, _factor_trials
 from .rng import _paged_draws, substream
 from .spaces import space_from_json
 from .transport import (
@@ -98,8 +99,7 @@ def sample_points(space: SpaceHandle, rng: np.random.Generator, n: int) -> list[
     replays each page draw from the half word it reads
     (`rng._paged_draws`).
     """
-    charts, coords = _points_from_draws(space, _point_draws(space, rng, n))
-    return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
+    return _row_points(*_points_from_draws(space, _point_draws(space, rng, n)))
 
 
 def _draw_width(space: SpaceHandle) -> int:
@@ -262,7 +262,8 @@ def _run_solve(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
 
 def _run_monotonicity(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]:
     mu, nu = _instance(space, params, seed)
-    plan, _pot, total = solve_kantorovich(space, mu, nu)
+    # only the plan and its cost are read
+    plan, _pot, total = solve_kantorovich(space, mu, nu, refine_duals=False)
     max_len = _param(params, "max_len", 3)
     result = check_cyclic_monotonicity(space, plan, max_len=max_len)
     metrics = {
@@ -531,7 +532,7 @@ def _run_polar(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, bool]
     `sample_points` calls, made for every trial in one block.
     `polar._factor_trials` gives each trial's T, u and residual bit for bit
     as `polar_factorize` does, and factors through `polar_factorize` itself
-    the trials it cannot batch: duplicate atoms, images within 1e-9, tied or
+    the trials it cannot batch: duplicate atoms, images within 1e-9,
     non-finite costs, a certificate that does not settle. The first trial of
     greatest residual, the one a running max keeps, is factored again
     through `polar_factorize`, and the report fails if its T, u, residual or
@@ -613,7 +614,7 @@ def _run_geometry_suite(space: SpaceHandle, params: dict, seed: int) -> tuple[di
     defect, triangle, symmetry, speed = (np.concatenate(v) for v in zip(*chunks))
 
     def recheck(i: int) -> bool:
-        x, y, z = (Point(int(charts[j]), tuple(coords[j].tolist())) for j in range(3 * i, 3 * i + 3))
+        x, y, z = _row_points(charts[3 * i : 3 * i + 3], coords[3 * i : 3 * i + 3])
         return float(cat0_defect(space, x, y, z, float(draws[i, 2]))).hex() == float(defect[i]).hex()
 
     lowest, highest = int(defect.argmin()), int(defect.argmax())

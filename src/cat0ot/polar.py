@@ -10,9 +10,8 @@ from operator import add
 import numpy as np
 
 from .errors import MapUndefined, NotDeterministicError
-from .geometry import Point, SpaceHandle, normalize
+from .geometry import Point, SpaceHandle, _row_points, normalize
 from .transport import (
-    _COST_PAIRS,
     _PRICE_CELLS,
     DiscreteMeasure,
     NotDeterministic,
@@ -115,11 +114,6 @@ def verify_measure_preserving(mu: DiscreteMeasure, u: TransportMap) -> bool:
     return len(hit) == len(mu.points)
 
 
-def _row_points(charts: np.ndarray, coords: np.ndarray) -> list[Point]:
-    """Points from rows of charts and coords, as `harness.sample_points` makes them."""
-    return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
-
-
 def _factor_row(
     space: SpaceHandle, charts: np.ndarray, coords: np.ndarray
 ) -> tuple[Factorization, bool]:
@@ -136,17 +130,18 @@ def _factor_row(
 def _certified(space: SpaceHandle, charts: np.ndarray, coords: np.ndarray) -> dict[int, np.ndarray]:
     """T's targets for each trial of a group that the batch factors.
 
-    A trial's distances from each atom to each image, and between any two of
-    its atoms or two of its images, come from `distances_between`,
-    _COST_PAIRS pairs per call; the first give the costs bit for bit as
-    `pairwise_costs` does. A trial is left out when two atoms or
-    two images lie within 1e-9 (`measure` rejects the one, T* splits over the
-    other), when a distance is not finite, and when its costs are `_tied`: the
-    public solve certifies those on a shortlist ranked by an auction's prices.
-    Each other trial's permutation is `_assignment`'s, as in
+    Every trial's distances from each atom to each image, and between any two
+    of its atoms or two of its images, come from one `distances_between`
+    call, of fewer than 1,024 n pairs for a group that `_factor_trials`
+    makes; the first give the costs bit for bit as `pairwise_costs` does. A
+    trial is left out when two atoms or two images lie within 1e-9 (`measure`
+    rejects the one, T* splits over the other) and when a distance is not
+    finite. Each other trial's permutation is `_assignment`'s, as in
     `solve_kantorovich`, and one `_assignment_duals` call on the group's
     block-diagonal costs, +inf off the blocks, certifies them all; if it does
-    not settle, the group keeps none.
+    not settle, the group keeps none. The public solve ranks the shortlist of
+    a trial with `_tied` costs by an auction's prices, which changes neither
+    the permutation nor whether it is certified.
     """
     g, m = charts.shape
     n = m // 2
@@ -157,19 +152,12 @@ def _certified(space: SpaceHandle, charts: np.ndarray, coords: np.ndarray) -> di
     other = np.concatenate([np.tile(np.arange(n, m), n), earlier, n + earlier])
     left, right = ((np.arange(0, g * m, m)[:, None] + v).ravel() for v in (mine, other))
     flat_c, flat_x = charts.reshape(-1), coords.reshape(g * m, -1)
-    d = np.empty(len(left))
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
-        for i in range(0, len(left), _COST_PAIRS):
-            p, q = left[i : i + _COST_PAIRS], right[i : i + _COST_PAIRS]
-            d[i : i + _COST_PAIRS] = space.impl.distances_between(flat_c[p], flat_x[p], flat_c[q], flat_x[q])
-        d = d.reshape(g, len(mine))
+        d = space.impl.distances_between(flat_c[left], flat_x[left], flat_c[right], flat_x[right]).reshape(g, -1)
         C = (0.5 * d[:, : n * n] * d[:, : n * n]).reshape(g, n, n)
     apart = (d[:, n * n :] > 1e-9).all(axis=1)
-    perms = {}
-    for t in np.flatnonzero(apart & np.isfinite(C).all(axis=(1, 2))).tolist():
-        perm, prices = _assignment(C[t])
-        if prices is None:
-            perms[t] = perm
+    ok = np.flatnonzero(apart & np.isfinite(C).all(axis=(1, 2))).tolist()
+    perms = {t: _assignment(C[t])[0] for t in ok}
     if perms:
         keep = list(perms)
         at = np.arange(len(keep))[:, None] * n + np.arange(n)

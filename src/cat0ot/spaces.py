@@ -4,10 +4,10 @@ Each builder returns a SpaceHandle whose `impl` object realizes the chart
 logic for its family: point validation and canonical form, exact distances
 and geodesics, the sections that continue a geodesic past its end,
 nearest-point helpers, one checked answer per region (volume, diameter and
-a uniform sampler) for the Monte Carlo estimators, and direction targets for
-the derivative-based testers. Axis boxes in R^d and in a book page share
-`_box_region`; `geometry` holds what the families share and lists the
-methods every impl defines.
+a uniform sampler) for the Monte Carlo estimators, and rows of direction
+targets for the derivative-based testers. Axis boxes in R^d and in a book
+page share `_box_region`; `geometry` holds what the families share and
+lists the methods every impl defines.
 """
 
 from __future__ import annotations
@@ -148,6 +148,13 @@ def _chain_points(start: tuple, end: tuple, sections: tuple, t: np.ndarray, norm
     return total, ch, x
 
 
+def _circle(count: int) -> np.ndarray:
+    """[count, 2]: the cosine and sine of 2 pi j / count for each j, by
+    `math.cos` and `math.sin`, whose last bit np.cos and np.sin may not share."""
+    angles = (2.0 * math.pi * j / count for j in range(count))
+    return np.array([(math.cos(th), math.sin(th)) for th in angles]).reshape(count, 2)
+
+
 def _box_region(region: BoxRegion) -> tuple:
     """(volume, diameter, sample) of an axis box whose chart the family has checked."""
     if any(h < l for l, h in zip(region.lo, region.hi)):
@@ -227,20 +234,13 @@ class EuclideanImpl:
     def _normal_rows(charts, coords):
         return charts, coords
 
-    def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
-        base = np.asarray(x.coords)
-        out = []
+    def direction_rows(self, x: Point, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         if self.dim == 2:
-            for j in range(count):
-                th = 2.0 * math.pi * j / count
-                out.append(Point(0, (x.coords[0] + math.cos(th), x.coords[1] + math.sin(th))))
-            return out
-        rng = substream(seed, "directions")
-        vecs = rng.standard_normal((count, self.dim))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        for v in vecs:
-            out.append(Point(0, tuple(base + v)))
-        return out
+            steps = _circle(count)
+        else:
+            steps = substream(seed, "directions").standard_normal((count, self.dim))
+            steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+        return np.zeros(count, dtype=np.int64), np.asarray(x.coords) + steps
 
 
 class TreeImpl:
@@ -619,16 +619,16 @@ class TreeImpl:
 
         return functools.reduce(add, [self.edges[e][2] for e in edges], 0.0), diameter, sample
 
-    def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
+    def direction_rows(self, x: Point, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        # the far end of each edge at x, as preorder indices: both ends inside an edge
         v = self._vertex_of(x)
         if v is None:
-            a, b, _ln = self.edges[x.chart]
-            return [self.vertex_point(a), self.vertex_point(b)]
-        out = []
-        for e in self.incident[self._vidx[v]]:
-            a, b, _ln = self.edges[e]
-            out.append(self.vertex_point(b if a == v else a))
-        return out
+            ends = self._ends[x.chart]
+        else:
+            i = self._vidx[v]
+            pairs = self._ends[self.incident[i]]
+            ends = np.where(pairs[:, 0] == self._tin[i], pairs[:, 1], pairs[:, 0])
+        return self._pre_vchart[ends], self._pre_voff[ends][:, None]
 
 
 class BookImpl:
@@ -772,27 +772,21 @@ class BookImpl:
         coords = np.stack([np.where(spine, 0.0, coords[:, 0]), coords[:, 1]], axis=1)
         return np.where(spine, 0, charts), coords
 
-    def direction_targets(self, x: Point, count: int, seed: int) -> list[Point]:
+    def direction_rows(self, x: Point, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         u, v = x.coords
-        out = []
         if u > SNAP_TOL:
-            other = 0 if x.chart != 0 else 1
-            for j in range(count):
-                th = 2.0 * math.pi * j / count
-                ru, rv = u + math.cos(th), v + math.sin(th)
-                if ru >= 0:
-                    out.append(Point(x.chart, (ru, rv)))
-                else:
-                    out.append(Point(other, (-ru, rv)))
-            return out
+            # a unit circle about x, its part past the spine folded onto the next page
+            ru, rv = (np.asarray(x.coords) + _circle(count)).T
+            stay = ru >= 0
+            charts = np.where(stay, x.chart, 0 if x.chart != 0 else 1)
+            return self._normal_rows(charts, np.stack([np.where(stay, ru, -ru), rv], axis=1))
+        # on the spine: half circles into every page, then along the spine both ways
         per_page = max(2, count // self.pages)
-        for page in range(self.pages):
-            for j in range(per_page):
-                th = math.pi * (j + 1) / (per_page + 1)
-                out.append(Point(page, (math.sin(th), v + math.cos(th))))
-        out.append(Point(0, (0.0, v + 1.0)))
-        out.append(Point(0, (0.0, v - 1.0)))
-        return out
+        angles = (math.pi * (j + 1) / (per_page + 1) for j in range(per_page))
+        half = np.array([(math.sin(th), math.cos(th)) for th in angles])
+        steps = np.concatenate([np.tile(half, (self.pages, 1)), [(0.0, 1.0), (0.0, -1.0)]])
+        charts = np.append(np.repeat(np.arange(self.pages), per_page), [0, 0])
+        return self._normal_rows(charts, np.stack([steps[:, 0], v + steps[:, 1]], axis=1))
 
 
 # Builders.

@@ -22,7 +22,8 @@ The region questions are kept as the three separate methods per family
 admissibility check. The point sampler is kept as it first drew, point by
 point, and the one-sided difference quotient as it first ran, from f at
 every one of the eleven `DEFAULT_STEPS`. The polar experiment is kept as
-its first loop: one `polar_factorize` call per trial.
+its first loop: one `polar_factorize` call per trial. The direction targets
+are kept as each family first built them, one Point at a time.
 """
 
 from __future__ import annotations
@@ -883,3 +884,44 @@ def one_sided_by_every_step(f, g: Geodesic, s: float, sign: float) -> float:
     quots = [(f(g.eval(s + sign * h)) - f0) / (sign * h) for h in hs]
     h1, h2 = hs[-2], hs[-1]
     return (h1 * quots[-1] - h2 * quots[-2]) / (h1 - h2)
+
+
+def direction_targets_by_family(space: SpaceHandle, x: Point, count: int, seed: int) -> list[Point]:
+    """The targets of `direction_set` at the normal point x, before the
+    caller's, as each family first built them: one Point per target from
+    `math.cos` and `math.sin`, then `impl.normalize` on each."""
+    impl = space.impl
+    out = []
+    if space.kind == "euclidean":
+        if space.dim == 2:
+            for j in range(count):
+                th = 2.0 * math.pi * j / count
+                out.append(Point(0, (x.coords[0] + math.cos(th), x.coords[1] + math.sin(th))))
+        else:
+            vecs = substream(seed, "directions").standard_normal((count, space.dim))
+            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+            out = [Point(0, tuple(np.asarray(x.coords) + v)) for v in vecs]
+    elif space.kind == "tree":
+        a, b, ln = space.params.edges[x.chart]
+        v = a if x.coords[0] <= 1e-12 else b if x.coords[0] >= ln - 1e-12 else None
+        if v is None:
+            out = [impl.vertex_point(a), impl.vertex_point(b)]
+        else:  # the edges at v in index order, by a scan of every edge
+            out = [impl.vertex_point(b if a == v else a) for a, b, _ln in space.params.edges if v in (a, b)]
+    else:
+        u, v = x.coords
+        if u > 1e-12:
+            other = 0 if x.chart != 0 else 1
+            for j in range(count):
+                th = 2.0 * math.pi * j / count
+                ru, rv = u + math.cos(th), v + math.sin(th)
+                out.append(Point(x.chart, (ru, rv)) if ru >= 0 else Point(other, (-ru, rv)))
+        else:
+            per_page = max(2, count // space.params.pages)
+            for page in range(space.params.pages):
+                for j in range(per_page):
+                    th = math.pi * (j + 1) / (per_page + 1)
+                    out.append(Point(page, (math.sin(th), v + math.cos(th))))
+            out.append(Point(0, (0.0, v + 1.0)))
+            out.append(Point(0, (0.0, v - 1.0)))
+    return [impl.normalize(p) for p in out]

@@ -28,11 +28,11 @@ from cat0ot import (
     zeta_positivity,
 )
 from cat0ot.calculus import _twist_gaps
-from cat0ot.geometry import normalize, parameter_on
+from cat0ot.geometry import _row_points, normalize, parameter_on
 from cat0ot.harness import sample_points
 from cat0ot.rng import substream
 
-from _oracles import one_sided_by_every_step
+from _oracles import direction_targets_by_family, one_sided_by_every_step
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +135,36 @@ def test_direction_sets_by_space(e2, tripod, book3):
     # the spine fan covers every page
     pages = {g.eval(1.0).chart for g in dirs_spine if g.eval(1.0).coords[0] > 1e-9}
     assert pages == {0, 1, 2}
+
+
+def _bits(points):
+    return [(p.chart, tuple(c.hex() for c in p.coords)) for p in points]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 16, 17])
+def test_direction_rows_are_the_targets_each_family_first_built(count, e2, e3, book3, tripod, comb316):
+    cases = [
+        (e2, Point(0, (0.25, -0.75))),
+        (e3, Point(0, (0.1, 0.2, -0.3))),  # a draw, not a circle
+        (book3, Point(1, (2.0, 0.3))),  # the unit circle stays on its page
+        (book3, Point(0, (0.5, -0.2))),  # it crosses the spine onto page 1
+        (book3, Point(2, (0.25, 0.1))),  # and onto page 0
+        (book3, Point(2, (0.0, 0.4))),  # on the spine: 3 pages divide none of 1, 7, 16, 17
+        (book3, Point(1, (1e-13, -0.6))),  # snapped onto the spine
+        (tripod, Point(1, (0.5,))),  # inside an edge
+        (tripod, Point(0, (0.0,))),  # the branch vertex
+        (tripod, Point(2, (1.0,))),  # a leaf
+    ]
+    verts = comb316.params.vertices
+    cases += [(comb316, comb316.impl.vertex_point(v)) for v in verts[:: len(verts) // 40]]
+    cases += [(comb316, p) for p in sample_points(comb316, substream(count, "comb"), 8)]
+    for space, x in cases:
+        xn = normalize(space, x)
+        for seed in (0, 3):
+            charts, coords = space.impl.direction_rows(xn, count, seed)
+            assert charts.dtype == np.int64 and coords.shape == (len(charts), space.dim)
+            want = direction_targets_by_family(space, xn, count, seed)
+            assert _bits(_row_points(charts, coords)) == _bits(want), (space.kind, x, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -819,7 +819,7 @@ PINNED_REPORTS = {
 # moved
 REPORT_DIGESTS_101 = (
     "0883bf3f91893eea9f5daf7f559e1aff35ac4899dc70d7ca94d6b2c9c92a2ecc",
-    "cba5787a55e723c210dd7415447e61cb15a9d842f2520ac694d9d1ce69603000",
+    "d6cbb56294b6cac9e79459d5a8f6e0d6641877d09815697fc267bfd8484bf1d5",
 )
 WORKLOAD_DIGESTS_101 = {
     "assign-grid": "ede903df50ad1b59fb8ac84df49024fc20713b358aaa7b0357ad4946a1d6d4ed",

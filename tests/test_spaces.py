@@ -1016,7 +1016,7 @@ IMPL_CONTRACT = (
     "distances_from",
     "distances_between",
     "geodesic_points",
-    "direction_targets",
+    "direction_rows",
 )
 TREE_EXTRAS = ("vertex_point", "project_subtree")
 
