@@ -25,8 +25,11 @@ sampler `sample(n, rng) -> (charts, coords)`), `impl.distances_from`,
 `impl.distances_between`, `impl.geodesic_points` and
 `impl.direction_rows`; trees add `impl.vertex_point` and
 `impl.project_subtree`. One array distance per family, chart lengths through
-`section_length`: `impl.distances_from(p, charts, coords)` is the pair kernel
-`impl.distances_between` on p repeated. The two pair methods take rows of
+`section_length`: `impl.distances_from(p, charts, coords)` answers as the
+pair kernel `impl.distances_between` on p repeated, bit for bit. The flat
+families compute it that way; a tree evaluates its route once per distinct
+edge of the rows, and once per vertex for rows at a vertex, and gathers.
+The two pair methods take rows of
 normal points P_i and Q_i as (charts, coords) arrays, and answer bit for bit
 as the scalar calls do: row i of `impl.distances_between(charts_p, coords_p,
 charts_q, coords_q)` is `impl.distance(P_i, Q_i)`, and

@@ -443,8 +443,7 @@ def _run_eilenberg(space: SpaceHandle, params: dict, seed: int) -> tuple[dict, b
         impl = space.impl
         start = impl.vertex_point(impl.root)
         # the first vertex farthest from the root, in vertex order
-        verts, charts, coords = impl._pack_vertices(space.params.vertices)
-        end = impl.vertex_point(verts[int(impl.distances_from(start, charts, coords).argmax())])
+        end = impl.vertex_point(impl.vertices[int(impl.distances_from(start, *impl._vertex_rows).argmax())])
     elif space.kind == "open_book":
         start = space.impl.normalize(Point(0, (0.5, 0.0)))
         region = BallRegion(start, 0.4)

@@ -94,7 +94,7 @@ def _path_length(hi, lo, u, w):
 
 def _distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """`distances_between` from p to each row, p repeated as zero-copy views;
-    every family binds it by name as its `distances_from`."""
+    the flat families bind it by name as their `distances_from`."""
     n, at = len(charts), np.asarray(p.coords, dtype=float)
     return self.distances_between(np.broadcast_to(p.chart, n), np.broadcast_to(at, (n, len(at))), charts, coords)
 
@@ -246,11 +246,18 @@ class EuclideanImpl:
 class TreeImpl:
     """A finite metric tree, rooted at `root`, with points on its edges.
 
-    One LCA per route: each edge joins its lower endpoint to that vertex's
-    parent, so for the edges of p and q the lowest common ancestor (LCA) w of
-    their lower endpoints gives the LCA of every endpoint pair (u, v). It is
-    w when w lies strictly above both lower endpoints, u when w is p's lower
-    endpoint, and v when w is q's.
+    One route per pair: each edge joins its lower endpoint to that vertex's
+    parent, and a tree is uniquely geodesic, so for p and q on different
+    edges one lowest common ancestor (LCA) fixes the route p -> u ~> w <~ v
+    -> q. A point inside an edge may leave by its low end, the edge's lower
+    endpoint, or its high end, that vertex's parent; a point at a vertex
+    leaves by that vertex, its low and high end both. w is the LCA of the two
+    low ends. When w is p's low end, q lies below p: p leaves by its low end
+    (u = w) and q by its high end. When w is q's low end, the same holds with
+    p and q swapped. Otherwise both leave by their high ends. The length is
+    off_u + (path(u, w) + path(v, w)) + off_v, each off the leg along the
+    point's own edge, zero at a vertex; so the distance between a vertex and
+    any point reads the same both ways.
     """
 
     def __init__(self, vertices: tuple, edges: tuple, root):
@@ -278,6 +285,7 @@ class TreeImpl:
         hi = self._droot = [0.0] * nv
         lo = self._droot_lo = [0.0] * nv
         self._tin = [0] * nv
+        depth = [0] * nv
         order: list[int] = []
         seen = [False] * nv
         ridx = vidx[root]
@@ -294,6 +302,7 @@ class TreeImpl:
                     self.parent[w] = u
                     self.parent_edge[w] = e
                     self._lower[e] = w
+                    depth[w] = depth[u] + 1
                     ln = edges[e][2]
                     hi[w] = hi[u] + ln
                     back = hi[w] - hi[u]
@@ -316,10 +325,28 @@ class TreeImpl:
         self._pre_parent = np.where(up < 0, 0, np.asarray(self._tin, dtype=np.int64)[up])
         self._pre_parent_edge = np.asarray(self.parent_edge, dtype=np.int64)[pre]
         self._pre_lower = self._ends.max(axis=1)
+        # each edge's exits by `_exit_keys`: its lower end and that end's parent
+        # from inside the edge, else the vertex it sits at, twice
+        ends, lower = self._ends, self._pre_lower
+        self._exit_low = np.stack([lower, ends[:, 0], ends[:, 1]], axis=1).ravel()
+        self._exit_high = np.stack([self._pre_parent[lower], ends[:, 0], ends[:, 1]], axis=1).ravel()
+        # binary lifting (Bender & Farach-Colton, LATIN 2000): level k holds each
+        # position's 2^k-th ancestor, the root its own. A climb in `_lcas` stops
+        # below the LCA, so it takes fewer steps than the max depth D, and the
+        # ceil(log2 D) levels (one at least) spell every such count
+        lift = [self._pre_parent]
+        for _ in range(1, (max(depth) - 1).bit_length()):
+            lift.append(lift[-1][lift[-1]])
+        self._lift = tuple(lift)
         first = np.full(len(order), len(edges), dtype=np.int64)  # lowest-index incident edge
         np.minimum.at(first, self._ends.ravel(), np.repeat(np.arange(len(edges)), 2))
         self._pre_vchart = first
         self._pre_voff = np.where(self._ends[first, 0] == np.arange(len(order)), 0.0, self._lens[first])
+        # every vertex's normal point as rows, in vertex order; read-only, as they are shared
+        at = np.asarray(self._tin, dtype=np.int64)
+        self._vertex_rows = (self._pre_vchart[at], self._pre_voff[at][:, None])
+        for a in self._vertex_rows:
+            a.flags.writeable = False
         # length-weighted edge CDF for sampling, as Generator.choice(p=...) builds it
         cdf = np.cumsum(self._lens / self._lens.sum())
         self._cdf = cdf / cdf[-1]
@@ -368,74 +395,82 @@ class TreeImpl:
             u = self.parent[u]
         return u
 
+    def _exits(self, e: int, s: float) -> tuple:
+        """(low, high): the ends a route may leave edge e by from offset s, as
+        vertex indices; the vertex twice when s sits at an end of the edge."""
+        if s == 0:
+            return self._ea[e], self._ea[e]
+        if s == self.edges[e][2]:
+            return self._eb[e], self._eb[e]
+        pl = self._lower[e]
+        return pl, self.parent[pl]
+
     def _route(self, p: Point, q: Point) -> tuple:
-        """(length, u, cu, v, cv, w) of the shortest p -> u ~> v -> q, where u ends
-        p's edge, v ends q's edge, cu, cv are their offsets on those edges, and
-        w is the LCA of u and v; u, v and w are vertex indices."""
+        """(length, u, cu, v, cv, w) of the route p -> u ~> v -> q between points on
+        different edges, by the class docstring's rule: u ends p's edge, v ends
+        q's edge, cu, cv are their offsets on those edges, and w is the LCA of u
+        and v; u, v and w are vertex indices."""
         e, f = p.chart, q.chart
-        a, b = self._ea[e], self._eb[e]
-        c, d = self._ea[f], self._eb[f]
-        lp = self.edges[e][2]
-        lq = self.edges[f][2]
         s, t = p.coords[0], q.coords[0]
-        # one LCA for all four pairs (see the class docstring)
-        pl, ql = self._lower[e], self._lower[f]
-        top = self._lca(pl, ql)
+        (pl, ph), (ql, qh) = self._exits(e, s), self._exits(f, t)
+        w = self._lca(pl, ql)
+        u = pl if w == pl else ph
+        v = ql if w == ql else qh
+        lp, lq = self.edges[e][2], self.edges[f][2]
+        off_u, cu = (s, 0.0) if u == self._ea[e] else (lp - s, lp)
+        off_v, cv = (t, 0.0) if v == self._ea[f] else (lq - t, lq)
         hi, lo = self._droot, self._droot_lo
-        best = None
-        for u, off_u, cu in ((a, s, 0.0), (b, lp - s, lp)):
-            for v, off_v, cv in ((c, t, 0.0), (d, lq - t, lq)):
-                w = u if top == pl else v if top == ql else top
-                tot = off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v
-                if best is None or tot < best[0]:
-                    best = (tot, u, cu, v, cv, w)
-        return best
+        return off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v, u, cu, v, cv, w
 
     def _lcas(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """`_lca` on rows of preorder positions: climb each u until its range holds v."""
-        tout, parent = self._pre_tout, self._pre_parent
-        u = u.copy()
+        """`_lca` on rows of preorder positions: lift each u that does not hold v
+        in its range to its highest ancestor that does not, then take its parent."""
+        tout = self._pre_tout
         rows = np.flatnonzero((u > v) | (v >= tout[u]))
-        while rows.size:
-            u[rows] = parent[u[rows]]
-            ur, vr = u[rows], v[rows]
-            rows = rows[(ur > vr) | (vr >= tout[ur])]
+        ur, vr = u[rows], v[rows]
+        for up in reversed(self._lift):
+            a = up[ur]
+            ur = np.where((a > vr) | (vr >= tout[a]), a, ur)
+        u = u.copy()
+        u[rows] = self._pre_parent[ur]
         return u
 
-    def _end_routes(self, e, s, f, t) -> tuple:
-        """The four routes p -> u ~> v -> q on rows, from offsets s on edges e to
-        offsets t on edges f, over the end pairs (u, v) in `_route`'s order:
-        (lengths, lcas), two lists of four rows, the LCAs w as preorder positions."""
-        ends, lens = self._ends, self._lens
-        pl, ql = self._pre_lower[e], self._pre_lower[f]
-        top = self._lcas(pl, ql)
-        at_p, at_q = top == pl, top == ql
-        hi, lo = self._pre_droot, self._pre_droot_lo
-        p_ends = ((ends[e, 0], s), (ends[e, 1], lens[e] - s))
-        q_ends = ((ends[f, 0], t), (ends[f, 1], lens[f] - t))
-        tots, ws = [], []
-        for u, off_u in p_ends:
-            for v, off_v in q_ends:
-                w = np.where(at_p, u, np.where(at_q, v, top))
-                tots.append(off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v)
-                ws.append(w)
-        return tots, ws
+    def _exit_keys(self, e, s):
+        """`_exits` on rows, as keys 3 e + c into `_exit_low` and `_exit_high`:
+        c is 1 at the edge's first end, 2 at its second, else 0."""
+        k = 3 * e + (s == 0)
+        k[s == self._lens[e]] += 2
+        return k
+
+    def _route_rows(self, e, s, f, k) -> tuple:
+        """The class docstring's route on rows, from offsets s on edges e to the
+        points on edges f whose exit keys are k: (head, u, v, w, q_first), u, v
+        and w as preorder positions. head is off_u + (path(u, w) + path(v, w)),
+        the length but for q's own leg: its offset when q_first is set (q
+        leaves by its edge's first end), else the rest of its edge. Rows with
+        e == f are finite and meaningless."""
+        first, hi, lo = self._ends[:, 0], self._pre_droot, self._pre_droot_lo
+        pk = self._exit_keys(e, s)
+        pl, ph, ql, qh = self._exit_low[pk], self._exit_high[pk], self._exit_low[k], self._exit_high[k]
+        w = self._lcas(pl, ql)
+        u = np.where(w == pl, pl, ph)
+        v = np.where(w == ql, ql, qh)
+        off_u = np.where(first[e] == u, s, self._lens[e] - s)
+        head = off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w))
+        return head, u, v, w, first[f] == v
 
     def _pair_routes(self, e, s, f, t) -> tuple:
         """`_route` on rows, from offsets s on edges e to offsets t on edges f:
         (length, u, cu, v, cv, w), with u, v and w as preorder positions."""
-        tots, ws = self._end_routes(e, s, f, t)
-        ends, lp, lq = self._ends, self._lens[e], self._lens[f]
-        rows, tots = np.arange(len(e)), np.stack(tots, axis=1)
-        best = tots.argmin(axis=1)  # the first shortest, as _route keeps it
-        at_a, at_c = best < 2, best % 2 == 0
+        head, u, v, w, q_first = self._route_rows(e, s, f, self._exit_keys(f, t))
+        lp, lq = self._lens[e], self._lens[f]
         return (
-            tots[rows, best],
-            np.where(at_a, ends[e, 0], ends[e, 1]),
-            np.where(at_a, 0.0, lp),
-            np.where(at_c, ends[f, 0], ends[f, 1]),
-            np.where(at_c, 0.0, lq),
-            np.stack(ws, axis=1)[rows, best],
+            head + np.where(q_first, t, lq - t),
+            u,
+            np.where(self._ends[e, 0] == u, 0.0, lp),
+            v,
+            np.where(q_first, 0.0, lq),
+            w,
         )
 
     def _path_sections(self, u: np.ndarray, w: np.ndarray) -> tuple:
@@ -468,10 +503,23 @@ class TreeImpl:
 
     def distances_between(self, charts_p, coords_p, charts_q, coords_q):
         s, t = coords_p[:, 0], coords_q[:, 0]
-        tots, _ws = self._end_routes(charts_p, s, charts_q, t)
-        return np.where(charts_p == charts_q, np.abs(s - t), functools.reduce(np.minimum, tots))
+        head, _u, _v, _w, q_first = self._route_rows(charts_p, s, charts_q, self._exit_keys(charts_q, t))
+        return np.where(charts_p == charts_q, np.abs(s - t), head + np.where(q_first, t, self._lens[charts_q] - t))
 
-    distances_from = _distances_from
+    def distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
+        """`distances_between` from p to each row, bit for bit: a row's head
+        depends only on its exit key, so the route runs once per key present."""
+        t = coords[:, 0]
+        k = self._exit_keys(charts, t)
+        present = np.zeros(len(self._exit_low), dtype=bool)
+        present[k] = True
+        keys = np.flatnonzero(present)
+        s, n = float(p.coords[0]), len(keys)
+        head, _u, _v, _w, q_first = self._route_rows(np.full(n, p.chart), np.full(n, s), keys // 3, keys)
+        heads, firsts = np.zeros(len(present)), np.zeros(len(present), dtype=bool)
+        heads[keys], firsts[keys] = head, q_first
+        leg = np.where(firsts[k], t, self._lens[charts] - t)
+        return np.where(charts == p.chart, np.abs(s - t), heads[k] + leg)
 
     def geodesic_points(self, charts_p, coords_p, charts_q, coords_q, t):
         s, tq = coords_p[:, 0], coords_q[:, 0]
@@ -587,8 +635,9 @@ class TreeImpl:
         """(vertices, charts, coords): the distinct vertices in first-seen order,
         and their normal points as the rows `distances_from` takes."""
         verts = list(dict.fromkeys(vertex_set))
-        pos = np.asarray([self._tin[self._vidx[v]] for v in verts], dtype=np.int64)
-        return verts, self._pre_vchart[pos], self._pre_voff[pos][:, None]
+        at = np.asarray([self._vidx[v] for v in verts], dtype=np.int64)
+        charts, coords = self._vertex_rows
+        return verts, charts[at], coords[at]
 
     def project_subtree(self, x: Point, vertex_set) -> Point:
         edges = self._check_subtree(vertex_set)

@@ -13,7 +13,9 @@ the whole reduced-cost matrix at every pivot.
 Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
-and the route that climbs to an LCA for each of its four endpoint pairs.
+the route that climbs to an LCA for each of its four endpoint pairs, and the
+pair kernel that keeps the shortest of the four routes on every row; the
+one route the tree now takes is also kept as a plain scalar climb.
 The per-family geodesic extension and segment projection are kept as each
 family first wrote them, whole, the subtree check as a scan of every edge,
 and a tree vertex's normal point as the incident-edge lookup.
@@ -552,15 +554,15 @@ def eval_by_scan(g: Geodesic, t: float) -> Point:
     return g.end
 
 
-def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
-    """TreeImpl._route as first written: one LCA climb per endpoint pair.
+def _tree_legs(impl) -> tuple:
+    """(lca, leg) on vertex indices, from the parent pointers and raw edge
+    lengths alone.
 
-    Each LCA is found from the parent pointers alone: the ancestors of one
-    end, then a climb from the other until it meets them. Each root distance
-    is summed here from the raw edge lengths along the root path, as a plain
-    sum hi and its TwoSum rounding errors lo.
+    An LCA is the first of one end's ancestors met by a climb from the other.
+    Each root distance is summed from the raw edge lengths along the root
+    path, as a plain sum hi and its TwoSum rounding errors lo, and
+    leg(u, w) is the path length from u up to its ancestor w.
     """
-    impl = space.impl
 
     def lca(u: int, v: int) -> int:
         above = {u}
@@ -588,6 +590,14 @@ def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
         (hu, lu), (hw, lw) = root_distance(u), root_distance(w)
         return (hu - hw) + (lu - lw)
 
+    return lca, leg
+
+
+def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
+    """TreeImpl._route as first written: one LCA climb per endpoint pair, the
+    shortest of the four routes kept."""
+    impl = space.impl
+    lca, leg = _tree_legs(impl)
     a, b, lp = impl.edges[p.chart]
     c, d, lq = impl.edges[q.chart]
     s, t = p.coords[0], q.coords[0]
@@ -600,6 +610,64 @@ def route_by_four_lcas(space: SpaceHandle, p: Point, q: Point) -> tuple:
             if best is None or tot < best[0]:
                 best = (tot, ui, cu, vi, cv, w)
     return best
+
+
+def route_by_one_lca(space: SpaceHandle, p: Point, q: Point) -> tuple:
+    """TreeImpl._route's one route, with one LCA climb per pair.
+
+    A point at a vertex leaves by that vertex; a point inside an edge leaves
+    by its lower end, the end whose parent edge it is, when that end is the
+    LCA w of the two points' lower exits, and by the edge's other end
+    otherwise.
+    """
+    impl = space.impl
+    lca, leg = _tree_legs(impl)
+
+    def exits(e: int, x: float) -> tuple:
+        a, b, ln = impl.edges[e]
+        ai, bi = impl._vidx[a], impl._vidx[b]
+        if x == 0:
+            return ai, ai
+        if x == ln:
+            return bi, bi
+        return (ai, bi) if impl.parent_edge[ai] == e else (bi, ai)
+
+    (pl, ph), (ql, qh) = exits(p.chart, p.coords[0]), exits(q.chart, q.coords[0])
+    w = lca(pl, ql)
+    u = pl if w == pl else ph
+    v = ql if w == ql else qh
+    a, _b, lp = impl.edges[p.chart]
+    c, _d, lq = impl.edges[q.chart]
+    s, t = p.coords[0], q.coords[0]
+    off_u, cu = (s, 0.0) if u == impl._vidx[a] else (lp - s, lp)
+    off_v, cv = (t, 0.0) if v == impl._vidx[c] else (lq - t, lq)
+    return off_u + (leg(u, w) + leg(v, w)) + off_v, u, cu, v, cv, w
+
+
+def distances_by_four_routes(space: SpaceHandle, charts_p, coords_p, charts_q, coords_q) -> np.ndarray:
+    """TreeImpl.distances_between as it first ran: on every row, the four routes
+    p -> u ~> v -> q over the two ends of each edge, the shortest kept.
+
+    The LCA of the two edges' lower ends is climbed to one parent per pass,
+    and it fixes the LCA of every end pair: u's when it is p's lower end, v's
+    when it is q's, else itself.
+    """
+    impl = space.impl
+    ends, lens, tout, parent = impl._ends, impl._lens, impl._pre_tout, impl._pre_parent
+    hi, lo = impl._pre_droot, impl._pre_droot_lo
+    s, t = coords_p[:, 0], coords_q[:, 0]
+    pl, ql = impl._pre_lower[charts_p], impl._pre_lower[charts_q]
+    top = pl.copy()
+    rows = np.flatnonzero((top > ql) | (ql >= tout[top]))
+    while rows.size:
+        top[rows] = parent[top[rows]]
+        rows = rows[(top[rows] > ql[rows]) | (ql[rows] >= tout[top[rows]])]
+    tots = []
+    for u, off_u in ((ends[charts_p, 0], s), (ends[charts_p, 1], lens[charts_p] - s)):
+        for v, off_v in ((ends[charts_q, 0], t), (ends[charts_q, 1], lens[charts_q] - t)):
+            w = np.where(top == pl, u, np.where(top == ql, v, top))
+            tots.append(off_u + (((hi[u] - hi[w]) + (lo[u] - lo[w])) + ((hi[v] - hi[w]) + (lo[v] - lo[w]))) + off_v)
+    return np.where(charts_p == charts_q, np.abs(s - t), functools.reduce(np.minimum, tots))
 
 
 def extend_by_family(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:

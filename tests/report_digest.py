@@ -13,7 +13,8 @@ workload scenario; a workload's own line tells which workload moved.
 The line before the last is a digest over `EXTRA` reports at each seed, kept
 out of the combined digest: experiments in no workload that reach the draws,
 difference quotients and polar factorization the workloads also run, and
-the drawn directions of a euclidean space of dimension other than 2.
+the drawn directions of a euclidean space of dimension other than 2, and
+the largest tree's subtree region and one-source distances.
 """
 
 from __future__ import annotations
@@ -33,12 +34,14 @@ E3 = {"kind": "euclidean", "dim": 3}
 BOOK3 = {"kind": "open_book", "pages": 3}
 TRIPOD = {"kind": "tripod"}
 COMB14 = {"kind": "comb", "depth": 1, "grid": 4}
+COMB316 = {"kind": "comb", "depth": 3, "grid": 16}
 # (space, experiment, params) of the reports outside the workloads
 EXTRA = (
     [(space, "fermat", {}) for space in (E2, BOOK3, TRIPOD, COMB14)]
     + [(COMB14, "twist", {}), (COMB14, "polar", {}), (E3, "twist", {})]
     + [(space, "polar", {"n": 9}) for space in (E2, TRIPOD, BOOK3)]
     + [(BOOK3, "geometry-suite", {"samples": k}) for k in (1, 2, 3, 7, 50)]
+    + [(COMB316, "eilenberg", {})]
 )
 
 

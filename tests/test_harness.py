@@ -819,7 +819,7 @@ PINNED_REPORTS = {
 # moved
 REPORT_DIGESTS_101 = (
     "0883bf3f91893eea9f5daf7f559e1aff35ac4899dc70d7ca94d6b2c9c92a2ecc",
-    "d6cbb56294b6cac9e79459d5a8f6e0d6641877d09815697fc267bfd8484bf1d5",
+    "84e3759bf1e9a06a0bf1d10944b2a4ab5503c4794e30fb6d24b0469957d6bea0",
 )
 WORKLOAD_DIGESTS_101 = {
     "assign-grid": "ede903df50ad1b59fb8ac84df49024fc20713b358aaa7b0357ad4946a1d6d4ed",

@@ -174,7 +174,7 @@ def test_the_check_sees_a_builtin_sum():
 
 
 # A tree path length is a difference of root distances, summed by one helper,
-# spaces._path_length, that TreeImpl._route and its pair form _end_routes share;
+# spaces._path_length, that TreeImpl._route and its pair form _route_rows share;
 # every other module asks the tree for distances instead of reading its tables.
 
 

@@ -52,9 +52,11 @@ from cat0ot.rng import substream
 from _oracles import (
     book_distance,
     comb_counts,
+    distances_by_four_routes,
     region_diameter_by_family,
     region_volume_by_family,
     route_by_four_lcas,
+    route_by_one_lca,
     sample_region_by_family,
     tree_distance,
     vertex_point_by_incident_edge,
@@ -383,8 +385,13 @@ def test_route_matches_the_four_lca_loop(name, request):
     impl = space.impl
     cases = {"above both": 0, "at p's lower end": 0, "at q's lower end": 0}
     for p, q in _route_cases(space, substream(19, f"route:{name}")):
-        got = impl._route(p, q)
-        assert repr(got) == repr(route_by_four_lcas(space, p, q))
+        got = repr(impl._route(p, q))
+        assert got == repr(route_by_one_lca(space, p, q))
+        if impl._vertex_of(p) is None and impl._vertex_of(q) is None:
+            # inside both edges the one route is the shortest of the four; a
+            # point at a vertex leaves by it, which may part from the four-route
+            # pick in its ends or last bit (the pair-kernel test bounds that)
+            assert got == repr(route_by_four_lcas(space, p, q))
         pl, ql = impl._lower[p.chart], impl._lower[q.chart]
         top = impl._lca(pl, ql)
         cases["at p's lower end" if top == pl else "at q's lower end" if top == ql else "above both"] += 1
@@ -393,6 +400,96 @@ def test_route_matches_the_four_lca_loop(name, request):
         assert cases["above both"] > 0
     else:
         assert min(cases.values()) > 0, cases
+
+
+def _tree_rows(space, rng, n: int) -> dict:
+    """{kind: (charts, coords)} of n normal rows: "inside" points drawn inside
+    the edges, "vertex" points drawn among the vertices."""
+    impl = space.impl
+    e = rng.integers(0, len(impl.edges), n)
+    inside = impl._normal_rows(e, (rng.uniform(0.0, 1.0, n) * impl._lens[e])[:, None])
+    at = np.asarray(impl._tin)[rng.integers(0, len(impl.vertices), n)]
+    return {"inside": inside, "vertex": (impl._pre_vchart[at], impl._pre_voff[at][:, None])}
+
+
+def _ulps(got, want) -> np.ndarray:
+    """|got - want| in units of the spacing of the smaller, row by row."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want) / np.spacing(np.minimum(got, want))
+
+
+@pytest.mark.parametrize(
+    "name, vertex_ulps",
+    [("tripod", 0), ("comb14", 1), ("comb316", 1), ("deep_tree", 1), ("lopsided_tree", 2), ("long_tree", 2)],
+)
+def test_pair_kernel_matches_the_four_route_minimum(name, vertex_ulps, request):
+    space = request.getfixturevalue(name)
+    rows = _tree_rows(space, substream(31, f"four-routes:{name}"), 20_000)
+    for kp, kq in [("inside", "inside"), ("vertex", "inside"), ("inside", "vertex"), ("vertex", "vertex")]:
+        ends = (*rows[kp], *rows[kq])
+        got = space.impl.distances_between(*ends)
+        want = distances_by_four_routes(space, *ends)
+        if kp == kq == "inside":
+            assert got.tobytes() == want.tobytes()
+        else:
+            # the one route is one of the four, so never below their minimum;
+            # it parts from it only in routes that tie at a vertex
+            assert (got >= want).all()
+            assert _ulps(got, want).max() <= vertex_ulps
+
+
+@pytest.mark.parametrize("name", ["comb316", "long_tree", "deep_tree", "lopsided_tree"])
+def test_tree_distances_from_equal_the_pair_kernel(name, request):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    rng = substream(37, f"one-source:{name}")
+    rows = _tree_rows(space, rng, 300)
+    edges = np.arange(len(impl.edges))
+    every = impl._normal_rows(edges, (0.5 * impl._lens)[:, None])
+    charts = np.concatenate([rows["inside"][0], rows["vertex"][0], every[0]])
+    coords = np.concatenate([rows["inside"][1], rows["vertex"][1], every[1]])
+    sources = [Point(int(c), tuple(x)) for c, x in zip(charts[::97], coords[::97])]
+    assert any(impl._vertex_of(p) is None for p in sources)
+    assert any(impl._vertex_of(p) is not None for p in sources)
+    for p in sources:
+        own = np.flatnonzero(charts == p.chart)
+        one = np.flatnonzero(charts == charts[1])[:1].repeat(5)
+        for pick in (np.arange(0), np.arange(1), one, own, np.arange(len(charts))):
+            ch, x = charts[pick], coords[pick]
+            got = impl.distances_from(p, ch, x)
+            want = impl.distances_between(np.full(len(pick), p.chart), np.tile(p.coords, (len(pick), 1)), ch, x)
+            assert got.tobytes() == want.tobytes()
+
+
+def _lca_pairs_agree(impl, u, v) -> None:
+    """`_lcas` on the preorder positions of vertex indices u, v equals `_lca`."""
+    tin = np.asarray(impl._tin)
+    got = impl._lcas(tin[u], tin[v])
+    assert got.tolist() == [impl._tin[impl._lca(a, b)] for a, b in zip(u.tolist(), v.tolist())]
+
+
+@pytest.mark.parametrize("name", ["lopsided_tree", "long_tree"])
+def test_lcas_match_the_scalar_lca_on_every_vertex_pair(name, request):
+    impl = request.getfixturevalue(name).impl
+    u, v = np.divmod(np.arange(len(impl.vertices) ** 2), len(impl.vertices))
+    _lca_pairs_agree(impl, u, v)
+
+
+def test_lcas_match_the_scalar_lca_on_comb316(comb316):
+    rng = substream(41, "lcas:comb316")
+    _lca_pairs_agree(comb316.impl, *rng.integers(0, len(comb316.impl.vertices), (2, 5_000)))
+
+
+def test_lcas_lift_a_path_in_log_depth_levels():
+    # a path of 301 vertices rooted at its middle: depth 150 on both sides,
+    # and an LCA at the root for every pair across it
+    impl = build_tree(range(301), [(k, k + 1, 1.0) for k in range(300)], root=150).impl
+    assert len(impl._lift) == math.ceil(math.log2(150)) == 8
+    rng = substream(43, "lcas:path")
+    u, v = rng.integers(0, 301, (2, 3_000))
+    # k and 300 - k meet at the root, a climb of 149 - k steps from k < 150; the
+    # climbs 0 to 149 between them set every bit of every level
+    _lca_pairs_agree(impl, np.concatenate([u, np.arange(301)]), np.concatenate([v, np.arange(301)[::-1]]))
 
 
 def test_rerooted_subtree_connectivity(lopsided_at_e):
