@@ -30,6 +30,7 @@ from .geometry import (
     Geodesic,
     Point,
     SpaceHandle,
+    _point_rows,
     _row_points,
     distance,
     extend,
@@ -273,18 +274,14 @@ def _twist_gaps(
         xn, y1n, y2n = (normalize(space, p) for p in probe)
         charts, coords = impl.direction_rows(xn, count, seed)
         if space.kind != "tree":  # direction_set's checked targets
-            charts = np.append(charts, [y1n.chart, y2n.chart])
-            coords = np.concatenate([coords, [y1n.coords, y2n.coords]])
+            charts, coords = map(np.concatenate, zip((charts, coords), _point_rows([y1n, y2n])))
         ends.append((xn, y1n, y2n))
         targets.append((charts, coords))
     sizes = [len(charts) for charts, _coords in targets]
     trial = np.repeat(np.arange(len(probes)), sizes)
     tgt = tuple(np.concatenate(rows) for rows in zip(*targets))
     # each probe's x, y1 and y2, repeated over its targets
-    x, y1, y2 = (
-        (np.repeat([p.chart for p in pts], sizes), np.repeat([p.coords for p in pts], sizes, axis=0))
-        for pts in zip(*ends)
-    )
+    x, y1, y2 = (tuple(np.repeat(a, sizes, axis=0) for a in _point_rows(pts)) for pts in zip(*ends))
     between = impl.distances_between
     # direction_set drops the targets at x
     keep = between(*x, *tgt) > 1e-12

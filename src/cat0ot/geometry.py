@@ -52,6 +52,8 @@ from functools import reduce
 from operator import add, attrgetter, sub
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateTriangle,
     NotATriangle,
@@ -115,6 +117,12 @@ def point(chart: int, *coords: float) -> Point:
 def _row_points(charts, coords) -> list[Point]:
     """Points from numpy rows: chart i and the coordinates in row i of coords."""
     return [Point(c, tuple(x)) for c, x in zip(charts.tolist(), coords.tolist())]
+
+
+def _point_rows(points: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """Numpy rows of points, as `_row_points` reads them: chart i, coordinates in row i."""
+    charts = np.asarray([p.chart for p in points], dtype=np.int64)
+    return charts, np.asarray([p.coords for p in points], dtype=float)
 
 
 class Piece(NamedTuple):

@@ -10,7 +10,7 @@ from operator import add
 import numpy as np
 
 from .errors import MapUndefined, NotDeterministicError
-from .geometry import Point, SpaceHandle, _row_points, normalize
+from .geometry import Point, SpaceHandle, _point_rows, _row_points, normalize
 from .transport import (
     _PRICE_CELLS,
     DiscreteMeasure,
@@ -89,10 +89,8 @@ def polar_factorize(space: SpaceHandle, mu: DiscreteMeasure, s: TransportMap) ->
     u_points = tuple(t_bwd.points[k] for k in where)
     u_targets = tuple(t_bwd.targets[k] for k in where)
     u = TransportMap(mu, u_points, u_targets)
-    residual = 0.0
-    for i in range(len(mu.points)):
-        tu = t_fwd.points[u_targets[i]]
-        residual = max(residual, space.impl.distance(tu, images[i]))
+    tu = _point_rows([t_fwd.points[k] for k in u_targets])
+    residual = float(space.impl.distances_between(*tu, *_point_rows(images)).max(initial=0.0))
     return Factorization(t_fwd, u, residual)
 
 

@@ -3,7 +3,8 @@
 Measures, exact Kantorovich solving with dual potentials, the c-transform,
 cyclic-monotonicity checking, map extraction, the ball-restricted potential
 psi_R, and the finite-difference check of the first-order transport identity
-on grid instances.
+on grid instances. Costs between measures read their `rows`: the atoms as
+read-only (charts, coords) arrays, packed from `points` on first read.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Optional, Sequence
 
@@ -34,7 +35,7 @@ from .errors import (
     config_float,
     config_int,
 )
-from .geometry import Point, SpaceHandle, distance, normalize
+from .geometry import Point, SpaceHandle, _point_rows, normalize
 from .rng import substream
 
 MAX_SUPPORT = 10_000
@@ -76,6 +77,14 @@ __all__ = [
 class DiscreteMeasure:
     points: tuple[Point, ...]
     weights: tuple[float, ...]
+
+    @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms as read-only (charts, coords) rows, packed on first read."""
+        rows = _point_rows(self.points)
+        for a in rows:
+            a.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)
@@ -152,21 +161,18 @@ def map_from_points(
     return TransportMap(source, tuple(normalize(space, p) for p in points))
 
 
-def _cost_rows(
-    space: SpaceHandle, sources: Sequence[Point], targets: Sequence[Point]
-) -> np.ndarray:
-    """C[i, j] = d(x_i, y_j)^2 / 2, one `distances_between` call per block of whole
-    source rows, _COST_PAIRS pairs or one row. Every cost in this module is
-    built here, so its float-range guard lives here too."""
-    n, m = len(sources), len(targets)
+def _cost_rows(space: SpaceHandle, sources: tuple, targets: tuple) -> np.ndarray:
+    """C[i, j] = d(x_i, y_j)^2 / 2 over the (charts, coords) rows of normal points, one
+    `distances_between` call per block of whole source rows, _COST_PAIRS pairs or one
+    row. Every cost in this module is built here, so its float-range guard lives here too."""
+    (xc, xs), (yc, ys) = sources, targets
+    n, m = len(xc), len(yc)
     C = np.empty((n, m))
     if not (n and m):  # no coordinate rows to broadcast against
         return C
     step = min(n, max(1, _COST_PAIRS // m))
-    xc, xs = np.asarray([p.chart for p in sources]), np.asarray([p.coords for p in sources], dtype=float)
     # the targets repeated for a whole block; a shorter block reads a prefix
-    yc = np.tile([p.chart for p in targets], step)
-    ys = np.tile(np.asarray([p.coords for p in targets], dtype=float), (step, 1))
+    yc, ys = np.tile(yc, step), np.tile(ys, (step, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or nan
         for i in range(0, n, step):
             k = min(step, n - i)
@@ -183,7 +189,7 @@ def pairwise_costs(
     space: SpaceHandle, mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> np.ndarray:
     """Cost matrix C[i, j] = d(x_i, y_j)^2 / 2."""
-    return _cost_rows(space, mu.points, nu.points)
+    return _cost_rows(space, mu.rows, nu.rows)
 
 
 def _uniform(weights: Sequence[float]) -> bool:
@@ -492,23 +498,20 @@ def check_cyclic_monotonicity(
     max_len arcs; past 10^6 of them it raises TooManyTuples before building
     any cost. "sampled" scores n_samples cycles drawn from substream(seed,
     "cyclic"); no harness path uses it. A slack above 1e-9 is a violation, and
-    a support of one arc or none reports zero slack. A cost past the float
-    range raises ParamOutOfRange."""
+    a support of one arc or none reports zero slack. The costs come from
+    `pairwise_costs` over every atom, so one past the float range raises
+    ParamOutOfRange even between atoms that the support leaves out."""
     if max_len < 2:
         raise ParamOutOfRange("cycles need length at least 2")
     if mode not in ("exhaustive", "sampled"):
         raise ParamOutOfRange(f"unknown mode {mode!r}")
-    support = [(i, j) for i, j, mass in plan.entries if mass > 0]
+    support = np.array([(i, j) for i, j, mass in plan.entries if mass > 0], dtype=np.intp).reshape(-1, 2)
     K = len(support)
     if mode == "exhaustive":
         total = sum(math.comb(K, L) * math.factorial(L - 1) for L in range(2, max_len + 1))
         if total > 1_000_000:
             raise TooManyTuples(f"{total} tuples exceed the exhaustive cap 10^6")
-    Cp = _cost_rows(
-        space,
-        [plan.source.points[i] for i, _j in support],
-        [plan.target.points[j] for _i, j in support],
-    )
+    Cp = pairwise_costs(space, plan.source, plan.target)[np.ix_(support[:, 0], support[:, 1])]
     diag = np.diag(Cp)
 
     def score(cycles: np.ndarray) -> tuple[int, float]:
@@ -559,8 +562,8 @@ def c_transform(
         raise EmptySet("the c-transform needs a nonempty base set")
     if len(psi) != len(a_points):
         raise ParamOutOfRange("one value per base point required")
-    xs = [normalize(space, x) for x in a_points]
-    C = _cost_rows(space, xs, [normalize(space, y) for y in b_points])
+    xs, ys = (_point_rows([normalize(space, p) for p in pts]) for pts in (a_points, b_points))
+    C = _cost_rows(space, xs, ys)
     vals = (np.asarray(psi, dtype=float)[:, None] + C).min(axis=0)
     return [float(v) for v in vals]
 
@@ -578,7 +581,7 @@ def c_subdifferential(
     if len(potentials.psi) != len(mu.points) or len(potentials.phi) != len(nu.points):
         raise ParamOutOfRange("potentials need one value per atom of mu and of nu")
     # measure atoms are normal already
-    c = _cost_rows(space, [mu.points[x_index]], nu.points)[0]
+    c = _cost_rows(space, tuple(a[[x_index]] for a in mu.rows), nu.rows)[0]
     tight = np.abs(np.asarray(potentials.phi) - potentials.psi[x_index] - c) <= 1e-9
     return set(np.flatnonzero(tight).tolist())
 
@@ -617,13 +620,11 @@ def psi_R(
         raise ParamOutOfRange("potentials need one value per atom of nu")
     x, y0 = normalize(space, x), normalize(space, y0)
     # the atoms of nu are normal already
-    charts = np.asarray([y.chart for y in nu.points], dtype=np.int64)
-    coords = np.asarray([y.coords for y in nu.points], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range: outside
-        inside = space.impl.distances_from(y0, charts, coords) < R
+        inside = space.impl.distances_from(y0, *nu.rows) < R
     if not inside.any():
         raise EmptyBall(f"no target support point within {R} of the ball center")
-    vals = np.asarray(potentials.phi) - _cost_rows(space, [x], nu.points)[0]
+    vals = np.asarray(potentials.phi) - _cost_rows(space, _point_rows([x]), nu.rows)[0]
     return float(vals[inside].min())
 
 
@@ -659,18 +660,19 @@ class GridPotential:
     def is_interior(self, flat: int) -> bool:
         return all(0 < i < k - 1 for i, k in zip(self.node_index(flat), self.shape))
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        return np.asarray(self.values, dtype=float)
+
     def gradient(self, flat: int) -> np.ndarray:
         """Central-difference gradient at an interior node."""
-        idx = list(self.node_index(flat))
-        grad = np.empty(len(self.shape))
-        for ax in range(len(self.shape)):
-            idx[ax] += 1
-            up = self.values[self.flat_index(idx)]
-            idx[ax] -= 2
-            dn = self.values[self.flat_index(idx)]
-            idx[ax] += 1
-            grad[ax] = (up - dn) / (2.0 * self.pitch)
-        return grad
+        return self._gradients(np.array([flat]))[0]
+
+    def _gradients(self, nodes: np.ndarray) -> np.ndarray:
+        """Central-difference gradients at interior flat nodes, one row each."""
+        steps = np.cumprod((self.shape[1:] + (1,))[::-1])[::-1]  # a node's flat step along each axis
+        up, dn = (self._array[nodes[:, None] + k * steps] for k in (1, -1))
+        return (up - dn) / (2.0 * self.pitch)
 
     def interpolate(self, p: Point) -> float:
         """Multilinear interpolation; linear extrapolation from edge cells outside."""
@@ -711,16 +713,24 @@ def verify_transport_identity(
         raise MapUndefined(f"map carries no source index {x_index}")
     if not psi_grid.is_interior(x_index):
         raise BoundaryPoint(f"grid node {x_index} is not interior")
-    x = psi_grid.node_point(x_index)
-    src = T.source.points[x_index]
-    if distance(space, x, src) > 1e-9:
+    residual, gap = _identity_rows(space, psi_grid, T, np.array([x_index]))
+    return TransportIdentityReport(float(residual[0]), float(gap[0]))
+
+
+def _identity_rows(space: SpaceHandle, grid: GridPotential, T: TransportMap, nodes: np.ndarray) -> tuple:
+    """(residuals, gaps) of `verify_transport_identity` at interior flat nodes, bit for bit, and
+    a node past the grid placed as `node_index` wraps it: each dot product is a row times a
+    column in one stacked `np.matmul`, which adds as `grad @ v` does, and a gap is the square
+    root of one, as `np.linalg.norm` takes it."""
+    x = np.asarray(grid.origin) + grid.pitch * np.stack(np.unravel_index(nodes % len(grid.values), grid.shape), 1)
+    charts = np.zeros(len(nodes), dtype=np.int64)
+    if (space.impl.distances_between(charts, x, charts, T.source.rows[1][nodes]) > 1e-9).any():
         raise MapUndefined("map source atoms do not sit on the grid nodes")
-    tx = T.points[x_index]
-    v = np.asarray(tx.coords) - np.asarray(x.coords)
-    grad = psi_grid.gradient(x_index)
-    residual = abs(float(grad @ v) - float(v @ v))
-    gap = float(np.linalg.norm(v - grad))
-    return TransportIdentityReport(residual, gap)
+    v = _point_rows([T.points[i] for i in nodes])[1] - x
+    grad = grid._gradients(nodes)
+    pairs = ((grad, v), (v, v), (v - grad, v - grad))
+    gv, vv, gap = (np.matmul(a[:, None], b[..., None])[:, 0, 0] for a, b in pairs)
+    return np.abs(gv - vv), np.sqrt(gap)
 
 
 # Serialization.

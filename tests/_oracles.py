@@ -25,7 +25,10 @@ admissibility check. The point sampler is kept as it first drew, point by
 point, and the one-sided difference quotient as it first ran, from f at
 every one of the eleven `DEFAULT_STEPS`. The polar experiment is kept as
 its first loop: one `polar_factorize` call per trial. The direction targets
-are kept as each family first built them, one Point at a time.
+are kept as each family first built them, one Point at a time. The
+transport identity at a grid node is kept as its first walk: the gradient
+by index arithmetic one axis at a time, then `grad @ v` and
+`np.linalg.norm`.
 """
 
 from __future__ import annotations
@@ -993,3 +996,33 @@ def direction_targets_by_family(space: SpaceHandle, x: Point, count: int, seed: 
             out.append(Point(0, (0.0, v + 1.0)))
             out.append(Point(0, (0.0, v - 1.0)))
     return [impl.normalize(p) for p in out]
+
+
+def transport_identity_by_node(space: SpaceHandle, grid, T, flat: int) -> tuple[float, float]:
+    """(residual, gap) of the first-order identity at the interior node flat,
+    as `verify_transport_identity` first computed them, one node at a time."""
+    idx = []
+    rest = flat
+    for k in reversed(grid.shape):
+        idx.append(rest % k)
+        rest //= k
+    idx = list(reversed(idx))
+    x = Point(0, tuple(o + grid.pitch * i for o, i in zip(grid.origin, idx)))
+    assert distance(space, x, T.source.points[flat]) <= 1e-9
+
+    def value_at(at) -> float:
+        k = 0
+        for size, i in zip(grid.shape, at):
+            k = k * size + i
+        return grid.values[k]
+
+    grad = np.empty(len(grid.shape))
+    for ax in range(len(grid.shape)):
+        idx[ax] += 1
+        up = value_at(idx)
+        idx[ax] -= 2
+        dn = value_at(idx)
+        idx[ax] += 1
+        grad[ax] = (up - dn) / (2.0 * grid.pitch)
+    v = np.asarray(T.points[flat].coords) - np.asarray(x.coords)
+    return abs(float(grad @ v) - float(v @ v)), float(np.linalg.norm(v - grad))

@@ -13,8 +13,10 @@ workload scenario; a workload's own line tells which workload moved.
 The line before the last is a digest over `EXTRA` reports at each seed, kept
 out of the combined digest: experiments in no workload that reach the draws,
 difference quotients and polar factorization the workloads also run, and
-the drawn directions of a euclidean space of dimension other than 2, and
-the largest tree's subtree region and one-source distances.
+the drawn directions of a euclidean space of dimension other than 2, the
+largest tree's subtree region and one-source distances, and the default
+transport-identity ladder, whose side-49 grid of 2,401 atoms runs in no
+workload.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ EXTRA = (
     + [(space, "polar", {"n": 9}) for space in (E2, TRIPOD, BOOK3)]
     + [(BOOK3, "geometry-suite", {"samples": k}) for k in (1, 2, 3, 7, 50)]
     + [(COMB316, "eilenberg", {})]
+    + [(E2, "transport-identity", {})]
 )
 
 

@@ -24,6 +24,7 @@ from cat0ot import (
     Subtree,
     UnsupportedConvexSet,
     alexandrov_angle,
+    build_tree,
     cat0_defect,
     comparison_angle,
     comparison_angle_sequence,
@@ -124,6 +125,34 @@ def test_parameter_on_rejects_off_curve_points(e2):
     g = geodesic(e2, Point(0, (0.0, 0.0)), Point(0, (1.0, 0.0)))
     with pytest.raises(PointNotOnGeodesic):
         parameter_on(e2, g, Point(0, (0.5, 0.5)))
+
+
+def test_parameter_on_a_zero_length_geodesic(e2):
+    p = Point(0, (0.3, 0.4))
+    g = geodesic(e2, p, p)
+    assert g.length == 0.0
+    assert parameter_on(e2, g, Point(0, (0.3, 0.4 + 1e-10))) == 0.0
+    with pytest.raises(PointNotOnGeodesic):
+        parameter_on(e2, g, Point(0, (0.3, 0.5)))
+
+
+@pytest.mark.parametrize("edges", [[(1, 0, 1.0), (2, 1, 1.0)], [(0, 1, 1.0), (1, 2, 1.0)]], ids=["down", "up"])
+def test_parameter_on_finds_a_tree_vertex_from_another_edge_chart(edges):
+    # vertex 1 is normal in one edge's chart; the geodesic 0 -> 2 also runs
+    # along the other edge at 1, whose chart holds it only as an endpoint
+    space = build_tree([0, 1, 2], edges, root=0)
+    impl = space.impl
+    g = geodesic(space, impl.vertex_point(0), impl.vertex_point(2))
+    assert len(g.pieces) == 2
+    assert parameter_on(space, g, impl.vertex_point(1)) == 0.5
+    # vertex 0 is no end of the edge from 1 to 2
+    with pytest.raises(PointNotOnGeodesic):
+        parameter_on(space, geodesic(space, impl.vertex_point(1), impl.vertex_point(2)), impl.vertex_point(0))
+
+
+def test_parameter_on_finds_the_spine_from_either_page_chart(book3):
+    g = geodesic(book3, Point(1, (1.0, 0.0)), Point(2, (1.0, 0.0)))
+    assert parameter_on(book3, g, Point(0, (0.0, 0.0))) == 0.5
 
 
 def test_geodesic_from_chain_merges_collinear_sections(e2):

@@ -218,6 +218,7 @@ BAD_PARAMS = {
         {"sizes": ["5", 9]},
         {"sizes": [5, 5]},
         {"sizes": [9, 9, 9]},
+        {"sizes": [3, 5]},
     ],
     "polar": [{"trials": True}, {"trials": -1}, {"n": 6.5}, {"n": -2}, {"n": 0}],
     "geometry-suite": [{"samples": [3]}, {"samples": 0}, {"samples": float("nan")}],
@@ -819,7 +820,7 @@ PINNED_REPORTS = {
 # moved
 REPORT_DIGESTS_101 = (
     "0883bf3f91893eea9f5daf7f559e1aff35ac4899dc70d7ca94d6b2c9c92a2ecc",
-    "84e3759bf1e9a06a0bf1d10944b2a4ab5503c4794e30fb6d24b0469957d6bea0",
+    "47ba7cb0397c1a59eff2a847f1c616d8075426faab7efa88f27b412f5b31a4ed",
 )
 WORKLOAD_DIGESTS_101 = {
     "assign-grid": "ede903df50ad1b59fb8ac84df49024fc20713b358aaa7b0357ad4946a1d6d4ed",

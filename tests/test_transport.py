@@ -40,6 +40,7 @@ from cat0ot import (
     cost,
     distance,
     extract_monge_map,
+    map_from_points,
     measure,
     measure_from_json,
     measure_to_json,
@@ -60,6 +61,7 @@ from _oracles import (
     interior_duals_by_raw_closure,
     lp_transport_cost,
     optimal_arcs,
+    transport_identity_by_node,
 )
 
 
@@ -90,6 +92,52 @@ def test_measure_normalizes_and_defaults_uniform(e1):
 def test_measure_rejects_a_nan_weight(e1):
     with pytest.raises(ParamOutOfRange):
         measure(e1, [Point(0, (0.0,)), Point(0, (1.0,))], weights=[math.nan, 1.0])
+
+
+ROW_FAMILIES = ["e2", "tripod", "book3", "comb14"]
+
+
+def _hex_rows(charts, coords) -> list:
+    return [(c, [x.hex() for x in row]) for c, row in zip(charts, coords)]
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+def test_measure_rows_are_its_points_read_only_and_packed_once(family, request):
+    space = request.getfixturevalue(family)
+    mu = measure(space, sample_points(space, substream(5, f"rows:{family}"), 12))
+    charts, coords = mu.rows
+    assert _hex_rows(charts.tolist(), coords.tolist()) == _hex_rows(
+        [p.chart for p in mu.points], [[float(x) for x in p.coords] for p in mu.points]
+    )
+    for a in mu.rows:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    again = mu.rows
+    assert again is mu.rows and again[0] is charts and again[1] is coords
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+def test_reading_rows_keeps_equality_hash_and_repr(family, request):
+    space = request.getfixturevalue(family)
+    points = sample_points(space, substream(6, f"rows:{family}"), 9)
+    read, unread = measure(space, points), measure(space, points)
+    assert len(read.rows) == 2  # packed and cached
+    assert "rows" not in {f.name for f in dataclasses.fields(DiscreteMeasure)}
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+@pytest.mark.parametrize("sizes", [(8, 8), (7, 9)], ids=["assignment", "simplex"])
+def test_a_measure_built_directly_solves_with_the_same_bytes(family, sizes, request):
+    space = request.getfixturevalue(family)
+    if sizes[0] == sizes[1]:
+        rng = substream(7, f"direct:{family}")
+        mu, nu = (measure(space, sample_points(space, rng, n)) for n in sizes)
+    else:
+        mu, nu = random_instance(space, 7, *sizes)
+    direct = solve_kantorovich(space, DiscreteMeasure(mu.points, mu.weights), DiscreteMeasure(nu.points, nu.weights))
+    assert repr(direct) == repr(solve_kantorovich(space, mu, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +544,23 @@ def test_tied_grid_costs_take_the_auction_warm_start(e2, side, lsa_inputs):
     assert [(i, j) for i, j, _ in plan.entries] == list(zip(rows.tolist(), cols.tolist()))
 
 
+def test_costs_tied_at_one_value_take_zero_auction_prices(e2, monkeypatch):
+    # every cost is 0.5, so the costs are tied and the final eps is 0
+    mu = measure(e2, [Point(0, (0.0, 0.0)), Point(0, (1.0, 1.0))])
+    nu = measure(e2, [Point(0, (1.0, 0.0)), Point(0, (0.0, 1.0))])
+    auction, prices = transport._auction_prices, []
+
+    def spy(C):
+        prices.append(auction(C))
+        return prices[-1]
+
+    monkeypatch.setattr(transport, "_auction_prices", spy)
+    plan, pot, total = solve_kantorovich(e2, mu, nu)
+    assert [p.tolist() for p in prices] == [[0.0, 0.0]]
+    assert plan.entries == ((0, 0, 0.5), (1, 1, 0.5))
+    assert total == 0.5 and pot.feasible
+
+
 @pytest.mark.parametrize("tied", [True, False])
 def test_the_certificate_ranks_by_the_prices_lsa_ran_on(e2, tied, monkeypatch, lsa_inputs):
     # tied costs hand the auction's prices to the certificate; untied costs, none
@@ -584,6 +649,15 @@ def test_optimal_plans_are_cyclically_monotone(kind, request):
         out = check_cyclic_monotonicity(space, plan, max_len=3)
         assert out["violations"] == 0
         assert out["worst_slack"] <= 1e-9
+
+
+def test_the_cycle_audit_costs_the_atoms_a_hand_built_plan_leaves_out(e2):
+    # the support's own costs are finite; mu's second atom is past the float range from nu
+    mu = measure(e2, [Point(0, (0.0, 0.0)), Point(0, (1e200, 0.0))])
+    nu = measure(e2, [Point(0, (1.0, 0.0)), Point(0, (2.0, 0.0))])
+    plan = TransportPlan(mu, nu, ((0, 0, 0.5), (0, 1, 0.5)))
+    with pytest.raises(ParamOutOfRange, match="float range"):
+        check_cyclic_monotonicity(e2, plan)
 
 
 def test_swapped_line_plan_has_one_violation(e1, line_instance):
@@ -1055,6 +1129,38 @@ def test_transport_identity_guards(e2, tripod):
         verify_transport_identity(e2, grid, T, 999)
     with pytest.raises(ParamOutOfRange):
         verify_transport_identity(tripod, grid, T, 6)
+
+
+def test_transport_identity_rejects_a_grid_off_the_source_atoms(e2):
+    grid, T, _, h = _translation_setup(e2, 5)
+    off = dataclasses.replace(grid, origin=(0.5 * h, 0.0))
+    with pytest.raises(MapUndefined, match="grid nodes"):
+        verify_transport_identity(e2, off, T, 6)
+    # node 21 of the map lies past a 4-by-4 grid, whose node index wraps it to interior node 5
+    small = GridPotential((0.0, 0.0), h, (4, 4), grid.values[:16])
+    assert small.is_interior(21)
+    with pytest.raises(MapUndefined, match="grid nodes"):
+        verify_transport_identity(e2, small, T, 21)
+
+
+@pytest.mark.parametrize("moves", ["solved", "jittered"])
+@pytest.mark.parametrize("n", [5, 9, 17, 33, 49])
+def test_identity_rows_match_the_node_walk_bit_for_bit(e2, n, moves):
+    # the solved map is a translation along the first axis; jittered images
+    # move along both, so that every dot product sums two nonzero terms
+    mu, nu, _shift, h = translation_instance(e2, n)
+    plan, pot, _ = solve_kantorovich(e2, mu, nu, refine_duals=False)
+    grid = GridPotential((0.0, 0.0), h, (n, n), pot.psi)
+    T = extract_monge_map(plan)
+    if moves == "jittered":
+        jitter = substream(n, "identity-jitter").uniform(-0.5 * h, 0.5 * h, (n * n, 2))
+        T = map_from_points(e2, mu, [Point(0, tuple(np.add(p.coords, d))) for p, d in zip(T.points, jitter)])
+    nodes = [i for i in range(n * n) if grid.is_interior(i)]
+    want = [tuple(x.hex() for x in transport_identity_by_node(e2, grid, T, i)) for i in nodes]
+    residuals, gaps = transport._identity_rows(e2, grid, T, np.array(nodes))
+    assert [(r.hex(), g.hex()) for r, g in zip(residuals.tolist(), gaps.tolist())] == want
+    reports = [verify_transport_identity(e2, grid, T, i) for i in nodes]
+    assert [(rep.residual.hex(), rep.brenier_gap.hex()) for rep in reports] == want
 
 
 # ---------------------------------------------------------------------------
