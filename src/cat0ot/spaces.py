@@ -323,7 +323,13 @@ class TreeImpl:
         pre = np.asarray(order, dtype=np.int64)
         up = np.asarray(self.parent, dtype=np.int64)[pre]
         self._pre_parent = np.where(up < 0, 0, np.asarray(self._tin, dtype=np.int64)[up])
-        self._pre_parent_edge = np.asarray(self.parent_edge, dtype=np.int64)[pre]
+        self._pre_depth = np.asarray(depth, dtype=np.int64)[pre]
+        # each position's section up to its parent, as (edge, offset of the lower
+        # end, of the upper end); the root's, (0, 0.0, 0.0), pads `_path_sections`
+        pedge = np.asarray(self.parent_edge, dtype=np.int64)[pre]
+        lower_first = self._ends[pedge, 0] == np.arange(len(pre))
+        ln = np.where(pedge < 0, 0.0, self._lens[pedge])
+        self._pre_up = (np.maximum(pedge, 0), np.where(lower_first, 0.0, ln), np.where(lower_first, ln, 0.0))
         self._pre_lower = self._ends.max(axis=1)
         # each edge's exits by `_exit_keys`: its lower end and that end's parent
         # from inside the edge, else the vertex it sits at, twice
@@ -333,7 +339,8 @@ class TreeImpl:
         # binary lifting (Bender & Farach-Colton, LATIN 2000): level k holds each
         # position's 2^k-th ancestor, the root its own. A climb in `_lcas` stops
         # below the LCA, so it takes fewer steps than the max depth D, and the
-        # ceil(log2 D) levels (one at least) spell every such count
+        # ceil(log2 D) levels (one at least) spell every such count. They also
+        # double `_path_sections`' one column to the at most D it needs
         lift = [self._pre_parent]
         for _ in range(1, (max(depth) - 1).bit_length()):
             lift.append(lift[-1][lift[-1]])
@@ -476,25 +483,23 @@ class TreeImpl:
     def _path_sections(self, u: np.ndarray, w: np.ndarray) -> tuple:
         """(charts, near, far), each [n, K]: the sections from preorder position u
         up to its ancestor w, row by row, as the edge and the offsets on it of
-        the lower and the upper end; zero-length sections pad the shorter rows."""
-        ends, lens, pedge = self._ends, self._lens, self._pre_parent_edge
-        cols = []
-        live = u != w
-        while live.any():
-            e = pedge[u]
-            lower_first = ends[e, 0] == u
-            cols.append(
-                (
-                    np.where(live, e, 0),
-                    np.where(live & ~lower_first, lens[e], 0.0),
-                    np.where(live & lower_first, lens[e], 0.0),
-                )
-            )
-            u = np.where(live, self._pre_parent[u], u)
-            live = u != w
-        if not cols:
-            return np.zeros((len(u), 0), dtype=np.int64), np.zeros((len(u), 0)), np.zeros((len(u), 0))
-        return tuple(np.stack(c, axis=1) for c in zip(*cols))
+        the lower and the upper end; zero-length sections pad the shorter rows.
+        K is the most levels a row climbs. Column j holds the section above u's
+        j-th ancestor, found by pointer doubling: column 0 is u, and level k of
+        `_lift` takes columns [0, 2^k) to [2^k, 2^(k+1)), so ceil(log2 K)
+        levels fill the K columns. A column past its row's climb reads the
+        root's section, the padding."""
+        n = len(u)
+        if not (u != w).any():
+            return np.zeros((n, 0), dtype=np.int64), np.zeros((n, 0)), np.zeros((n, 0))
+        steps = self._pre_depth[u] - self._pre_depth[w]
+        K = int(steps.max())
+        at = np.empty((K, n), dtype=np.int64)  # transposed, so that each column is contiguous
+        at[0] = u
+        for k, up in enumerate(self._lift[: (K - 1).bit_length()]):
+            at[2**k : 2 ** (k + 1)] = up[at[: min(2**k, K - 2**k)]]
+        at = np.where(np.arange(K)[:, None] < steps, at, 0)
+        return tuple(a[at].T for a in self._pre_up)
 
     def distance(self, p: Point, q: Point) -> float:
         if p.chart == q.chart:

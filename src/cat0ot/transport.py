@@ -395,8 +395,10 @@ def _interior_duals(
     order = np.argsort(rows, kind="stable")
     starts = np.flatnonzero(np.diff(rows[order], prepend=-1))
     D = np.minimum.reduceat(R[:, cols[order]], starts, axis=1)
+    via = np.empty_like(D)  # each step's paths through k, in one buffer
     for k in range(len(D)):
-        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+        np.add(D[:, k, None], D[None, k, :], out=via)
+        np.minimum(D, via, out=D)
     u = D.mean(axis=1)
     if flip:  # u shifts the targets' prices; a source moves with its targets
         u, v = np.empty(n), u
@@ -633,12 +635,18 @@ def psi_R(
 
 @dataclass(frozen=True)
 class GridPotential:
-    """Scalar values on a regular Euclidean grid, row-major with the last axis fastest."""
+    """Scalar values on a regular Euclidean grid, row-major with the last axis fastest:
+    one value per node, and a flat node index past the grid raises ParamOutOfRange."""
 
     origin: tuple[float, ...]
     pitch: float
     shape: tuple[int, ...]
     values: tuple[float, ...]
+
+    def __post_init__(self):
+        size = math.prod(self.shape)
+        if len(self.values) != size:
+            raise ParamOutOfRange(f"a grid of shape {self.shape} needs {size} values, got {len(self.values)}")
 
     def flat_index(self, idx: Sequence[int]) -> int:
         flat = 0
@@ -647,6 +655,8 @@ class GridPotential:
         return flat
 
     def node_index(self, flat: int) -> tuple[int, ...]:
+        if not 0 <= flat < len(self.values):
+            raise ParamOutOfRange(f"node {flat} lies past the grid's {len(self.values)} nodes")
         idx = []
         for k in reversed(self.shape):
             idx.append(flat % k)
@@ -711,6 +721,8 @@ def verify_transport_identity(
         raise ParamOutOfRange("grid potentials are defined on Euclidean spaces only")
     if x_index not in range(len(T.source.points)):
         raise MapUndefined(f"map carries no source index {x_index}")
+    if x_index >= len(psi_grid.values):
+        raise MapUndefined(f"source atom {x_index} lies past the {len(psi_grid.values)} grid nodes")
     if not psi_grid.is_interior(x_index):
         raise BoundaryPoint(f"grid node {x_index} is not interior")
     residual, gap = _identity_rows(space, psi_grid, T, np.array([x_index]))
@@ -718,11 +730,10 @@ def verify_transport_identity(
 
 
 def _identity_rows(space: SpaceHandle, grid: GridPotential, T: TransportMap, nodes: np.ndarray) -> tuple:
-    """(residuals, gaps) of `verify_transport_identity` at interior flat nodes, bit for bit, and
-    a node past the grid placed as `node_index` wraps it: each dot product is a row times a
-    column in one stacked `np.matmul`, which adds as `grad @ v` does, and a gap is the square
-    root of one, as `np.linalg.norm` takes it."""
-    x = np.asarray(grid.origin) + grid.pitch * np.stack(np.unravel_index(nodes % len(grid.values), grid.shape), 1)
+    """(residuals, gaps) of `verify_transport_identity` at interior flat nodes, bit for bit:
+    each dot product is a row times a column in one stacked `np.matmul`, which adds as
+    `grad @ v` does, and a gap is the square root of one, as `np.linalg.norm` takes it."""
+    x = np.asarray(grid.origin) + grid.pitch * np.stack(np.unravel_index(nodes, grid.shape), 1)
     charts = np.zeros(len(nodes), dtype=np.int64)
     if (space.impl.distances_between(charts, x, charts, T.source.rows[1][nodes]) > 1e-9).any():
         raise MapUndefined("map source atoms do not sit on the grid nodes")

@@ -15,7 +15,8 @@ their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
 the route that climbs to an LCA for each of its four endpoint pairs, and the
 pair kernel that keeps the shortest of the four routes on every row; the
-one route the tree now takes is also kept as a plain scalar climb.
+one route the tree now takes is also kept as a plain scalar climb, and a
+geodesic's sections as the climb of one parent per pass.
 The per-family geodesic extension and segment projection are kept as each
 family first wrote them, whole, the subtree check as a scan of every edge,
 and a tree vertex's normal point as the incident-edge lookup.
@@ -671,6 +672,35 @@ def distances_by_four_routes(space: SpaceHandle, charts_p, coords_p, charts_q, c
             w = np.where(top == pl, u, np.where(top == ql, v, top))
             tots.append(off_u + (((hi[u] - hi[w]) + (lo[u] - lo[w])) + ((hi[v] - hi[w]) + (lo[v] - lo[w]))) + off_v)
     return np.where(charts_p == charts_q, np.abs(s - t), functools.reduce(np.minimum, tots))
+
+
+def path_sections_by_climb(space: SpaceHandle, u: np.ndarray, w: np.ndarray) -> tuple:
+    """TreeImpl._path_sections as it first ran: one parent per numpy pass over
+    every row, one column per pass, until each row reaches its ancestor w.
+
+    The parent edges come from the vertex-indexed `parent_edge` list, read
+    in preorder.
+    """
+    impl = space.impl
+    ends, lens, parent = impl._ends, impl._lens, impl._pre_parent
+    pedge = np.asarray(impl.parent_edge, dtype=np.int64)[np.argsort(impl._tin)]
+    cols = []
+    live = u != w
+    while live.any():
+        e = pedge[u]
+        lower_first = ends[e, 0] == u
+        cols.append(
+            (
+                np.where(live, e, 0),
+                np.where(live & ~lower_first, lens[e], 0.0),
+                np.where(live & lower_first, lens[e], 0.0),
+            )
+        )
+        u = np.where(live, parent[u], u)
+        live = u != w
+    if not cols:
+        return np.zeros((len(u), 0), dtype=np.int64), np.zeros((len(u), 0)), np.zeros((len(u), 0))
+    return tuple(np.stack(c, axis=1) for c in zip(*cols))
 
 
 def extend_by_family(space: SpaceHandle, g: Geodesic, delta: float) -> Geodesic:

@@ -16,7 +16,8 @@ difference quotients and polar factorization the workloads also run, and
 the drawn directions of a euclidean space of dimension other than 2, the
 largest tree's subtree region and one-source distances, and the default
 transport-identity ladder, whose side-49 grid of 2,401 atoms runs in no
-workload.
+workload, and the geometry suite and Eilenberg check on a 301-vertex path
+rooted at its middle, whose geodesics climb up to 150 levels on each side.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ BOOK3 = {"kind": "open_book", "pages": 3}
 TRIPOD = {"kind": "tripod"}
 COMB14 = {"kind": "comb", "depth": 1, "grid": 4}
 COMB316 = {"kind": "comb", "depth": 3, "grid": 16}
+# a path of 301 vertices rooted at its middle: geodesics of up to 300 sections,
+# whose lengths do not add exactly
+PATH301 = {
+    "kind": "tree",
+    "vertices": list(range(301)),
+    "edges": [[k, k + 1, 0.1 + 0.003 * k] for k in range(300)],
+    "root": 150,
+}
 # (space, experiment, params) of the reports outside the workloads
 EXTRA = (
     [(space, "fermat", {}) for space in (E2, BOOK3, TRIPOD, COMB14)]
@@ -45,6 +54,7 @@ EXTRA = (
     + [(BOOK3, "geometry-suite", {"samples": k}) for k in (1, 2, 3, 7, 50)]
     + [(COMB316, "eilenberg", {})]
     + [(E2, "transport-identity", {})]
+    + [(PATH301, "geometry-suite", {"samples": 300}), (PATH301, "eilenberg", {})]
 )
 
 

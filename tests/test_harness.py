@@ -820,7 +820,7 @@ PINNED_REPORTS = {
 # moved
 REPORT_DIGESTS_101 = (
     "0883bf3f91893eea9f5daf7f559e1aff35ac4899dc70d7ca94d6b2c9c92a2ecc",
-    "47ba7cb0397c1a59eff2a847f1c616d8075426faab7efa88f27b412f5b31a4ed",
+    "e0c5ec5c86ed299fd2681b73ea9b5aafb389b7356ddf5ffb93bc9d93dffa190b",
 )
 WORKLOAD_DIGESTS_101 = {
     "assign-grid": "ede903df50ad1b59fb8ac84df49024fc20713b358aaa7b0357ad4946a1d6d4ed",

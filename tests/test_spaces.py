@@ -53,6 +53,7 @@ from _oracles import (
     book_distance,
     comb_counts,
     distances_by_four_routes,
+    path_sections_by_climb,
     region_diameter_by_family,
     region_volume_by_family,
     route_by_four_lcas,
@@ -312,19 +313,12 @@ def test_distances_between_match_the_scalar_distance(name, request):
     assert np.isinf(want).any() == (space.kind != "tree")
 
 
-@pytest.mark.parametrize("name", PAIR_SPACES)
-def test_geodesic_points_match_the_scalar_geodesic(name, request):
-    space = request.getfixturevalue(name)
-    impl = space.impl
-    rng = substream(29, f"geodesic-pairs:{name}")
-    pairs = [(p, q) for p, q in _pairs(space, rng) if math.isfinite(impl.distance(p, q))]
-    geos = [impl.geodesic(p, q) for p, q in pairs]
-    pairs = [pq for pq, g in zip(pairs, geos) if math.isfinite(g.length)]
-    geos = [g for g in geos if math.isfinite(g.length)]
-    # t at both ends, at each exact piece end, just short of it, where a tree
-    # point snaps to the vertex, and inside
+def _geodesic_points_agree(impl, pairs, geos, rng, stride: int = 1) -> None:
+    """`geodesic_points` on the pairs equals each scalar geodesic's `eval`, byte
+    for byte: at t at both ends, at every stride-th exact piece end, just short
+    of it, where a tree point snaps to the vertex, and at two t inside."""
     ts = [
-        [0.0, 1.0, *(pc.t1 for pc in g.pieces), *(max(0.0, pc.t1 - 1e-14) for pc in g.pieces)]
+        [0.0, 1.0, *(pc.t1 for pc in g.pieces[::stride]), *(max(0.0, pc.t1 - 1e-14) for pc in g.pieces[::stride])]
         + rng.uniform(0.0, 1.0, 2).tolist()
         for g in geos
     ]
@@ -338,6 +332,18 @@ def test_geodesic_points_match_the_scalar_geodesic(name, request):
     want_charts, want_coords = _rows(want)
     assert charts.ravel().tobytes() == want_charts.tobytes()
     assert coords.reshape(len(want), -1).tobytes() == want_coords.tobytes()
+
+
+@pytest.mark.parametrize("name", PAIR_SPACES)
+def test_geodesic_points_match_the_scalar_geodesic(name, request):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    rng = substream(29, f"geodesic-pairs:{name}")
+    pairs = [(p, q) for p, q in _pairs(space, rng) if math.isfinite(impl.distance(p, q))]
+    geos = [impl.geodesic(p, q) for p, q in pairs]
+    pairs = [pq for pq, g in zip(pairs, geos) if math.isfinite(g.length)]
+    geos = [g for g in geos if math.isfinite(g.length)]
+    _geodesic_points_agree(impl, pairs, geos, rng)
     assert any(g.length == 0 for g in geos)
     # on the flat families, the points 1e-170 apart span a zero-length geodesic
     assert any(g.length == 0 and p != q for (p, q), g in zip(pairs, geos)) == (space.kind != "tree")
@@ -480,16 +486,57 @@ def test_lcas_match_the_scalar_lca_on_comb316(comb316):
     _lca_pairs_agree(comb316.impl, *rng.integers(0, len(comb316.impl.vertices), (2, 5_000)))
 
 
-def test_lcas_lift_a_path_in_log_depth_levels():
+@pytest.fixture(scope="module")
+def path301():
     # a path of 301 vertices rooted at its middle: depth 150 on both sides,
     # and an LCA at the root for every pair across it
-    impl = build_tree(range(301), [(k, k + 1, 1.0) for k in range(300)], root=150).impl
+    return build_tree(range(301), [(k, k + 1, 1.0) for k in range(300)], root=150)
+
+
+def test_lcas_lift_a_path_in_log_depth_levels(path301):
+    impl = path301.impl
     assert len(impl._lift) == math.ceil(math.log2(150)) == 8
     rng = substream(43, "lcas:path")
     u, v = rng.integers(0, 301, (2, 3_000))
     # k and 300 - k meet at the root, a climb of 149 - k steps from k < 150; the
     # climbs 0 to 149 between them set every bit of every level
     _lca_pairs_agree(impl, np.concatenate([u, np.arange(301)]), np.concatenate([v, np.arange(301)[::-1]]))
+
+
+def test_geodesic_points_match_the_scalar_geodesic_on_a_deep_path(path301):
+    impl = path301.impl
+    rng = substream(47, "geodesic-points:path301")
+    # from inside each edge left of the root to inside one right of it, both
+    # ways, and between vertices on one side, whose LCA lies below the root
+    across = [(Point(k, (0.25,)), Point(150 + (37 * k) % 150, (0.5,))) for k in range(150)]
+    pairs = across + [(q, p) for p, q in across]
+    pairs += [(impl.vertex_point(k), impl.vertex_point(k + 3 + k % 50)) for k in range(0, 140, 7)]
+    geos = [impl.geodesic(p, q) for p, q in pairs]
+    _geodesic_points_agree(impl, pairs, geos, rng, stride=23)
+    # the climbs take every level of `_lift`, and most of their counts are no power of 2
+    (e, s), (f, t) = _rows([p for p, _ in pairs]), _rows([q for _, q in pairs])
+    _tot, u, _cu, v, _cv, w = impl._pair_routes(e, s[:, 0], f, t[:, 0])
+    climbs = set((impl._pre_depth[np.concatenate([u, v])] - impl._pre_depth[np.concatenate([w, w])]).tolist())
+    assert len(impl._lift) == 8 and max(climbs) > 2**7
+    assert len(climbs - {0} - {2**k for k in range(8)}) > 100
+
+
+@pytest.mark.parametrize("name", ["comb316", "long_tree", "lopsided_tree", "path301"])
+def test_path_sections_match_the_one_parent_climb(name, request):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    rng = substream(53, f"sections:{name}")
+    u = rng.integers(0, len(impl.vertices), 3_000)  # preorder positions
+    w = impl._lcas(u, rng.integers(0, len(impl.vertices), 3_000))
+    every = np.arange(len(impl.vertices))
+    # mixed rows; every position up to the root; rows that climb nothing,
+    # whose sections are [n, 0] with the climb's dtypes; and no rows
+    for a, b in ((u, w), (every, np.zeros_like(every)), (u, u), (u[:0], w[:0])):
+        got, want = impl._path_sections(a, b), path_sections_by_climb(space, a, b)
+        assert [(x.dtype, x.shape) for x in got] == [(y.dtype, y.shape) for y in want]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    assert impl._path_sections(u, u)[0].shape == (len(u), 0)
+    assert (u != w).any() and (u == w).any()
 
 
 def test_rerooted_subtree_connectivity(lopsided_at_e):

@@ -1098,6 +1098,11 @@ def test_grid_potential_basics():
     assert lin.interpolate(Point(0, (1.2, -0.1))) == pytest.approx(2.4 - 0.3, abs=1e-12)
 
 
+def test_grid_potential_rejects_values_off_its_shape():
+    with pytest.raises(ParamOutOfRange, match="needs 16 values, got 15"):
+        GridPotential((0.0, 0.0), 0.5, (4, 4), tuple(range(15)))
+
+
 def _translation_setup(space, n):
     mu, nu, shift, h = translation_instance(space, n)
     plan, _, _ = solve_kantorovich(space, mu, nu)
@@ -1136,9 +1141,10 @@ def test_transport_identity_rejects_a_grid_off_the_source_atoms(e2):
     off = dataclasses.replace(grid, origin=(0.5 * h, 0.0))
     with pytest.raises(MapUndefined, match="grid nodes"):
         verify_transport_identity(e2, off, T, 6)
-    # node 21 of the map lies past a 4-by-4 grid, whose node index wraps it to interior node 5
+    # node 21 of the map lies past a 4-by-4 grid, which has no node 21
     small = GridPotential((0.0, 0.0), h, (4, 4), grid.values[:16])
-    assert small.is_interior(21)
+    with pytest.raises(ParamOutOfRange):
+        small.is_interior(21)
     with pytest.raises(MapUndefined, match="grid nodes"):
         verify_transport_identity(e2, small, T, 21)
 
