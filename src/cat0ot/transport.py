@@ -636,7 +636,8 @@ def psi_R(
 @dataclass(frozen=True)
 class GridPotential:
     """Scalar values on a regular Euclidean grid, row-major with the last axis fastest:
-    one value per node, and a flat node index past the grid raises ParamOutOfRange."""
+    one value per node, and a node index, flat or per axis, past the grid raises
+    ParamOutOfRange."""
 
     origin: tuple[float, ...]
     pitch: float
@@ -649,8 +650,12 @@ class GridPotential:
             raise ParamOutOfRange(f"a grid of shape {self.shape} needs {size} values, got {len(self.values)}")
 
     def flat_index(self, idx: Sequence[int]) -> int:
+        if len(idx) != len(self.shape):
+            raise ParamOutOfRange(f"a node of a grid of shape {self.shape} has {len(self.shape)} indices, got {len(idx)}")
         flat = 0
         for k, i in zip(self.shape, idx):
+            if not 0 <= i < k:
+                raise ParamOutOfRange(f"node {tuple(idx)} lies past the grid of shape {self.shape}")
             flat = flat * k + i
         return flat
 

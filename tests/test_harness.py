@@ -749,14 +749,16 @@ PINNED_REPORTS = {
         "e5001d7c3157ff0834ca8e59216dd349ec2256927953cd8b3cda47edc16420c6",
     ),
     # computed before interior duals were refined from the solver's prices;
-    # the raw exchange closure skipped refinement on both plans
+    # the raw exchange closure skipped refinement on both plans. Recorded
+    # again when the simplex began from entropic prices: the pivot path moved
+    # the flows' last bits
     "e2-solve": (
         (E2, "solve", {"instance": "random", "n": 150, "m": 150}, 2),
-        "37892c1ea565ce8ecee04f9eab4042ee2e849a1b38988f69125dd80ac4e78f1a",
+        "6967ba38cb18b71183d60c84516f8b99cdce38d866f221ae739e759f296751b6",
     ),
     "book3-solve": (
         (BOOK3, "solve", {"instance": "random", "n": 95, "m": 105}, 2),
-        "b45418ada2908fa66bbff377d6160c9b355fd532be6fdacb6f1a1f7957bf0286",
+        "cf5324b3a632f5b9b11c1cfa1c71e0c0b8d80f793d57b8af5e682067fe374f53",
     ),
     # computed before geodesics stopped storing their breakpoints: the suite
     # whose geodesics cross the most tree edges
@@ -819,14 +821,14 @@ PINNED_REPORTS = {
 # and each workload's own digest, so that a failure names the workload that
 # moved
 REPORT_DIGESTS_101 = (
-    "0883bf3f91893eea9f5daf7f559e1aff35ac4899dc70d7ca94d6b2c9c92a2ecc",
+    "d41d6847f940725a39ee63920b74b274e8d6f2e860e9195018daaebc289fff16",
     "e0c5ec5c86ed299fd2681b73ea9b5aafb389b7356ddf5ffb93bc9d93dffa190b",
 )
 WORKLOAD_DIGESTS_101 = {
     "assign-grid": "ede903df50ad1b59fb8ac84df49024fc20713b358aaa7b0357ad4946a1d6d4ed",
-    "batch-sweep": "05d2c4e05205b19347a46c1ec1c2fb78d0c42b4107e60b4027757b3915a8d73a",
-    "geometry-tree": "b32690bc5ab5fe6c8a954f3a9e079c197d606a9bb3cddb37a457cb67b2a07c0e",
-    "simplex-random": "75aa456947c042a22dc640b4fa02a25965839db295898613af0d92ce9e23df91",
+    "batch-sweep": "67b7adb38d65a8f3e4ebf81fa645f88ace615f2a367dffa881e69e4bfe5c8ced",
+    "geometry-tree": "5b288c5db421b86e424586aa6be0be59d22cf9f94f5a4ba44097f1ff24324161",
+    "simplex-random": "b4d4946c444059e04b53a8c9d0007841eb21ef57c0c59c91bc290e392a0b289b",
 }
 
 
@@ -836,6 +838,32 @@ def test_report_digests_are_pinned_at_seed_101():
     assert count == 64
     assert per_workload == WORKLOAD_DIGESTS_101
     assert (combined, extra) == REPORT_DIGESTS_101
+
+
+def test_report_digest_names_the_metrics_that_moved():
+    # two solves, one with its cost nudged and its pass flag flipped, and a
+    # record whose sigma moved
+    sink = []
+    for seed in (5, 6):
+        report_digest._rendered(Scenario(E2, "solve", {"instance": "random", "n": 6, "m": 7}, seed), sink, "w")
+    old = report_digest.report_metrics(sink)
+    assert [r["group"] for r in old] == ["w", "w"] and all(r["passed"] for r in old)
+    new = json.loads(json.dumps(old))
+    assert report_digest.compare_metrics(old, new)[:2] == ["0 of 2 reports moved", f"{'w':>22}    0/2    reports moved"]
+    cost = new[1]["metrics"]["cost"]
+    cost["value"] *= 1.5
+    new[1]["passed"] = False
+    new[0]["metrics"]["cost"]["sigma"] = 0.25
+    lines = report_digest.compare_metrics(old, new)
+    assert lines[0] == "2 of 2 reports moved"
+    [moved] = [line for line in lines if line.split()[:2] == ["solve", "cost"]]
+    assert moved.split()[2:] == ["1/2", "max", "|d|", f"{cost['value'] / 3:.3g}", "max", "rel", "0.5"]
+    [sigma] = [line for line in lines if line.split()[:2] == ["solve", "cost.sigma"]]
+    assert sigma.split()[2] == "1/1"
+    assert lines[-1] == "pass flag flipped: report 1 (solve) True -> False"
+    # records of other scenarios are not compared
+    with pytest.raises(SystemExit):
+        report_digest.compare_metrics(old, new[::-1])
 
 
 def _recorded_polar_batches(monkeypatch) -> list:

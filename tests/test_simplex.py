@@ -8,9 +8,10 @@ import pytest
 from cat0ot import _simplex, brute_force_oracle, build_euclidean, measure, pairwise_costs
 from cat0ot.harness import run_scenario, sample_points, translation_instance
 from cat0ot.rng import substream
+from cat0ot.spaces import Point
 
 import report_digest
-from _oracles import solve_transport_by_full_pricing, staircase_basis
+from _oracles import least_cost_by_scan, solve_transport_by_full_pricing, staircase_basis
 
 
 def _check_basis(flow, a, b):
@@ -121,8 +122,9 @@ def test_translation_grid_engages_bland_and_stays_exact(monkeypatch, count_pivot
     # from the northwest-corner staircase, which is already the optimal shift,
     # 21 x 21 is the smallest grid whose degenerate streak turns on the Bland
     # rule (of the sides 2 to 25, a copy of solve_transport that recorded the
-    # switch saw it fire at 21, 23, 24 and 25); from the least-cost start no
-    # grid of side 2 to 25 engages it
+    # switch saw it fire at 21, 23, 24 and 25); from the solver's own start,
+    # the least-cost basis of C minus the entropic prices, such a copy saw no
+    # grid of side 2 to 25 engage it
     monkeypatch.setattr(_simplex, "least_cost", staircase_basis)
     C, a, b = _grid_instance(21)
     pivots = count_pivots(C, a, b)
@@ -204,8 +206,124 @@ def test_least_cost_basis_constant_costs(n, m):
     _check_basis(_simplex.least_cost(np.full((n, m), 2.0), a, b), a, b)
 
 
-# Pivots per solve from the least-cost start, under candidate-list pricing.
-PIVOTS = {"120x97": 289, "grid13": 1588}
+def _least_cost_instances():
+    rng = substream(0, "least-cost-scan")
+    out = []
+    for n, m in [(2, 3), (9, 5), (23, 17), (40, 31), (120, 97), (1, 7), (7, 1), (1, 1)]:
+        a, b = _weights(rng, n), _weights(rng, m)
+        out.append(pytest.param(rng.uniform(0.0, 3.0, (n, m)), a, b, id=f"random-{n}x{m}"))
+        out.append(pytest.param(np.full((n, m), 2.0), a, b, id=f"constant-{n}x{m}"))
+        # integer costs tie often, so the stable order shows
+        out.append(pytest.param(rng.integers(0, 3, (n, m)).astype(float), a, b, id=f"ties-{n}x{m}"))
+    for n in (2, 7, 30):
+        a = np.full(n, 1.0 / n)
+        out.append(pytest.param(rng.uniform(0.0, 3.0, (n, n)), a, a, id=f"uniform-{n}x{n}"))
+    return out
+
+
+@pytest.mark.parametrize("C,a,b", _least_cost_instances())
+def test_least_cost_matches_the_one_cell_scan(C, a, b):
+    flow, want = _simplex.least_cost(C, a, b), least_cost_by_scan(C, a, b)
+    # the same arcs in the same insertion order, with the same bits
+    assert list(flow) == list(want)
+    assert [float(q).hex() for q in flow.values()] == [float(q).hex() for q in want.values()]
+
+
+def test_constant_costs_give_zero_prices_and_the_plain_start(monkeypatch):
+    rng = substream(1, "entropic-constant")
+    a, b = _weights(rng, 25), _weights(rng, 20)
+    C = np.full((25, 20), 2.0)
+    alpha, beta = _simplex._entropic_prices(C, a, b)
+    assert alpha.tolist() == [0.0] * 25 and beta.tolist() == [0.0] * 20
+    starts = []
+    least_cost = _simplex.least_cost
+    monkeypatch.setattr(_simplex, "least_cost", lambda *args: starts.append(least_cost(*args)) or starts[-1])
+    flow, _, _ = _simplex.solve_transport(C, a, b)
+    [start] = starts
+    assert list(start.items()) == list(least_cost_by_scan(C, a, b).items())
+    _check_basis(flow, a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_costs_give_zero_prices(bad):
+    # the prices read the cost range; a nan or infinite cost leaves none, and
+    # no step warns (the pytest configuration makes a RuntimeWarning an error)
+    C, a, b = _contract_instance(23, 17)
+    C[4, 5] = bad
+    alpha, beta = _simplex._entropic_prices(C, a, b)
+    assert not alpha.any() and not beta.any()
+    assert alpha.shape == (23,) and beta.shape == (17,)
+
+
+def test_a_zero_weight_gives_zero_prices():
+    # its scaling is 0, whose log is not finite
+    C, a, b = _contract_instance(23, 17)
+    a[3] = 0.0
+    alpha, beta = _simplex._entropic_prices(C, a / a.sum(), b)
+    assert not alpha.any() and not beta.any()
+
+
+def test_entropic_prices_cut_the_pivots(monkeypatch, count_pivots):
+    C, a, b = _contract_instance(120, 97)
+    alpha, beta = _simplex._entropic_prices(C, a, b)
+    assert np.isfinite(alpha).all() and np.isfinite(beta).all() and alpha.any()
+    entropic = count_pivots(C, a, b)
+    monkeypatch.setattr(_simplex, "_entropic_prices", lambda C, a, b: (np.zeros(len(a)), np.zeros(len(b))))
+    # the least-cost start on the raw costs, as before the prices
+    assert count_pivots(C, a, b) == 289 > entropic == PIVOTS["120x97"]
+
+
+def _recorded_prices(monkeypatch):
+    out = []
+    prices = _simplex._entropic_prices
+    monkeypatch.setattr(_simplex, "_entropic_prices", lambda *args: out.append(prices(*args)) or out[-1])
+    return out
+
+
+def _solve_from_prices(space, mu, nu, monkeypatch):
+    """Solve mu -> nu from finite, nonzero entropic prices, and check the cost
+    against the full-pricing solver, which starts from the raw costs."""
+    recorded = _recorded_prices(monkeypatch)
+    C, a, b = pairwise_costs(space, mu, nu), np.asarray(mu.weights), np.asarray(nu.weights)
+    flow = _check_contract(C, a, b)
+    [(alpha, beta)] = recorded
+    assert np.isfinite(alpha).all() and np.isfinite(beta).all() and alpha.any()
+    want, _, _ = solve_transport_by_full_pricing(C, a, b)
+    cost = sum(C[arc] * mass for arc, mass in flow.items())
+    assert cost == pytest.approx(sum(C[arc] * mass for arc, mass in want.items()), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e50, 1e100, 1e150])
+def test_far_euclidean_atoms_solve_without_warnings(e2, scale, monkeypatch):
+    # costs up to about 1e300: the scalings run under np.errstate, the prices
+    # and the shifted costs stay finite, and any RuntimeWarning fails the test
+    rng = substream(int(np.log10(scale)), "entropic-far-e2")
+    mu = measure(e2, [Point(0, tuple(x)) for x in scale * rng.uniform(-1.0, 1.0, (20, 2))], _weights(rng, 20))
+    nu = measure(e2, [Point(0, tuple(x)) for x in scale * rng.uniform(-1.0, 1.0, (25, 2))], _weights(rng, 25))
+    _solve_from_prices(e2, mu, nu, monkeypatch)
+
+
+def test_deep_tree_costs_give_finite_prices(deep_tree, monkeypatch):
+    # root distances of 1e20 to the last bit: costs near 5e39 that differ in
+    # their low digits, and a temperature near 5e37
+    rng = substream(0, "entropic-deep-tree")
+    mu = measure(deep_tree, sample_points(deep_tree, rng, 20), _weights(rng, 20))
+    nu = measure(deep_tree, sample_points(deep_tree, rng, 25), _weights(rng, 25))
+    _solve_from_prices(deep_tree, mu, nu, monkeypatch)
+
+
+def test_small_instances_start_from_the_raw_costs(monkeypatch):
+    # under ENTROPIC_MIN_CELLS cells the scalings cost more than they save
+    recorded = _recorded_prices(monkeypatch)
+    _simplex.solve_transport(*_contract_instance(23, 17))
+    assert recorded == []
+    _simplex.solve_transport(*_contract_instance(20, 20))
+    assert len(recorded) == 1
+
+
+# Pivots per solve from the least-cost start on C minus the entropic prices,
+# under candidate-list pricing.
+PIVOTS = {"120x97": 185, "grid13": 504}
 
 
 @pytest.mark.parametrize("instance", sorted(PIVOTS))
@@ -225,8 +343,8 @@ def _digest(flow, alpha, beta):
 # and every price bit. The grids start from the northwest-corner staircase,
 # so that grid 21 runs under Bland.
 DIGESTS = {
-    "120x97": "832087a2c20f6bbcfa646359c762885a0c15104ad1b965d10c0c391a73ab6eef",
-    "97x120": "d065b27b2e511951a3b7a23ed6e2064f6b05145617f3bea69a2f8e2299ea220a",
+    "120x97": "86f3968c00143bb3e9b168479b095fdff148b5cb46c1b63877d78c649f728012",
+    "97x120": "ddbbf7180cd11941408c75eb01a7ffbe09f38c6fde4c555b051f4cc57cefd903",
     "grid13": "71de700e91548cf2fff28cf76bf84dc68e6fb67d8acde727d2a63cee74dc85b2",
     "grid17": "9af7e12a4ffa5ce559d4b8ffd7c09a7b60e9513c187a702b2d2fa8b7a15095e5",
     "grid21": "2b158b0b939c8e29c8ec8842eacebbad888f9a22342f10890904f9c4ffdc005e",

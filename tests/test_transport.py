@@ -1103,6 +1103,21 @@ def test_grid_potential_rejects_values_off_its_shape():
         GridPotential((0.0, 0.0), 0.5, (4, 4), tuple(range(15)))
 
 
+def test_grid_potential_rejects_a_node_index_off_the_grid():
+    gp = GridPotential((0.0, 0.0), 0.5, (4, 4), tuple(range(16)))
+    assert [gp.flat_index(idx) for idx in ((0, 0), (3, 3), (1, 2))] == [0, 15, 6]
+    # each of these once wrapped onto another node or past the last one
+    for idx in ((0, 5), (4, 0), (0, 4), (-1, 0), (2, -1)):
+        with pytest.raises(ParamOutOfRange, match="lies past the grid"):
+            gp.flat_index(idx)
+    for idx in ((1,), (1, 2, 0), ()):
+        with pytest.raises(ParamOutOfRange, match="has 2 indices"):
+            gp.flat_index(idx)
+    # interpolate clips its base cell onto the grid, so a point far outside
+    # still extrapolates from an edge cell: the values are 8 x + 2 y
+    assert gp.interpolate(Point(0, (10.0, -10.0))) == pytest.approx(60.0, abs=1e-9)
+
+
 def _translation_setup(space, n):
     mu, nu, shift, h = translation_instance(space, n)
     plan, _, _ = solve_kantorovich(space, mu, nu)
