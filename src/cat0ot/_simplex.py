@@ -30,8 +30,7 @@ cells sort first, and the least-cost pass takes its cells in that order. On
 random costs this begins nearer the optimum than the least-cost basis of C
 and roughly halves the pivots. Only the start reads those prices: the basis
 is priced from C, and optimality is still declared by a full pricing, so the
-solve stays exact. Instances under 400 cells, where the scalings cost more
-than they save, start from the least-cost basis of C itself.
+solve stays exact.
 
 `transport.solve_kantorovich` calls the solver on non-uniform or non-square
 inputs, and on uniform squares, where every basis is degenerate, only when
@@ -51,10 +50,6 @@ BLAND_STREAK = 2
 # the entropic start: Sinkhorn scalings, and the cost range over the temperature
 SINKHORN_SCALINGS = 40
 SINKHORN_SPREAD = 100.0
-# the scalings cost about 0.1 ms on anything up to 20 x 20; random 16 x 16
-# solves took about that much longer with them, and 20 x 20 broke even (2-vCPU
-# Xeon VM), so smaller instances start from the raw costs
-ENTROPIC_MIN_CELLS = 400
 
 
 def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
@@ -63,39 +58,30 @@ def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, i
     Cells are taken in one stable ascending sort of C. Each cell whose row and
     column are both still open gets min(ra, rb), and exactly one exhausted
     line closes per cell (the row on a tie, and never the last open row or
-    column), so each arc joins a closing line to the tree of open lines. The
-    sort is read in blocks of n + m cells; numpy masks of the lines open at a
-    block's start drop its dead cells, and only the rest are checked in turn.
+    column), so each arc joins a closing line to the tree of open lines.
     """
     n, m = C.shape
     ra = a.astype(float).tolist()
     rb = b.astype(float).tolist()
     row_open, col_open = [True] * n, [True] * m
-    row_mask, col_mask = np.ones(n, dtype=bool), np.ones(m, dtype=bool)
     rows_left, cols_left = n, m
     flow: dict[tuple[int, int], float] = {}
-    rows, cols = np.divmod(np.argsort(C, axis=None, kind="stable"), m)
-    step = n + m
-    for start in range(0, n * m, step):
-        bi, bj = rows[start : start + step], cols[start : start + step]
-        if start:  # every line is open through the first block
-            live = row_mask[bi] & col_mask[bj]
-            bi, bj = bi[live], bj[live]
-        for i, j in zip(bi.tolist(), bj.tolist()):
-            if not (row_open[i] and col_open[j]):
-                continue
-            q = min(ra[i], rb[j])
-            flow[(i, j)] = q
-            ra[i] -= q
-            rb[j] -= q
-            if rows_left == 1 and cols_left == 1:
-                return flow
-            if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
-                row_open[i] = row_mask[i] = False
-                rows_left -= 1
-            else:
-                col_open[j] = col_mask[j] = False
-                cols_left -= 1
+    for cell in np.argsort(C, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, m)
+        if not (row_open[i] and col_open[j]):
+            continue
+        q = min(ra[i], rb[j])
+        flow[(i, j)] = q
+        ra[i] -= q
+        rb[j] -= q
+        if rows_left == 1 and cols_left == 1:
+            break
+        if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
     return flow
 
 
@@ -107,7 +93,10 @@ def _entropic_prices(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
     whose entries lie in [exp(-SINKHORN_SPREAD), 1], give the prices
     (T log u, T log v). C minus them ranks near-optimal cells first, which
     is all `solve_transport` reads of them. Constant or non-finite C, and
-    any non-finite price (a zero weight gives one), give zero prices.
+    any non-finite price (a zero weight gives one), give zero prices. The
+    products run in numpy's einsum loops rather than BLAS, whose kernel, and
+    so the last bits of a sum, depends on the CPU: costs that tie in C sort
+    by those bits, so the start would too.
     """
     n, m = C.shape
     zero = np.zeros(n), np.zeros(m)
@@ -119,8 +108,8 @@ def _entropic_prices(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
         K = np.exp((lo - C) / T)
         v = np.ones(m)
         for _ in range(SINKHORN_SCALINGS):
-            u = a / (K @ v)
-            v = b / (u @ K)
+            u = a / np.einsum("ij,j->i", K, v)
+            v = b / np.einsum("ij,i->j", K, u)
         alpha, beta = T * np.log(u), T * np.log(v)
         if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
             return zero
@@ -200,8 +189,8 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
     alpha, beta) with alpha[i] + beta[j] <= C[i, j] everywhere and equality
     on basic arcs.
 
-    The start is `least_cost` on C minus `_entropic_prices` (on C itself
-    below ENTROPIC_MIN_CELLS cells); everything after it reads C.
+    The start is `least_cost` on C minus `_entropic_prices`; everything
+    after it reads C.
     Each full pricing of the n x m reduced costs keeps its n + m most
     negative cells (`_shortlist`); the pivots after it re-price only those
     and enter the most negative, the first in row-major order on a tie. When
@@ -225,11 +214,8 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray):
             alpha = C[:, 0] - beta[0]
         return flow, alpha, beta
 
-    order = C
-    if n * m >= ENTROPIC_MIN_CELLS:
-        alpha0, beta0 = _entropic_prices(C, a, b)
-        order = C - alpha0[:, None] - beta0[None, :]
-    flow = least_cost(order, a, b)
+    alpha0, beta0 = _entropic_prices(C, a, b)
+    flow = least_cost(C - alpha0[:, None] - beta0[None, :], a, b)
     # slot k holds the basic arc at row-major cell basic[k] with mass x[k];
     # adj[u] maps each tree neighbour of node u to the slot of the arc
     # between them

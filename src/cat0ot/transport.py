@@ -433,8 +433,11 @@ def solve_kantorovich(
     there are any, that grows until no arc of C prices negative: those
     prices certify it. If they do not settle within n + 5 rounds, a negative
     exchange cycle rules the matching out, and the transportation simplex
-    solves the problem, as it does for every other input. Costs past the
-    float range raise ParamOutOfRange before either solver runs.
+    solves the problem, as it does for every other input. The simplex starts
+    from the least-cost basis of C minus entropic prices, which only orders
+    its start; it prices from C and declares optimality by a full pricing,
+    so its answer is exact. Costs past the float range raise
+    ParamOutOfRange before either solver runs.
     """
     n, m = len(mu.points), len(nu.points)
     if n > MAX_SUPPORT or m > MAX_SUPPORT:

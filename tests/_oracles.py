@@ -216,36 +216,6 @@ def assignment_duals_by_dense_relaxation(C: np.ndarray, perm, arcs=None):
     return None
 
 
-def least_cost_by_scan(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
-    """The matrix-minimum start as it read the sort before blocks: every cell
-    of one stable ascending sort of C in turn, each checked against the open
-    rows and columns. The reference for `_simplex.least_cost`, which must
-    return the same dict, in the same insertion order, with the same bits."""
-    n, m = C.shape
-    ra = np.asarray(a, dtype=float).tolist()
-    rb = np.asarray(b, dtype=float).tolist()
-    row_open, col_open = [True] * n, [True] * m
-    rows_left, cols_left = n, m
-    flow: dict[tuple[int, int], float] = {}
-    for cell in np.argsort(C, axis=None, kind="stable").tolist():
-        i, j = divmod(cell, m)
-        if not (row_open[i] and col_open[j]):
-            continue
-        q = min(ra[i], rb[j])
-        flow[(i, j)] = q
-        ra[i] -= q
-        rb[j] -= q
-        if rows_left == 1 and cols_left == 1:
-            break
-        if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
-            row_open[i] = False
-            rows_left -= 1
-        else:
-            col_open[j] = False
-            cols_left -= 1
-    return flow
-
-
 def staircase_basis(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
     """Northwest-corner start for the transportation simplex: flows on exactly
     n + m - 1 arcs of a staircase, C unread. It takes `least_cost`'s
