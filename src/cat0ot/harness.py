@@ -44,7 +44,7 @@ from .geometry import (
     geodesic,
 )
 from .polar import _factor_row, _factor_trials
-from .rng import _paged_draws, substream
+from .rng import substream
 from .spaces import space_from_json
 from .transport import (
     DiscreteMeasure,
@@ -92,34 +92,29 @@ def _metric(value: float, sigma: Optional[float] = None) -> dict[str, Optional[f
 def sample_points(space: SpaceHandle, rng: np.random.Generator, n: int) -> list[Point]:
     """Draw n normal points spread over a bounded patch of the space.
 
-    Euclidean points are uniform in [-1, 1]^dim. A tree point picks an edge
-    with probability proportional to its length, then a uniform offset on it.
-    A book point picks a page, then (u, v) uniform in [0, 1] x [-1, 1].
-    The points come from one block of draws that gives the per-point draws
-    bit for bit and leaves `rng` in the same state; on a book the block
-    replays each page draw from the half word it reads
-    (`rng._paged_draws`).
+    Every point reads `_draw_width(space)` random() doubles. A euclidean
+    point is uniform in [-1, 1]^dim. A tree point picks an edge with
+    probability proportional to its length, then a uniform offset on it. A
+    book point's page is int(pages * r) for its first double r, then (u, v)
+    is uniform in [0, 1] x [-1, 1]. The points come from one block of draws,
+    so n points are those of n one-point calls, and `rng` is left in the same
+    state.
     """
     return _row_points(*_points_from_draws(space, _point_draws(space, rng, n)))
 
 
 def _draw_width(space: SpaceHandle) -> int:
-    """The draws one point takes: its doubles on a euclidean space or a tree,
-    and a page and two doubles on an open book."""
+    """The random() doubles one point takes: its coordinates on a euclidean
+    space, an edge and an offset on a tree, a page and (u, v) on a book."""
     return space.dim if space.kind == "euclidean" else 2 if space.kind == "tree" else 3
 
 
 def _point_draws(
     space: SpaceHandle, rng: np.random.Generator, n: int, points: int = 1, extra: int = 0
 ) -> np.ndarray:
-    """n rows of draws, each those of `points` points and then `extra`
-    random() doubles. A euclidean or tree point takes `_draw_width` random()
-    doubles; a book point a page and then two doubles."""
-    if space.kind in ("euclidean", "tree"):
-        return rng.random((n, points * _draw_width(space) + extra))
-    if space.kind == "open_book":
-        return _paged_draws(rng, space.params.pages, "iuu" * points + "u" * extra, n)
-    raise ParamOutOfRange(f"no sampler for space kind {space.kind!r}")
+    """n rows of random() doubles, each those of `points` points and then
+    `extra` more."""
+    return rng.random((n, points * _draw_width(space) + extra))
 
 
 def _points_from_draws(space: SpaceHandle, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,10 +122,13 @@ def _points_from_draws(space: SpaceHandle, draws: np.ndarray) -> tuple[np.ndarra
     `_point_draws` rows. uniform(lo, hi) is lo + (hi - lo) * random()."""
     if space.kind == "euclidean":
         return np.zeros(len(draws), dtype=np.int64), -1.0 + 2.0 * draws
-    if space.kind == "open_book":
-        coords = np.stack([draws[:, 1], -1.0 + 2.0 * draws[:, 2]], axis=1)
-        return space.impl._normal_rows(draws[:, 0].astype(np.int64), coords)
     impl = space.impl
+    if space.kind == "open_book":
+        # exact and below pages while pages is an exact float (build_open_book)
+        page = (space.params.pages * draws[:, 0]).astype(np.int64)
+        return impl._normal_rows(page, np.stack([draws[:, 1], -1.0 + 2.0 * draws[:, 2]], axis=1))
+    if space.kind != "tree":
+        raise ParamOutOfRange(f"no sampler for space kind {space.kind!r}")
     # the draw of Generator.choice(len(lens), p=lens / lens.sum()), then that
     # of uniform(0, lens[e])
     edges = np.searchsorted(impl._cdf, draws[:, 0], side="right")
@@ -495,7 +493,12 @@ def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tupl
             (h, res.mean(), np.quantile(res, 0.95), res.max(), np.quantile(gp, 0.95), (res <= 0.25 * h).mean())
         )
     pitches, res_mean, res_p95, res_max, gap_p95, frac_quarter = np.array(stats).T
-    order = float(np.polyfit(np.log(pitches), np.log(np.maximum(res_mean, 1e-300)), 1)[0])
+    # the least-squares slope of log residual on log pitch in left folds, as
+    # np.polyfit's LAPACK kernel moves its last bits from one CPU to another
+    xs, ys = [math.log(h) for h in pitches], [math.log(max(r, 1e-300)) for r in res_mean]
+    x_bar, y_bar = reduce(add, xs, 0.0) / len(xs), reduce(add, ys, 0.0) / len(ys)
+    dx = [x - x_bar for x in xs]
+    order = reduce(add, [d * (y - y_bar) for d, y in zip(dx, ys)], 0.0) / reduce(add, [d * d for d in dx], 0.0)
     c_fit = (res_p95 / pitches).max()
     c_gap = (gap_p95 / pitches).max()
     frac_ok = frac_quarter.min()

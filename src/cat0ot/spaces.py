@@ -937,6 +937,8 @@ def build_comb(depth: int, grid: int) -> SpaceHandle:
 def build_open_book(pages: int) -> SpaceHandle:
     if not isinstance(pages, int) or pages < 2:
         raise ParamOutOfRange(f"an open book needs at least 2 pages, got {pages}")
+    if pages > 2**53:  # a sampled page, int(pages * random()), needs pages to be an exact float
+        raise ParamOutOfRange(f"an open book has at most 2^53 pages, got {pages}")
     impl = BookImpl(pages)
     handle = SpaceHandle("open_book", 2, OpenBookParams(pages), impl)
     impl.handle = handle

@@ -412,7 +412,8 @@ def cyclic_monotonicity_by_tuple(
 
 def sample_points_by_point(space: SpaceHandle, rng: np.random.Generator, n: int) -> list:
     """harness.sample_points as first written: the draws of each point in turn,
-    the tree edge through the CDF that Generator.choice(p=...) builds."""
+    the tree edge through the CDF that Generator.choice(p=...) builds, and the
+    book page read off a random() double as int(random() * pages)."""
     out = []
     if space.kind == "euclidean":
         for _ in range(n):
@@ -428,7 +429,7 @@ def sample_points_by_point(space: SpaceHandle, rng: np.random.Generator, n: int)
             out.append(space.impl.normalize(Point(e, (s,))))
         return out
     for _ in range(n):
-        page = int(rng.integers(0, space.params.pages))
+        page = int(rng.random() * space.params.pages)
         u = float(rng.uniform(0.0, 1.0))
         v = float(rng.uniform(-1.0, 1.0))
         out.append(space.impl.normalize(Point(page, (u, v))))

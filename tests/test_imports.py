@@ -1,6 +1,7 @@
 """Every name a library module imports is used in it, every error class is
-raised somewhere, the builtin `sum` adds only integers, and only the tree
-reads its own root distances (no linter is installed)."""
+raised somewhere, the builtin `sum` adds only integers, only the tree reads
+its own root distances, and no module reads a random generator's internals
+(no linter is installed)."""
 
 from __future__ import annotations
 
@@ -201,3 +202,35 @@ def test_the_check_sees_a_root_distance_read():
         "    return impl.droot[k] + hi[k] + impl.distance(impl.root, k)\n"
     )
     assert root_distance_reads(source) == ["_pre_droot (line 2)", "droot (line 3)"]
+
+
+# Sampled points are read off random() doubles, which a Philox stream gives
+# alike on every platform; how numpy spends the stream's bits on other draws
+# is its own, so no module reads the bit generator, its raw words or its state.
+GENERATOR_INTERNALS = ("bit_generator", "random_raw", "state")
+
+
+def generator_internal_reads(source: str) -> list[str]:
+    """The attribute reads in source of a random generator's internals, in
+    line order."""
+    reads = [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in GENERATOR_INTERNALS
+    ]
+    return [f"{attr} (line {line})" for line, attr in sorted(reads)]
+
+
+def test_no_module_reads_a_generator_s_internals():
+    reads = {m: generator_internal_reads((SRC / m).read_text()) for m in MODULES}
+    assert {m: r for m, r in reads.items() if r} == {}
+
+
+def test_the_check_sees_a_generator_internal_read():
+    source = (
+        "def replay(rng, n):\n"
+        "    bitgen = rng.bit_generator\n"
+        "    saved, words = bitgen.state, bitgen.random_raw(n)\n"
+        "    return rng.random(n), rng.states\n"
+    )
+    assert generator_internal_reads(source) == ["bit_generator (line 2)", "random_raw (line 3)", "state (line 3)"]
