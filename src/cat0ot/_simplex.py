@@ -28,9 +28,11 @@ prices: a fixed number of Sinkhorn scalings (Cuturi, NIPS 2013) at a
 temperature of 1/100 of the cost range give prices under which near-optimal
 cells sort first, and the least-cost pass takes its cells in that order. On
 random costs this begins nearer the optimum than the least-cost basis of C
-and roughly halves the pivots. Only the start reads those prices: the basis
-is priced from C, and optimality is still declared by a full pricing, so the
-solve stays exact.
+and roughly halves the pivots. The pass sorts each row once and keeps the
+cheapest open cell of every open row in a heap, so it takes about n + m
+heap steps rather than visiting the n x m sorted cells one at a time. Only
+the start reads those prices: the basis is priced from C, and optimality is
+still declared by a full pricing, so the solve stays exact.
 
 `transport.solve_kantorovich` calls the solver on non-uniform or non-square
 inputs, and on uniform squares, where every basis is degenerate, only when
@@ -39,6 +41,7 @@ the matching's exchange graph has a negative cycle.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from collections.abc import Iterable, MutableSequence
 
@@ -55,34 +58,51 @@ SINKHORN_SPREAD = 100.0
 def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
     """Matrix-minimum start: flows on exactly n + m - 1 arcs of a spanning tree.
 
-    Cells are taken in one stable ascending sort of C. Each cell whose row and
-    column are both still open gets min(ra, rb), and exactly one exhausted
-    line closes per cell (the row on a tie, and never the last open row or
-    column), so each arc joins a closing line to the tree of open lines.
+    Cells are taken in the order of one stable ascending sort of C, which
+    puts ties in row-major order. Each cell whose row and column are both
+    still open gets min(ra, rb), and exactly one exhausted line closes per
+    cell (the row on a tie, and never the last open row or column), so each
+    arc joins a closing line to the tree of open lines.
+
+    The next such cell is the least (cost, row) among the open rows' heads:
+    each row's cells come from one stable argsort of the row, and its head
+    is its first cell in an open column. A heap holds one (cost, row) key
+    per open row; a key whose column has closed since it was pushed is
+    re-pushed at the row's new head when it comes up, so the start takes
+    about n + m heap steps rather than a scan of the sorted cells.
     """
     n, m = C.shape
     ra = a.astype(float).tolist()
     rb = b.astype(float).tolist()
-    row_open, col_open = [True] * n, [True] * m
+    order = np.argsort(C, axis=1, kind="stable").tolist()
+    head = [0] * n  # each row's position in its own order
+    col_open = [True] * m
     rows_left, cols_left = n, m
+    heap = [(C.item(i, order[i][0]), i) for i in range(n)]  # (cost, row) sorts like row-major ties
+    heapq.heapify(heap)
     flow: dict[tuple[int, int], float] = {}
-    for cell in np.argsort(C, axis=None, kind="stable").tolist():
-        i, j = divmod(cell, m)
-        if not (row_open[i] and col_open[j]):
+    while True:
+        _cost, i = heap[0]
+        row, p = order[i], head[i]
+        j = row[p]
+        if not col_open[j]:
+            while not col_open[row[p]]:
+                p += 1
+            head[i] = p
+            heapq.heapreplace(heap, (C.item(i, row[p]), i))
             continue
         q = min(ra[i], rb[j])
         flow[(i, j)] = q
         ra[i] -= q
         rb[j] -= q
         if rows_left == 1 and cols_left == 1:
-            break
+            return flow
         if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
-            row_open[i] = False
+            heapq.heappop(heap)
             rows_left -= 1
         else:
             col_open[j] = False
             cols_left -= 1
-    return flow
 
 
 def _entropic_prices(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

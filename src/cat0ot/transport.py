@@ -417,11 +417,15 @@ def solve_kantorovich(
 
     Potentials follow the sign convention phi(y) - psi(x) <= c(x, y) with
     equality on the support; the optimal cost equals sum(phi nu) - sum(psi mu).
-    Deterministic for a fixed input order. `_interior_duals` refines the
-    solver's prices so that they are tight exactly on the arcs some optimal
-    plan uses, which is what `c_subdifferential` reads. refine_duals=False
-    keeps the raw node prices, whose finite-difference error scales uniformly
-    with the instance; grid convergence studies rely on that.
+    Deterministic for a fixed input order. By default `_interior_duals`
+    refines the solver's prices so that they are tight exactly on the arcs
+    some optimal plan uses, which is what `c_subdifferential` reads; its
+    exchange-graph closure costs O(min(n, m)^3). refine_duals=False keeps the
+    solver's own prices, which are optimal and so certify the plan just as
+    well (same cost, feasibility and duality gap): every harness experiment
+    passes it, because none reads the tight set, and grid convergence
+    studies rely on their finite-difference error scaling uniformly with the
+    instance.
 
     Uniform n = m inputs take the assignment path: by Birkhoff-von Neumann
     some optimal plan is a permutation. When the costs are `_tied`
@@ -488,6 +492,25 @@ def brute_force_oracle(
     return TransportPlan(mu, nu, entries), float(costs[best])
 
 
+def _combinations(K: int, L: int) -> np.ndarray:
+    """The L-subsets of range(K) as the rows of a (comb(K, L), L) intp array,
+    in the order of itertools.combinations(range(K), L).
+
+    In that order the l-subsets run by their least element, and the
+    (l - 1)-subsets that can follow a lead a are the tail of their own list
+    led by more than a; so each length repeats every lead over its tail. The
+    array is built by columns and returned as a transposed view, whose
+    columns, which the cycle audit gathers, are contiguous."""
+    cols = np.arange(K, dtype=np.intp)[None, :]
+    for _ in range(2, L + 1):
+        tails = np.searchsorted(cols[0], np.arange(1, K + 1))  # where each lead's tail starts
+        counts = cols.shape[1] - tails
+        skip = np.repeat(tails - (np.cumsum(counts) - counts), counts)
+        lead = np.repeat(np.arange(K, dtype=np.intp), counts)
+        cols = np.vstack([lead, np.take(cols, np.arange(len(lead)) + skip, axis=1)])
+    return cols.T
+
+
 def check_cyclic_monotonicity(
     space: SpaceHandle,
     plan: TransportPlan,
@@ -536,11 +559,7 @@ def check_cyclic_monotonicity(
         # ordering of the rest
         tallies = []
         for L in range(2, min(max_len, K) + 1):
-            combos = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(range(K), L)),
-                dtype=np.intp,
-                count=math.comb(K, L) * L,
-            ).reshape(-1, L)
+            combos = _combinations(K, L)
             for rest in itertools.permutations(range(1, L)):
                 tallies.append(score(combos[:, (0,) + rest]))
     else:
@@ -670,10 +689,6 @@ class GridPotential:
             idx.append(flat % k)
             flat //= k
         return tuple(reversed(idx))
-
-    def node_point(self, flat: int) -> Point:
-        idx = self.node_index(flat)
-        return Point(0, tuple(o + self.pitch * i for o, i in zip(self.origin, idx)))
 
     def is_interior(self, flat: int) -> bool:
         return all(0 < i < k - 1 for i, k in zip(self.node_index(flat), self.shape))

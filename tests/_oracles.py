@@ -8,8 +8,9 @@ through a closed-form count, the cycle audit one tuple at a time, the
 assignment prices by relaxing the dense n-by-n exchange graph every round,
 and the interior potential by closing the raw, unreduced exchange graph.
 The cost-blind northwest-corner staircase is kept as a start to force on
-the transportation simplex, and the simplex itself as it first priced:
-the whole reduced-cost matrix at every pivot.
+the transportation simplex, the least-cost start as its first scan of
+every sorted cell, and the simplex itself as it first priced: the whole
+reduced-cost matrix at every pivot.
 Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
@@ -242,6 +243,35 @@ def staircase_basis(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
             i += 1
         else:
             j += 1
+    return flow
+
+
+def least_cost_by_scan(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
+    """The least-cost start as it first ran: one stable ascending sort of all
+    n x m cells, visited one at a time, skipping each cell whose row or
+    column has closed."""
+    n, m = C.shape
+    ra = np.asarray(a, dtype=float).tolist()
+    rb = np.asarray(b, dtype=float).tolist()
+    row_open, col_open = [True] * n, [True] * m
+    rows_left, cols_left = n, m
+    flow: dict[tuple[int, int], float] = {}
+    for cell in np.argsort(C, axis=None, kind="stable").tolist():
+        i, j = divmod(cell, m)
+        if not (row_open[i] and col_open[j]):
+            continue
+        q = min(ra[i], rb[j])
+        flow[(i, j)] = q
+        ra[i] -= q
+        rb[j] -= q
+        if rows_left == 1 and cols_left == 1:
+            break
+        if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
     return flow
 
 

@@ -486,6 +486,25 @@ def test_cli_writes_file_byte_stably(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_solve_certifies_with_the_solvers_own_prices(tmp_path, capsys, monkeypatch):
+    # the solve report reads the gap, the slack and feasibility, which any
+    # optimal dual pair gives; only solve_kantorovich's default refines
+    calls = []
+    refine = transport._interior_duals
+    monkeypatch.setattr(transport, "_interior_duals", lambda *args: calls.append(args) or refine(*args))
+    params = {"instance": "random", "n": 12, "m": 17}
+    assert run_scenario(Scenario(E2, "solve", params, 3)).passed
+    cfg = _write_config(tmp_path, {"space": E2, "params": params, "seed": 4})
+    assert main(["solve", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert calls == []
+    space = space_from_json(E2)
+    rng = substream(289, "refined-by-default")
+    mu, nu = (transport.measure(space, sample_points(space, rng, 289)) for _ in range(2))
+    transport.solve_kantorovich(space, mu, nu)
+    assert len(calls) == 1
+
+
 def test_cli_csv_format(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, {"space": E2, "params": {"instance": "line"}, "seed": 1}
@@ -852,13 +871,14 @@ PINNED_REPORTS = {
 # over every benchmark workload report and the reports outside the workloads,
 # and each workload's own digest, so that a failure names the workload that
 # moved; recorded again when a book page was read off a random() double and
-# the transport-identity order was fitted by left folds
+# the transport-identity order was fitted by left folds, and when the solve
+# experiment kept the solver's own prices
 REPORT_DIGESTS_101 = (
-    "42db104f82197e244b12dfa812911683c7e6c73f3957ee69ce87ac1cf9ed12e3",
+    "fbd81d64aece64a8a927ab7981f78a4ae2befc4396f7218d90a669c3ea2d99d9",
     "59b0eefbea0c5bf0411a7150093e94294eacf6fa59ec696ecc86493f55c5bb39",
 )
 WORKLOAD_DIGESTS_101 = {
-    "assign-grid": "9f72bfa5b093e8c56d6acd4620eb1e757eded8fb234ec02c2364ab7b5a895c8c",
+    "assign-grid": "8a48a7d06fcdecc942a2ebb9cefbfdb27cffd36ffedf25ce5bec829e5eb310b5",
     "batch-sweep": "2cbf19f93827bb9481195aa904dfb708caf674f61dc52a93c8aeb3f7fb252e6b",
     "geometry-tree": "6ac4f792a8cdf020de26545b9159a9a64e659da6b626488a922fbb041c0cb442",
     "simplex-random": "ddca6ce61c96fb77a50354d0b0d2daf75b289ebc38adef8a57dbdce8caf0c7be",

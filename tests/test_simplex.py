@@ -15,7 +15,7 @@ from cat0ot.rng import substream
 from cat0ot.spaces import Point
 
 import report_digest
-from _oracles import solve_transport_by_full_pricing, staircase_basis
+from _oracles import least_cost_by_scan, solve_transport_by_full_pricing, staircase_basis
 
 
 def _check_basis(flow, a, b):
@@ -208,6 +208,36 @@ def test_least_cost_basis_constant_costs(n, m):
     rng = substream(n * 10 + m, "least-cost-constant")
     a, b = _weights(rng, n), _weights(rng, m)
     _check_basis(_simplex.least_cost(np.full((n, m), 2.0), a, b), a, b)
+
+
+def _least_cost_cases():
+    """Random, tied-integer, constant, signed-zero and thin cost matrices,
+    with random and with uniform weights, as (C, a, b) params."""
+    rng = substream(0, "least-cost-oracle")
+    shapes = [(1, 1), (1, 6), (6, 1), (2, 9), (9, 2), (7, 7), (12, 17), (30, 23)]
+    cases = []
+    for n, m in shapes:
+        costs = {
+            "random": rng.uniform(-1.0, 2.0, (n, m)),
+            "tied": rng.integers(0, 4, (n, m)).astype(float),
+            "constant": np.full((n, m), 2.0),
+            "signed-zero": rng.choice([0.0, -0.0, 1.0], (n, m)),
+        }
+        weights = {
+            "random": (_weights(rng, n), _weights(rng, m)),
+            "uniform": (np.full(n, 1.0 / n), np.full(m, 1.0 / m)),
+        }
+        for kind, C in costs.items():
+            for wkind, (a, b) in weights.items():
+                cases.append(pytest.param(C, a, b, id=f"{kind}-{wkind}-{n}x{m}"))
+    return cases
+
+
+@pytest.mark.parametrize("C,a,b", _least_cost_cases())
+def test_least_cost_takes_the_cells_of_the_full_scan(C, a, b):
+    # the row-head heap takes the cells the scan of every sorted cell takes,
+    # with the same masses, in the same order
+    assert list(_simplex.least_cost(C, a, b).items()) == list(least_cost_by_scan(C, a, b).items())
 
 
 def test_constant_costs_give_zero_prices_and_the_plain_start(monkeypatch):

@@ -729,6 +729,15 @@ def test_zero_mass_entries_are_not_support(e1, line_instance):
     assert out == {"violations": 0, "worst_slack": -1.0}  # the one 2-cycle, uncrossed
 
 
+@pytest.mark.parametrize("K", range(13))
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_combinations_follow_itertools_row_for_row(K, L):
+    want = np.array(list(itertools.combinations(range(K), L)), dtype=np.intp).reshape(-1, L)
+    got = transport._combinations(K, L)
+    assert got.dtype == np.intp and got.shape == (math.comb(K, L), L)
+    assert got.tolist() == want.tolist()
+
+
 def test_cyclic_check_guards(e1, line_instance, monkeypatch):
     mu, nu = line_instance
     plan, _, _ = solve_kantorovich(e1, mu, nu)
@@ -1084,7 +1093,6 @@ def test_identity_ladder_residual_on_the_assignment_duals(e2, n, simplex_calls):
 def test_grid_potential_basics():
     gp = GridPotential(origin=(0.0, 0.0), pitch=0.5, shape=(3, 3), values=tuple(range(9)))
     assert gp.node_index(gp.flat_index((2, 1))) == (2, 1)
-    assert gp.node_point(4).coords == (0.5, 0.5)
     assert gp.is_interior(4)
     assert not gp.is_interior(0) and not gp.is_interior(8)
     lin = GridPotential(
