@@ -24,19 +24,22 @@ and a Bland fallback, which prices in full at every pivot, engages after a
 streak of degenerate pivots so cycling cannot occur.
 
 The start is the least-cost (matrix-minimum) basis of C minus entropic
-prices: a fixed number of Sinkhorn scalings (Cuturi, NIPS 2013) at a
-temperature of 1/100 of the cost range give prices under which near-optimal
-cells sort first, and the least-cost pass takes its cells in that order. On
-random costs this begins nearer the optimum than the least-cost basis of C
-and roughly halves the pivots. The pass sorts each row once and keeps the
-cheapest open cell of every open row in a heap, so it takes about n + m
-heap steps rather than visiting the n x m sorted cells one at a time. Only
-the start reads those prices: the basis is priced from C, and optimality is
-still declared by a full pricing, so the solve stays exact.
+prices: a fixed number of float32 Sinkhorn scalings (Cuturi, NIPS 2013) at
+a temperature of 1/100 of the cost range give prices under which
+near-optimal cells sort first, and the least-cost pass takes its cells in
+that order. On random costs this begins nearer the optimum than the
+least-cost basis of C and roughly halves the pivots. The pass sorts each
+row once and keeps the cheapest open cell of every open row in a heap, so
+it takes about n + m heap steps rather than visiting the n x m sorted cells
+one at a time. Only the start reads those prices: the basis is priced from
+C, and optimality is still declared by a full pricing, so the solve stays
+exact.
 
 `transport.solve_kantorovich` calls the solver on non-uniform or non-square
 inputs, and on uniform squares, where every basis is degenerate, only when
-the matching's exchange graph has a negative cycle.
+the matching's exchange graph has a negative cycle. The same prices are the
+warm start of that assignment path: its LSA runs on C minus their column
+half from `transport._WARM_ATOMS` atoms on.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ BLAND_STREAK = 2
 # the entropic start: Sinkhorn scalings, and the cost range over the temperature
 SINKHORN_SCALINGS = 40
 SINKHORN_SPREAD = 100.0
+# the largest exponent -log K the float32 kernel keeps
+SINKHORN_FLOOR = 50.0
+_PRICE_CELLS = 1 << 18  # cost cells per row chunk
 
 
 def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, int], float]:
@@ -105,32 +111,59 @@ def least_cost(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> dict[tuple[int, i
             cols_left -= 1
 
 
+def _row_chunks(C: np.ndarray) -> list[slice]:
+    """Slices of C's rows, _PRICE_CELLS cells or one row each, for the passes
+    that would otherwise build an n x m temporary."""
+    step = max(1, _PRICE_CELLS // C.shape[1])
+    return [slice(s, s + step) for s in range(0, C.shape[0], step)]
+
+
 def _entropic_prices(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Approximate dual prices from entropic transport (Cuturi, NIPS 2013).
 
-    SINKHORN_SCALINGS alternate scalings u = a / (K v), v = b / (K^T u) of the
-    kernel K = exp((min C - C) / T) at T = (max C - min C) / SINKHORN_SPREAD,
-    whose entries lie in [exp(-SINKHORN_SPREAD), 1], give the prices
-    (T log u, T log v). C minus them ranks near-optimal cells first, which
-    is all `solve_transport` reads of them. Constant or non-finite C, and
-    any non-finite price (a zero weight gives one), give zero prices. The
-    products run in numpy's einsum loops rather than BLAS, whose kernel, and
-    so the last bits of a sum, depends on the CPU: costs that tie in C sort
-    by those bits, so the start would too.
+    SINKHORN_SCALINGS alternate scalings u = a / (K v), v = b / (K^T u), in
+    float32, at T = (max C - min C) / SINKHORN_SPREAD. The kernel is built
+    from two-sided reduced costs, K = exp(-(C - r - c) / T) with r the row
+    minima of C and c the column minima of C - r, so every row and column
+    of K holds a 1, and the scalings start from v = exp(-c / T). These are
+    the scalings of exp((min C - C) / T) from v = 1, each rescaled by the
+    reductions it absorbs, so the prices (r + T log u, c + T log v) are
+    theirs in exact arithmetic; but no row or column of K underflows, so an
+    atom far from every other still gets a finite price. Exponents below
+    -SINKHORN_FLOOR are raised to it, which keeps K and its products with
+    the scalings normal float32 numbers rather than slow subnormals. C minus
+    the prices ranks near-optimal cells first, which is all the simplex
+    start and the assignment path read of them. Constant or non-finite C,
+    and any non-finite price (a zero weight gives one), give zero prices.
+    The products run in numpy's einsum loops rather than BLAS, whose kernel,
+    and so the last bits of a sum, depends on the CPU: costs that tie in C
+    sort by those bits, so the start would too.
     """
     n, m = C.shape
     zero = np.zeros(n), np.zeros(m)
     with np.errstate(all="ignore"):
-        lo, hi = C.min(), C.max()
-        T = (hi - lo) / SINKHORN_SPREAD
+        r = C.min(axis=1)
+        T = (C.max() - r.min()) / SINKHORN_SPREAD
         if not (np.isfinite(T) and T > 0.0):
             return zero
-        K = np.exp((lo - C) / T)
-        v = np.ones(m)
+        chunks = _row_chunks(C)
+        c = np.full(m, np.inf)
+        for s in chunks:
+            np.minimum(c, (C[s] - r[s, None]).min(axis=0), out=c)
+        K = np.empty(C.shape, dtype=np.float32)
+        for s in chunks:
+            R = C[s] - r[s, None]
+            R -= c
+            np.multiply(R, -1.0 / T, out=K[s], casting="same_kind")
+        floor = np.float32(-SINKHORN_FLOOR)
+        np.exp(np.maximum(K, floor, out=K), out=K)
+        v = np.exp(np.maximum((-c / T).astype(np.float32), floor))
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
         for _ in range(SINKHORN_SCALINGS):
-            u = a / np.einsum("ij,j->i", K, v)
-            v = b / np.einsum("ij,i->j", K, u)
-        alpha, beta = T * np.log(u), T * np.log(v)
+            u = a32 / np.einsum("ij,j->i", K, v)
+            v = b32 / np.einsum("ij,i->j", K, u)
+        alpha = r + T * np.log(u).astype(float)
+        beta = c + T * np.log(v).astype(float)
         if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
             return zero
     return alpha, beta

@@ -9,10 +9,10 @@ from operator import add
 
 import numpy as np
 
+from ._simplex import _PRICE_CELLS
 from .errors import MapUndefined, NotDeterministicError
 from .geometry import Point, SpaceHandle, _point_rows, _row_points, normalize
 from .transport import (
-    _PRICE_CELLS,
     DiscreteMeasure,
     NotDeterministic,
     TransportMap,
@@ -138,8 +138,8 @@ def _certified(space: SpaceHandle, charts: np.ndarray, coords: np.ndarray) -> di
     `solve_kantorovich`, and one `_assignment_duals` call on the group's
     block-diagonal costs, +inf off the blocks, certifies them all; if it does
     not settle, the group keeps none. The public solve ranks the shortlist of
-    a trial with `_tied` costs by an auction's prices, which changes neither
-    the permutation nor whether it is certified.
+    a trial of _WARM_ATOMS or more atoms by the entropic prices its LSA ran
+    on, which changes neither the permutation nor whether it is certified.
     """
     g, m = charts.shape
     n = m // 2

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.optimize
 
 from . import _simplex
+from ._simplex import _row_chunks
 from .errors import (
     BoundaryPoint,
     ConfigInvalid,
@@ -40,11 +41,9 @@ from .rng import substream
 
 MAX_SUPPORT = 10_000
 DUAL_REFINE_CAP = 200_000
-_SHORTLIST = 16  # nearest targets per row in the exchange graph's first pass
-_PRICE_CELLS = 1 << 18  # cost cells priced per row chunk
+_SHORTLIST = 24  # nearest targets per row in the exchange graph's first pass
+_WARM_ATOMS = 128  # atoms from which the assignment starts from entropic prices
 _COST_PAIRS = 1 << 14  # (source, target) pairs per distances_between call
-_TIE_ROWS = 32  # cost rows sampled by the tie rule
-_TIE_SHARE = 0.25  # share of zero steps above which the costs count as tied
 
 __all__ = [
     "DiscreteMeasure",
@@ -197,13 +196,6 @@ def _uniform(weights: Sequence[float]) -> bool:
     return bool((np.abs(np.asarray(weights, dtype=float) - 1.0 / len(weights)) <= 1e-12).all())
 
 
-def _row_chunks(C: np.ndarray) -> list[slice]:
-    """Slices of C's rows, _PRICE_CELLS cells or one row each, for the passes
-    that would otherwise build an n x m temporary."""
-    step = max(1, _PRICE_CELLS // C.shape[1])
-    return [slice(s, s + step) for s in range(0, C.shape[0], step)]
-
-
 def _assignment_duals(
     C: np.ndarray, perm: np.ndarray, prices: Optional[np.ndarray] = None
 ) -> Optional[np.ndarray]:
@@ -211,10 +203,11 @@ def _assignment_duals(
 
     alpha is the shortest-path fixpoint, from a virtual source at 0, of the
     exchange graph with arcs k -> i of weight W[i, k] = C[i, perm[k]] -
-    C[k, perm[k]]. It is found on a shortlist: each row's _SHORTLIST (16)
+    C[k, perm[k]]. It is found on a shortlist: each row's _SHORTLIST (24)
     nearest targets, as arcs from the rows matched to them, nearest by C, or
-    by C + prices when column prices are given (the auction's, on tied costs,
-    whose shortlist then already holds the far partners of a translation).
+    by C - prices when column prices are given (the entropic prices the
+    matching was found under, whose shortlist holds most of the far partners
+    of a translation).
     Each round relaxes, with `np.minimum.at`, the arcs out of the rows whose
     price moved in the round before. Once a pass settles, every arc is priced
     in row chunks, and each arc with alpha[k] + W[i, k] < alpha[i] joins the
@@ -244,7 +237,7 @@ def _assignment_duals(
     chunks = _row_chunks(C)
     near = []
     for r in chunks:
-        rank = C[r] if prices is None else C[r] + prices
+        rank = C[r] if prices is None else C[r] - prices
         near.append(np.argpartition(rank, k - 1, axis=1)[:, :k].copy())
     near = np.concatenate(near).ravel()
     head, tail = np.repeat(rows, k), back[near]
@@ -279,87 +272,25 @@ def _assignment_duals(
         moved[back[new_col]] = True
 
 
-def _tied(C: np.ndarray) -> bool:
-    """Whether the costs are tied: over every row, or over _TIE_ROWS evenly
-    spaced rows when there are more, sorted, more than _TIE_SHARE of the
-    steps between neighbours are exactly zero.
-
-    Translation grids read 0.43-0.68 (sides 9-49); uniform random atoms on
-    e2, the tripod, book3 and comb(3,16) read 0.0 at 256-2,401 atoms. A single
-    column has no steps and is not tied.
-    """
-    n = C.shape[0]
-    rows = C if n <= _TIE_ROWS else C[np.linspace(0, n - 1, _TIE_ROWS).astype(np.intp)]
-    sample = np.sort(rows, axis=1)
-    steps = np.diff(sample, axis=1)
-    return bool(steps.size) and bool((steps == 0).mean() > _TIE_SHARE)
-
-
-def _auction_prices(C: np.ndarray) -> np.ndarray:
-    """Column prices from a Jacobi epsilon-scaling auction on C (Bertsekas,
-    "The auction algorithm: a distributed relaxation method for the
-    assignment problem", Ann. Oper. Res. 1988).
-
-    The bids run in float32 on C in units of the final eps, (C - min C) /
-    eps_final with eps_final = (max C - min C) / n, so every cost lies in
-    [0, n] for any finite C; the copy is filled in row chunks, beside no
-    second n x n float64 array. In each bidding round every unassigned row
-    bids for its cheapest column under the prices p, raising that price by
-    its margin over its second cheapest plus eps; the highest bid takes the
-    column (ties to the lower row) and its former holder is unassigned. eps
-    falls by 4x per phase to 1, from the least power of 4 at or above
-    n / 64. A phase ends when fewer than 1% of the rows are unassigned, or
-    after n rounds. The prices return in float64, times eps_final. Adding a
-    price to a column adds the same amount to every assignment, so C + p has
-    the optimal assignments of C: the prices only break ties, and no
-    certified number depends on them.
-    """
-    n = C.shape[0]
-    lo = float(C.min())
-    eps_final = (float(C.max()) - lo) / n
-    if n < 2 or eps_final <= 0.0:
-        return np.zeros(n)
-    U = np.empty(C.shape, dtype=np.float32)
-    for r in _row_chunks(C):
-        np.divide(C[r] - lo, eps_final, out=U[r])
-    p = np.zeros(n, dtype=np.float32)
-    for phase in range(max(0, math.ceil(math.log(n / 64, 4))), -1, -1):
-        eps = np.float32(4.0**phase)
-        holder = np.full(n, -1)
-        held = np.full(n, -1)
-        free = np.arange(n)
-        for _ in range(n):
-            if len(free) * 100 < n:
-                break
-            V = U[free]
-            V += p
-            at = np.arange(len(free))
-            best = V.argmin(axis=1)
-            v1 = V[at, best]
-            V[at, best] = np.inf
-            bid = p[best] + (V.min(axis=1) - v1) + eps
-            order = np.lexsort((free, -bid, best))
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = best[order[1:]] != best[order[:-1]]
-            won = order[first]
-            cols = best[won]
-            lost = holder[cols]
-            held[lost[lost >= 0]] = -1
-            holder[cols] = free[won]
-            held[free[won]] = cols
-            p[cols] = bid[won]
-            free = np.flatnonzero(held < 0)
-    return p.astype(np.float64) * eps_final
-
-
 def _assignment(C: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """perm with C[i, perm[i]] summing to the least total, and the column
-    prices it was found under: scipy's `linear_sum_assignment` on C plus
-    `_auction_prices` when C is `_tied`, or on C alone, with None for the
-    prices. The scipy function is looked up at each call, so tests and the
-    benchmark tracer can patch it."""
-    prices = _auction_prices(C) if _tied(C) else None
-    rows, cols = scipy.optimize.linear_sum_assignment(C if prices is None else C + prices)
+    prices it was found under: scipy's `linear_sum_assignment` on C minus
+    the column half beta of `_simplex._entropic_prices` on uniform weights
+    when C has at least _WARM_ATOMS rows, or on C alone, with None for the
+    prices. Subtracting a price from a column takes the same amount from
+    every assignment, so C - beta has the optimal assignments of C: the
+    prices only make the LSA's augmenting paths short, and no certified
+    number depends on them. Below _WARM_ATOMS the LSA and certificate on C
+    take less time than with the prices: the two cross near 110 atoms on
+    translation grids and 150 on uniform random atoms. The scipy function
+    is looked up at each call, so tests and the benchmark tracer can patch
+    it."""
+    n = len(C)
+    prices = None
+    if n >= _WARM_ATOMS:
+        w = np.full(n, 1.0 / n)
+        prices = _simplex._entropic_prices(C, w, w)[1]
+    rows, cols = scipy.optimize.linear_sum_assignment(C if prices is None else C - prices)
     return cols[np.argsort(rows)], prices
 
 
@@ -427,20 +358,21 @@ def solve_kantorovich(
     studies rely on their finite-difference error scaling uniformly with the
     instance.
 
+    Both primal paths start from one warm start, `_simplex._entropic_prices`,
+    whose prices only order the search and never a certified number.
     Uniform n = m inputs take the assignment path: by Birkhoff-von Neumann
-    some optimal plan is a permutation. When the costs are `_tied`
-    (translation grids are), scipy's `linear_sum_assignment` runs on C plus
-    `_auction_prices`, an auction's column prices, which leave the optimal
-    assignments as they are and make the LSA far faster on ties; otherwise
-    it runs on C. `_assignment_duals` prices the matching on a shortlist of
-    the exchange graph, first ranked by C plus the auction's prices when
-    there are any, that grows until no arc of C prices negative: those
+    some optimal plan is a permutation. From _WARM_ATOMS atoms, scipy's
+    `linear_sum_assignment` runs on C minus the entropic column prices,
+    which leave the optimal assignments as they are and make the LSA faster;
+    on fewer atoms it runs on C. `_assignment_duals` prices the matching on
+    a shortlist of the exchange graph, first ranked by C minus those prices
+    when there are any, that grows until no arc of C prices negative: those
     prices certify it. If they do not settle within n + 5 rounds, a negative
     exchange cycle rules the matching out, and the transportation simplex
     solves the problem, as it does for every other input. The simplex starts
-    from the least-cost basis of C minus entropic prices, which only orders
-    its start; it prices from C and declares optimality by a full pricing,
-    so its answer is exact. Costs past the float range raise
+    from the least-cost basis of C minus the entropic prices, which only
+    orders its start; it prices from C and declares optimality by a full
+    pricing, so its answer is exact. Costs past the float range raise
     ParamOutOfRange before either solver runs.
     """
     n, m = len(mu.points), len(nu.points)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from cat0ot import (
     ConfigInvalid,
@@ -572,7 +573,7 @@ def test_costs_past_the_float_range_are_out_of_range(route, monkeypatch):
     def unreached(*_args):
         raise AssertionError("a solver ran on non-finite costs")
 
-    monkeypatch.setattr(transport, "_tied", unreached)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", unreached)
     monkeypatch.setattr(_simplex, "solve_transport", unreached)
     with pytest.raises(ParamOutOfRange, match="float range"):
         run_scenario(Scenario(E2, "solve", HUGE_COSTS[route], 1))

@@ -20,10 +20,10 @@ from cat0ot import (
     polar_factorize,
     verify_measure_preserving,
 )
-from cat0ot import polar, transport
-from cat0ot.harness import sample_points
+from cat0ot import _simplex, polar, transport
+from cat0ot.harness import Scenario, run_scenario, sample_points
 from cat0ot.rng import substream
-from cat0ot.transport import _mass, _tied, _uniform, pairwise_costs
+from cat0ot.transport import _mass, _uniform, pairwise_costs
 
 from _oracles import polar_in_turn
 
@@ -299,13 +299,14 @@ def test_a_trial_with_images_within_1e_9_raises_as_the_loop_does(kind, request):
 
 
 def test_a_trial_with_tied_costs_is_batched_as_the_loop_factors_it(e2):
-    # the public solve ranks its certificate's shortlist by auction prices,
-    # which changes neither the permutation nor the verdict
+    # a shifted grid, whose 81 costs take 8 values: the batch certifies and
+    # factors it as the public solve does
     charts, coords = _sampled_rows(e2, 3, 9, 2)
     grid = np.array([(x, y) for x in (-0.5, 0.0, 0.5) for y in (-0.5, 0.0, 0.5)])
     coords[1] = np.concatenate([grid, grid + (0.25, 0.0)])
     atoms, images = _row(charts[1], coords[1])[:9], _row(charts[1], coords[1])[9:]
-    assert _tied(pairwise_costs(e2, measure(e2, atoms), measure(e2, images)))
+    C = pairwise_costs(e2, measure(e2, atoms), measure(e2, images))
+    assert len(np.unique(C)) * 4 < C.size
     assert sorted(polar._certified(e2, charts, coords)) == [0, 1, 2]
     trials = _batch_against_loop(e2, charts, coords)
     assert len(trials) == 3 and all(kept for *_rest, kept in trials)
@@ -328,11 +329,11 @@ def test_certificates_are_grouped_within_the_price_cells(e2, monkeypatch):
 
     monkeypatch.setattr(polar, "_assignment_duals", spy)
     charts, coords = _sampled_rows(e2, 120, 6, 4)
-    assert (720 * 720) > transport._PRICE_CELLS
+    assert (720 * 720) > _simplex._PRICE_CELLS
     assert len(_batch_against_loop(e2, charts, coords)) == 120
     # 512 // 6 = 85 trials of 6 atoms per call, then the other 35
     assert shapes == [(510, 510), (210, 210)]
-    assert all(rows * cols <= transport._PRICE_CELLS for rows, cols in shapes)
+    assert all(rows * cols <= _simplex._PRICE_CELLS for rows, cols in shapes)
 
 
 def test_trials_too_large_for_one_certificate_go_through_the_public_calls(book3, monkeypatch):
@@ -350,8 +351,23 @@ def test_distinct_images_give_the_public_solve_uniform_weights():
     # takes on uniform weights; for every n it batches (n * n <= _PRICE_CELLS),
     # polar_factorize's s#mu of n distinct images has weights that `measure`
     # accepts and `_uniform` counts as uniform
-    for n in range(1, math.isqrt(transport._PRICE_CELLS) + 1):
+    for n in range(1, math.isqrt(_simplex._PRICE_CELLS) + 1):
         w = [1.0 / n] * n
         total = _mass(w)
         nu = [x / total for x in w]
         assert abs(_mass(nu) - 1.0) <= 1e-12 and abs(_mass(w) - _mass(nu)) <= 2e-12 and _uniform(nu)
+
+
+@pytest.mark.parametrize(
+    "space, params",
+    [({"kind": "euclidean", "dim": 2}, {}), ({"kind": "open_book", "pages": 3}, {"n": 9})],
+)
+def test_a_polar_run_computes_no_entropic_prices(space, params, monkeypatch):
+    # its trials are far below transport._WARM_ATOMS atoms: every LSA runs on
+    # the raw costs, and no solve falls back to the simplex
+    calls = []
+    prices = _simplex._entropic_prices
+    monkeypatch.setattr(_simplex, "_entropic_prices", lambda *args: calls.append(args) or prices(*args))
+    report = run_scenario(Scenario(space, "polar", params, 5))
+    assert report.passed
+    assert calls == []

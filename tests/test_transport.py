@@ -281,12 +281,12 @@ def test_assignment_fast_path_falls_back_to_the_simplex(
     assert total == pytest.approx(lp_transport_cost(e1, mu, nu), abs=1e-9)
 
 
-@pytest.mark.parametrize("n", [3, 24])
+@pytest.mark.parametrize("n", [3, 24, 40])
 def test_a_crossed_matching_stops_the_relaxation_and_falls_back(
     e1, n, monkeypatch, simplex_calls
 ):
     # reversed, the matching of a shifted line has negative exchange cycles;
-    # at 24 atoms the first shortlist holds only 16 targets per row
+    # at 40 atoms the first shortlist holds only 24 targets per row
     mu = measure(e1, [Point(0, (float(i),)) for i in range(n)])
     nu = measure(e1, [Point(0, (i + 0.5,)) for i in range(n)])
     monkeypatch.setattr(
@@ -310,8 +310,8 @@ def test_a_crossed_matching_stops_the_relaxation_and_falls_back(
 @pytest.mark.parametrize("n", [6, 24, 289])
 @pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
 def test_a_transposed_optimal_matching_falls_back(kind, n, request, monkeypatch, simplex_calls):
-    # swapping two rows of the optimal matching closes a negative 2-cycle; at 24
-    # and 289 atoms the first shortlist does not hold every arc
+    # swapping two rows of the optimal matching closes a negative 2-cycle; at
+    # 289 atoms the first shortlist does not hold every arc
     space = request.getfixturevalue(kind)
     mu, nu = _uniform_pair(space, n, f"transposed:{kind}")
     C = pairwise_costs(space, mu, nu)
@@ -356,11 +356,12 @@ SPARSE_DUAL_CASES = [("grid", 17), ("grid", 25), ("grid", 33)] + [
 
 def _shortlist_prices(kind: str, C: np.ndarray):
     """Column prices that rank the first shortlist: none, or a seeded draw on
-    the scale of C. The auction's own prices are the "auction" kind."""
+    the scale of C. The prices the solve's LSA runs on are the "entropic"
+    kind."""
     if kind == "none":
         return None
-    if kind == "auction":
-        return transport._auction_prices(C)
+    if kind == "entropic":
+        return transport._assignment(C)[1]
     return substream(len(C), "shortlist-prices").uniform(0.0, float(C.max()), len(C))
 
 
@@ -368,7 +369,7 @@ def _shortlist_prices(kind: str, C: np.ndarray):
     "kind, n, prices",
     [
         pytest.param(kind, n, prices, id=f"{kind}-{n}" + ("" if prices == "none" else f"-{prices}"))
-        for prices in ("none", "auction", "random")
+        for prices in ("none", "entropic", "random")
         for kind, n in SPARSE_DUAL_CASES
     ],
 )
@@ -399,15 +400,13 @@ def test_settled_duals_pass_the_dense_slack_and_gap_checks(kind, n, request):
 
 
 def test_the_first_shortlist_misses_arcs_the_duals_need(e2):
-    # on 289 random atoms the fixpoint over each row's 16 nearest targets is
-    # not the dense one, so the sparse duals above had to grow their shortlist
+    # on 289 random atoms the fixpoint over each row's _SHORTLIST nearest
+    # targets is not the dense one, so the sparse duals above had to grow
+    # their shortlist
     C = pairwise_costs(e2, *_uniform_pair(e2, 289, "sparse-duals:e2"))
     rows, cols = scipy.optimize.linear_sum_assignment(C)
     perm = cols[np.argsort(rows)]
-    nearest = np.zeros_like(C, dtype=bool)
-    np.put_along_axis(nearest, np.argsort(C, axis=1)[:, :16], True, axis=1)
-    shortlist = nearest[:, perm]  # arc k -> i is kept when perm[k] is near row i
-    first = assignment_duals_by_dense_relaxation(C, perm, shortlist)
+    first = assignment_duals_by_dense_relaxation(C, perm, _first_shortlist(C, perm, C))
     alpha = assignment_duals_by_dense_relaxation(C, perm)
     assert not np.array_equal(first, alpha)
     assert transport._assignment_duals(C, perm).tobytes() == alpha.tobytes()
@@ -415,7 +414,7 @@ def test_the_first_shortlist_misses_arcs_the_duals_need(e2):
 
 def test_block_diagonal_duals_certify_each_block_as_a_call_on_it_alone(tripod):
     # +inf off the blocks forbids every arc between them; blocks of up to and
-    # past the 16-target shortlist, on tree costs and on uniform draws
+    # past the 24-target shortlist, on tree costs and on uniform draws
     rng = substream(0, "block-diagonal duals")
     blocks = [pairwise_costs(tripod, *_uniform_pair(tripod, n, "block-diagonal")) for n in (1, 2, 6, 17)]
     blocks += [rng.random((n, n)) for n in (3, 40)]
@@ -446,24 +445,22 @@ def test_block_diagonal_duals_certify_each_block_as_a_call_on_it_alone(tripod):
 
 
 def _first_shortlist(C: np.ndarray, perm: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """The arcs k -> i with perm[k] among row i's 16 lowest entries of rank."""
+    """The arcs k -> i with perm[k] among row i's _SHORTLIST lowest entries of rank."""
     nearest = np.zeros_like(C, dtype=bool)
-    np.put_along_axis(nearest, np.argsort(rank, axis=1, kind="stable")[:, :16], True, axis=1)
+    np.put_along_axis(nearest, np.argsort(rank, axis=1, kind="stable")[:, : transport._SHORTLIST], True, axis=1)
     return nearest[:, perm]
 
 
 @pytest.mark.parametrize("side", [17, 25, 33])
-def test_auction_prices_rank_a_first_shortlist_that_holds_the_fixpoint(e2, side):
-    # a translation's partners are far by C; ranked by C + the auction's prices,
-    # the first shortlist already holds every arc the dense fixpoint needs
+def test_entropic_prices_rank_a_first_shortlist_that_holds_the_fixpoint(e2, side):
+    # a translation's partners are far by C; ranked by C minus the entropic
+    # prices, the first shortlist already holds every arc the dense fixpoint needs
     mu, nu, _, _ = translation_instance(e2, side)
     C = pairwise_costs(e2, mu, nu)
-    prices = transport._auction_prices(C)
-    rows, cols = scipy.optimize.linear_sum_assignment(C + prices)
-    perm = cols[np.argsort(rows)]
+    perm, prices = transport._assignment(C)
     alpha = assignment_duals_by_dense_relaxation(C, perm)
     by_cost = assignment_duals_by_dense_relaxation(C, perm, _first_shortlist(C, perm, C))
-    by_price = assignment_duals_by_dense_relaxation(C, perm, _first_shortlist(C, perm, C + prices))
+    by_price = assignment_duals_by_dense_relaxation(C, perm, _first_shortlist(C, perm, C - prices))
     assert not np.array_equal(by_cost, alpha)
     assert by_price.tobytes() == alpha.tobytes()
 
@@ -481,23 +478,29 @@ class _RowReads(np.ndarray):
         return super().__getitem__(key)
 
 
+def _pricing_passes(C: np.ndarray, perm: np.ndarray, prices) -> int:
+    _RowReads.reads = 0
+    assert transport._assignment_duals(C.view(_RowReads), perm, prices) is not None
+    return _RowReads.reads // len(transport._row_chunks(C)) - 1
+
+
 def test_a_tied_certificate_settles_in_one_pricing_pass(e2):
     # ranked by C, grid 33's first shortlist misses the translation's far
-    # partners and takes 6 passes; ranked by C + the auction's prices, one
+    # partners and takes several passes; ranked by C minus the entropic
+    # prices, one
     mu, nu, _, _ = translation_instance(e2, 33)
     C = pairwise_costs(e2, mu, nu)
-    prices = transport._auction_prices(C)
-    rows, cols = scipy.optimize.linear_sum_assignment(C + prices)
-    perm = cols[np.argsort(rows)]
-    chunks = len(transport._row_chunks(C))
-    passes = {}
-    for ranked, given in (("by price", prices), ("by cost", None)):
-        _RowReads.reads = 0
-        alpha = transport._assignment_duals(C.view(_RowReads), perm, given)
-        assert alpha is not None
-        passes[ranked] = _RowReads.reads // chunks - 1
-    assert passes["by price"] == 1
-    assert passes["by cost"] > 1
+    perm, prices = transport._assignment(C)
+    assert _pricing_passes(C, perm, prices) == 1
+    assert _pricing_passes(C, perm, None) > 1
+
+
+def test_the_side_49_certificate_settles_within_four_pricing_passes(e2):
+    # the default transport-identity ladder's top grid, which by C takes 5
+    mu, nu, _, _ = translation_instance(e2, 49)
+    C = pairwise_costs(e2, mu, nu)
+    perm, prices = transport._assignment(C)
+    assert _pricing_passes(C, perm, prices) <= 4
 
 
 LSA = scipy.optimize.linear_sum_assignment
@@ -517,54 +520,67 @@ def lsa_inputs(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 6, 31, 32, 33, 64])
 def test_shape_checks_give_the_verdicts_of_their_first_form(n):
-    # _uniform was np.allclose at atol 1e-12; _tied gathered its rows through
-    # linspace, which picks every row in order when there are few enough
+    # _uniform was np.allclose at atol 1e-12
     share = 1.0 / n
     for off in (0.0, 5e-13, 1e-12, -1e-12, 1.5e-12, math.nan, math.inf, -2.0 * share):
         w = [share + off] + [share] * (n - 1)
         assert transport._uniform(w) == bool(np.allclose(w, share, rtol=0.0, atol=1e-12))
-    rng = substream(n, "shape checks")
-    for C in (rng.random((n, 5)), np.floor(4.0 * rng.random((n, 9))), np.zeros((n, 1))):
-        rows = C[np.linspace(0, n - 1, min(transport._TIE_ROWS, n)).astype(np.intp)]
-        steps = np.diff(np.sort(rows, axis=1), axis=1)
-        first = bool(steps.size) and bool((steps == 0).mean() > transport._TIE_SHARE)
-        assert transport._tied(C) == first
 
 
-@pytest.mark.parametrize("side", [17, 25, 33])
-def test_tied_grid_costs_take_the_auction_warm_start(e2, side, lsa_inputs):
-    mu, nu, _, _ = translation_instance(e2, side)
-    C = pairwise_costs(e2, mu, nu)
-    plan, _, _ = solve_kantorovich(e2, mu, nu)
+def _one_price_per_column(warm: np.ndarray, C: np.ndarray) -> bool:
+    offset = warm - C
+    return not np.array_equal(warm, C) and np.allclose(offset, offset[0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
+def test_lsa_takes_prices_from_the_warm_atoms_on(kind, request, lsa_inputs):
+    # untied random atoms on either side of _WARM_ATOMS
+    space = request.getfixturevalue(kind)
+    for n in (transport._WARM_ATOMS - 1, transport._WARM_ATOMS):
+        mu, nu = _uniform_pair(space, n, f"warm-atoms:{kind}")
+        lsa_inputs.clear()
+        plan, pot, _ = solve_kantorovich(space, mu, nu)
+        [warm] = lsa_inputs
+        C = pairwise_costs(space, mu, nu)
+        if n < transport._WARM_ATOMS:
+            assert np.array_equal(warm, C)
+        else:
+            assert _one_price_per_column(warm, C)
+        rows, cols = LSA(C)
+        assert [(i, j) for i, j, _ in plan.entries] == list(zip(rows.tolist(), cols.tolist()))
+        assert pot.feasible
+
+
+@pytest.mark.parametrize("kind, n", [("grid", 17), ("grid", 25), ("grid", 33), ("e2", 289), ("tripod", 576)])
+def test_squares_from_the_warm_atoms_take_the_entropic_warm_start(kind, n, request, lsa_inputs):
+    # translation grids, whose costs tie, and random atoms, whose costs do not
+    C = _assignment_costs(kind, n, request)
+    perm, prices = transport._assignment(C)
     [warm] = lsa_inputs
-    offset = warm - C  # one price per column
-    assert not np.array_equal(warm, C)
-    assert np.allclose(offset, offset[0], rtol=0.0, atol=1e-12)
+    assert np.array_equal(warm, C - prices)
+    assert _one_price_per_column(warm, C)
     rows, cols = LSA(C)
-    assert [(i, j) for i, j, _ in plan.entries] == list(zip(rows.tolist(), cols.tolist()))
+    assert perm.tolist() == cols[np.argsort(rows)].tolist()
 
 
-def test_costs_tied_at_one_value_take_zero_auction_prices(e2, monkeypatch):
-    # every cost is 0.5, so the costs are tied and the final eps is 0
-    mu = measure(e2, [Point(0, (0.0, 0.0)), Point(0, (1.0, 1.0))])
-    nu = measure(e2, [Point(0, (1.0, 0.0)), Point(0, (0.0, 1.0))])
-    auction, prices = transport._auction_prices, []
-
-    def spy(C):
-        prices.append(auction(C))
-        return prices[-1]
-
-    monkeypatch.setattr(transport, "_auction_prices", spy)
-    plan, pot, total = solve_kantorovich(e2, mu, nu)
-    assert [p.tolist() for p in prices] == [[0.0, 0.0]]
-    assert plan.entries == ((0, 0, 0.5), (1, 1, 0.5))
-    assert total == 0.5 and pot.feasible
+def test_costs_tied_at_one_value_take_zero_entropic_prices(lsa_inputs):
+    # every cost is 0.5: the temperature is 0, and the LSA runs on C minus 0
+    C = np.full((transport._WARM_ATOMS, transport._WARM_ATOMS), 0.5)
+    perm, prices = transport._assignment(C)
+    assert not prices.any() and prices.shape == (len(C),)
+    [warm] = lsa_inputs
+    assert np.array_equal(warm, C)
+    assert perm.tolist() == LSA(C)[1].tolist()
+    assert transport._assignment_duals(C, perm, prices).tolist() == [0.0] * len(C)
 
 
-@pytest.mark.parametrize("tied", [True, False])
-def test_the_certificate_ranks_by_the_prices_lsa_ran_on(e2, tied, monkeypatch, lsa_inputs):
-    # tied costs hand the auction's prices to the certificate; untied costs, none
-    mu, nu = translation_instance(e2, 17)[:2] if tied else _uniform_pair(e2, 289, "plain-lsa:e2")
+@pytest.mark.parametrize("warm", [True, False])
+def test_the_certificate_ranks_by_the_prices_lsa_ran_on(e2, warm, monkeypatch, lsa_inputs):
+    # from _WARM_ATOMS atoms the certificate gets the LSA's entropic prices;
+    # below, none
+    n = 17 if warm else 11
+    mu, nu = translation_instance(e2, n)[:2]
+    assert (n * n >= transport._WARM_ATOMS) == warm
     given = []
     relax = transport._assignment_duals
 
@@ -574,35 +590,26 @@ def test_the_certificate_ranks_by_the_prices_lsa_ran_on(e2, tied, monkeypatch, l
 
     monkeypatch.setattr(transport, "_assignment_duals", spy)
     solve_kantorovich(e2, mu, nu)
-    [warm], [prices] = lsa_inputs, given
+    [warm_costs], [prices] = lsa_inputs, given
     C = pairwise_costs(e2, mu, nu)
-    if tied:
-        assert np.array_equal(warm, C + prices)
+    if warm:
+        assert np.array_equal(warm_costs, C - prices)
     else:
-        assert prices is None and np.array_equal(warm, C)
+        assert prices is None and np.array_equal(warm_costs, C)
 
 
 @pytest.mark.parametrize("scale", [1e-290, 1e290])
-def test_auction_prices_stay_finite_on_scaled_costs(e2, scale):
-    # the bids run in units of the final eps, so the float32 copy neither
-    # underflows on tiny costs nor overflows on huge ones
+def test_entropic_prices_stay_finite_on_scaled_costs(e2, scale):
+    # the kernel reads C at its temperature, which scales with C, so neither
+    # tiny nor huge costs leave the zero fallback
     mu, nu, _, _ = translation_instance(e2, 17)
     C = pairwise_costs(e2, mu, nu)
     scaled = C * scale
-    prices = transport._auction_prices(scaled)
-    assert prices.dtype == np.float64 and np.isfinite(prices).all()
-    assert np.isfinite(scaled + prices).all()
-    assert np.array_equal(LSA(scaled + prices)[1], LSA(C)[1])
-
-
-@pytest.mark.parametrize("kind", ["e2", "tripod", "book3"])
-@pytest.mark.parametrize("n", [289, 576])
-def test_untied_random_costs_take_plain_lsa(kind, n, request, lsa_inputs):
-    space = request.getfixturevalue(kind)
-    mu, nu = _uniform_pair(space, n, f"plain-lsa:{kind}")
-    solve_kantorovich(space, mu, nu)
-    [C] = lsa_inputs
-    assert np.array_equal(C, pairwise_costs(space, mu, nu))
+    perm, prices = transport._assignment(scaled)
+    assert prices.dtype == np.float64 and np.isfinite(prices).all() and prices.any()
+    assert np.isfinite(scaled - prices).all()
+    assert np.array_equal(perm, transport._assignment(C)[0])
+    assert np.array_equal(LSA(scaled - prices)[1], LSA(C)[1])
 
 
 def test_solver_input_validation(e2):
