@@ -24,16 +24,16 @@ and a Bland fallback, which prices in full at every pivot, engages after a
 streak of degenerate pivots so cycling cannot occur.
 
 The start is the least-cost (matrix-minimum) basis of C minus entropic
-prices: a fixed number of float32 Sinkhorn scalings (Cuturi, NIPS 2013) at
-a temperature of 1/100 of the cost range give prices under which
-near-optimal cells sort first, and the least-cost pass takes its cells in
-that order. On random costs this begins nearer the optimum than the
-least-cost basis of C and roughly halves the pivots. The pass sorts each
-row once and keeps the cheapest open cell of every open row in a heap, so
-it takes about n + m heap steps rather than visiting the n x m sorted cells
-one at a time. Only the start reads those prices: the basis is priced from
-C, and optimality is still declared by a full pricing, so the solve stays
-exact.
+prices: a fixed number of over-relaxed float32 Sinkhorn scalings (Cuturi,
+NIPS 2013; Thibault et al., 2017) at a temperature of 1/150 of the cost
+range give prices under which near-optimal cells sort first, and the
+least-cost pass takes its cells in that order. On random costs this begins
+nearer the optimum than the least-cost basis of C and roughly halves the
+pivots. The pass sorts each row once and keeps the cheapest open cell of
+every open row in a heap, so it takes about n + m heap steps rather than
+visiting the n x m sorted cells one at a time. Only the start reads those
+prices: the basis is priced from C, and optimality is still declared by a
+full pricing, so the solve stays exact.
 
 `transport.solve_kantorovich` calls the solver on non-uniform or non-square
 inputs, and on uniform squares, where every basis is degenerate, only when
@@ -54,8 +54,11 @@ import numpy as np
 # degenerate pivots
 BLAND_STREAK = 2
 # the entropic start: Sinkhorn scalings, and the cost range over the temperature
-SINKHORN_SCALINGS = 40
-SINKHORN_SPREAD = 100.0
+SINKHORN_SCALINGS = 20
+SINKHORN_SPREAD = 150.0
+# each log step goes SINKHORN_OMEGA times as far, its excess clipped to SINKHORN_CLIP
+SINKHORN_OMEGA = 1.8
+SINKHORN_CLIP = 5.0
 # the largest exponent -log K the float32 kernel keeps
 SINKHORN_FLOOR = 50.0
 _PRICE_CELLS = 1 << 18  # cost cells per row chunk
@@ -121,23 +124,27 @@ def _row_chunks(C: np.ndarray) -> list[slice]:
 def _entropic_prices(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Approximate dual prices from entropic transport (Cuturi, NIPS 2013).
 
-    SINKHORN_SCALINGS alternate scalings u = a / (K v), v = b / (K^T u), in
-    float32, at T = (max C - min C) / SINKHORN_SPREAD. The kernel is built
-    from two-sided reduced costs, K = exp(-(C - r - c) / T) with r the row
-    minima of C and c the column minima of C - r, so every row and column
-    of K holds a 1, and the scalings start from v = exp(-c / T). These are
-    the scalings of exp((min C - C) / T) from v = 1, each rescaled by the
-    reductions it absorbs, so the prices (r + T log u, c + T log v) are
-    theirs in exact arithmetic; but no row or column of K underflows, so an
-    atom far from every other still gets a finite price. Exponents below
-    -SINKHORN_FLOOR are raised to it, which keeps K and its products with
-    the scalings normal float32 numbers rather than slow subnormals. C minus
-    the prices ranks near-optimal cells first, which is all the simplex
-    start and the assignment path read of them. Constant or non-finite C,
-    and any non-finite price (a zero weight gives one), give zero prices.
-    The products run in numpy's einsum loops rather than BLAS, whose kernel,
-    and so the last bits of a sum, depends on the CPU: costs that tie in C
-    sort by those bits, so the start would too.
+    SINKHORN_SCALINGS over-relaxed scalings (Thibault, Chizat, Dossal &
+    Papadakis, 2017) of float32 logs at T = (max C - min C) / SINKHORN_SPREAD:
+    each half-step takes the plain log-scaling p, log a - log(K v) or log b -
+    log(K^T u), on to p + (SINKHORN_OMEGA - 1) clip(p - previous, -D, D), with
+    D = SINKHORN_CLIP. They settle in far fewer scalings than plain ones, so
+    they run colder for less work; unclipped, early steps overshoot until the
+    float32 exponentials overflow. The kernel K = exp(-(C - r - c) / T) is
+    built from two-sided reduced costs, r the row minima of C and c the column
+    minima of C - r, so every row and column of K holds a 1; the scalings start
+    from u = 1 and v = exp(-c / T). These are the scalings of
+    exp((min C - C) / T) from v = 1, each rescaled by the reductions it
+    absorbs, so the prices (r + T log u, c + T log v) are theirs in exact
+    arithmetic; but no row or column of K underflows, so an atom far from every
+    other still gets a finite price. Exponents below -SINKHORN_FLOOR are raised
+    to it, which keeps K and its products with the scalings normal float32
+    numbers rather than slow subnormals. C minus the prices ranks near-optimal
+    cells first, which is all the simplex start and the assignment path read of
+    them. Constant or non-finite C, and any non-finite price (a zero weight
+    gives one), give zero prices. The products run in numpy's einsum loops
+    rather than BLAS, whose kernel, and so the last bits of a sum, depends on
+    the CPU: costs that tie in C sort by those bits, so the start would too.
     """
     n, m = C.shape
     zero = np.zeros(n), np.zeros(m)
@@ -157,13 +164,17 @@ def _entropic_prices(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.nd
             np.multiply(R, -1.0 / T, out=K[s], casting="same_kind")
         floor = np.float32(-SINKHORN_FLOOR)
         np.exp(np.maximum(K, floor, out=K), out=K)
-        v = np.exp(np.maximum((-c / T).astype(np.float32), floor))
-        a32, b32 = a.astype(np.float32), b.astype(np.float32)
-        for _ in range(SINKHORN_SCALINGS):
-            u = a32 / np.einsum("ij,j->i", K, v)
-            v = b32 / np.einsum("ij,i->j", K, u)
-        alpha = r + T * np.log(u).astype(float)
-        beta = c + T * np.log(v).astype(float)
+        log_a, log_b = np.log(a.astype(np.float32)), np.log(b.astype(np.float32))
+        log_u = np.zeros(n, dtype=np.float32)
+        log_v = np.maximum((-c / T).astype(np.float32), floor)
+        over, D = np.float32(SINKHORN_OMEGA - 1.0), SINKHORN_CLIP
+        for _ in range(SINKHORN_SCALINGS):  # two ufuncs clip: np.clip's wrapper costs more
+            p = log_a - np.log(np.einsum("ij,j->i", K, np.exp(log_v)))
+            log_u = p + over * np.minimum(np.maximum(p - log_u, -D), D)
+            p = log_b - np.log(np.einsum("ij,i->j", K, np.exp(log_u)))
+            log_v = p + over * np.minimum(np.maximum(p - log_v, -D), D)
+        alpha = r + T * log_u.astype(float)
+        beta = c + T * log_v.astype(float)
         if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
             return zero
     return alpha, beta

@@ -208,8 +208,9 @@ def _assignment_duals(
     by C - prices when column prices are given (the entropic prices the
     matching was found under, whose shortlist holds most of the far partners
     of a translation).
-    Each round relaxes, with `np.minimum.at`, the arcs out of the rows whose
-    price moved in the round before. Once a pass settles, every arc is priced
+    Each round is a Jacobi round over every shortlist arc: the arcs are kept
+    sorted by head, stably, so one `np.minimum.reduceat` takes each row's
+    least alpha[k] + W[i, k]. Once a pass settles, every arc is priced
     in row chunks, and each arc with alpha[k] + W[i, k] < alpha[i] joins the
     shortlist for another pass; no arc joining means alpha is the fixpoint on
     all n^2 arcs. Every comparison is exact and every sum is the left fold
@@ -242,17 +243,14 @@ def _assignment_duals(
     near = np.concatenate(near).ravel()
     head, tail = np.repeat(rows, k), back[near]
     w = C[head, near] - d[tail]
+    starts = np.arange(0, n * k, k)  # each row's first arc; every row heads k
     d_by_col = d[back]  # W read by columns: W[i, back[j]] = C[i, j] - d_by_col[j]
     alpha = np.zeros(n)
-    moved = np.ones(n, dtype=bool)
     while True:
         for _ in range(n + 5):
-            arcs = np.flatnonzero(moved[tail])
-            if len(arcs) == 0:
+            relaxed = np.minimum(alpha, np.minimum.reduceat(alpha[tail] + w, starts))
+            if not (relaxed < alpha).any():
                 break
-            relaxed = alpha.copy()
-            np.minimum.at(relaxed, head[arcs], alpha[tail[arcs]] + w[arcs])
-            moved = relaxed < alpha
             alpha = relaxed
         else:
             return None  # a negative cycle: the assignment is not optimal
@@ -266,10 +264,11 @@ def _assignment_duals(
         if len(new_head) == 0:
             return alpha
         head = np.concatenate([head, new_head])
-        tail = np.concatenate([tail, back[new_col]])
-        w = np.concatenate([w, C[new_head, new_col] - d_by_col[new_col]])
-        moved = np.zeros(n, dtype=bool)
-        moved[back[new_col]] = True
+        order = np.argsort(head, kind="stable")
+        head = head[order]
+        tail = np.concatenate([tail, back[new_col]])[order]
+        w = np.concatenate([w, C[new_head, new_col] - d_by_col[new_col]])[order]
+        starts = np.flatnonzero(np.diff(head, prepend=-1))
 
 
 def _assignment(C: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:

@@ -7,10 +7,13 @@ and the arcs of optimal plans through scipy's LP solver, comb sizes
 through a closed-form count, the cycle audit one tuple at a time, the
 assignment prices by relaxing the dense n-by-n exchange graph every round,
 and the interior potential by closing the raw, unreduced exchange graph.
+The assignment certificate's shortlist loop is also kept as it first ran,
+relaxing with `np.minimum.at` only the arcs out of the rows that moved.
 The cost-blind northwest-corner staircase is kept as a start to force on
 the transportation simplex, the least-cost start as its first scan of
-every sorted cell, and the simplex itself as it first priced: the whole
-reduced-cost matrix at every pivot.
+every sorted cell, the entropic prices as their first 40 plain scalings,
+and the simplex itself as it first priced: the whole reduced-cost matrix
+at every pivot.
 Geodesic assembly, the geometry-suite loop and the tree route are kept in
 their earlier, plainer forms: the constructor that builds every section with
 generator expressions, the suite loop that goes through the public API only,
@@ -66,7 +69,7 @@ from cat0ot import (
     polar_factorize,
     verify_measure_preserving,
 )
-from cat0ot import _simplex
+from cat0ot import _simplex, transport
 from cat0ot.rng import substream
 
 
@@ -215,6 +218,83 @@ def assignment_duals_by_dense_relaxation(C: np.ndarray, perm, arcs=None):
             return alpha
         alpha = relaxed
     return None
+
+
+def assignment_duals_by_moved_rows(C: np.ndarray, perm, prices=None):
+    """`transport._assignment_duals` as it first relaxed its shortlist: each
+    round takes, with `np.minimum.at`, only the arcs out of the rows whose
+    price moved in the round before, and a pricing pass's new arcs are
+    appended unsorted, their tails marked as moved."""
+    n = len(perm)
+    rows = np.arange(n)
+    d = C[rows, perm]
+    back = np.empty(n, dtype=np.intp)
+    back[perm] = rows
+    k = min(transport._SHORTLIST, n)
+    chunks = _simplex._row_chunks(C)
+    near = []
+    for r in chunks:
+        rank = C[r] if prices is None else C[r] - prices
+        near.append(np.argpartition(rank, k - 1, axis=1)[:, :k].copy())
+    near = np.concatenate(near).ravel()
+    head, tail = np.repeat(rows, k), back[near]
+    w = C[head, near] - d[tail]
+    d_by_col = d[back]
+    alpha = np.zeros(n)
+    moved = np.ones(n, dtype=bool)
+    while True:
+        for _ in range(n + 5):
+            arcs = np.flatnonzero(moved[tail])
+            if len(arcs) == 0:
+                break
+            relaxed = alpha.copy()
+            np.minimum.at(relaxed, head[arcs], alpha[tail[arcs]] + w[arcs])
+            moved = relaxed < alpha
+            alpha = relaxed
+        else:
+            return None
+        alpha_by_col = alpha[back]
+        found = []
+        for r in chunks:
+            cand = C[r] - d_by_col
+            cand += alpha_by_col
+            found.append(np.flatnonzero(cand < alpha[r, None]) + r.start * n)
+        new_head, new_col = np.divmod(np.concatenate(found), n)
+        if len(new_head) == 0:
+            return alpha
+        head = np.concatenate([head, new_head])
+        tail = np.concatenate([tail, back[new_col]])
+        w = np.concatenate([w, C[new_head, new_col] - d_by_col[new_col]])
+        moved = np.zeros(n, dtype=bool)
+        moved[back[new_col]] = True
+
+
+def entropic_prices_by_plain_scalings(C: np.ndarray, a, b):
+    """`_simplex._entropic_prices` as it first scaled: 40 plain float32
+    Sinkhorn scalings u = a / (K v), v = b / (K^T u) at T = range / 100, on
+    the same two-sided reduced kernel, floor and zero-price fallback."""
+    n, m = C.shape
+    zero = np.zeros(n), np.zeros(m)
+    with np.errstate(all="ignore"):
+        r = C.min(axis=1)
+        T = (C.max() - r.min()) / 100.0
+        if not (np.isfinite(T) and T > 0.0):
+            return zero
+        c = (C - r[:, None]).min(axis=0)
+        floor = np.float32(-_simplex.SINKHORN_FLOOR)
+        R = C - r[:, None]
+        R -= c
+        K = np.exp(np.maximum((R * (-1.0 / T)).astype(np.float32), floor))
+        v = np.exp(np.maximum((-c / T).astype(np.float32), floor))
+        a32, b32 = np.asarray(a).astype(np.float32), np.asarray(b).astype(np.float32)
+        for _ in range(40):
+            u = a32 / np.einsum("ij,j->i", K, v)
+            v = b32 / np.einsum("ij,i->j", K, u)
+        alpha = r + T * np.log(u).astype(float)
+        beta = c + T * np.log(v).astype(float)
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+            return zero
+    return alpha, beta
 
 
 def staircase_basis(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:

@@ -798,7 +798,7 @@ PINNED_REPORTS = {
     # to candidate-list pricing: the pivot path moved the flows' last bits
     "comb316-solve": (
         (SUITE_SPACES["comb316"], "solve", {"instance": "random", "n": 24, "m": 24}, 18),
-        "e5001d7c3157ff0834ca8e59216dd349ec2256927953cd8b3cda47edc16420c6",
+        "764ebd9129f898532551e4afeef226780cbd68179f9448c13182f84e2f792d8d",
     ),
     # computed before interior duals were refined from the solver's prices;
     # the raw exchange closure skipped refinement on both plans. Recorded
@@ -806,11 +806,11 @@ PINNED_REPORTS = {
     # the flows' last bits
     "e2-solve": (
         (E2, "solve", {"instance": "random", "n": 150, "m": 150}, 2),
-        "6967ba38cb18b71183d60c84516f8b99cdce38d866f221ae739e759f296751b6",
+        "c680cf5333c956e0b0fcf9b80859304b47a1def5cb10dda33eac9fa233148141",
     ),
     "book3-solve": (
         (BOOK3, "solve", {"instance": "random", "n": 95, "m": 105}, 2),
-        "d25365a70ff44571c26cf150cce441b5bb6e3f52261dab03c93dd6fd40cf474c",
+        "2132d2eaca540b7f8dcacdcdb48df5712ace13996a546d4e3802923cee71297a",
     ),
     # computed before geodesics stopped storing their breakpoints: the suite
     # whose geodesics cross the most tree edges
@@ -872,17 +872,18 @@ PINNED_REPORTS = {
 # over every benchmark workload report and the reports outside the workloads,
 # and each workload's own digest, so that a failure names the workload that
 # moved; recorded again when a book page was read off a random() double and
-# the transport-identity order was fitted by left folds, and when the solve
-# experiment kept the solver's own prices
+# the transport-identity order was fitted by left folds, when the solve
+# experiment kept the solver's own prices, and when the entropic start's
+# scalings were over-relaxed (simplex solve costs moved in their last bits)
 REPORT_DIGESTS_101 = (
-    "fbd81d64aece64a8a927ab7981f78a4ae2befc4396f7218d90a669c3ea2d99d9",
+    "a2e650be947b04903f9c80913c9e62a3196795fd588baed64e9db0f614330408",
     "59b0eefbea0c5bf0411a7150093e94294eacf6fa59ec696ecc86493f55c5bb39",
 )
 WORKLOAD_DIGESTS_101 = {
     "assign-grid": "8a48a7d06fcdecc942a2ebb9cefbfdb27cffd36ffedf25ce5bec829e5eb310b5",
-    "batch-sweep": "2cbf19f93827bb9481195aa904dfb708caf674f61dc52a93c8aeb3f7fb252e6b",
+    "batch-sweep": "45f2fd93562d0ae3bfc96d2959266f65dab1b22f4149a7d35160f6298c81ab0d",
     "geometry-tree": "6ac4f792a8cdf020de26545b9159a9a64e659da6b626488a922fbb041c0cb442",
-    "simplex-random": "ddca6ce61c96fb77a50354d0b0d2daf75b289ebc38adef8a57dbdce8caf0c7be",
+    "simplex-random": "53c9ac33562d22a4a184c37832136b0b05f8accd65c2a2c3b47ab319ff4f8c6f",
 }
 
 
@@ -894,18 +895,34 @@ def test_report_digests_are_pinned_at_seed_101():
     assert (combined, extra) == REPORT_DIGESTS_101
 
 
-def test_report_digests_at_seed_101_read_no_blas_kernel():
-    # a DYNAMIC_ARCH OpenBLAS picks its kernels by CPU, and they sum in
-    # different orders; forcing an old one (OPENBLAS_CORETYPE, which any
-    # other BLAS ignores) must leave every pinned report as it is
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=str(Path(harness.__file__).parents[1]))
-    script = [sys.executable, report_digest.__file__, "101"]
+def _digests_at_seed_101_under(**env) -> None:
+    """Run `tests/report_digest.py 101` in a fresh interpreter with env set, and
+    check its digests against the pins; an ImportWarning (numpy's for a CPU
+    feature name it rejects) is an error there."""
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]), **env)
+    script = [sys.executable, "-W", "error::ImportWarning", report_digest.__file__, "101"]
     run = subprocess.run(script, env=env, capture_output=True, text=True, check=True)
     digests = [line.split()[0] for line in run.stdout.splitlines()]
     assert digests == [WORKLOAD_DIGESTS_101[name] for name in sorted(WORKLOAD_DIGESTS_101)] + [
         REPORT_DIGESTS_101[1],
         REPORT_DIGESTS_101[0],
     ]
+
+
+def test_report_digests_at_seed_101_read_no_blas_kernel():
+    # a DYNAMIC_ARCH OpenBLAS picks its kernels by CPU, and they sum in
+    # different orders; forcing an old one (OPENBLAS_CORETYPE, which any
+    # other BLAS ignores) must leave every pinned report as it is
+    _digests_at_seed_101_under(OPENBLAS_CORETYPE="Prescott")
+
+
+def test_report_digests_at_seed_101_read_no_simd_kernel():
+    # numpy picks its float32 exp and log loops, which the entropic start
+    # runs, among the dispatch targets the CPU supports; with every target
+    # disabled it runs its baseline loops, and every pinned report holds
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    _digests_at_seed_101_under(NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
 
 
 def test_report_digest_names_the_metrics_that_moved():

@@ -15,7 +15,12 @@ from cat0ot.rng import substream
 from cat0ot.spaces import Point
 
 import report_digest
-from _oracles import least_cost_by_scan, solve_transport_by_full_pricing, staircase_basis
+from _oracles import (
+    entropic_prices_by_plain_scalings,
+    least_cost_by_scan,
+    solve_transport_by_full_pricing,
+    staircase_basis,
+)
 
 
 def _check_basis(flow, a, b):
@@ -368,12 +373,41 @@ def test_deep_tree_costs_give_finite_prices(deep_tree, monkeypatch):
     _solve_from_prices(deep_tree, mu, nu, monkeypatch)
 
 
+def test_over_relaxed_prices_cut_the_workload_pivots(monkeypatch, count_pivots):
+    # the twelve simplex-random solves at seed 101 take 1,620 pivots from the
+    # relaxed scalings and 1,941 from the 40 plain ones at range / 100
+    instances = _workload_instances(101, monkeypatch)
+    relaxed = sum(count_pivots(C, a, b) for C, a, b in instances)
+    monkeypatch.setattr(_simplex, "_entropic_prices", entropic_prices_by_plain_scalings)
+    plain = sum(count_pivots(C, a, b) for C, a, b in instances)
+    assert relaxed < 0.9 * plain
+
+
+def test_the_clip_keeps_comb_prices_finite(monkeypatch):
+    # geometry-tree's comb(3,16) solve at seed 101: unclipped, a relaxed step
+    # overshoots until the float32 exponentials overflow to the zero fallback
+    [(C, a, b)] = _workload_instances(101, monkeypatch, "geometry-tree")
+    assert C.shape == (24, 24)
+    alpha, beta = _simplex._entropic_prices(C, a, b)
+    assert np.isfinite(alpha).all() and np.isfinite(beta).all()
+    assert alpha.any() and beta.any()
+    monkeypatch.setattr(_simplex, "SINKHORN_CLIP", np.inf)
+    alpha, beta = _simplex._entropic_prices(C, a, b)
+    assert not alpha.any() and not beta.any()
+
+
 # Pivots per solve from the least-cost start on C minus the entropic prices,
-# under candidate-list pricing. The prices read no BLAS (see the test above),
-# but numpy picks its float32 exp and log kernels by CPU: with the AVX-512
-# ones disabled (NPY_DISABLE_CPU_FEATURES=X86_V4 and every AVX512 feature)
-# these pins, the digests below and the report pins all hold.
-PIVOTS = {"120x97": 185, "grid13": 489}
+# under candidate-list pricing. The prices read no BLAS
+# (test_entropic_prices_read_no_blas_kernel), but numpy picks its float32 exp
+# and log kernels by CPU, and its baseline kernels round differently from the
+# X86_V3 (AVX2) and AVX-512 ones. With every dispatch target in numpy's
+# __cpu_dispatch__ disabled through NPY_DISABLE_CPU_FEATURES (on x86-64 with
+# numpy 2.4: X86_V3 X86_V4 AVX512_ICL AVX512_SPR), the digests below and the
+# report pins hold (tests/test_harness.py checks the latter), and so does the
+# 120x97 pin; the tied grid13 start orders ties by the prices' last bits and
+# takes 501 pivots. numpy 2.4 rejects the feature names below those targets
+# (AVX512F and the like) with an ImportWarning and leaves every target on.
+PIVOTS = {"120x97": 185, "grid13": 514}
 
 
 @pytest.mark.parametrize("instance", sorted(PIVOTS))
@@ -393,8 +427,8 @@ def _digest(flow, alpha, beta):
 # and every price bit. The grids start from the northwest-corner staircase,
 # so that grid 21 runs under Bland.
 DIGESTS = {
-    "120x97": "86f3968c00143bb3e9b168479b095fdff148b5cb46c1b63877d78c649f728012",
-    "97x120": "ddbbf7180cd11941408c75eb01a7ffbe09f38c6fde4c555b051f4cc57cefd903",
+    "120x97": "3c02c584bced04d0046a7c36e9a74fef5e7acec7de95e3f43b39eb68402098cb",
+    "97x120": "9f94c6811f2bca469983bfdff41968457a04a0905937d7dee00855c27b900c9a",
     "grid13": "71de700e91548cf2fff28cf76bf84dc68e6fb67d8acde727d2a63cee74dc85b2",
     "grid17": "9af7e12a4ffa5ce559d4b8ffd7c09a7b60e9513c187a702b2d2fa8b7a15095e5",
     "grid21": "2b158b0b939c8e29c8ec8842eacebbad888f9a22342f10890904f9c4ffdc005e",
@@ -417,8 +451,8 @@ def test_solution_bits_are_pinned(name, monkeypatch):
     assert _digest(*_simplex.solve_transport(*_pinned_instance(name))) == DIGESTS[name]
 
 
-def _workload_instances(seed, monkeypatch):
-    """(C, a, b) of every simplex solve the simplex-random workload's scenarios make at seed."""
+def _workload_instances(seed, monkeypatch, workload="simplex-random"):
+    """(C, a, b) of every simplex solve a workload's scenarios make at seed."""
     solve, out = _simplex.solve_transport, []
 
     def recorded(C, a, b):
@@ -427,7 +461,7 @@ def _workload_instances(seed, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(_simplex, "solve_transport", recorded)
-        for scenario in report_digest.WORKLOADS["simplex-random"].scenarios(seed):
+        for scenario in report_digest.WORKLOADS[workload].scenarios(seed):
             run_scenario(scenario)
     return out
 

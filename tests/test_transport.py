@@ -57,6 +57,7 @@ from cat0ot.rng import substream
 
 from _oracles import (
     assignment_duals_by_dense_relaxation,
+    assignment_duals_by_moved_rows,
     cyclic_monotonicity_by_tuple,
     interior_duals_by_raw_closure,
     lp_transport_cost,
@@ -444,6 +445,46 @@ def test_block_diagonal_duals_certify_each_block_as_a_call_on_it_alone(tripod):
         assert transport._assignment_duals(B, perm) is None
 
 
+def _segment_round_inputs(kind: str, request):
+    """(C, perm, prices) for the certificate: the matching `_assignment`
+    finds and its prices, or a reversed matching on a shifted line, which has
+    negative exchange cycles."""
+    if kind == "crossed":
+        e1 = request.getfixturevalue("e1")
+        mu = measure(e1, [Point(0, (float(i),)) for i in range(40)])
+        nu = measure(e1, [Point(0, (i + 0.5,)) for i in range(40)])
+        return pairwise_costs(e1, mu, nu), np.arange(40)[::-1].copy(), None
+    if kind == "block-diagonal":  # +inf off blocks of up to and past the shortlist
+        rng = substream(1, "segment-rounds")
+        blocks = [rng.random((n, n)) for n in (3, 30, 6, 41)]
+        starts = np.cumsum([0] + [len(B) for B in blocks])
+        C = np.full((starts[-1], starts[-1]), np.inf)
+        for B, a in zip(blocks, starts):
+            C[a : a + len(B), a : a + len(B)] = B
+    elif kind.startswith("grid"):
+        C = _assignment_costs("grid", int(kind[4:]), request)
+    else:
+        C = _assignment_costs(kind, 289, request)
+    return (C, *transport._assignment(C))
+
+
+@pytest.mark.parametrize("kind", ["e2", "tripod", "grid17", "grid33", "block-diagonal", "crossed"])
+def test_segment_rounds_give_the_bits_of_the_moved_row_loop(kind, request):
+    # every arc relaxed each round against only the arcs out of moved rows:
+    # the same Jacobi rounds, so the same alpha bits and the same verdict,
+    # from a shortlist ranked by C and by the prices the LSA ran on
+    C, perm, prices = _segment_round_inputs(kind, request)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rank in (None, prices):
+            want = assignment_duals_by_moved_rows(C, perm, rank)
+            alpha = transport._assignment_duals(C, perm, rank)
+            if kind == "crossed":
+                assert alpha is None and want is None
+            else:
+                assert alpha.tobytes() == want.tobytes()
+
+
 def _first_shortlist(C: np.ndarray, perm: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """The arcs k -> i with perm[k] among row i's _SHORTLIST lowest entries of rank."""
     nearest = np.zeros_like(C, dtype=bool)
@@ -495,12 +536,13 @@ def test_a_tied_certificate_settles_in_one_pricing_pass(e2):
     assert _pricing_passes(C, perm, None) > 1
 
 
-def test_the_side_49_certificate_settles_within_four_pricing_passes(e2):
-    # the default transport-identity ladder's top grid, which by C takes 5
+def test_the_side_49_certificate_settles_within_two_pricing_passes(e2):
+    # the default transport-identity ladder's top grid, which by C takes 5,
+    # and 4 from the plain scalings at range / 100
     mu, nu, _, _ = translation_instance(e2, 49)
     C = pairwise_costs(e2, mu, nu)
     perm, prices = transport._assignment(C)
-    assert _pricing_passes(C, perm, prices) <= 4
+    assert _pricing_passes(C, perm, prices) <= 2
 
 
 LSA = scipy.optimize.linear_sum_assignment
