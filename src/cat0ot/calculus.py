@@ -23,6 +23,7 @@ from .errors import (
     OriginMismatch,
     ParamOutOfRange,
     ProbeAtCenter,
+    param_int,
 )
 from .geometry import (
     BallRegion,
@@ -398,6 +399,8 @@ def _shell_estimate(
     seed: int,
 ) -> tuple[float, float, float, bool]:
     """eilenberg_estimate plus the Monte Carlo standard error of the lhs."""
+    if param_int(n_samples, "n_samples") < 1:
+        raise ParamOutOfRange(f"n_samples must be at least 1, got {n_samples}")
     if isinstance(region, EmptyRegion):
         return 0.0, 0.0, 0.0, True
     vol, diam, sample = space.impl.region(region)
@@ -440,6 +443,8 @@ def zeta_positivity(
     2 eps times the flat cross-section 2 * 5 eps; in flat pieces the estimate
     is 1. positive requires every probe to clear zero by three standard errors.
     """
+    if param_int(n_samples, "n_samples") < 1:
+        raise ParamOutOfRange(f"n_samples must be at least 1, got {n_samples}")
     xn = normalize(space, x)
     if space.impl.distance(g.start, xn) > 1e-9:
         raise OriginMismatch("the reference geodesic does not issue from x")

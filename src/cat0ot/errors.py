@@ -115,6 +115,14 @@ class IoFailure(Cat0otError):
     pass
 
 
+def param_int(value, what: str) -> int:
+    """An index or count argument of a public call as an int: integers, numpy's
+    too, pass, and bools and non-integral values are `ParamOutOfRange`."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ParamOutOfRange(f"{what} must be an integer, got {value!r}")
+
+
 def config_int(value, path: str) -> int:
     """A config value read as an integer; integral floats such as 6.0 are read
     as 6, and bools, non-numbers and non-integral numbers are `ConfigInvalid`."""

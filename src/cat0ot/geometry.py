@@ -29,7 +29,9 @@ sampler `sample(n, rng) -> (charts, coords)`), `impl.distances_from`,
 pair kernel `impl.distances_between` on p repeated, bit for bit. The flat
 families compute it that way; a tree evaluates its route once per distinct
 edge of the rows, and once per vertex for rows at a vertex, and gathers.
-The two pair methods take rows of
+A tree's scalar and pair forms read one set of preorder tables: its scalar
+`_route` gives the row `_pair_routes` gives for the same pair, with the
+route's vertices as preorder positions. The two pair methods take rows of
 normal points P_i and Q_i as (charts, coords) arrays, and answer bit for bit
 as the scalar calls do: row i of `impl.distances_between(charts_p, coords_p,
 charts_q, coords_q)` is `impl.distance(P_i, Q_i)`, and
@@ -296,6 +298,8 @@ def comparison_angle(a: float, b: float, c: float) -> float:
     """Euclidean angle between sides a and b opposite side c, clamped to [0, pi]."""
     if a <= 0 or b <= 0:
         raise DegenerateTriangle(f"zero side in comparison triangle (a={a}, b={b})")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise NotATriangle(f"sides ({a}, {b}, {c}) are not all finite")
     if c < -1e-12:
         raise NotATriangle(f"negative side c={c}")
     c = max(c, 0.0)

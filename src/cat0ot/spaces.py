@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
@@ -90,6 +91,13 @@ def _path_length(hi, lo, u, w):
     """Length of the tree path from vertex u up to its ancestor w, from root
     distances kept as hi + lo; u and w index hi and lo, one by one or as arrays."""
     return (hi[u] - hi[w]) + (lo[u] - lo[w])
+
+
+def _with_view(table: np.ndarray) -> tuple:
+    """(table, view): a 1-d int64 or float64 table rebuilt over the buffer of an
+    `array`, and that array, whose items index to Python numbers."""
+    view = array("d" if table.dtype.kind == "f" else "q", table.tobytes())
+    return np.frombuffer(view, dtype=table.dtype), view
 
 
 def _distances_from(self, p: Point, charts: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -258,6 +266,11 @@ class TreeImpl:
     off_u + (path(u, w) + path(v, w)) + off_v, each off the leg along the
     point's own edge, zero at a vertex; so the distance between a vertex and
     any point reads the same both ways.
+
+    Both distance forms read one set of preorder tables: the pair kernels as
+    numpy arrays, the scalar `distance` and `geodesic` through `array` views
+    over the same buffers. `_route` is `_pair_routes` on one pair and returns
+    u, v and w as preorder positions, as the row does.
     """
 
     def __init__(self, vertices: tuple, edges: tuple, root):
@@ -278,13 +291,11 @@ class TreeImpl:
         # of u is the preorder range [tin[u], tout[u])
         self.parent = [-1] * nv
         self.parent_edge = [-1] * nv
-        self._lower = [-1] * len(edges)  # each edge's child endpoint
         # root distances as hi + lo: hi the plain sum down the path, lo its
         # rounding errors by TwoSum (Knuth, TAOCP vol. 2, 4.2.2), so the
         # distances below a long edge keep their precision
-        hi = self._droot = [0.0] * nv
-        lo = self._droot_lo = [0.0] * nv
-        self._tin = [0] * nv
+        hi, lo = [0.0] * nv, [0.0] * nv
+        tin = self._tin = [0] * nv
         depth = [0] * nv
         order: list[int] = []
         seen = [False] * nv
@@ -293,7 +304,7 @@ class TreeImpl:
         stack = [ridx]
         while stack:
             u = stack.pop()
-            self._tin[u] = len(order)
+            tin[u] = len(order)
             order.append(u)
             for e in self.incident[u]:
                 w = eb[e] if ea[e] == u else ea[e]
@@ -301,41 +312,40 @@ class TreeImpl:
                     seen[w] = True
                     self.parent[w] = u
                     self.parent_edge[w] = e
-                    self._lower[e] = w
                     depth[w] = depth[u] + 1
                     ln = edges[e][2]
                     hi[w] = hi[u] + ln
                     back = hi[w] - hi[u]
                     lo[w] = lo[u] + ((hi[u] - (hi[w] - back)) + (ln - back))
                     stack.append(w)
-        self._tout = [t + 1 for t in self._tin]
+        tout = [t + 1 for t in tin]
         for u in reversed(order[1:]):
             p = self.parent[u]
-            self._tout[p] = max(self._tout[p], self._tout[u])
-        # preorder-indexed tables for the pair kernels
-        self._pre_tout = np.array([self._tout[u] for u in order], dtype=np.int64)
-        self._pre_droot = np.array([hi[u] for u in order])
-        self._pre_droot_lo = np.array([lo[u] for u in order])
-        self._ends = np.array(
-            [[self._tin[ia], self._tin[ib]] for ia, ib in zip(ea, eb)], dtype=np.int64
-        )
+            tout[p] = max(tout[p], tout[u])
+        # preorder-indexed tables; those the scalar `_route` and `geodesic` read
+        # also come as an `_with_view` view, named after the table
+        self._pre_tout, self._tout_view = _with_view(np.array([tout[u] for u in order], dtype=np.int64))
+        self._pre_droot, self._droot_view = _with_view(np.array([hi[u] for u in order]))
+        self._pre_droot_lo, self._droot_lo_view = _with_view(np.array([lo[u] for u in order]))
+        self._ends = np.array([[tin[ia], tin[ib]] for ia, ib in zip(ea, eb)], dtype=np.int64)
         self._lens = np.array([ln for _a, _b, ln in edges], dtype=float)
         pre = np.asarray(order, dtype=np.int64)
         up = np.asarray(self.parent, dtype=np.int64)[pre]
-        self._pre_parent = np.where(up < 0, 0, np.asarray(self._tin, dtype=np.int64)[up])
+        self._pre_parent, self._parent_view = _with_view(np.where(up < 0, 0, np.asarray(tin, dtype=np.int64)[up]))
         self._pre_depth = np.asarray(depth, dtype=np.int64)[pre]
         # each position's section up to its parent, as (edge, offset of the lower
         # end, of the upper end); the root's, (0, 0.0, 0.0), pads `_path_sections`
         pedge = np.asarray(self.parent_edge, dtype=np.int64)[pre]
         lower_first = self._ends[pedge, 0] == np.arange(len(pre))
         ln = np.where(pedge < 0, 0.0, self._lens[pedge])
-        self._pre_up = (np.maximum(pedge, 0), np.where(lower_first, 0.0, ln), np.where(lower_first, ln, 0.0))
+        sections = (np.maximum(pedge, 0), np.where(lower_first, 0.0, ln), np.where(lower_first, ln, 0.0))
+        self._pre_up, self._up_view = zip(*map(_with_view, sections))
         self._pre_lower = self._ends.max(axis=1)
         # each edge's exits by `_exit_keys`: its lower end and that end's parent
         # from inside the edge, else the vertex it sits at, twice
         ends, lower = self._ends, self._pre_lower
-        self._exit_low = np.stack([lower, ends[:, 0], ends[:, 1]], axis=1).ravel()
-        self._exit_high = np.stack([self._pre_parent[lower], ends[:, 0], ends[:, 1]], axis=1).ravel()
+        self._exit_low, self._exit_low_view = _with_view(np.stack([lower, *ends.T], axis=1).ravel())
+        self._exit_high, self._exit_high_view = _with_view(np.stack([self._pre_parent[lower], *ends.T], axis=1).ravel())
         # binary lifting (Bender & Farach-Colton, LATIN 2000): level k holds each
         # position's 2^k-th ancestor, the root its own. A climb in `_lcas` stops
         # below the LCA, so it takes fewer steps than the max depth D, and the
@@ -350,7 +360,7 @@ class TreeImpl:
         self._pre_vchart = first
         self._pre_voff = np.where(self._ends[first, 0] == np.arange(len(order)), 0.0, self._lens[first])
         # every vertex's normal point as rows, in vertex order; read-only, as they are shared
-        at = np.asarray(self._tin, dtype=np.int64)
+        at = np.asarray(tin, dtype=np.int64)
         self._vertex_rows = (self._pre_vchart[at], self._pre_voff[at][:, None])
         for a in self._vertex_rows:
             a.flags.writeable = False
@@ -396,42 +406,34 @@ class TreeImpl:
             return b
         return None
 
-    def _lca(self, u: int, v: int) -> int:
-        # climb from u until its preorder range contains v
-        while not self._tin[u] <= self._tin[v] < self._tout[u]:
-            u = self.parent[u]
-        return u
-
-    def _exits(self, e: int, s: float) -> tuple:
-        """(low, high): the ends a route may leave edge e by from offset s, as
-        vertex indices; the vertex twice when s sits at an end of the edge."""
-        if s == 0:
-            return self._ea[e], self._ea[e]
-        if s == self.edges[e][2]:
-            return self._eb[e], self._eb[e]
-        pl = self._lower[e]
-        return pl, self.parent[pl]
-
     def _route(self, p: Point, q: Point) -> tuple:
         """(length, u, cu, v, cv, w) of the route p -> u ~> v -> q between points on
         different edges, by the class docstring's rule: u ends p's edge, v ends
         q's edge, cu, cv are their offsets on those edges, and w is the LCA of u
-        and v; u, v and w are vertex indices."""
+        and v. It is `_pair_routes` on one pair, bit for bit, read through the
+        tables' views as Python numbers: u, v and w are preorder positions."""
         e, f = p.chart, q.chart
         s, t = p.coords[0], q.coords[0]
-        (pl, ph), (ql, qh) = self._exits(e, s), self._exits(f, t)
-        w = self._lca(pl, ql)
-        u = pl if w == pl else ph
-        v = ql if w == ql else qh
         lp, lq = self.edges[e][2], self.edges[f][2]
-        off_u, cu = (s, 0.0) if u == self._ea[e] else (lp - s, lp)
-        off_v, cv = (t, 0.0) if v == self._ea[f] else (lq - t, lq)
-        hi, lo = self._droot, self._droot_lo
+        low, high = self._exit_low_view, self._exit_high_view
+        pk = 3 * e + (1 if s == 0 else 2 if s == lp else 0)  # as `_exit_keys`
+        qk = 3 * f + (1 if t == 0 else 2 if t == lq else 0)
+        pl, ql = low[pk], low[qk]
+        # `_lcas`' climb, one parent at a time
+        w, tout, parent = pl, self._tout_view, self._parent_view
+        while w > ql or ql >= tout[w]:
+            w = parent[w]
+        u = pl if w == pl else high[pk]
+        v = ql if w == ql else high[qk]
+        # low[3 e + 1] is edge e's first end
+        off_u, cu = (s, 0.0) if u == low[3 * e + 1] else (lp - s, lp)
+        off_v, cv = (t, 0.0) if v == low[3 * f + 1] else (lq - t, lq)
+        hi, lo = self._droot_view, self._droot_lo_view
         return off_u + (_path_length(hi, lo, u, w) + _path_length(hi, lo, v, w)) + off_v, u, cu, v, cv, w
 
     def _lcas(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """`_lca` on rows of preorder positions: lift each u that does not hold v
-        in its range to its highest ancestor that does not, then take its parent."""
+        """The LCAs of rows of preorder positions: lift each u that does not hold
+        v in its range to its highest ancestor that does not, then take its parent."""
         tout = self._pre_tout
         rows = np.flatnonzero((u > v) | (v >= tout[u]))
         ur, vr = u[rows], v[rows]
@@ -443,8 +445,9 @@ class TreeImpl:
         return u
 
     def _exit_keys(self, e, s):
-        """`_exits` on rows, as keys 3 e + c into `_exit_low` and `_exit_high`:
-        c is 1 at the edge's first end, 2 at its second, else 0."""
+        """The ends a route may leave edges e by from offsets s, as keys 3 e + c
+        into `_exit_low` and `_exit_high`: c is 1 at the edge's first end, 2 at
+        its second, else 0."""
         k = 3 * e + (s == 0)
         k[s == self._lens[e]] += 2
         return k
@@ -556,25 +559,19 @@ class TreeImpl:
         if p.chart == q.chart:
             return geodesic_from_chain(self.handle, [(p.chart, p.coords, q.coords)], p, q)
         _tot, u, cu, v, cv, w = self._route(p, q)
-        parent, step = self.parent, self._parent_step
+        # each position's section up to its parent, as `_path_sections` reads it
+        parent, (edge, near, far) = self._parent_view, self._up_view
         chain = [(p.chart, p.coords, (cu,))]
         while u != w:
-            chain.append(step(u))
+            chain.append((edge[u], (near[u],), (far[u],)))
             u = parent[u]
         # the far side, gathered from q upwards and then reversed
         down = [(q.chart, (cv,), q.coords)]
         while v != w:
-            e, at_v, at_parent = step(v)
-            down.append((e, at_parent, at_v))
+            down.append((edge[v], (far[v],), (near[v],)))
             v = parent[v]
         chain += reversed(down)
         return geodesic_from_chain(self.handle, chain, p, q)
-
-    def _parent_step(self, u: int) -> tuple:
-        """(edge, offset at u, offset at its parent) of the edge from vertex index u up."""
-        e = self.parent_edge[u]
-        ln = self.edges[e][2]
-        return (e, (0.0,), (ln,)) if self._ea[e] == u else (e, (ln,), (0.0,))
 
     def represent_in_chart(self, p: Point, chart: int) -> Optional[tuple]:
         if p.chart == chart:

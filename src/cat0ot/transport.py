@@ -35,6 +35,7 @@ from .errors import (
     WeightMismatch,
     config_float,
     config_int,
+    param_int,
 )
 from .geometry import Point, SpaceHandle, _point_rows, normalize
 from .rng import substream
@@ -455,11 +456,13 @@ def check_cyclic_monotonicity(
     The support is the plan's entries of positive mass; entries of mass 0 are
     neither scored nor counted. "exhaustive" scores every cycle of 2 to
     max_len arcs; past 10^6 of them it raises TooManyTuples before building
-    any cost. "sampled" scores n_samples cycles drawn from substream(seed,
-    "cyclic"); no harness path uses it. A slack above 1e-9 is a violation, and
-    a support of one arc or none reports zero slack. The costs come from
-    `pairwise_costs` over every atom, so one past the float range raises
-    ParamOutOfRange even between atoms that the support leaves out."""
+    any cost. Cycles longer than the support's K arcs are not counted, so a
+    max_len past K counts and scores as K does. "sampled" scores n_samples
+    cycles drawn from substream(seed, "cyclic"); no harness path uses it. A
+    slack above 1e-9 is a violation, and a support of one arc or none reports
+    zero slack. The costs come from `pairwise_costs` over every atom, so one
+    past the float range raises ParamOutOfRange even between atoms that the
+    support leaves out."""
     if max_len < 2:
         raise ParamOutOfRange("cycles need length at least 2")
     if mode not in ("exhaustive", "sampled"):
@@ -467,7 +470,7 @@ def check_cyclic_monotonicity(
     support = np.array([(i, j) for i, j, mass in plan.entries if mass > 0], dtype=np.intp).reshape(-1, 2)
     K = len(support)
     if mode == "exhaustive":
-        total = sum(math.comb(K, L) * math.factorial(L - 1) for L in range(2, max_len + 1))
+        total = sum(math.comb(K, L) * math.factorial(L - 1) for L in range(2, min(max_len, K) + 1))
         if total > 1_000_000:
             raise TooManyTuples(f"{total} tuples exceed the exhaustive cap 10^6")
     Cp = pairwise_costs(space, plan.source, plan.target)[np.ix_(support[:, 0], support[:, 1])]
@@ -531,6 +534,7 @@ def c_subdifferential(
     x_index: int,
 ) -> set[int]:
     """Target indices where phi(y) - psi(x) = c(x, y) within 1e-9."""
+    x_index = param_int(x_index, "x_index")
     if x_index not in range(len(mu.points)):
         raise ParamOutOfRange(f"mu has no atom {x_index}")
     if len(potentials.psi) != len(mu.points) or len(potentials.phi) != len(nu.points):
@@ -589,7 +593,8 @@ def psi_R(
 @dataclass(frozen=True)
 class GridPotential:
     """Scalar values on a regular Euclidean grid, row-major with the last axis fastest:
-    one value per node, and a node index, flat or per axis, past the grid raises
+    one value per node, one origin coordinate per axis and a finite positive
+    pitch, and a node index, flat or per axis, past the grid raises
     ParamOutOfRange."""
 
     origin: tuple[float, ...]
@@ -601,6 +606,10 @@ class GridPotential:
         size = math.prod(self.shape)
         if len(self.values) != size:
             raise ParamOutOfRange(f"a grid of shape {self.shape} needs {size} values, got {len(self.values)}")
+        if len(self.origin) != len(self.shape):
+            raise ParamOutOfRange(f"a grid of shape {self.shape} needs {len(self.shape)} origin coordinates")
+        if not (math.isfinite(self.pitch) and self.pitch > 0):
+            raise ParamOutOfRange(f"grid pitch {self.pitch} must be finite and positive")
 
     def flat_index(self, idx: Sequence[int]) -> int:
         if len(idx) != len(self.shape):
@@ -673,6 +682,7 @@ def verify_transport_identity(
     """
     if space.kind != "euclidean":
         raise ParamOutOfRange("grid potentials are defined on Euclidean spaces only")
+    x_index = param_int(x_index, "x_index")
     if x_index not in range(len(T.source.points)):
         raise MapUndefined(f"map carries no source index {x_index}")
     if x_index >= len(psi_grid.values):

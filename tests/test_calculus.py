@@ -369,6 +369,26 @@ def test_eilenberg_rejects_a_nan_eps(e2):
         eilenberg_estimate(e2, g, BoxRegion(0, (0.0, 0.0), (1.0, 1.0)), 100, eps=math.nan)
 
 
+@pytest.mark.parametrize("n_samples", [0, -5, True, 2.5, 100.0])
+def test_sample_counts_are_positive_integers(e2, n_samples):
+    x = Point(0, (0.0, 0.0))
+    g = geodesic(e2, x, Point(0, (1.0, 0.0)))
+    for region in (BoxRegion(0, (0.0, 0.0), (1.0, 1.0)), EmptyRegion()):
+        with pytest.raises(ParamOutOfRange, match="n_samples"):
+            eilenberg_estimate(e2, g, region, n_samples)
+    with pytest.raises(ParamOutOfRange, match="n_samples"):
+        zeta_positivity(e2, x, g, [Point(0, (0.5, 0.0))], n_samples=n_samples)
+
+
+def test_sample_counts_take_numpy_integers(e2):
+    x = Point(0, (0.0, 0.0))
+    g = geodesic(e2, x, Point(0, (1.0, 0.0)))
+    region, probes = BoxRegion(0, (0.0, 0.0), (1.0, 1.0)), [Point(0, (0.5, 0.0))]
+    assert eilenberg_estimate(e2, g, region, np.int64(500), seed=3) == eilenberg_estimate(e2, g, region, 500, seed=3)
+    got = zeta_positivity(e2, x, g, probes, n_samples=np.int32(1), seed=3)
+    assert got == zeta_positivity(e2, x, g, probes, n_samples=1, seed=3)
+
+
 def test_zeta_positive_in_flat_and_book_spaces(e2, book3):
     x = Point(0, (0.0, 0.0))
     g = geodesic(e2, x, Point(0, (1.0, 0.0)))

@@ -329,6 +329,23 @@ def test_comparison_angle_basics():
         comparison_angle(1.0, 1.0, 2.1)
 
 
+@pytest.mark.parametrize(
+    "sides",
+    [
+        (math.nan, 1.0, 1.0),
+        (1.0, math.nan, 1.0),
+        (1.0, 1.0, math.nan),
+        (math.inf, 1.0, math.inf),
+        (1.0, 1.0, math.inf),
+        (-math.inf, 1.0, 1.0),
+    ],
+)
+def test_comparison_angle_rejects_a_side_that_is_not_finite(sides):
+    # each of these once fell through every guard and came back as pi
+    with pytest.raises((DegenerateTriangle, NotATriangle)):
+        comparison_angle(*sides)
+
+
 def test_alexandrov_angle_matches_euclidean_vertex_angle(e2):
     rng = substream(23, "angles")
     for _ in range(100):

@@ -1,11 +1,13 @@
 """Every name a library module imports is used in it, every error class is
 raised somewhere, the builtin `sum` adds only integers, only the tree reads
-its own root distances, and no module reads a random generator's internals
-(no linter is installed)."""
+its own root distances, no module reads a random generator's internals, and
+every name the benchmark tracer binds resolves (no linter is installed)."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -234,3 +236,98 @@ def test_the_check_sees_a_generator_internal_read():
         "    return rng.random(n), rng.states\n"
     )
     assert generator_internal_reads(source) == ["bit_generator (line 2)", "random_raw (line 3)", "state (line 3)"]
+
+
+# perfbench/tracing.py wraps library functions by name, and its hooks read some
+# of their arguments by name; no tier-1 scenario reaches every hook, so a
+# rename would first show in a traced benchmark run. The tracer is read as
+# source here, never imported or changed.
+TRACER = SRC.parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracer_bindings(source: str) -> tuple:
+    """(boundaries, reads) of a tracer source: its literal `BOUNDARIES` dict,
+    span name -> (module, attribute), and span name -> the argument names
+    that the hook installed for it reads from its bound-arguments dict."""
+    tree = ast.parse(source)
+    boundaries = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "BOUNDARIES" for t in node.targets)
+    )
+    methods = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    reads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "hooks" for t in node.targets):
+            for key, hook in zip(node.value.keys, node.value.values):
+                fn = methods[hook.attr]
+                args = fn.args.args[1].arg  # after self
+                reads[key.value] = sorted(
+                    {
+                        sub.slice.value
+                        for sub in ast.walk(fn)
+                        if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name) and sub.value.id == args
+                    }
+                )
+    return boundaries, reads
+
+
+def _bound_functions(module_path: str, attr: str) -> list:
+    """The functions a boundary names: a module attribute, or for "*Impl.m"
+    the method m of every impl class in the module that defines one."""
+    module = importlib.import_module(module_path)
+    if attr.startswith("*Impl."):
+        meth = attr.split(".", 1)[1]
+        classes = [c for n, c in vars(module).items() if n.endswith("Impl") and isinstance(c, type)]
+        return [vars(c)[meth] for c in classes if meth in vars(c)]
+    return [getattr(module, attr)] if hasattr(module, attr) else []
+
+
+def tracer_name_faults(source: str) -> list[str]:
+    """Each boundary of a tracer source that binds no function, and each
+    argument a hook reads that a bound function does not take."""
+    boundaries, reads = _tracer_bindings(source)
+    faults = []
+    for name, (module_path, attr) in boundaries.items():
+        fns = _bound_functions(module_path, attr)
+        if not fns:
+            faults.append(f"{name}: {module_path}.{attr} does not resolve")
+        for fn in fns if name in reads else []:  # scipy's builtins give no signature
+            params = inspect.signature(fn).parameters
+            faults += [f"{name}: {fn.__qualname__} has no parameter {a}" for a in reads[name] if a not in params]
+    return faults
+
+
+def test_the_tracer_binds_names_the_library_defines():
+    source = TRACER.read_text()
+    boundaries, reads = _tracer_bindings(source)
+    # the parse finds the boundaries and the hooks that no tier-1 scenario runs
+    assert "transport.interior_duals" in boundaries and "spaces.distance" in boundaries
+    assert {"n_samples", "psi"} <= {a for names in reads.values() for a in names}
+    assert tracer_name_faults(source) == []
+
+
+def test_the_check_sees_a_name_the_library_lacks():
+    source = (
+        "BOUNDARIES = {\n"
+        "    'a': ('cat0ot.transport', 'check_cyclic_monotonicity'),\n"
+        "    'b': ('cat0ot.transport', 'no_such_function'),\n"
+        "    'c': ('cat0ot.spaces', '*Impl.no_such_method'),\n"
+        "    'd': ('cat0ot.spaces', '*Impl.distance'),\n"
+        "}\n"
+        "class Tracer:\n"
+        "    def count_a(self, args, _out):\n"
+        "        return args['max_len'], args['cycle_cap']\n"
+        "    def count_d(self, bound, out):\n"
+        "        return bound['p'], bound['point']\n"
+        "    def install(self):\n"
+        "        hooks = {'a': self.count_a, 'd': self.count_d}\n"
+    )
+    faults = tracer_name_faults(source)
+    assert faults[:3] == [
+        "a: check_cyclic_monotonicity has no parameter cycle_cap",
+        "b: cat0ot.transport.no_such_function does not resolve",
+        "c: cat0ot.spaces.*Impl.no_such_method does not resolve",
+    ]
+    # every impl's distance takes p and q, and none a point
+    assert faults[3:] and all(f.startswith("d: ") and f.endswith("has no parameter point") for f in faults[3:])

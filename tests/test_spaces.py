@@ -50,6 +50,7 @@ from cat0ot.harness import EXPERIMENTS, Scenario, render_report, run_scenario, s
 from cat0ot.rng import substream
 
 from _oracles import (
+    _tree_legs,
     book_distance,
     comb_counts,
     distances_by_four_routes,
@@ -385,27 +386,57 @@ def _route_cases(space, rng):
     return [(p, q) for p, q in pairs if p.chart != q.chart]
 
 
+def _at_positions(impl, route: tuple) -> tuple:
+    """An oracle's route (length, u, cu, v, cv, w) with its vertex indices u, v
+    and w mapped to preorder positions, as `_route` gives them."""
+    tot, u, cu, v, cv, w = route
+    return tot, impl._tin[u], cu, impl._tin[v], cv, impl._tin[w]
+
+
+def _lower_end(impl, e: int) -> int:
+    """The vertex index of edge e's lower end, the end whose parent edge it is."""
+    a, b, _ln = impl.edges[e]
+    ai, bi = impl._vidx[a], impl._vidx[b]
+    return ai if impl.parent_edge[ai] == e else bi
+
+
 @pytest.mark.parametrize("name", ["comb316", "comb14", "tripod", "lopsided_tree"])
 def test_route_matches_the_four_lca_loop(name, request):
     space = request.getfixturevalue(name)
     impl = space.impl
+    lca, _leg = _tree_legs(impl)
     cases = {"above both": 0, "at p's lower end": 0, "at q's lower end": 0}
     for p, q in _route_cases(space, substream(19, f"route:{name}")):
         got = repr(impl._route(p, q))
-        assert got == repr(route_by_one_lca(space, p, q))
+        assert got == repr(_at_positions(impl, route_by_one_lca(space, p, q)))
         if impl._vertex_of(p) is None and impl._vertex_of(q) is None:
             # inside both edges the one route is the shortest of the four; a
             # point at a vertex leaves by it, which may part from the four-route
             # pick in its ends or last bit (the pair-kernel test bounds that)
-            assert got == repr(route_by_four_lcas(space, p, q))
-        pl, ql = impl._lower[p.chart], impl._lower[q.chart]
-        top = impl._lca(pl, ql)
+            assert got == repr(_at_positions(impl, route_by_four_lcas(space, p, q)))
+        pl, ql = _lower_end(impl, p.chart), _lower_end(impl, q.chart)
+        top = lca(pl, ql)
         cases["at p's lower end" if top == pl else "at q's lower end" if top == ql else "above both"] += 1
     if name == "tripod":
         # every edge hangs from the root, so no edge lies below another
         assert cases["above both"] > 0
     else:
         assert min(cases.values()) > 0, cases
+
+
+@pytest.mark.parametrize("name", ["comb316", "comb14", "tripod", "lopsided_tree", "long_tree", "deep_tree"])
+def test_route_is_the_pair_routes_row(name, request):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    pairs = _route_cases(space, substream(53, f"route-row:{name}"))
+    assert any(impl._vertex_of(p) is not None for pq in pairs for p in pq)
+    routes = [impl._route(p, q) for p, q in pairs]
+    # the scalar route answers in Python numbers
+    assert {type(x) for r in routes for x in r} == {int, float}
+    (e, s), (f, t) = _rows([p for p, _ in pairs]), _rows([q for _, q in pairs])
+    for k, want in enumerate(impl._pair_routes(e, s[:, 0], f, t[:, 0])):
+        got = np.array([r[k] for r in routes], dtype=want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 def _tree_rows(space, rng, n: int) -> dict:
@@ -468,10 +499,12 @@ def test_tree_distances_from_equal_the_pair_kernel(name, request):
 
 
 def _lca_pairs_agree(impl, u, v) -> None:
-    """`_lcas` on the preorder positions of vertex indices u, v equals `_lca`."""
+    """`_lcas` on the preorder positions of vertex indices u, v equals the
+    oracle's climb on u, v, mapped to preorder positions."""
+    lca, _leg = _tree_legs(impl)
     tin = np.asarray(impl._tin)
     got = impl._lcas(tin[u], tin[v])
-    assert got.tolist() == [impl._tin[impl._lca(a, b)] for a, b in zip(u.tolist(), v.tolist())]
+    assert got.tolist() == [impl._tin[lca(a, b)] for a, b in zip(u.tolist(), v.tolist())]
 
 
 @pytest.mark.parametrize("name", ["lopsided_tree", "long_tree"])

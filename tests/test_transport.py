@@ -778,6 +778,17 @@ def test_zero_mass_entries_are_not_support(e1, line_instance):
     assert out == {"violations": 0, "worst_slack": -1.0}  # the one 2-cycle, uncrossed
 
 
+def test_a_max_len_past_the_support_counts_as_the_support(e1, line_instance):
+    mu, nu = line_instance
+    swapped = TransportPlan(mu, nu, ((0, 1, 0.5), (1, 0, 0.5)))
+    # the cap once summed every length up to max_len and ran for minutes
+    got = check_cyclic_monotonicity(e1, swapped, max_len=10**9)
+    assert got == check_cyclic_monotonicity(e1, swapped, max_len=2)
+    assert got["violations"] == 1
+    plan = _audit_plans(e1, 3)["crossed"]
+    assert check_cyclic_monotonicity(e1, plan, max_len=10**9) == check_cyclic_monotonicity(e1, plan, max_len=6)
+
+
 @pytest.mark.parametrize("K", range(13))
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_combinations_follow_itertools_row_for_row(K, L):
@@ -967,6 +978,14 @@ def test_c_subdifferential_rejects_an_index_outside_mu(e2):
     for i in (-1, -4, 4, 9):
         with pytest.raises(ParamOutOfRange):
             c_subdifferential(e2, pot, mu, nu, i)
+
+
+def test_c_subdifferential_takes_integer_indices_only(e2):
+    mu, nu, pot = _instance_and_potentials(e2, 4, 5)
+    for i in (True, False, 1.0, 2.5, "1"):
+        with pytest.raises(ParamOutOfRange, match="x_index"):
+            c_subdifferential(e2, pot, mu, nu, i)
+    assert c_subdifferential(e2, pot, mu, nu, np.int64(2)) == c_subdifferential(e2, pot, mu, nu, 2)
 
 
 RESIZED = {"short": lambda v: v[:-1], "long": lambda v: v + (0.0,)}
@@ -1160,6 +1179,18 @@ def test_grid_potential_rejects_values_off_its_shape():
         GridPotential((0.0, 0.0), 0.5, (4, 4), tuple(range(15)))
 
 
+@pytest.mark.parametrize("pitch", [0.0, -0.5, math.nan, math.inf])
+def test_grid_potential_rejects_a_pitch_that_is_not_finite_and_positive(pitch):
+    with pytest.raises(ParamOutOfRange, match="pitch"):
+        GridPotential((0.0, 0.0), pitch, (3, 3), tuple(range(9)))
+
+
+@pytest.mark.parametrize("origin", [(0.0,), (0.0, 0.0, 0.0), ()])
+def test_grid_potential_rejects_an_origin_of_the_wrong_length(origin):
+    with pytest.raises(ParamOutOfRange, match="origin"):
+        GridPotential(origin, 0.5, (3, 3), tuple(range(9)))
+
+
 def test_grid_potential_rejects_a_node_index_off_the_grid():
     gp = GridPotential((0.0, 0.0), 0.5, (4, 4), tuple(range(16)))
     assert [gp.flat_index(idx) for idx in ((0, 0), (3, 3), (1, 2))] == [0, 15, 6]
@@ -1206,6 +1237,10 @@ def test_transport_identity_guards(e2, tripod):
         verify_transport_identity(e2, grid, T, 999)
     with pytest.raises(ParamOutOfRange):
         verify_transport_identity(tripod, grid, T, 6)
+    for i in (6.0, True, 6.5):
+        with pytest.raises(ParamOutOfRange, match="x_index"):
+            verify_transport_identity(e2, grid, T, i)
+    assert verify_transport_identity(e2, grid, T, np.int64(6)) == verify_transport_identity(e2, grid, T, 6)
 
 
 def test_transport_identity_rejects_a_grid_off_the_source_atoms(e2):
