@@ -38,7 +38,6 @@ from .geometry import (
     Point,
     SpaceHandle,
     TreeRegion,
-    _point_rows,
     _row_points,
     cat0_defect,
     geodesic,
@@ -49,10 +48,11 @@ from .spaces import space_from_json
 from .transport import (
     DiscreteMeasure,
     GridPotential,
+    _check_support,
     _identity_rows,
+    _measure_rows,
     check_cyclic_monotonicity,
     extract_monge_map,
-    measure,
     measure_from_json,
     solve_kantorovich,
     verify_transport_identity,
@@ -139,13 +139,9 @@ def line_instance(space: SpaceHandle) -> tuple[DiscreteMeasure, DiscreteMeasure]
     """Two unit-spaced sources pushed two units along the first axis."""
     if space.kind != "euclidean":
         raise ConfigInvalid("params.instance", "the line instance needs a euclidean space")
-
-    def on_axis(x: float) -> Point:
-        return Point(0, (x,) + (0.0,) * (space.dim - 1))
-
-    mu = measure(space, [on_axis(0.0), on_axis(1.0)])
-    nu = measure(space, [on_axis(2.0), on_axis(3.0)])
-    return mu, nu
+    xs = np.arange(4.0)[:, None] * np.eye(1, space.dim)  # 0, 1, 2 and 3 on the first axis
+    charts = np.zeros(2, dtype=np.int64)
+    return _measure_rows(space, charts, xs[:2]), _measure_rows(space, charts, xs[2:])
 
 
 def translation_instance(
@@ -161,11 +157,13 @@ def translation_instance(
         raise ConfigInvalid("space", "translation instances live on the euclidean plane")
     if n < 2:
         raise ConfigInvalid("params.n", "grid needs at least 2 nodes per side")
+    _check_support(n * n, n * n)
     h = 1.0 / (n - 1)
     shift = (round((n - 1) / 4) * h, 0.0)
-    xs = [Point(0, (i * h, j * h)) for i in range(n) for j in range(n)]
-    ys = [Point(0, (p.coords[0] + shift[0], p.coords[1] + shift[1])) for p in xs]
-    return measure(space, xs), measure(space, ys), shift, h
+    axis = np.arange(n) * h  # node i at i * h, to the bit
+    xs = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(n * n, 2)
+    charts = np.zeros(n * n, dtype=np.int64)
+    return _measure_rows(space, charts, xs), _measure_rows(space, charts, xs + shift), shift, h
 
 
 def random_instance(
@@ -173,15 +171,16 @@ def random_instance(
 ) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """Random atoms with random weights on both sides."""
     m = n if m is None else m
+    _check_support(n, m)
     rng_mu = substream(seed, "mu")
     rng_nu = substream(seed, "nu")
-    mu_pts = sample_points(space, rng_mu, n)
-    nu_pts = sample_points(space, rng_nu, m)
+    mu_rows = _points_from_draws(space, _point_draws(space, rng_mu, n))
+    nu_rows = _points_from_draws(space, _point_draws(space, rng_nu, m))
     wa = rng_mu.uniform(0.5, 1.5, n)
     wb = rng_nu.uniform(0.5, 1.5, m)
     wa /= wa.sum()
     wb /= wb.sum()
-    return measure(space, mu_pts, wa), measure(space, nu_pts, wb)
+    return _measure_rows(space, *mu_rows, wa), _measure_rows(space, *nu_rows, wb)
 
 
 def _param(params: dict, key: str, default, read=config_int):
@@ -470,6 +469,7 @@ def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tupl
     # the order is the slope of a line fitted through the pitches, which needs two distinct ones
     if len(set(sizes)) < 2 or any(s < 4 for s in sizes):
         raise ConfigInvalid("params.sizes", "need two distinct grid sizes, each >= 4 (below 4 the shift is 0)")
+    _check_support(max(sizes) ** 2, max(sizes) ** 2)  # before any grid is built
     stats = []  # per grid: pitch, mean, 95% and max residual, 95% gap, share within a quarter pitch
     exact = agree = True
     for n in sizes:
@@ -480,7 +480,7 @@ def _run_transport_identity(space: SpaceHandle, params: dict, seed: int) -> tupl
         tmap = extract_monge_map(plan)
         if not hasattr(tmap, "points"):
             raise ParamOutOfRange("translation plan did not collapse to a map")
-        charts, images = _point_rows(tmap.points)
+        charts, images = (a[list(tmap.targets)] for a in nu.rows)
         off = space.impl.distances_between(charts, mu.rows[1] + shift, charts, images)
         exact = exact and not (off > 1e-12).any()
         grid = GridPotential((0.0, 0.0), h, (n, n), pot.psi)

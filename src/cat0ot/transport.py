@@ -4,7 +4,9 @@ Measures, exact Kantorovich solving with dual potentials, the c-transform,
 cyclic-monotonicity checking, map extraction, the ball-restricted potential
 psi_R, and the finite-difference check of the first-order transport identity
 on grid instances. Costs between measures read their `rows`: the atoms as
-read-only (charts, coords) arrays, packed from `points` on first read.
+read-only (charts, coords) arrays. A measure the library builds carries the
+rows it was normalized from; a directly built `DiscreteMeasure` packs them
+from `points` on first read.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
     config_int,
     param_int,
 )
-from .geometry import Point, SpaceHandle, _point_rows, normalize
+from .geometry import Point, SpaceHandle, _point_rows, _row_points, normalize
 from .rng import substream
 
 MAX_SUPPORT = 10_000
@@ -80,7 +82,8 @@ class DiscreteMeasure:
 
     @cached_property
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms as read-only (charts, coords) rows, packed on first read."""
+        """The atoms as read-only (charts, coords) rows: those `measure` normalized,
+        or, for a directly built measure, packed from `points` on first read."""
         rows = _point_rows(self.points)
         for a in rows:
             a.flags.writeable = False
@@ -126,9 +129,18 @@ def measure(
     space: SpaceHandle, points: Sequence[Point], weights: Optional[Sequence[float]] = None
 ) -> DiscreteMeasure:
     """Normalized discrete measure; weights default to uniform."""
-    pts = tuple(normalize(space, p) for p in points)
-    if not pts:
+    for p in points:
+        space.impl.validate_point(p)
+    return _measure_rows(space, *_point_rows(points), weights)
+
+
+def _measure_rows(space: SpaceHandle, charts, coords, weights: Optional[Sequence[float]] = None) -> DiscreteMeasure:
+    """`measure` on the (charts, coords) rows of valid points, normalized in one
+    `_normal_rows` pass; the measure keeps those rows as its `rows`."""
+    if not len(charts):
         raise ParamOutOfRange("a measure needs at least one atom")
+    rows = space.impl._normal_rows(charts, coords)
+    pts = tuple(_row_points(*rows))
     seen = set()
     for p in pts:
         key = (p.chart, p.coords)
@@ -145,7 +157,11 @@ def measure(
             raise ParamOutOfRange("weights must be strictly positive")
         if abs(_mass(w) - 1.0) > 1e-12:
             raise WeightMismatch(f"weights sum to {_mass(w)}, not 1")
-    return DiscreteMeasure(pts, w)
+    mu = DiscreteMeasure(pts, w)
+    for a in rows:
+        a.flags.writeable = False
+    vars(mu)["rows"] = rows  # the `rows` cache
+    return mu
 
 
 def _mass(weights: Sequence[float]) -> float:
@@ -159,6 +175,11 @@ def map_from_points(
     if len(points) != len(source.points):
         raise MapUndefined("need one image point per source atom")
     return TransportMap(source, tuple(normalize(space, p) for p in points))
+
+
+def _check_support(n: int, m: int) -> None:
+    if n > MAX_SUPPORT or m > MAX_SUPPORT:
+        raise SupportTooLarge(f"support sizes ({n}, {m}) exceed {MAX_SUPPORT}")
 
 
 def _cost_rows(space: SpaceHandle, sources: tuple, targets: tuple) -> np.ndarray:
@@ -376,8 +397,7 @@ def solve_kantorovich(
     ParamOutOfRange before either solver runs.
     """
     n, m = len(mu.points), len(nu.points)
-    if n > MAX_SUPPORT or m > MAX_SUPPORT:
-        raise SupportTooLarge(f"support sizes ({n}, {m}) exceed {MAX_SUPPORT}")
+    _check_support(n, m)
     # `measure` holds each total within 1e-12 of 1, so two of its measures
     # differ by at most 2e-12 (both differences are exact near 1)
     ma, mb = _mass(mu.weights), _mass(nu.weights)

@@ -19,6 +19,7 @@ from cat0ot import (
     IoFailure,
     ParamOutOfRange,
     Point,
+    SupportTooLarge,
     _simplex,
     calculus,
     direction_set,
@@ -242,6 +243,27 @@ def test_malformed_parameters_reach_run_scenario_as_config_invalid(experiment, t
         cfg = _write_config(tmp_path, {"space": space, "params": params, "seed": 1})
         assert main([experiment, "--config", cfg]) == 2, params
         assert capsys.readouterr().err.startswith(f"error: params.{key}:"), params
+
+
+@pytest.mark.parametrize(
+    "experiment, params, sizes",
+    [
+        ("solve", {"instance": "translation", "n": 101}, (10_201, 10_201)),
+        ("solve", {"instance": "random", "n": 10_001}, (10_001, 10_001)),
+        ("monotonicity", {"instance": "random", "n": 5, "m": 10_001}, (5, 10_001)),
+        ("fermat", {"n": 101}, (10_201, 10_201)),
+        ("transport-identity", {"sizes": [5, 101]}, (10_201, 10_201)),
+    ],
+)
+def test_oversized_instances_are_refused_before_any_atom_is_built(experiment, params, sizes, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("an atom was drawn or a measure built")
+
+    monkeypatch.setattr(harness, "_point_draws", built)
+    monkeypatch.setattr(transport, "DiscreteMeasure", built)
+    with pytest.raises(SupportTooLarge) as info:
+        run_scenario(Scenario(E2, experiment, params, 1))
+    assert str(info.value) == f"support sizes {sizes} exceed 10000"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pickle
@@ -473,6 +474,38 @@ def test_pair_kernel_matches_the_four_route_minimum(name, vertex_ulps, request):
             # it parts from it only in routes that tie at a vertex
             assert (got >= want).all()
             assert _ulps(got, want).max() <= vertex_ulps
+
+
+def _snap_points(space) -> list[Point]:
+    """Valid points on and around every snap boundary of the space's charts."""
+    snap = spaces.SNAP_TOL
+    half = snap / 2
+    if space.kind == "tree":
+        return [
+            Point(e, (s,))
+            for e, (_a, _b, ln) in enumerate(space.impl.edges)
+            for s in (0.0, -0.0, -half, half, snap, ln - half, ln, ln + half)
+        ]
+    if space.kind == "open_book":
+        us = (-half, -0.0, 0.0, snap, 2 * snap)
+        return [Point(k, (u, v)) for k in range(space.impl.pages) for u in us for v in (-0.0, 0.3)]
+    # nothing snaps in a euclidean space: signed zeros and values at the snap scale
+    values = (0.0, -0.0, half, -snap, 0.3)
+    return [Point(0, c) for c in itertools.product(values, repeat=space.dim)]
+
+
+@pytest.mark.parametrize("name", ["e2", "e3", "tripod", "comb14", "book3"])
+def test_normal_rows_match_normalize_bit_for_bit_at_the_snap_boundaries(name, request):
+    space = request.getfixturevalue(name)
+    impl = space.impl
+    points = _snap_points(space)
+    for p in points:
+        impl.validate_point(p)
+    want = [impl.normalize(p) for p in points]
+    assert space.kind == "euclidean" or any(q.chart != p.chart for p, q in zip(points, want))
+    charts, coords = impl._normal_rows(*geometry._point_rows(points))
+    assert charts.tolist() == [q.chart for q in want]
+    assert [[x.hex() for x in row] for row in coords.tolist()] == [[x.hex() for x in q.coords] for q in want]
 
 
 @pytest.mark.parametrize("name", ["comb316", "long_tree", "deep_tree", "lopsided_tree"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -11,7 +12,7 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cat0ot import _simplex, transport
+from cat0ot import _simplex, harness, spaces, transport
 from cat0ot import (
     BoundaryPoint,
     ConfigInvalid,
@@ -139,6 +140,63 @@ def test_a_measure_built_directly_solves_with_the_same_bytes(family, sizes, requ
         mu, nu = random_instance(space, 7, *sizes)
     direct = solve_kantorovich(space, DiscreteMeasure(mu.points, mu.weights), DiscreteMeasure(nu.points, nu.weights))
     assert repr(direct) == repr(solve_kantorovich(space, mu, nu))
+
+
+@pytest.mark.parametrize(
+    "family, first, later, named",
+    [
+        # -0.0 == 0.0, and the later atom keeps its own sign
+        ("e2", Point(0, (0.0, 0.0)), Point(0, (-0.0, 0.0)), Point(0, (-0.0, 0.0))),
+        # one spine point, given on two pages within SNAP_TOL of the spine
+        ("book3", Point(1, (1e-13, 0.3)), Point(2, (0.0, 0.3)), Point(0, (0.0, 0.3))),
+        # the centre, given on two of its edges
+        ("tripod", Point(0, (0.0,)), Point(2, (5e-13,)), Point(0, (0.0,))),
+    ],
+)
+def test_measure_names_the_first_later_duplicate_after_normalization(family, first, later, named, request):
+    space = request.getfixturevalue(family)
+    other = sample_points(space, substream(8, f"duplicate:{family}"), 1)[0]
+    with pytest.raises(InvalidPoint) as info:
+        measure(space, [first, other, later, first])
+    assert str(info.value) == f"duplicate support point {named!r} after normalization"
+
+
+def _count_scalar_calls(monkeypatch) -> collections.Counter:
+    """Counts of every scalar `validate_point` and `normalize` call on the space impls."""
+    calls = collections.Counter()
+    for cls in (spaces.EuclideanImpl, spaces.TreeImpl, spaces.BookImpl):
+        for name in ("validate_point", "normalize"):
+
+            def counted(self, p, _call=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _call(self, p)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+def test_instance_builders_make_no_scalar_point_calls(family, monkeypatch, request):
+    space = request.getfixturevalue(family)
+    calls = _count_scalar_calls(monkeypatch)
+    built = [*random_instance(space, 7, 9, 11)]
+    if family == "e2":
+        built += [*translation_instance(space, 6)[:2], *harness.line_instance(space)]
+    assert calls == {}
+    # the measures, and the rows they keep, of `measure` on their own atoms
+    for mu in built:
+        again = measure(space, mu.points, mu.weights)
+        assert again == mu
+        assert _hex_rows(*(a.tolist() for a in again.rows)) == _hex_rows(*(a.tolist() for a in mu.rows))
+
+
+@pytest.mark.parametrize("family", ROW_FAMILIES)
+def test_measure_validates_each_atom_once_and_normalizes_by_rows(family, monkeypatch, request):
+    space = request.getfixturevalue(family)
+    points = sample_points(space, substream(9, f"calls:{family}"), 13)
+    calls = _count_scalar_calls(monkeypatch)
+    measure(space, points)
+    assert calls == {"validate_point": 13}
 
 
 # ---------------------------------------------------------------------------
