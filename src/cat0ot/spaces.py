@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from operator import add
@@ -85,6 +86,13 @@ class OpenBookParams:
 
 def _finite(coords: Sequence[float]) -> bool:
     return all(map(math.isfinite, coords))
+
+
+def _check_chart(chart) -> None:
+    """A point's chart is an integer, numpy's too, as `param_int` reads one; a
+    bool or a non-integral value is `InvalidPoint`."""
+    if type(chart) is not int and (isinstance(chart, bool) or not isinstance(chart, numbers.Integral)):
+        raise InvalidPoint(f"chart must be an integer, got {chart!r}")
 
 
 def _path_length(hi, lo, u, w):
@@ -182,6 +190,7 @@ class EuclideanImpl:
         self.handle: SpaceHandle = None  # type: ignore[assignment]
 
     def validate_point(self, p: Point) -> None:
+        _check_chart(p.chart)
         if p.chart != 0:
             raise InvalidPoint(f"Euclidean space has a single chart 0, got {p.chart}")
         if len(p.coords) != self.dim or not _finite(p.coords):
@@ -372,6 +381,7 @@ class TreeImpl:
     # normalized onto their lowest-index incident edge.
 
     def validate_point(self, p: Point) -> None:
+        _check_chart(p.chart)
         if not (0 <= p.chart < len(self.edges)):
             raise InvalidPoint(f"edge index {p.chart} out of range")
         if len(p.coords) != 1 or not _finite(p.coords):
@@ -690,6 +700,7 @@ class BookImpl:
         self.handle: SpaceHandle = None  # type: ignore[assignment]
 
     def validate_point(self, p: Point) -> None:
+        _check_chart(p.chart)
         if not (0 <= p.chart < self.pages):
             raise InvalidPoint(f"page {p.chart} out of range")
         if len(p.coords) != 2 or not _finite(p.coords):

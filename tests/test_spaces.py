@@ -649,6 +649,20 @@ def test_tree_point_validation(tripod):
         distance(tripod, Point(0, (1.5,)), Point(0, (0.1,)))
 
 
+@pytest.mark.parametrize("family", ["e2", "tripod", "book3"])
+@pytest.mark.parametrize("chart", [1.5, 1.0, True, 0.0, False])
+def test_a_chart_that_is_not_an_integer_is_an_invalid_point(family, chart, request):
+    # a float chart was once filed under its integer part, taken as chart 0,
+    # or met a bare TypeError on a tree's edge table
+    space = request.getfixturevalue(family)
+    coords = (0.5,) if family == "tripod" else (0.5, 0.0)
+    good = Point(0, coords)
+    for call in (lambda p: measure(space, [good, p]), lambda p: distance(space, good, p)):
+        with pytest.raises(InvalidPoint, match="chart must be an integer"):
+            call(Point(chart, coords))
+    assert distance(space, good, Point(np.int64(0), coords)) == 0.0
+
+
 # every public scalar entry point checks each point it is given
 
 VALID_POINTS = {
