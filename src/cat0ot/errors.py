@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import copyreg
 import math
 import numbers
 
 
 class Cat0otError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    def __reduce__(self):
+        # Exception pickles as type(self)(*self.args), which fails for a
+        # subclass whose __init__ takes other arguments than its message
+        # (ConfigInvalid, NotDeterministicError). Rebuild without __init__:
+        # the same args, then the instance's attributes.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidPoint(Cat0otError):

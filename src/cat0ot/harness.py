@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import atexit
 import csv
 import io
 import json
 import math
+import multiprocessing
+import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -698,9 +704,77 @@ def run_scenario(scenario: Scenario) -> Report:
     return Report(scenario=scenario, metrics=metrics, passed=bool(passed), runtime_ms=runtime_ms)
 
 
+# run_batch hands scenarios to its workers only while run_scenario runs this
+# code; a wrapper in its place (a test spy, a tracer) keeps the batch in-process
+_RUN_SCENARIO_CODE = run_scenario.__code__
+
+# run_batch's forked workers: made by the first batch that needs them, kept
+# until interpreter exit, dropped when one of them dies
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The worker pool, forked with `workers` processes when there is none."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        return _pool
+
+
+def _drop_pool(pool: Optional[ProcessPoolExecutor] = None) -> None:
+    """Shut down `pool`, by default the current one, and wait for its
+    workers; once the current pool is dropped, the next batch forks anew."""
+    global _pool
+    with _pool_lock:
+        pool = _pool if pool is None else pool
+        if pool is _pool:
+            _pool = None
+    if pool is not None:
+        pool.shutdown()
+
+
+# the executor's own exit hook has stopped the workers by now; dropping the
+# pool here keeps its garbage collection out of interpreter teardown
+atexit.register(_drop_pool)
+
+
 def run_batch(scenarios: list[Scenario]) -> list[Report]:
-    """Run scenarios one after another; results come back in input order."""
-    return [run_scenario(sc) for sc in scenarios]
+    """Run scenarios on every usable core; reports come back in input order.
+
+    A batch maps its scenarios over a pool of worker processes, one per core
+    in this process's affinity mask, and each report renders to the bytes
+    that `run_scenario` gives in-process. The workers are forked by the
+    first such batch and kept until interpreter exit, so they keep the
+    module state of that moment: what is patched later reaches in-process
+    batches only. A scenario's error is raised as the in-process loop raises
+    it, the first in input order. A worker that dies takes the pool with it;
+    the batch then runs again on a new pool, and a second death raises
+    `BrokenProcessPool`.
+
+    The batch runs in-process, one scenario after another, when one core is
+    usable, when it holds fewer than two scenarios, when the platform cannot
+    fork, and when `run_scenario` is not this module's own function (a test
+    spy or a tracing wrapper), which then sees every scenario in order.
+    """
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if (
+        len(scenarios) < 2
+        or workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or run_scenario.__code__ is not _RUN_SCENARIO_CODE
+    ):
+        return [run_scenario(sc) for sc in scenarios]
+    for attempt in range(2):
+        pool = _worker_pool(workers)
+        try:
+            return list(pool.map(run_scenario, scenarios))
+        except BrokenProcessPool:
+            # a worker died: the pool is done, and the batch runs once more on a new one
+            _drop_pool(pool)
+            if attempt:
+                raise
 
 
 # ---------------------------------------------------------------------------

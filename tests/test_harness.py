@@ -2,13 +2,20 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
+
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from cat0ot import (
     _simplex,
     calculus,
     direction_set,
+    errors,
     geometry,
     harness,
     polar,
@@ -416,6 +424,203 @@ def test_run_batch_preserves_order():
     assert [r.scenario.seed for r in reports] == [3, 1, 2]
     again = run_batch(scs)
     assert [render_report(r) for r in reports] == [render_report(r) for r in again]
+
+
+def _pid_run(space, params, seed):
+    return {"pid": harness._metric(os.getpid())}, True
+
+
+def _pids(reports) -> list[int]:
+    return [int(r.metrics["pid"]["value"]) for r in reports]
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Two usable cores, no pool yet, and a "pid" experiment that reports the
+    process it ran in; yields a maker of k "pid" scenarios."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "_RUNNERS", {**harness._RUNNERS, "pid": _pid_run})
+    harness._drop_pool()
+    yield lambda k: [Scenario(E2, "pid", {}, seed) for seed in range(k)]
+    harness._drop_pool()
+
+
+MIXED_BATCH = [
+    *[("solve", {"n": 5, "m": 4}, space) for space in (E2, TRIPOD, BOOK3)],
+    *[("monotonicity", {"n": 4}, space) for space in (E2, TRIPOD, BOOK3)],
+    *[("twist", {"trials": 3, "directions": 8}, space) for space in (E2, TRIPOD, BOOK3)],
+    *[("fermat", {"directions": 8}, space) for space in (E2, TRIPOD, BOOK3)],
+    *[("eilenberg", {"n_samples": 500}, space) for space in (E2, TRIPOD, BOOK3)],
+    ("transport-identity", {"sizes": [5, 9]}, E2),
+    *[("polar", {"trials": 3, "n": 4}, space) for space in (E2, TRIPOD, BOOK3)],
+    *[("geometry-suite", {"samples": 100}, space) for space in (E2, TRIPOD, BOOK3)],
+]
+
+
+def test_a_mixed_batch_renders_as_its_scenarios_one_at_a_time(two_cores):
+    scs = [_scenario(exp, params, seed=k, space=space) for k, (exp, params, space) in enumerate(MIXED_BATCH)]
+    reports = run_batch(scs)
+    assert harness._pool is not None
+    assert [r.scenario for r in reports] == scs
+    assert [render_report(r) for r in reports] == [render_report(run_scenario(sc)) for sc in scs]
+
+
+def test_a_batch_runs_in_worker_processes(two_cores):
+    first = _pids(run_batch(two_cores(6)))
+    assert os.getpid() not in first
+    # the pool is kept: later batches run on the same two workers
+    later = _pids(run_batch(two_cores(40)))
+    assert os.getpid() not in later and len(set(first + later)) <= 2
+
+
+def test_concurrent_first_batches_fork_one_pool(two_cores):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as threads:
+            runs = list(threads.map(lambda _: _pids(run_batch(two_cores(6))), range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    pids = {pid for run in runs for pid in run}
+    assert os.getpid() not in pids and len(pids) <= 2
+
+
+def test_a_batch_runs_in_process_on_one_core(two_cores, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _pids(run_batch(two_cores(3))) == [os.getpid()] * 3
+    assert harness._pool is None
+
+
+def test_a_batch_of_one_runs_in_process(two_cores):
+    assert _pids(run_batch(two_cores(1))) == [os.getpid()]
+    assert harness._pool is None
+
+
+def test_a_batch_runs_in_process_without_fork(two_cores, monkeypatch):
+    monkeypatch.setattr(harness.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _pids(run_batch(two_cores(3))) == [os.getpid()] * 3
+    assert harness._pool is None
+
+
+def test_a_replaced_run_scenario_sees_every_scenario_in_order(two_cores, monkeypatch):
+    seen = []
+
+    def spy(sc):
+        seen.append(sc)
+        return run_scenario(sc)
+
+    monkeypatch.setattr(harness, "run_scenario", spy)
+    scs = two_cores(4)
+    assert _pids(run_batch(scs)) == [os.getpid()] * 4
+    assert seen == scs
+    assert harness._pool is None
+
+
+@pytest.mark.parametrize("bad", [[0], [2], [2, 4], [5]])
+def test_a_bad_config_raises_as_the_serial_loop_does(two_cores, bad):
+    scs = [_scenario("solve", {"n": 3}, seed=k) for k in range(6)]
+    for k in bad:
+        scs[k] = Scenario(E2, "solve", {"instance": f"bogus-{k}"}, k)
+    with pytest.raises(ConfigInvalid) as serial:
+        [run_scenario(sc) for sc in scs]
+    with pytest.raises(ConfigInvalid) as pooled:
+        run_batch(scs)
+    assert harness._pool is not None
+    assert type(pooled.value) is type(serial.value)
+    assert (pooled.value.path, str(pooled.value)) == (serial.value.path, str(serial.value)) == (
+        "params.instance",
+        f"params.instance: unknown instance tag 'bogus-{bad[0]}'",
+    )
+    # the pool survives the error
+    good = [_scenario("solve", {"n": 3}, seed=k) for k in range(6)]
+    assert [render_report(r) for r in run_batch(good)] == [render_report(run_scenario(sc)) for sc in good]
+
+
+def test_a_batch_after_a_worker_was_killed_runs(two_cores):
+    pids = _pids(run_batch(two_cores(4)))
+    os.kill(pids[0], signal.SIGKILL)
+    for _ in range(2):
+        again = _pids(run_batch(two_cores(4)))
+        assert pids[0] not in again and os.getpid() not in again
+    scs = [_scenario("solve", {"n": 3}, seed=k) for k in range(4)]
+    assert [render_report(r) for r in run_batch(scs)] == [render_report(run_scenario(sc)) for sc in scs]
+
+
+def test_a_scenario_that_kills_its_worker_breaks_its_batch_only(two_cores, monkeypatch):
+    parent = os.getpid()
+
+    def die(space, params, seed):
+        if os.getpid() == parent:
+            raise AssertionError("the crashing scenario ran in-process")
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "_RUNNERS", {**harness._RUNNERS, "die": die})
+    with pytest.raises(BrokenProcessPool):
+        run_batch([Scenario(E2, "die", {}, 0), *two_cores(3)])
+    assert harness._pool is None
+    assert os.getpid() not in _pids(run_batch(two_cores(4)))
+
+
+BATCH_THEN_EXIT = """
+import os
+from cat0ot import harness
+from cat0ot.harness import Scenario
+
+os.sched_getaffinity = lambda pid: {0, 1}
+harness._RUNNERS["pid"] = lambda space, params, seed: ({"pid": harness._metric(os.getpid())}, True)
+e2 = {"kind": "euclidean", "dim": 2}
+scs = [Scenario(e2, "pid", {}, k) for k in range(4)] + [Scenario(e2, "solve", {"n": 4}, 1)] * 2
+reports = harness.run_batch(scs)
+assert all(r.passed for r in reports)
+print(*{int(r.metrics["pid"]["value"]) for r in reports[:4]})
+"""
+
+
+def test_an_interpreter_that_ran_a_batch_exits_cleanly():
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", BATCH_THEN_EXIT], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+    workers = [int(pid) for pid in out.split()]
+    assert workers and proc.pid not in workers
+    deadline = time.monotonic() + 10.0
+    alive = workers
+    while alive and time.monotonic() < deadline:
+        alive = [pid for pid in alive if _alive(pid)]
+        time.sleep(0.05)
+    assert alive == []
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_domain_errors_survive_pickling():
+    samples = {"path": "params.n", "message": "must be positive", "direction": "forward", "split_mass": 0.25}
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    found = list(subclasses(errors.Cat0otError))
+    assert errors.ConfigInvalid in found and errors.NotDeterministicError in found
+    for cls in [errors.Cat0otError, *found]:
+        if cls.__init__ is Exception.__init__:
+            err = cls("a message")
+        else:
+            params = inspect.signature(cls).parameters
+            err = cls(**{name: samples[name] for name in params})
+        err.add_note("a note")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert (str(back), back.args, vars(back)) == (str(err), err.args, vars(err)), cls.__name__
 
 
 @pytest.mark.parametrize("kind", ["tripod", "comb14", "lopsided_tree"])
